@@ -9,12 +9,10 @@
 
 module Config = Adios_core.Config
 module Report = Adios_core.Report
-module Runner = Adios_core.Runner
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
 module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
-module Bench = Adios_exp.Bench
 
 (* The oracle bundle a spec must pass: clustered sweeps trade the
    multi-system shape checks for the failover and replication gates;
@@ -189,81 +187,13 @@ let regen_golden dir jobs mode quiet =
         (Dataset.length pds) ppath)
     Spec.all_goldens
 
-(* Simulator-throughput benchmark: run every golden spec (the canonical
-   reduced sweeps plus the cluster topology grid) and record wall time
-   against the deterministic work measure — events processed by the
-   discrete-event engine. BENCH_sweep.json at the repo root is the
-   checked-in perf trajectory; regenerate with `adios_sweep --bench`:
-   when FILE already holds a snapshot, the new measurement becomes the
-   current one and the old snapshot is appended to its history, so the
-   trajectory is never lost. [baseline], if given, gates the run on the
-   deterministic [sim_events] of another bench file (never on time). *)
-let bench path jobs mode quiet label baseline =
-  let sweeps =
-    List.map
-      (fun (spec : Spec.t) ->
-        (* lint: allow determinism -- wall-clock benchmark timing, not in a dataset *)
-        let t0 = Unix.gettimeofday () in
-        let run = Sweep.run ~jobs ~mode ~progress:(progress_line quiet) spec in
-        (* lint: allow determinism -- same benchmark timing *)
-        let wall = Unix.gettimeofday () -. t0 in
-        let events =
-          List.fold_left (fun acc (_, r) -> acc + r.Runner.sim_events) 0 run
-        in
-        let requests =
-          List.fold_left (fun acc (_, r) -> acc + r.Runner.requests) 0 run
-        in
-        let rate = float_of_int events /. Float.max 1e-9 wall in
-        Format.printf "bench %s: %d points, %d sim events in %.2fs \
-                       (%.2e events/s)@."
-          spec.Spec.name (List.length run) events wall rate;
-        {
-          Bench.sweep = spec.Spec.name;
-          points = List.length run;
-          requests;
-          sim_events = events;
-          wall_s = wall;
-          events_per_s = Float.round rate;
-        })
-      Spec.all_goldens
-  in
-  let snap = { Bench.harness = "adios_sweep --bench"; jobs; label; sweeps } in
-  let trajectory =
-    if Sys.file_exists path then
-      match Bench.load ~path with
-      | Ok prev -> Bench.append prev snap
-      | Error msg ->
-        Format.eprintf "adios_sweep: %s: %s (not appending history)@." path msg;
-        { Bench.current = snap; history = [] }
-    else { Bench.current = snap; history = [] }
-  in
-  (try Bench.store ~path trajectory
-   with Sys_error msg -> fail_write path msg);
-  Format.printf "bench results: %s@." path;
-  match baseline with
-  | None -> 0
-  | Some base_path -> (
-    match Bench.load ~path:base_path with
-    | Error msg ->
-      Format.eprintf "adios_sweep: baseline %s: %s@." base_path msg;
-      1
-    | Ok base -> (
-      match Bench.sim_events_match ~expected:base.Bench.current ~actual:snap with
-      | Ok () ->
-        Format.printf "bench baseline: sim_events match %s@." base_path;
-        0
-      | Error msg ->
-        Format.eprintf "adios_sweep: bench baseline: %s@." msg;
-        1))
-
 let run spec_name systems apps loads requests seed jobs mode out golden oracle
-    knee_k json quiet regen bench_out bench_label bench_baseline profile =
-  match (regen, bench_out) with
-  | Some dir, _ ->
+    knee_k json quiet regen profile =
+  match regen with
+  | Some dir ->
     regen_golden dir jobs mode quiet;
     0
-  | None, Some path -> bench path jobs mode quiet bench_label bench_baseline
-  | None, None ->
+  | None ->
     let spec =
       match spec_name with
       | Some name -> (
@@ -429,8 +359,9 @@ let mode_arg =
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
           "Parallel backend when --jobs exceeds 1: 'fork' spawns worker \
-           processes, 'domains' runs a work-stealing domain pool in this \
-           process. Results are byte-identical across backends.")
+           processes, 'domains' runs the points on domains in this \
+           process, each taking the next unclaimed point. Results are \
+           byte-identical across backends.")
 
 let out_arg =
   Arg.(
@@ -486,36 +417,6 @@ let regen_arg =
            (normally test/golden). Refuses to write a golden that fails \
            its own oracles.")
 
-let bench_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench" ] ~docv:"FILE"
-        ~doc:
-          "Run every golden spec and write a simulator-throughput \
-           benchmark (sim events, wall time, events/s per sweep) to \
-           FILE. If FILE already holds a snapshot, it is preserved in \
-           the file's history array, making FILE a perf trajectory. \
-           The checked-in trajectory is BENCH_sweep.json.")
-
-let bench_label_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench-label" ] ~docv:"LABEL"
-        ~doc:"Provenance tag stored in the bench snapshot (e.g. a PR name).")
-
-let bench_baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench-baseline" ] ~docv:"FILE"
-        ~doc:
-          "After --bench, compare the deterministic sim_events of every \
-           sweep against the current snapshot in FILE and exit non-zero \
-           on drift. Wall-clock numbers are never compared — the gate \
-           is a determinism check, not a speed check.")
-
 let profile_arg =
   Arg.(
     value & flag
@@ -537,7 +438,6 @@ let cmd =
     Term.(
       const run $ spec_arg $ systems_arg $ apps_arg $ loads_arg $ requests_arg
       $ seed_arg $ jobs_arg $ mode_arg $ out_arg $ golden_arg $ oracle_arg
-      $ knee_k_arg $ json_arg $ quiet_arg $ regen_arg $ bench_arg
-      $ bench_label_arg $ bench_baseline_arg $ profile_arg)
+      $ knee_k_arg $ json_arg $ quiet_arg $ regen_arg $ profile_arg)
 
 let () = exit (Cmd.eval' cmd)

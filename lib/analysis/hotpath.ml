@@ -1,11 +1,13 @@
 (* Zero-allocation manifest: the functions the [zero-alloc] typed rule
    walks. These are the simulator's steady-state hot paths — the
    per-event and per-completion code the paper's microsecond budget
-   lives in. The engine's benchmarks (BENCH.md) and the differential
-   proof in test_engine_diff pin their behaviour; this manifest pins
-   their allocation profile, so a refactor that quietly re-introduces a
-   closure or a boxed option per event is a lint finding, not a silent
-   throughput regression.
+   lives in. perfbench's per-layer microbenchmarks (perfbench/README.md)
+   and the differential proof in test_engine_diff pin their behaviour;
+   this manifest pins their allocation profile, so a refactor that
+   quietly re-introduces a closure or a boxed option per event is a
+   lint finding, not a silent throughput regression. An entry whose
+   file is no longer in the linted tree is a finding too, so moving or
+   deleting a hot-path file cannot drop its certification unnoticed.
 
    Names are dotted toplevel paths within the file ([Cq.push] is
    [let push] inside [module Cq]). [cold] lists the callees the
@@ -13,10 +15,9 @@
    growth, error reporting) that allocate by design and are amortised
    or unreachable in steady state.
 
-   [lib/engine/heap_reference.ml] must never appear here: it is the
-   frozen boxed-record oracle the flat-array heap is differentially
-   tested against, and allocating is its whole point (see the
-   [hygiene_exempt] table in lint.ml). *)
+   The boxed-record heap the flat-array heap is differentially tested
+   against lives in test/heap_reference.ml, outside the linted tree:
+   allocating is its whole point. *)
 
 type entry = {
   file : string;  (** repo-relative source path *)
@@ -82,13 +83,11 @@ let manifest =
       functions = [ "deliver_wr" ];
       cold = [];
     };
-    { file = "lib/par/deque.ml";
-      (* the work-stealing deque's per-task operations: the domain pool
-         calls these once per spawned/stolen task, and an allocation
-         here would put GC pressure on every worker domain at once.
-         [create] allocates the ring by design and is not listed. *)
-      functions = [ "push"; "pop_into"; "steal_into"; "size" ];
-      cold = [];
+    { file = "lib/stats/histogram.ml";
+      (* every completed request records its latency here; [ensure]
+         grows the bucket array on a new magnitude, amortised away *)
+      functions = [ "record"; "record_n" ];
+      cold = [ "ensure" ];
     };
   ]
 

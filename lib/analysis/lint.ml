@@ -101,15 +101,6 @@ let meta_rules = [ "suppress-reason"; "stale-suppression"; "parse-error" ]
 
 let rule_names = syntactic_rules @ project_rules @ typed_rules @ meta_rules
 
-(* lib/engine/heap_reference.ml is the frozen boxed-record oracle the
-   flat-array heap is differentially tested against (test_engine_diff):
-   the proof of behavioural equality is only as good as the reference
-   staying byte-identical to the version it ran against, so no hygiene
-   rule may ever force an edit to it — and its per-entry allocations
-   are its whole point, so it must never join the zero-alloc manifest
-   either ([Hotpath] documents the same rule from its side). *)
-let hygiene_exempt = [ "lib/engine/heap_reference.ml" ]
-
 let to_string f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.msg
 
 let compare_findings a b =
@@ -368,6 +359,11 @@ let forbidden_determinism lid =
 
 let determinism_exempt = [ "lib/engine/rng.ml"; "lib/engine/clock.ml" ]
 
+(* clock.ml implements the unit conversions themselves: its whole job
+   is mixing [*_us] floats with cycle counts, so the taint pass would
+   flag every line of it. *)
+let cycle_units_exempt = [ "lib/engine/clock.ml" ]
+
 let lint_structure ~path ~event_kinds str =
   let findings = ref [] in
   let add loc rule msg =
@@ -375,12 +371,10 @@ let lint_structure ~path ~event_kinds str =
   in
   let det_scope = not (List.mem path determinism_exempt) in
   let apps_scope = String.starts_with ~prefix:"lib/apps/" path in
-  let hygiene_scope = not (List.mem path hygiene_exempt) in
   let poly_scope =
-    hygiene_scope
-    && List.exists
-         (fun p -> String.starts_with ~prefix:p path)
-         [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
+    List.exists
+      (fun p -> String.starts_with ~prefix:p path)
+      [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
   in
   let is_float_const e =
     match e.pexp_desc with
@@ -425,7 +419,7 @@ let lint_structure ~path ~event_kinds str =
     | Pexp_apply
         ( { pexp_desc = Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); _ }; _ },
           [ (_, a); (_, b) ] ) ->
-      if hygiene_scope && (is_float_const a || is_float_const b) then
+      if is_float_const a || is_float_const b then
         add e.pexp_loc "float-equal"
           (Printf.sprintf
              "(%s) against a float literal is an exact-bit comparison; test \
@@ -469,7 +463,7 @@ let lint_structure ~path ~event_kinds str =
                 pvb_expr = e2;
                 _ } ],
             _ )
-        when hygiene_scope && String.equal x y && not (expr_mentions x e2) ->
+        when String.equal x y && not (expr_mentions x e2) ->
         add pvb_loc "unused-shadow"
           (Printf.sprintf
              "binding of %s is dead: immediately shadowed by a rebinding \
@@ -650,7 +644,7 @@ let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
         | None -> []
       in
       let cu =
-        if List.mem path hygiene_exempt then []
+        if List.mem path cycle_units_exempt then []
         else Typed_rules.cycle_units ~path ~str
       in
       za @ cu
@@ -910,10 +904,41 @@ let check_phase_wiring ~phase:(ppath, psrc) ~export:(xpath, xsrc)
 
 (* --- typed layer orchestration -------------------------------------------- *)
 
-(* clock.ml implements the unit conversions themselves: its whole job
-   is mixing [*_us] floats with cycle counts, so the taint pass would
-   flag every line of it. *)
-let cycle_units_exempt = [ "lib/engine/clock.ml" ]
+(* A manifest entry whose file is not among [sources] certifies
+   nothing: report it against its line in the manifest instead of
+   skipping it, so a moved or deleted hot-path file cannot drop its
+   zero-alloc certification without a word. *)
+let check_manifest_files ~manifest ~sources =
+  let manifest_path = "lib/analysis/hotpath.ml" in
+  let line_of_entry file =
+    match List.assoc_opt manifest_path sources with
+    | None -> 1
+    | Some src ->
+      (* the first line holding the path as a string literal *)
+      let rec find n = function
+        | [] -> 1
+        | l :: rest ->
+          if List.mem file (String.split_on_char '"' l) then n
+          else find (n + 1) rest
+      in
+      find 1 (String.split_on_char '\n' src)
+  in
+  List.filter_map
+    (fun (e : Hotpath.entry) ->
+      if List.mem_assoc e.file sources then None
+      else
+        Some
+          { file = manifest_path;
+            line = line_of_entry e.file;
+            rule = "zero-alloc";
+            msg =
+              Printf.sprintf
+                "manifest entry for %s names a file that is not in the \
+                 linted tree, so none of its functions is checked; move \
+                 the entry with the file or delete it"
+                e.file;
+          })
+    manifest
 
 (* Run the typedtree rules over every file a cmt loads for. Returns the
    findings plus the files whose cmt actually loaded, so staleness
@@ -963,7 +988,10 @@ let typed_pass ~build_dir sources =
     List.concat_map
       (fun (entry : Hotpath.entry) ->
         match List.assoc_opt entry.file loaded with
-        | None -> [] (* no cmt: already a cmt-drift finding *)
+        | None ->
+          (* no cmt: already a cmt-drift finding; no file at all:
+             check_manifest_files reports it *)
+          []
         | Some str ->
           let home = Typed.cmt_dir index ~path:entry.file in
           (* descent stays within the entry's own library: a unit is
@@ -981,13 +1009,14 @@ let typed_pass ~build_dir sources =
   let cycle_units =
     List.concat_map
       (fun (path, str) ->
-        if
-          List.mem path cycle_units_exempt || List.mem path hygiene_exempt
-        then []
+        if List.mem path cycle_units_exempt then []
         else Typed_rules.cycle_units ~path ~str)
       loaded
   in
-  (!drift @ zero_alloc @ cycle_units, List.map fst loaded)
+  ( !drift
+    @ check_manifest_files ~manifest:Hotpath.manifest ~sources
+    @ zero_alloc @ cycle_units,
+    List.map fst loaded )
 
 (* --- whole-repo driver ---------------------------------------------------- *)
 

@@ -78,6 +78,15 @@ val check_counter_registry : system:string * string -> finding list
     must be projected inside the [register_metrics] binding, so a new
     counter cannot be added without registering it. *)
 
+val check_manifest_files :
+  manifest:Hotpath.entry list -> sources:(string * string) list -> finding list
+(** [zero-alloc] findings for [manifest] entries whose file is not among
+    the [(path, source)] pairs: each is reported against the line of
+    lib/analysis/hotpath.ml that names the file (line 1 if that source
+    is absent). The typed pass of {!run} applies it to
+    {!Hotpath.manifest}, so moving or deleting a hot-path file without
+    its entry is a finding rather than a silently dropped check. *)
+
 val lint_typed_source :
   ?manifest:Hotpath.entry list ->
   path:string ->

@@ -8,8 +8,9 @@
     boxed records, and the {!pop_into} protocol dequeues without
     allocating an option or a tuple — the hot path of a simulation run
     performs no allocation at steady state. The original boxed
-    implementation survives as {!Heap_reference}; the differential suite
-    in [test_engine_diff] proves both produce identical pop streams. *)
+    implementation survives as [test/heap_reference.ml]; the
+    differential suite in [test_engine_diff] proves both produce
+    identical pop streams. *)
 
 type 'a t
 (** Heap of payloads ordered by ascending key. *)

@@ -1,11 +1,10 @@
 module Runner = Adios_core.Runner
-module Pool = Adios_par.Pool
 
 (* One sweep point, in-process. The App.t is built fresh here so the
    point sees the same state whether it runs inline or in a forked
    worker. [cfg_tweak] rewrites the point's configuration after the spec
-   is applied — the hook the bench harness uses for its variants
-   (sync-TX, round-robin dispatch, pinned seeds). *)
+   is applied; it runs wherever the point runs, so a hook that only
+   reads the configuration can tell which point is starting there. *)
 let run_point ?(cfg_tweak = fun c -> c) ?(profile = false) spec
     (point : Spec.point) =
   Runner.run
@@ -22,9 +21,17 @@ let point_label (p : Spec.point) =
    (records, arrays, floats), so Marshal round-trips it exactly. *)
 type outcome = Done of Runner.result | Failed of string
 
+(* In-process, one point after another. Every point after the first
+   starts by finishing the major GC cycle in progress, so each point
+   meets the collector in the same state. Otherwise how many dead
+   testbeds (a 64 MiB arena each on the array app) are still held when
+   a point builds its own depends on how much every earlier point
+   allocated, and the sweep's peak RSS moves by tens of MB with the
+   sweep seed or any change to the allocation rate. *)
 let run_sequential ~cfg_tweak ~profile ~progress spec points =
-  List.map
-    (fun p ->
+  List.mapi
+    (fun i p ->
+      if i > 0 then Gc.major ();
       let r = run_point ~cfg_tweak ~profile spec p in
       progress p r;
       (p, r))
@@ -101,47 +108,73 @@ let run_forked ~jobs ~cfg_tweak ~profile ~progress spec points =
       | None -> assert false (* every index was reaped or we raised *))
     points
 
-(* Domain-parallel execution on the work-stealing pool in lib/par: one
-   task per point, results written straight into a shared array (no
-   marshalling — domains share the heap). Determinism is inherited
-   from [run_point] building every simulator, app and RNG fresh from
-   the point's own seed; the pool only decides *where* a point runs,
-   never what it sees. [progress] still fires in points order: each
-   completion drains the longest fully-finished prefix, mirroring the
-   forked backend's drain-in-spawn-order behaviour. *)
+(* Domain-parallel execution: [jobs] domains (the caller plus
+   [jobs - 1] spawned ones) claim points from one shared cursor and
+   publish each outcome in the point's own slot — no marshalling, the
+   domains share the heap. A point runs for tenths of a second and
+   never spawns work, so one fetch-and-add per point is all the
+   scheduling a sweep needs. Determinism is inherited from [run_point]
+   building every simulator, app and RNG fresh from the point's own
+   seed: the cursor only decides *where* a point runs, never what it
+   sees. The caller fires [progress] in points order as the finished
+   prefix grows, mirroring the forked backend's drain-in-spawn-order
+   behaviour. After a failure no further point is claimed; since the
+   cursor hands out indices in order, every point below the first
+   failing one has run, so the failure raised is the same one the
+   other backends raise. *)
 let run_domains ~jobs ~cfg_tweak ~profile ~progress spec points =
   let parr = Array.of_list points in
   let n = Array.length parr in
-  let results = Array.make n None in
-  let tasks =
-    Array.map
-      (fun (p : Spec.point) () ->
-        match run_point ~cfg_tweak ~profile spec p with
-        | r -> results.(p.Spec.index) <- Some r
-        | exception e ->
-          failwith
-            (Printf.sprintf "sweep point %s: %s" (point_label p)
-               (Printexc.to_string e)))
-      parr
-  in
+  let slots = Array.init n (fun _ -> Atomic.make None) in
+  let cursor = Atomic.make 0 and failed = Atomic.make false in
   let emitted = ref 0 in
-  let emit_ready () =
-    let continue = ref true in
-    while !continue && !emitted < n do
-      match results.(!emitted) with
-      | Some r ->
+  let rec emit_ready () =
+    if !emitted < n then
+      match Atomic.get slots.(!emitted) with
+      | Some (Done r) ->
         progress parr.(!emitted) r;
-        incr emitted
-      | None -> continue := false
-    done
+        incr emitted;
+        emit_ready ()
+      | Some (Failed _) | None -> ()
   in
-  Pool.with_pool ~domains:jobs (fun pool ->
-      Pool.run_all pool tasks ~on_done:(fun _ -> emit_ready ()));
+  let rec work after_point =
+    if not (Atomic.get failed) then begin
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i < n then begin
+        let outcome =
+          match run_point ~cfg_tweak ~profile spec parr.(i) with
+          | r -> Done r
+          | exception e -> Failed (Printexc.to_string e)
+        in
+        Atomic.set slots.(i) (Some outcome);
+        (match outcome with Failed _ -> Atomic.set failed true | Done _ -> ());
+        after_point ();
+        work after_point
+      end
+    end
+  in
+  let spawned =
+    List.init
+      (max 0 (min jobs n - 1))
+      (fun _ -> Domain.spawn (fun () -> work ignore))
+  in
+  let join () = List.iter Domain.join spawned in
+  (match work emit_ready with
+  | () -> join ()
+  | exception e ->
+    (* [progress] raised: stop claiming, let the other domains finish
+       their current point, and pass the exception on *)
+    Atomic.set failed true;
+    join ();
+    raise e);
+  emit_ready ();
   List.map
     (fun (p : Spec.point) ->
-      match results.(p.Spec.index) with
-      | Some r -> (p, r)
-      | None -> assert false (* run_all re-raised any task failure *))
+      match Atomic.get slots.(p.Spec.index) with
+      | Some (Done r) -> (p, r)
+      | Some (Failed msg) ->
+        failwith (Printf.sprintf "sweep point %s: %s" (point_label p) msg)
+      | None -> assert false (* only points after a failure go unclaimed *))
     points
 
 let run ?(jobs = 1) ?(mode = `Fork) ?(cfg_tweak = fun c -> c)

@@ -1,13 +1,13 @@
 (** Sweep execution: expand a {!Spec.t} into points and run them —
     in-process ([jobs <= 1]), as up to [jobs] parallel forked worker
     processes ([mode = `Fork], the default), or across [jobs] OCaml 5
-    domains on the work-stealing pool in lib/par ([mode = `Domains]).
-    Results are bit-identical across all three backends: every point
-    builds a fresh simulator, app and RNG from its own deterministic
-    seed, forked workers marshal the plain-data
+    domains that claim points from one shared atomic cursor
+    ([mode = `Domains]). Results are bit-identical across all three
+    backends: every point builds a fresh simulator, app and RNG from its
+    own deterministic seed, forked workers marshal the plain-data
     {!Adios_core.Runner.result} back unchanged, and domain workers
     share it directly. test/test_sweep.ml and the CI domains-smoke job
-    gate the byte-equality of the resulting CSVs on every reduced
+    gate the byte-equality of the resulting CSVs on every golden
     spec. *)
 
 val run_point :
@@ -17,8 +17,8 @@ val run_point :
   Spec.point ->
   Adios_core.Runner.result
 (** Run one point inline. [cfg_tweak] rewrites the configuration after
-    the spec is applied (bench variants: sync-TX, dispatch policy,
-    pinned seeds). [profile] (default false) attaches the critical-path
+    the spec is applied, on whichever process or domain runs the point.
+    [profile] (default false) attaches the critical-path
     profiler — perturbation-free, so every non-[prof] result field is
     byte-identical either way. *)
 
@@ -36,13 +36,21 @@ val run :
 (** Run the whole sweep. [jobs <= 1] runs sequentially in-process;
     otherwise [mode] picks the parallel backend: [`Fork] (default)
     spawns up to [jobs] worker processes, [`Domains] runs the points
-    across [jobs] shared-memory domains on a work-stealing pool.
-    Results are returned in {!Spec.points} order and are byte-identical
-    across backends; [progress] fires once per point, in points order
-    (fork: workers are drained in spawn order; domains: completions are
-    released as the finished prefix grows).
+    on [jobs] domains (the caller plus [jobs - 1] spawned ones), each
+    claiming the next unclaimed point. Results are returned in
+    {!Spec.points} order and are byte-identical across backends;
+    [progress] fires once per point, in points order, on the calling
+    domain (fork: workers are drained in spawn order; domains:
+    completions are released as the finished prefix grows). The
+    sequential backend finishes the major GC cycle in progress before
+    every point after the first, so a point's testbed is collected
+    before the point two places later starts and the sweep's peak
+    memory does not depend on the allocation history of earlier
+    points.
 
-    @raise Failure if a worker process dies or a point raises. Fork:
-    remaining workers are killed first. Domains: remaining points still
-    run to completion before the failure surfaces (the pool is torn
-    down cleanly). *)
+    @raise Failure if a worker process dies or a point raises: fork
+    and domains raise [Failure "sweep point <label>: <exn>"] naming the
+    lowest-indexed failing point ({!point_label}). Fork kills the
+    remaining workers first; domains stop claiming points and raise
+    once every domain has joined. The sequential backend instead lets
+    the point's own exception through. *)

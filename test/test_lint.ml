@@ -307,16 +307,16 @@ let test_zero_alloc_manifest_drift () =
        ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "gone" ])
        ~path:"lib/engine/sim.ml" "let schedule q = q")
 
-(* The lib/par/deque.ml idiom the manifest entry certifies: atomic
-   accesses routed through the [yield_hook] seam (a dereference applied
-   as a function), unsafe array slots, and CAS. None of it allocates,
-   so the typed rule must stay quiet on exactly this shape. *)
+(* A work-stealing deque's idiom: atomic accesses routed through a
+   [yield_hook] test seam (a dereference applied as a function), unsafe
+   array slots, and CAS. None of it allocates, so the typed rule must
+   stay quiet on exactly this shape. *)
 let test_zero_alloc_deque_idiom () =
   check_clean "the deque's hook-wrapped atomic idiom is allocation-free"
     (tlint
        ~manifest:
-         (manifest_of ~file:"lib/par/deque.ml" [ "push"; "steal_into" ])
-       ~path:"lib/par/deque.ml"
+         (manifest_of ~file:"lib/engine/deque.ml" [ "push"; "steal_into" ])
+       ~path:"lib/engine/deque.ml"
        "let yield_hook : (unit -> unit) ref = ref ignore\n\
         let aget a = !yield_hook (); Atomic.get a\n\
         let acas a old v = !yield_hook (); Atomic.compare_and_set a old v\n\
@@ -331,13 +331,42 @@ let test_zero_alloc_deque_idiom () =
        \  else false")
 
 let test_zero_alloc_deque_boxed_steal () =
-  (* the regression the entry exists to catch: a steal that boxes its
-     result allocates an option per stolen task *)
+  (* the regression such an entry exists to catch: a steal that boxes
+     its result allocates an option per stolen task *)
   check_fires "a steal returning an option is a finding" "zero-alloc"
     (tlint
-       ~manifest:(manifest_of ~file:"lib/par/deque.ml" [ "steal_into" ])
-       ~path:"lib/par/deque.ml"
+       ~manifest:(manifest_of ~file:"lib/engine/deque.ml" [ "steal_into" ])
+       ~path:"lib/engine/deque.ml"
        "let steal_into buf tp = Some (Array.unsafe_get buf (tp land 7))")
+
+let test_zero_alloc_dangling_entry () =
+  (* a hot-path file moved or deleted without its manifest entry: the
+     entry certifies nothing, and saying so is the finding *)
+  let sources =
+    [
+      ("lib/analysis/hotpath.ml",
+       "let manifest =\n  [ { file = \"lib/engine/gone.ml\"; functions = [] } ]");
+      ("lib/engine/sim.ml", "let schedule q = q");
+    ]
+  in
+  match
+    Lint.check_manifest_files
+      ~manifest:(manifest_of ~file:"lib/engine/gone.ml" [ "push" ])
+      ~sources
+  with
+  | [ f ] ->
+    check_string "rule" "zero-alloc" f.Lint.rule;
+    check_string "reported on the manifest" "lib/analysis/hotpath.ml"
+      f.Lint.file;
+    check_int "at the entry's line" 2 f.Lint.line;
+    check_bool "names the missing file" true
+      (contains_sub f.Lint.msg "lib/engine/gone.ml");
+    check_clean "an entry for a present file is fine"
+      (Lint.check_manifest_files
+         ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
+         ~sources)
+  | fs ->
+    Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_zero_alloc_suppressible () =
   let src =
@@ -723,6 +752,8 @@ let () =
             test_zero_alloc_deque_idiom;
           Alcotest.test_case "deque boxed steal" `Quick
             test_zero_alloc_deque_boxed_steal;
+          Alcotest.test_case "dangling manifest entry" `Quick
+            test_zero_alloc_dangling_entry;
         ] );
       ( "cycle-units",
         [

@@ -25,6 +25,21 @@ let test_hist_small_exact () =
   check_int "max" 10 (Histogram.max_value h);
   check (Alcotest.float 1e-9) "mean" 5.5 (Histogram.mean h)
 
+(* histogram.mli promises allocation-free recording: once the bucket
+   array has grown to cover the values, recording allocates nothing. *)
+let test_hist_record_no_alloc () =
+  let h = Histogram.create () in
+  let record_all () =
+    for i = 1 to 100_000 do
+      Histogram.record h ((i * 7919) land 0xFFFFF)
+    done
+  in
+  record_all ();
+  let before = Gc.minor_words () in
+  record_all ();
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words over 100k records" 0. words
+
 let test_hist_negative_clamped () =
   let h = Histogram.create () in
   Histogram.record h (-5);
@@ -229,6 +244,8 @@ let () =
             test_hist_count_le_boundaries;
           Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "clear" `Quick test_hist_clear;
+          Alcotest.test_case "record allocation-free" `Quick
+            test_hist_record_no_alloc;
           q prop_hist_percentile_tracks_exact;
           q prop_hist_mean_exact;
         ] );

@@ -1,12 +1,16 @@
 (* Golden-tier sweep tests: run the canonical reduced array spec once and
    hold it against every figure-shape oracle plus the checked-in golden
    CSV. The same run, repeated through the forked runner and through
-   the lib/par domains backend (every checked-in spec), must reproduce
-   the dataset bit-for-bit — the determinism claim the whole golden tier
-   rests on. The steal-reduced spec gets its own golden/oracle suite
-   for the Adios-vs-work-stealing dispatch contrast. Synthetic datasets
-   then exercise each oracle's failure direction, so a broken oracle
-   (one that never fires) also fails here. *)
+   the domains backend (every checked-in spec), must reproduce the
+   dataset bit-for-bit — the determinism claim the whole golden tier
+   rests on — and every golden spec's engine-event total is pinned on
+   the sequential, forked and domains runs. The steal-reduced spec gets
+   its own golden/oracle suite for the Adios-vs-work-stealing dispatch
+   contrast. A small spec checks the contract the three backends share
+   (failure naming, progress order) and that the sequential backend
+   lets go of each point's testbed. Synthetic datasets then exercise
+   each oracle's failure direction, so a broken oracle (one that never
+   fires) also fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
@@ -16,10 +20,36 @@ module Config = Adios_core.Config
 module Runner = Adios_core.Runner
 module Registry = Adios_obs.Registry
 module Openmetrics = Adios_obs.Openmetrics
-module Pool = Adios_par.Pool
 
 let check = Alcotest.check
 let no_violations name vs = check Alcotest.(list string) name [] vs
+
+(* Engine events summed over each golden spec's points: the simulator's
+   deterministic work measure, pinned exactly. A change to any of these
+   means the engine now processes a different event stream for the same
+   spec — even where the CSV columns stay inside the golden bands. *)
+let golden_sim_events =
+  [
+    ("array-reduced", 2_988_041);
+    ("memcached-reduced", 3_445_860);
+    ("rocksdb-scan-reduced", 9_773_367);
+    ("cluster-reduced", 856_449);
+    ("steal-reduced", 2_032_387);
+  ]
+
+let sim_events run =
+  List.fold_left (fun acc (_, r) -> acc + r.Runner.sim_events) 0 run
+
+(* One lazily-run sweep per golden spec, forced only for the specs a
+   test asks about, so each (spec, backend) pair is simulated at most
+   once per process. *)
+let memo run =
+  let runs = List.map (fun spec -> (spec, lazy (run spec))) Spec.all_goldens in
+  fun spec -> Lazy.force (List.assq spec runs)
+
+(* The jobs=2 forked runs, shared by the replay and determinism tests;
+   both groups run before any test spawns a domain. *)
+let forked = memo (Sweep.run ~jobs:2)
 
 (* One sequential run shared by every golden test below; a second run
    through the forked workers checks replay identity. The shared run is
@@ -33,11 +63,10 @@ let phase_dataset = lazy (Dataset.phases_of_run (Lazy.force sequential))
 (* --- the golden sweep --------------------------------------------------- *)
 
 let test_replay_bit_identical () =
-  let again = Sweep.run ~jobs:2 Spec.reduced_array in
   check Alcotest.string
     "same seed, same bytes (jobs=1 profiled vs jobs=2 unprofiled)"
     (Dataset.to_csv (Lazy.force dataset))
-    (Dataset.to_csv (Dataset.of_run again))
+    (Dataset.to_csv (Dataset.of_run (forked Spec.reduced_array)))
 
 let test_golden_match () =
   match Dataset.load ~path:"golden/array-reduced.csv" with
@@ -117,11 +146,11 @@ let cluster_dataset =
   lazy (Dataset.of_run ~cluster:true (Lazy.force cluster_sequential))
 
 let test_cluster_replay_bit_identical () =
-  let again = Sweep.run ~jobs:2 Spec.cluster_reduced in
   check Alcotest.string
     "same seed, same bytes across crash schedules (jobs=1 vs jobs=2)"
     (Dataset.to_csv (Lazy.force cluster_dataset))
-    (Dataset.to_csv (Dataset.of_run ~cluster:true again))
+    (Dataset.to_csv
+       (Dataset.of_run ~cluster:true (forked Spec.cluster_reduced)))
 
 let test_cluster_golden_match () =
   match Dataset.load ~path:"golden/cluster-reduced.csv" with
@@ -188,39 +217,71 @@ let test_steal_oracles () =
          && Dataset.geti ds row "steals" > 0)
        ds.Dataset.rows)
 
-(* --- the domains backend ------------------------------------------------- *)
+(* --- engine-event determinism -------------------------------------------- *)
 
 (* Sequential baselines, reusing the shared lazy runs where one exists
-   so each spec is simulated sequentially at most once per process. *)
+   so each spec is simulated sequentially at most once per process;
+   the domains runs are likewise shared by the byte and event tests. *)
 let baseline spec =
   if spec == Spec.reduced_array then Lazy.force sequential
   else if spec == Spec.cluster_reduced then Lazy.force cluster_sequential
   else if spec == Spec.steal_reduced then Lazy.force steal_sequential
   else Sweep.run ~jobs:1 spec
 
+let sequential_run = memo baseline
+let domains_run = memo (Sweep.run ~jobs:4 ~mode:`Domains)
+
+let check_pinned ~backend spec run =
+  check Alcotest.int
+    (Printf.sprintf "%s sim_events (%s)" spec.Spec.name backend)
+    (List.assoc spec.Spec.name golden_sim_events)
+    (sim_events run)
+
+(* The gate itself: a golden spec without a pin would escape every
+   event-count check below. *)
+let test_sim_events_gate () =
+  check
+    Alcotest.(list string)
+    "a pin per golden spec, in spec order"
+    (List.map (fun (s : Spec.t) -> s.Spec.name) Spec.all_goldens)
+    (List.map fst golden_sim_events)
+
+(* A spec's event total must reproduce its pin exactly and must not
+   depend on the job count: jobs=1 runs in process, jobs=2 forks. *)
+let pinned name spec ~jobs =
+  let run = if jobs = 1 then sequential_run else forked in
+  Alcotest.test_case (Printf.sprintf "%s jobs=%d" name jobs) `Quick (fun () ->
+      check_pinned ~backend:(Printf.sprintf "jobs=%d" jobs) spec (run spec))
+
+(* --- the domains backend ------------------------------------------------- *)
+
 let spec_csv spec run =
   Dataset.to_csv (Dataset.of_run ~cluster:(Spec.clustered spec) run)
 
 (* The `Domains claim from sweep.mli, gated on every checked-in spec:
-   four shared-memory domains on the work-stealing pool produce the
-   same CSV bytes as the in-process sequential runner. Together with
-   the jobs=2 fork tests above this pins all three backends to one
-   output. *)
+   four domains sharing one point cursor produce the same CSV bytes as
+   the in-process sequential runner. Together with the jobs=2 fork
+   tests above this pins all three backends to one output. *)
 let test_domains_bit_identical () =
   List.iter
     (fun spec ->
-      let dom = Sweep.run ~jobs:4 ~mode:`Domains spec in
       check Alcotest.string
         (spec.Spec.name ^ ": same bytes (jobs=1 vs domains jobs=4)")
-        (spec_csv spec (baseline spec))
-        (spec_csv spec dom))
+        (spec_csv spec (sequential_run spec))
+        (spec_csv spec (domains_run spec)))
+    Spec.all_goldens
+
+let test_sim_events_pinned () =
+  List.iter
+    (fun spec ->
+      check_pinned ~backend:"domains jobs=4" spec (domains_run spec))
     Spec.all_goldens
 
 (* The metrics path under domains: the OpenMetrics exposition of the
-   tiny fixed run, rendered on a pool worker domain, must match the
-   golden that test_obs regenerates from a main-domain run — any
-   domain-local state leaking into the registry or the runner's
-   counters would show up as a byte diff. *)
+   tiny fixed run, rendered on a spawned domain, must match the golden
+   that test_obs regenerates from a main-domain run — any domain-local
+   state leaking into the registry or the runner's counters would show
+   up as a byte diff. *)
 let test_domains_metrics_identical () =
   let render () =
     let reg = Registry.create () in
@@ -231,16 +292,118 @@ let test_domains_metrics_identical () =
     in
     Openmetrics.render reg
   in
-  let on_worker = ref "" in
-  Pool.with_pool ~domains:2 (fun pool ->
-      Pool.run_all pool [| (fun () -> on_worker := render ()) |]);
+  let on_worker = Domain.join (Domain.spawn render) in
   let golden =
     In_channel.with_open_bin "golden/tiny-metrics.prom" In_channel.input_all
   in
   check Alcotest.string "worker-domain exposition matches the golden"
-    golden !on_worker
+    golden on_worker
 
-(* --- spec --------------------------------------------------------------- *)
+(* --- the backend contract ------------------------------------------------ *)
+
+(* What every backend promises beyond identical results, on a spec
+   small enough to run twice on each backend: six short array points. *)
+let contract_spec =
+  Spec.make ~name:"contract" ~systems:[ Config.Adios; Config.Hermit ]
+    ~loads:[ 200.; 600.; 1000. ] ~requests:300 ()
+
+let backends =
+  [ ("sequential", 1, `Fork); ("fork", 2, `Fork); ("domains", 2, `Domains) ]
+
+let contract_points = Array.of_list (Spec.points contract_spec)
+
+(* Points 1 and 3 refuse to start: every backend must surface the
+   failure, and the parallel ones must name the same, lowest failing
+   point however their workers interleave. *)
+let refuse_two (c : Config.t) =
+  if
+    c.Config.seed = contract_points.(1).Spec.point_seed
+    || c.Config.seed = contract_points.(3).Spec.point_seed
+  then failwith "refused"
+  else c
+
+(* One pass over the backends, fork before domains because OCaml 5
+   refuses to fork a process that has ever spawned a domain: per
+   backend, the failing run's message and a clean run's progress trace
+   of (point index, domain). The two tests below read their halves;
+   their group runs before any other test spawns a domain. *)
+let contract_runs =
+  lazy
+    (List.map
+       (fun (name, jobs, mode) ->
+         let failure =
+           match Sweep.run ~jobs ~mode ~cfg_tweak:refuse_two contract_spec with
+           | _ -> None
+           | exception Failure msg -> Some msg
+         in
+         let seen = ref [] in
+         let progress (p : Spec.point) _ =
+           seen := (p.Spec.index, (Domain.self () :> int)) :: !seen
+         in
+         ignore (Sweep.run ~jobs ~mode ~progress contract_spec);
+         (name, jobs, failure, List.rev !seen))
+       backends)
+
+let test_contract_failure () =
+  let prefix =
+    "sweep point " ^ Sweep.point_label contract_points.(1) ^ ": "
+  in
+  List.iter
+    (fun (name, jobs, failure, _) ->
+      match failure with
+      | None -> Alcotest.failf "%s: a failing point must not be swallowed" name
+      | Some msg when jobs = 1 ->
+        check Alcotest.string "sequential lets the point's failure through"
+          "refused" msg
+      | Some msg ->
+        check Alcotest.bool
+          (Printf.sprintf "%s names the lowest failing point (%s)" name msg)
+          true
+          (String.starts_with ~prefix msg))
+    (Lazy.force contract_runs)
+
+let test_contract_progress () =
+  let self = (Domain.self () :> int) in
+  List.iter
+    (fun (name, _, _, seen) ->
+      check
+        Alcotest.(list (pair int int))
+        (name ^ ": once per point, in points order, on the calling domain")
+        (Array.to_list
+           (Array.map (fun (p : Spec.point) -> (p.Spec.index, self))
+              contract_points))
+        seen)
+    (Lazy.force contract_runs)
+
+(* The sequential backend keeps dead testbeds from piling up at the
+   collector's whim: each point's App.t, which its testbed holds, is
+   collected before the point two places later starts. *)
+let test_sequential_releases_testbeds () =
+  let apps = Weak.create (Array.length contract_points) in
+  let started = ref 0 and held = ref [] in
+  let track make () =
+    let i = !started in
+    if i >= 2 && Weak.check apps (i - 2) then held := (i - 2) :: !held;
+    incr started;
+    let app = make () in
+    Weak.set apps i (Some app);
+    app
+  in
+  let spec =
+    {
+      contract_spec with
+      Spec.apps =
+        List.map (fun (name, make) -> (name, track make)) contract_spec.Spec.apps;
+    }
+  in
+  ignore (Sweep.run ~jobs:1 spec);
+  check Alcotest.int "points started" (Array.length contract_points) !started;
+  check
+    Alcotest.(list int)
+    "points whose App.t outlived the start of the point two later" []
+    (List.rev !held)
+
+(* --- spec--------------------------------------------------------------- *)
 
 let test_point_seeds () =
   let points = Spec.points Spec.reduced_array in
@@ -488,12 +651,35 @@ let () =
             test_steal_golden_match;
           Alcotest.test_case "dispatch split holds" `Quick test_steal_oracles;
         ] );
+      ( "units",
+        [ Alcotest.test_case "sim_events gate" `Quick test_sim_events_gate ] );
+      ( "determinism",
+        [
+          pinned "array" Spec.reduced_array ~jobs:1;
+          pinned "array" Spec.reduced_array ~jobs:2;
+          pinned "memcached" Spec.reduced_memcached ~jobs:1;
+          pinned "rocksdb" Spec.reduced_rocksdb_scan ~jobs:1;
+          pinned "cluster" Spec.cluster_reduced ~jobs:1;
+          pinned "cluster" Spec.cluster_reduced ~jobs:2;
+          pinned "steal" Spec.steal_reduced ~jobs:1;
+        ] );
+      ( "backends",
+        [
+          Alcotest.test_case "lowest failing point named" `Quick
+            test_contract_failure;
+          Alcotest.test_case "progress in points order" `Quick
+            test_contract_progress;
+          Alcotest.test_case "sequential releases testbeds" `Quick
+            test_sequential_releases_testbeds;
+        ] );
       ( "domains backend",
         [
           Alcotest.test_case "every spec bit-identical" `Quick
             test_domains_bit_identical;
           Alcotest.test_case "metrics bit-identical" `Quick
             test_domains_metrics_identical;
+          Alcotest.test_case "sim_events pinned" `Quick
+            test_sim_events_pinned;
         ] );
       ( "spec",
         [
