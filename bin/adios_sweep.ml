@@ -86,8 +86,8 @@ let print_knees ds =
         (Oracle.knees ds ~app))
     (Dataset.apps ds)
 
-(* Nightly perf-trajectory JSON: one object per (system, app) curve with
-   the shape numbers a dashboard plots over time. *)
+(* Curve summary JSON: one object per (system, app) curve with its
+   shape numbers (knee, peak throughput, baseline tail). *)
 let write_json ~path (spec : Spec.t) ds =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -400,8 +400,8 @@ let json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Write a perf-trajectory JSON summary (knee, peak throughput \
-           and baseline tail per curve) for nightly tracking.")
+          "Write a JSON curve summary (knee, peak throughput and \
+           baseline tail per curve).")
 
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-point rows.")

@@ -4,13 +4,13 @@
    pair replays byte-identically, and the trace checker can prove the
    yield-based page-fault protocol from the event stream alone — rests
    on conventions that the type checker does not enforce: all
-   randomness flows through [Adios_engine.Rng], every [Event.kind]
-   constructor is wired through the name table, the Chrome exporter and
-   the invariant checker, and every counter the system accumulates
-   reaches the CSV field list. This pass walks the parsetrees of every
-   [.ml] under [lib/] and [bin/] (syntax only, via compiler-libs; no
-   typing environment needed) and turns each convention into a machine
-   check.
+   randomness flows through [Adios_engine.Rng], and every match over
+   [Event.kind] names its constructors so a new event kind is a compile
+   error wherever it is not handled. This pass walks the parsetrees of
+   every [.ml] under [lib/] and [bin/] (syntax only, via compiler-libs;
+   no typing environment needed) and turns each convention into a
+   machine check; the typed rules ({!Typed_rules}) add a second layer
+   over the [.cmt] artifacts.
 
    Per-file rules (scoped by path):
    - [determinism]    [Random.*], [Unix.gettimeofday], [Sys.time] and
@@ -27,30 +27,6 @@
                       [App.Bad_request] -> [Request.errored].
    - [unused-shadow]  a binding immediately shadowed by a same-name
                       rebinding that does not use it.
-
-   Project rules (cross-file):
-   - [event-wiring]   every [Event.kind] constructor appears in a
-                      pattern in event.ml ([kind_name]), chrome.ml and
-                      checker.ml.
-   - [counter-export] every mutable counter in [System.counters] is
-                      read by the runner, and every scalar field of
-                      [Runner.result] appears in [Export.fields].
-   - [metric-export]  every metric name literal passed to a
-                      registration helper follows the OpenMetrics
-                      naming convention (adios_ prefix, [a-z0-9_],
-                      counters end in _total, gauges/histograms do
-                      not), and every [register_metrics] definition is
-                      called from another file — an uncalled one means
-                      those series never reach the exporter.
-   - [counter-registry] every mutable field of [System.counters] is
-                      projected inside system.ml's [register_metrics],
-                      so a new counter cannot bypass the registry.
-   - [phase-wiring]   every [Phase.t] constructor appears in a pattern
-                      in phase.ml (the name table), export.ml (the
-                      tail-forensics CSV column map) and report.ml (the
-                      human-readable label) — a new attribution phase
-                      cannot reach one surface and silently miss the
-                      others behind a wildcard.
 
    Suppressions: an allow-comment naming the rule (syntax in
    README.md, "Static analysis") on the finding's line or the line
@@ -73,7 +49,7 @@ type finding = Finding.t = {
 
 (* Per-file syntactic rules, listed separately so the stale-suppression
    check knows which rules were live on a given run ([lint_source] runs
-   only these; [run ~typed:true] adds the project and typed rules). *)
+   only these; [run ~typed:true] adds the typed rules). *)
 let syntactic_rules =
   [
     "determinism";
@@ -84,22 +60,13 @@ let syntactic_rules =
     "unused-shadow";
   ]
 
-let project_rules =
-  [
-    "event-wiring";
-    "counter-export";
-    "metric-export";
-    "counter-registry";
-    "phase-wiring";
-  ]
-
 let typed_rules = [ "zero-alloc"; "cycle-units"; "cmt-drift" ]
 
 (* Meta rules report on the lint apparatus itself and are never
    suppressible (and never considered stale). *)
 let meta_rules = [ "suppress-reason"; "stale-suppression"; "parse-error" ]
 
-let rule_names = syntactic_rules @ project_rules @ typed_rules @ meta_rules
+let rule_names = syntactic_rules @ typed_rules @ meta_rules
 
 let to_string f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.msg
 
@@ -149,20 +116,6 @@ let pattern_constructors p =
   it.pat it p;
   !acc
 
-(* Constructor names appearing in any pattern of a whole structure. *)
-let structure_pattern_constructors str =
-  let acc = Hashtbl.create 64 in
-  let pat it q =
-    (match q.ppat_desc with
-    | Ppat_construct ({ txt; _ }, _) -> (
-      match last_of txt with Some n -> Hashtbl.replace acc n () | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.pat it q
-  in
-  let it = { Ast_iterator.default_iterator with pat } in
-  it.structure it str;
-  acc
-
 let expr_mentions name e =
   let found = ref false in
   let expr it x =
@@ -176,165 +129,18 @@ let expr_mentions name e =
   it.expr it e;
   !found
 
-(* Constructors of the variant type [type_name], with declaration lines. *)
+(* Constructor names of the variant type [type_name]. *)
 let variant_constructors ~type_name str =
   let acc = ref [] in
   let type_declaration it td =
     (if String.equal td.ptype_name.txt type_name then
        match td.ptype_kind with
        | Ptype_variant cds ->
-         List.iter
-           (fun cd -> acc := (cd.pcd_name.txt, line_of cd.pcd_loc) :: !acc)
-           cds
+         List.iter (fun cd -> acc := cd.pcd_name.txt :: !acc) cds
        | _ -> ());
     Ast_iterator.default_iterator.type_declaration it td
   in
   let it = { Ast_iterator.default_iterator with type_declaration } in
-  it.structure it str;
-  List.rev !acc
-
-let scalar_type_names = [ "int"; "float"; "string"; "bool" ]
-
-(* Fields of the record type [type_name]: (name, line, mutable, scalar). *)
-let record_fields ~type_name str =
-  let acc = ref [] in
-  let type_declaration it td =
-    (if String.equal td.ptype_name.txt type_name then
-       match td.ptype_kind with
-       | Ptype_record lds ->
-         List.iter
-           (fun ld ->
-             let scalar =
-               match ld.pld_type.ptyp_desc with
-               | Ptyp_constr ({ txt; _ }, []) -> (
-                 match last_of txt with
-                 | Some n -> List.mem n scalar_type_names
-                 | None -> false)
-               | _ -> false
-             in
-             acc :=
-               ( ld.pld_name.txt,
-                 line_of ld.pld_loc,
-                 (match ld.pld_mutable with
-                 | Asttypes.Mutable -> true
-                 | Asttypes.Immutable -> false),
-                 scalar )
-               :: !acc)
-           lds
-       | _ -> ());
-    Ast_iterator.default_iterator.type_declaration it td
-  in
-  let it = { Ast_iterator.default_iterator with type_declaration } in
-  it.structure it str;
-  List.rev !acc
-
-(* Labels of field projections written [expr.Qualifier.label]. *)
-let qualified_projections ~qualifier str =
-  let acc = Hashtbl.create 64 in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_field (_, { txt = Longident.Ldot (Longident.Lident q, name); _ })
-      when String.equal q qualifier ->
-      Hashtbl.replace acc name ()
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.structure it str;
-  acc
-
-(* Expression of the first toplevel [let name = ...] binding, if any. *)
-let toplevel_binding ~name str =
-  List.find_map
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-        List.find_map
-          (fun vb ->
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } when String.equal txt name ->
-              Some vb.pvb_expr
-            | _ -> None)
-          vbs
-      | _ -> None)
-    str
-
-(* Labels of every field projection [expr.label] (any qualification)
-   inside one expression. *)
-let field_projections e =
-  let acc = Hashtbl.create 32 in
-  let expr it x =
-    (match x.pexp_desc with
-    | Pexp_field (_, { txt; _ }) -> (
-      match last_of txt with Some n -> Hashtbl.replace acc n () | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it x
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.expr it e;
-  acc
-
-(* [module A = Path.B] aliases: (alias, B). *)
-let module_aliases str =
-  let acc = ref [] in
-  let module_binding it mb =
-    (match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
-    | Some alias, Pmod_ident { txt; _ } -> (
-      match last_of txt with
-      | Some target -> acc := (alias, target) :: !acc
-      | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.module_binding it mb
-  in
-  let it = { Ast_iterator.default_iterator with module_binding } in
-  it.structure it str;
-  !acc
-
-(* Qualifiers Q of every [Q.name] use, with each file's module aliases
-   resolved one step ([module Acct = Adios_obs.Accountant] makes
-   [Acct.register_metrics] count as a call into Accountant). *)
-let qualified_uses ~name str =
-  let aliases = module_aliases str in
-  let acc = ref [] in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Ldot (path, n); _ }
-      when String.equal n name -> (
-      match last_of path with
-      | Some q ->
-        let q = match List.assoc_opt q aliases with Some t -> t | None -> q in
-        acc := q :: !acc
-      | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.structure it str;
-  !acc
-
-(* Metric-name string literals handed to a registration helper: any
-   application of [counter]/[gauge]/[histogram] (bare or qualified,
-   e.g. [Registry.counter]) with a string argument starting "adios_". *)
-let metric_registrations str =
-  let acc = ref [] in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-      match last_of txt with
-      | Some (("counter" | "gauge" | "histogram") as kind) ->
-        List.iter
-          (fun (_, a) ->
-            match a.pexp_desc with
-            | Pexp_constant (Pconst_string (s, loc, _))
-              when String.starts_with ~prefix:"adios_" s ->
-              acc := (kind, s, line_of loc) :: !acc
-            | _ -> ())
-          args
-      | _ -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
   it.structure it str;
   List.rev !acc
 
@@ -655,253 +461,6 @@ let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
     )
   |> List.sort compare_findings
 
-(* --- project rules -------------------------------------------------------- *)
-
-let check_event_wiring ~event:(epath, esrc) ~chrome:(cpath, csrc)
-    ~checker:(kpath, ksrc) =
-  match
-    ( parse_impl ~path:epath esrc,
-      parse_impl ~path:cpath csrc,
-      parse_impl ~path:kpath ksrc )
-  with
-  | exception exn -> [ parse_error_finding ~path:epath exn ]
-  | estr, cstr, kstr ->
-    let kinds = variant_constructors ~type_name:"kind" estr in
-    if kinds = [] then
-      [ { file = epath;
-          line = 1;
-          rule = "event-wiring";
-          msg = "no variant type named kind found: the wiring check is blind" } ]
-    else begin
-      let epats = structure_pattern_constructors estr in
-      let cpats = structure_pattern_constructors cstr in
-      let kpats = structure_pattern_constructors kstr in
-      List.concat_map
-        (fun (name, line) ->
-          let missing where table file =
-            if Hashtbl.mem table name then []
-            else
-              [ { file = epath;
-                  line;
-                  rule = "event-wiring";
-                  msg =
-                    Printf.sprintf
-                      "Event.kind constructor %s has no %s mapping in %s"
-                      name where file } ]
-          in
-          missing "kind_name" epats epath
-          @ missing "exporter" cpats cpath
-          @ missing "checker" kpats kpath)
-        kinds
-    end
-
-let check_counter_export ~system:(spath, ssrc) ~runner:(rpath, rsrc)
-    ~export:(xpath, xsrc) =
-  match
-    ( parse_impl ~path:spath ssrc,
-      parse_impl ~path:rpath rsrc,
-      parse_impl ~path:xpath xsrc )
-  with
-  | exception exn -> [ parse_error_finding ~path:spath exn ]
-  | sstr, rstr, xstr ->
-    let counters = record_fields ~type_name:"counters" sstr in
-    let consumed = qualified_projections ~qualifier:"System" rstr in
-    let result_fields = record_fields ~type_name:"result" rstr in
-    let exported = qualified_projections ~qualifier:"Runner" xstr in
-    let counter_findings =
-      List.concat_map
-        (fun (name, line, mut, _scalar) ->
-          if mut && not (Hashtbl.mem consumed name) then
-            [ { file = spath;
-                line;
-                rule = "counter-export";
-                msg =
-                  Printf.sprintf
-                    "counter %s is accumulated but never read by the runner; \
-                     surface it through Runner.result and Export.fields"
-                    name } ]
-          else [])
-        counters
-    in
-    let export_findings =
-      List.concat_map
-        (fun (name, line, _mut, scalar) ->
-          if scalar && not (Hashtbl.mem exported name) then
-            [ { file = rpath;
-                line;
-                rule = "counter-export";
-                msg =
-                  Printf.sprintf
-                    "Runner.result.%s never reaches Export.fields in %s; add \
-                     a CSV column so the measurement is not silently dropped"
-                    name xpath } ]
-          else [])
-        result_fields
-    in
-    counter_findings @ export_findings
-
-let module_name_of path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-let valid_metric_name n =
-  String.length n > String.length "adios_"
-  && String.starts_with ~prefix:"adios_" n
-  && String.for_all
-       (fun ch -> (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') || ch = '_')
-       n
-
-let check_metric_export ~sources =
-  let parsed =
-    List.filter_map
-      (fun (path, source) ->
-        match parse_impl ~path source with
-        | exception _ -> None (* parse-error already reported per-file *)
-        | str -> Some (path, str))
-      sources
-  in
-  (* Naming convention on every registration-site literal. The registry
-     re-validates at runtime; this catches dead or conditional paths. *)
-  let name_findings =
-    List.concat_map
-      (fun (path, str) ->
-        List.concat_map
-          (fun (kind, name, line) ->
-            let bad msg = [ { file = path; line; rule = "metric-export"; msg } ] in
-            if not (valid_metric_name name) then
-              bad
-                (Printf.sprintf
-                   "metric name %S breaks the convention adios_[a-z0-9_]+; \
-                    the registry will reject it at runtime"
-                   name)
-            else
-              let total = String.ends_with ~suffix:"_total" name in
-              match kind with
-              | "counter" when not total ->
-                bad
-                  (Printf.sprintf
-                     "counter %S must end in _total (OpenMetrics counter \
-                      exposition strips and re-adds the suffix)"
-                     name)
-              | ("gauge" | "histogram") when total ->
-                bad
-                  (Printf.sprintf
-                     "%s %S must not end in _total: the exporter would \
-                      render it as a counter family"
-                     kind name)
-              | _ -> [])
-          (metric_registrations str))
-      parsed
-  in
-  (* Reachability: a [register_metrics] nobody calls never populates the
-     registry, so its series silently vanish from every exporter. *)
-  let callers =
-    List.concat_map
-      (fun (path, str) ->
-        List.map
-          (fun q -> (path, q))
-          (qualified_uses ~name:"register_metrics" str))
-      parsed
-  in
-  let reach_findings =
-    List.concat_map
-      (fun (path, str) ->
-        match toplevel_binding ~name:"register_metrics" str with
-        | None -> []
-        | Some body ->
-          let modname = module_name_of path in
-          let called =
-            List.exists
-              (fun (caller, q) ->
-                (not (String.equal caller path)) && String.equal q modname)
-              callers
-          in
-          if called then []
-          else
-            [ { file = path;
-                line = line_of body.pexp_loc;
-                rule = "metric-export";
-                msg =
-                  Printf.sprintf
-                    "%s.register_metrics is never called from another file: \
-                     its metrics are unreachable from the OpenMetrics \
-                     exporter"
-                    modname } ])
-      parsed
-  in
-  name_findings @ reach_findings
-
-let check_counter_registry ~system:(spath, ssrc) =
-  match parse_impl ~path:spath ssrc with
-  | exception exn -> [ parse_error_finding ~path:spath exn ]
-  | sstr -> (
-    let counters = record_fields ~type_name:"counters" sstr in
-    match toplevel_binding ~name:"register_metrics" sstr with
-    | None ->
-      if counters = [] then []
-      else
-        [ { file = spath;
-            line = 1;
-            rule = "counter-registry";
-            msg =
-              "no register_metrics binding found: the counter-registry \
-               check is blind" } ]
-    | Some body ->
-      let registered = field_projections body in
-      List.concat_map
-        (fun (name, line, mut, _scalar) ->
-          if mut && not (Hashtbl.mem registered name) then
-            [ { file = spath;
-                line;
-                rule = "counter-registry";
-                msg =
-                  Printf.sprintf
-                    "counter %s is not registered in register_metrics; \
-                     every mutable counter must reach the metrics registry"
-                    name } ]
-          else [])
-        counters)
-
-let check_phase_wiring ~phase:(ppath, psrc) ~export:(xpath, xsrc)
-    ~report:(rpath, rsrc) =
-  match
-    ( parse_impl ~path:ppath psrc,
-      parse_impl ~path:xpath xsrc,
-      parse_impl ~path:rpath rsrc )
-  with
-  | exception exn -> [ parse_error_finding ~path:ppath exn ]
-  | pstr, xstr, rstr ->
-    let phases = variant_constructors ~type_name:"t" pstr in
-    if phases = [] then
-      [ { file = ppath;
-          line = 1;
-          rule = "phase-wiring";
-          msg = "no variant type named t found: the phase-wiring check is blind"
-        } ]
-    else begin
-      (* presence in a pattern is the check: a wildcard arm does not
-         name the constructor, so hiding a phase behind [_] fires *)
-      let ppats = structure_pattern_constructors pstr in
-      let xpats = structure_pattern_constructors xstr in
-      let rpats = structure_pattern_constructors rstr in
-      List.concat_map
-        (fun (name, line) ->
-          let missing where table file =
-            if Hashtbl.mem table name then []
-            else
-              [ { file = ppath;
-                  line;
-                  rule = "phase-wiring";
-                  msg =
-                    Printf.sprintf
-                      "Phase.t constructor %s has no %s mapping in %s" name
-                      where file } ]
-          in
-          missing "name-table" ppats ppath
-          @ missing "CSV-column" xpats xpath
-          @ missing "report-label" rpats rpath)
-        phases
-    end
-
 (* --- typed layer orchestration -------------------------------------------- *)
 
 (* A manifest entry whose file is not among [sources] certifies
@@ -1059,62 +618,24 @@ let run ?(typed = true) ?build_dir ~root () =
     | Some src -> (
       match parse_impl ~path:"lib/trace/event.ml" src with
       | exception _ -> []
-      | str -> List.map fst (variant_constructors ~type_name:"kind" str))
+      | str -> variant_constructors ~type_name:"kind" str)
   in
   let per_file =
     List.concat_map
       (fun (path, source) -> lint_raw ~event_kinds ~path ~source)
       sources
   in
-  let get f = Option.map (fun s -> (f, s)) (List.assoc_opt f sources) in
-  let wiring =
-    match
-      ( get "lib/trace/event.ml",
-        get "lib/trace/chrome.ml",
-        get "lib/trace/checker.ml" )
-    with
-    | Some e, Some c, Some k -> check_event_wiring ~event:e ~chrome:c ~checker:k
-    | _ -> []
-  in
-  let counters =
-    match
-      ( get "lib/core/system.ml",
-        get "lib/core/runner.ml",
-        get "lib/core/export.ml" )
-    with
-    | Some s, Some r, Some x ->
-      check_counter_export ~system:s ~runner:r ~export:x
-    | _ -> []
-  in
-  let phase_wiring =
-    match
-      ( get "lib/prof/phase.ml",
-        get "lib/core/export.ml",
-        get "lib/core/report.ml" )
-    with
-    | Some p, Some x, Some r -> check_phase_wiring ~phase:p ~export:x ~report:r
-    | _ -> []
-  in
-  let metric_export = check_metric_export ~sources in
-  let counter_registry =
-    match get "lib/core/system.ml" with
-    | Some s -> check_counter_registry ~system:s
-    | None -> []
-  in
   let typed_findings, typed_loaded =
     if typed then typed_pass ~build_dir sources else ([], [])
   in
-  let raw =
-    per_file @ wiring @ counters @ phase_wiring @ metric_export
-    @ counter_registry @ typed_findings
-  in
+  let raw = per_file @ typed_findings in
   let final =
     List.concat_map
       (fun (path, source) ->
         let sups = scan_suppressions ~path source in
         let mine = List.filter (fun f -> String.equal f.file path) raw in
         let active =
-          syntactic_rules @ project_rules
+          syntactic_rules
           @ (if typed then [ "cmt-drift" ] else [])
           @
           if typed && List.mem path typed_loaded then

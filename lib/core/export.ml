@@ -1,11 +1,31 @@
 module Summary = Adios_stats.Summary
 module Clock = Adios_engine.Clock
+module Accountant = Adios_obs.Accountant
 module Phase = Adios_prof.Phase
 module Profiler = Adios_prof.Profiler
 
+let cpu_share_columns =
+  [
+    ("cpu_app_share", Accountant.App_compute);
+    ("cpu_pf_sw_share", Accountant.Pf_software);
+    ("cpu_busy_wait_share", Accountant.Busy_wait);
+    ("cpu_cq_poll_share", Accountant.Cq_poll);
+    ("cpu_ctx_switch_share", Accountant.Ctx_switch);
+    ("cpu_dispatch_share", Accountant.Dispatch);
+    ("cpu_tx_share", Accountant.Tx);
+    ("cpu_idle_share", Accountant.Idle);
+  ]
+
+(* Shares over the worker slots only: the dispatcher (the snapshot's
+   last slot) is a separate CPU and would dilute the per-worker
+   picture. *)
+let cpu_share (r : Runner.result) st =
+  let cpu = r.Runner.cpu in
+  Accountant.share cpu ~cpus:(cpu.Accountant.cpus - 1) st
+
 (* One list drives both the header and the rows, so the two can never
-   drift out of arity (the bug this layout replaces: a counter added to
-   Runner.result but only one of header/row updated). *)
+   drift out of arity. Columns are append-only: the goldens and the
+   CSV readers address them by position. *)
 let fields : (string * (Runner.result -> string)) list =
   let us v = Printf.sprintf "%.3f" (Clock.to_us v) in
   let prefetch pick r = string_of_int (pick r.Runner.prefetches) in
@@ -36,62 +56,37 @@ let fields : (string * (Runner.result -> string)) list =
     ("prefetch_issued", prefetch (fun (i, _, _) -> i));
     ("prefetch_useful", prefetch (fun (_, u, _) -> u));
     ("prefetch_wasted", prefetch (fun (_, _, w) -> w));
-    (* fault-injection columns: appended so clean-fabric CSVs keep the
-       original 23 columns as a stable prefix *)
     ("errored", fun r -> string_of_int r.Runner.errored);
     ("fetch_timeouts", fun r -> string_of_int r.Runner.fetch_timeouts);
     ("fetch_retries", fun r -> string_of_int r.Runner.fetch_retries);
     ("retries_hwm", fun r -> string_of_int r.Runner.retries_hwm);
     ("faults_injected", fun r -> string_of_int r.Runner.faults_injected);
     ("drops_qp", fun r -> string_of_int r.Runner.drops_qp);
-    (* conservation-audit columns: also appended, so both the 23-column
-       clean prefix and the fault block keep their positions *)
     ("admitted", fun r -> string_of_int r.Runner.admitted);
     ("handled", fun r -> string_of_int r.Runner.handled);
     ("completed", fun r -> string_of_int r.Runner.completed);
     ("dropped", fun r -> string_of_int r.Runner.dropped);
     ("buffer_hwm", fun r -> string_of_int r.Runner.buffer_hwm);
-    (* appended for the conservation oracle in lib/exp: with the injected
-       request count on the row, completed + dropped = requests is
-       checkable from the CSV alone *)
     ("requests", fun r -> string_of_int r.Runner.requests);
-    (* CPU time-in-state columns (worker-cycle shares, dispatcher
-       excluded): appended so every earlier block keeps its position.
-       The per-row shares sum to ~1.0 — gated by the cpu-conservation
-       oracle in lib/exp *)
-    ("cpu_app_share", fun r -> Printf.sprintf "%.4f" r.Runner.cpu_app_share);
-    ("cpu_pf_sw_share", fun r -> Printf.sprintf "%.4f" r.Runner.cpu_pf_sw_share);
-    ( "cpu_busy_wait_share",
-      fun r -> Printf.sprintf "%.4f" r.Runner.cpu_busy_wait_share );
-    ( "cpu_cq_poll_share",
-      fun r -> Printf.sprintf "%.4f" r.Runner.cpu_cq_poll_share );
-    ( "cpu_ctx_switch_share",
-      fun r -> Printf.sprintf "%.4f" r.Runner.cpu_ctx_switch_share );
-    ( "cpu_dispatch_share",
-      fun r -> Printf.sprintf "%.4f" r.Runner.cpu_dispatch_share );
-    ("cpu_tx_share", fun r -> Printf.sprintf "%.4f" r.Runner.cpu_tx_share);
-    ("cpu_idle_share", fun r -> Printf.sprintf "%.4f" r.Runner.cpu_idle_share);
-    (* appended (column 44): engine-level clamp diagnostics, so the
-       CPU block and every earlier prefix keep their positions *)
-    ( "clamped_schedules",
-      fun r -> string_of_int r.Runner.clamped_schedules );
-    (* appended (column 45): sibling-queue steals (Work-Stealing
-       dispatch / the Steal system; 0 for every other configuration) *)
-    ("steals", fun r -> string_of_int r.Runner.steals);
-    (* appended last (column 46): events evicted by the bounded trace
-       ring — nonzero warns that the recorded trace is truncated (0
-       whenever tracing is off, i.e. in every sweep CSV) *)
-    ("spans_dropped", fun r -> string_of_int r.Runner.spans_dropped);
   ]
+  @ List.map
+      (fun (column, st) ->
+        (column, fun r -> Printf.sprintf "%.4f" (cpu_share r st)))
+      cpu_share_columns
+  @ [
+      ( "clamped_schedules",
+        fun r -> string_of_int r.Runner.clamped_schedules );
+      ("steals", fun r -> string_of_int r.Runner.steals);
+      ("spans_dropped", fun r -> string_of_int r.Runner.spans_dropped);
+    ]
 
 let column_names = List.map fst fields
 let csv_header = String.concat "," column_names
 let csv_row r = String.concat "," (List.map (fun (_, f) -> f r) fields)
 
 (* Cluster-topology columns live in their own list, appended only by
-   datasets that opt in ([Dataset.of_run ~cluster:true]): the frozen
-   43-column layout above — and every checked-in golden built on it —
-   stays byte-identical. *)
+   datasets that opt in ([Dataset.of_run ~cluster:true]), so the
+   default layout above stays the same for every other dataset. *)
 let cluster_fields : (string * (Runner.result -> string)) list =
   [
     ("nodes", fun r -> string_of_int r.Runner.nodes);
@@ -112,24 +107,7 @@ let cluster_csv_row r =
 
 (* --- tail-forensics (phase attribution) CSV ------------------------------ *)
 
-(* Per-phase cycle column of the phase CSV. Spelled as an explicit
-   per-constructor match — no wildcard — so the phase-wiring lint can
-   hold it against {!Adios_prof.Phase.all}: a new phase variant that
-   never reaches this table fails lint, not silently drops a column. *)
-let phase_column = function
-  | Phase.Req_wire -> "req_wire_cycles"
-  | Phase.Queue -> "queue_cycles"
-  | Phase.Ctx_switch -> "ctx_switch_cycles"
-  | Phase.App_compute -> "app_compute_cycles"
-  | Phase.Pf_software -> "pf_software_cycles"
-  | Phase.Busy_wait -> "busy_wait_cycles"
-  | Phase.Fetch_wire -> "fetch_wire_cycles"
-  | Phase.Retry_backoff -> "retry_backoff_cycles"
-  | Phase.Failover_wait -> "failover_wait_cycles"
-  | Phase.Steal_wait -> "steal_wait_cycles"
-  | Phase.Cq_poll -> "cq_poll_cycles"
-  | Phase.Tx -> "tx_cycles"
-
+let phase_column p = Phase.name p ^ "_cycles"
 let phase_column_names = List.map phase_column Phase.all
 
 (* One row per latency band: identity, band population, total e2e

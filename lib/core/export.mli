@@ -1,10 +1,17 @@
 (** Machine-readable result export: turn sweep results into CSV for
     plotting (gnuplot/pandas) or archival next to EXPERIMENTS.md. *)
 
+val cpu_share_columns : (string * Adios_obs.Accountant.state) list
+(** The eight worker-cycle-share columns of {!fields}, in order, each
+    with the accountant state it measures. A cell is that state's share
+    of the workers' cycles in [Runner.result.cpu], dispatcher
+    excluded, so a row's shares sum to 1. *)
+
 val fields : (string * (Runner.result -> string)) list
 (** The column list: name paired with its formatter. {!csv_header} and
     {!csv_row} are both derived from this, so header and row arity
-    always match. *)
+    always match. Append-only: goldens and CSV readers address columns
+    by position. *)
 
 val column_names : string list
 (** Column names of {!fields}, in order; the single source of truth the
@@ -26,9 +33,8 @@ val cluster_column_names : string list
 val cluster_csv_row : Runner.result -> string
 
 val phase_column : Adios_prof.Phase.t -> string
-(** CSV column name carrying a phase's cycles (e.g.
-    [busy_wait_cycles]). An explicit per-constructor match — the
-    phase-wiring lint holds it against {!Adios_prof.Phase.all}. *)
+(** CSV column name carrying a phase's cycles:
+    [Phase.name p ^ "_cycles"] (e.g. [busy_wait_cycles]). *)
 
 val phase_column_names : string list
 (** [phase_column] over {!Adios_prof.Phase.all}, in index order. *)

@@ -179,23 +179,6 @@ let cpu_efficiency ~title systems =
       pf "\n")
     Accountant.states
 
-(* Display label of a request phase. An explicit per-constructor match,
-   like {!Export.phase_column} — the phase-wiring lint holds it against
-   [Phase.all] so new phases cannot be silently invisible in reports. *)
-let phase_label = function
-  | Phase.Req_wire -> "req wire+rx"
-  | Phase.Queue -> "queue wait"
-  | Phase.Ctx_switch -> "ctx switch"
-  | Phase.App_compute -> "app compute"
-  | Phase.Pf_software -> "pf software"
-  | Phase.Busy_wait -> "busy-wait"
-  | Phase.Fetch_wire -> "fetch wire"
-  | Phase.Retry_backoff -> "retry backoff"
-  | Phase.Failover_wait -> "failover wait"
-  | Phase.Steal_wait -> "ready wait"
-  | Phase.Cq_poll -> "cq poll"
-  | Phase.Tx -> "tx+reply wire"
-
 let prof_phase_cycles (s : Profiler.summary) p =
   Array.fold_left
     (fun acc (b : Profiler.band_stats) ->
@@ -220,7 +203,7 @@ let phase_breakdown ~title systems =
   pf "    (cycles/measured request, e2e-cycle %%)\n";
   List.iter
     (fun p ->
-      pf "%-14s" (phase_label p);
+      pf "%-14s" (Phase.label p);
       List.iter
         (fun (_, (r : Runner.result)) ->
           match r.Runner.prof with

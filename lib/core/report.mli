@@ -45,10 +45,6 @@ val cpu_efficiency : title:string -> (string * Runner.result) list -> unit
     per completed request and the fraction of worker cycles (dispatcher
     excluded). *)
 
-val phase_label : Adios_prof.Phase.t -> string
-(** Human-readable label of an attribution phase (explicit
-    per-constructor match, checked by the phase-wiring lint). *)
-
 val phase_breakdown : title:string -> (string * Runner.result) list -> unit
 (** Request-side twin of {!cpu_efficiency}: one row per critical-path
     phase, one column pair per system — cycles per measured request and

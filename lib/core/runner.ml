@@ -62,14 +62,6 @@ type result = {
   sim_events : int;
   clamped_schedules : int;
   cpu : Accountant.snapshot;
-  cpu_app_share : float;
-  cpu_pf_sw_share : float;
-  cpu_busy_wait_share : float;
-  cpu_cq_poll_share : float;
-  cpu_ctx_switch_share : float;
-  cpu_dispatch_share : float;
-  cpu_tx_share : float;
-  cpu_idle_share : float;
   prof : Profiler.summary option;
       (* per-request phase attribution, present when the run profiled *)
 }
@@ -179,10 +171,6 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
   let window_start = ref 0 in
   let fetch_snapshot = ref 0 in
   let drops_at_start = ref 0 in
-  let counters = System.counters system in
-  let drops () =
-    counters.System.drops_queue + counters.System.drops_buffer
-  in
   let loadgen_rng = Rng.create (cfg.Config.seed + 1) in
   let mean_gap =
     float_of_int Clock.cycles_per_sec /. (offered_krps *. 1000.)
@@ -194,21 +182,21 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
         if i = warmup + 1 then begin
           window_start := Sim.now sim;
           fetch_snapshot := Cluster.total_rx_bytes (System.cluster system);
-          drops_at_start := drops ()
+          drops_at_start := System.drops system
         end;
         let spec = app.App.gen loadgen_rng in
         let req = Request.make ~id:i ~spec ~tx_at:(Sim.now sim) in
         Raw_eth.send to_compute ~bytes:spec.Request.req_bytes req
       done);
   let horizon = Clock.of_sec max_seconds in
-  let finished () = !replies + drops () >= requests in
+  let finished () = !replies + System.drops system >= requests in
   while (not (finished ())) && Sim.now sim < horizon && Sim.step sim do
     ()
   done;
   Adios_mem.Reclaimer.stop (System.reclaimer system);
   let window = max 1 (Sim.now sim - !window_start) in
   let window_sec = Clock.to_sec window in
-  let recorded_drops = drops () - !drops_at_start in
+  let recorded_drops = System.drops system - !drops_at_start in
   let offered_window =
     float_of_int (requests - warmup) /. window_sec /. 1000.
   in
@@ -231,10 +219,7 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
          (fun i h -> (app.App.kinds.(i), Summary.of_histogram h))
          kind_hists)
   in
-  let cpu = Accountant.snapshot (System.accountant system) in
-  (* shares over worker slots only: the dispatcher is a separate CPU
-     and would dilute the per-worker picture *)
-  let share st = Accountant.share cpu ~cpus:cfg.Config.workers st in
+  let count = System.counter system in
   {
     system = Config.system_name cfg.Config.system;
     app = app.App.name;
@@ -248,33 +233,33 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
     e2e_hist;
     breakdown;
     rdma_util;
-    faults = counters.System.faults;
-    coalesced = counters.System.coalesced;
+    faults = count Counter.Faults;
+    coalesced = count Counter.Coalesced;
     evictions = Adios_mem.Reclaimer.evictions (System.reclaimer system);
-    preemptions = counters.System.preemptions;
-    qp_stalls = counters.System.qp_stalls;
-    frame_stalls = counters.System.frame_stalls;
-    writeback_stalls = counters.System.writeback_stalls;
-    drops_queue = counters.System.drops_queue;
-    drops_buffer = counters.System.drops_buffer;
+    preemptions = count Counter.Preemptions;
+    qp_stalls = count Counter.Qp_stalls;
+    frame_stalls = count Counter.Frame_stalls;
+    writeback_stalls = count Counter.Writeback_stalls;
+    drops_queue = count Counter.Drops_queue;
+    drops_buffer = count Counter.Drops_buffer;
     prefetches =
       (let ps = System.prefetch_stats system in
        ( ps.Adios_mem.Prefetcher.issued,
          ps.Adios_mem.Prefetcher.useful,
          ps.Adios_mem.Prefetcher.wasted ));
-    admitted = counters.System.admitted;
-    handled = counters.System.handled;
+    admitted = count Counter.Admitted;
+    handled = count Counter.Handled;
     completed = !replies;
-    dropped = drops ();
+    dropped = System.drops system;
     buffer_hwm =
       Adios_unithread.Buffer_pool.high_watermark (System.buffers system);
-    errored = counters.System.errored;
-    fetch_timeouts = counters.System.fetch_timeouts;
-    fetch_retries = counters.System.fetch_retries;
-    retries_hwm = counters.System.retries_hwm;
+    errored = count Counter.Errored;
+    fetch_timeouts = count Counter.Fetch_timeouts;
+    fetch_retries = count Counter.Fetch_retries;
+    retries_hwm = count Counter.Retries_hwm;
     faults_injected = System.faults_injected system;
-    drops_qp = counters.System.drops_qp;
-    steals = counters.System.steals;
+    drops_qp = count Counter.Drops_qp;
+    steals = count Counter.Steals;
     spans_dropped =
       (match trace with Some tr -> Trace_sink.dropped tr | None -> 0);
     nodes = Cluster.node_count cluster;
@@ -287,14 +272,6 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
     dead_reads = Cluster.dead_reads cluster;
     sim_events = Sim.events_processed sim;
     clamped_schedules = Sim.clamped_schedules sim;
-    cpu;
-    cpu_app_share = share Accountant.App_compute;
-    cpu_pf_sw_share = share Accountant.Pf_software;
-    cpu_busy_wait_share = share Accountant.Busy_wait;
-    cpu_cq_poll_share = share Accountant.Cq_poll;
-    cpu_ctx_switch_share = share Accountant.Ctx_switch;
-    cpu_dispatch_share = share Accountant.Dispatch;
-    cpu_tx_share = share Accountant.Tx;
-    cpu_idle_share = share Accountant.Idle;
+    cpu = Accountant.snapshot (System.accountant system);
     prof = Option.map (fun p -> Profiler.summary p) prof;
   }

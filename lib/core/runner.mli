@@ -19,6 +19,8 @@ type result = {
   breakdown : Adios_stats.Breakdown.t;  (** per-request decompositions *)
   rdma_util : float;
       (** fetch-direction wire-byte utilization in [0,1] (Figs. 2e/7e) *)
+  (* A field named after a {!Counter.t} holds that counter's final
+     value (see {!Counter} for its meaning). *)
   faults : int;
   coalesced : int;
   evictions : int;
@@ -65,15 +67,8 @@ type result = {
   cpu : Adios_obs.Accountant.snapshot;
       (** per-CPU time-in-state accounting over the whole run (workers
           first, dispatcher last); plain data, safe to marshal across
-          sweep workers *)
-  cpu_app_share : float;  (** worker-cycle fractions by state: compute *)
-  cpu_pf_sw_share : float;  (** ... page-fault software path *)
-  cpu_busy_wait_share : float;  (** ... spinning on fetch / TX CQEs *)
-  cpu_cq_poll_share : float;  (** ... polling before switching back in *)
-  cpu_ctx_switch_share : float;  (** ... unithread create + switches *)
-  cpu_dispatch_share : float;  (** ... steal scans (worker-side dispatch) *)
-  cpu_tx_share : float;  (** ... posting replies *)
-  cpu_idle_share : float;  (** ... parked with nothing to run *)
+          sweep workers. {!Export.cpu_share_columns} derives the
+          worker-cycle shares from it. *)
   prof : Adios_prof.Profiler.summary option;
       (** per-request critical-path attribution (phase segmentation,
           latency-band aggregation, top-K digest), present iff the run

@@ -28,25 +28,6 @@ module Phase = Adios_prof.Phase
    reply instead of wedging its worker. *)
 exception Fetch_failed of int
 
-type counters = {
-  mutable admitted : int;
-  mutable drops_queue : int;
-  mutable drops_buffer : int;
-  mutable handled : int;
-  mutable errored : int;
-  mutable faults : int;
-  mutable coalesced : int;
-  mutable qp_stalls : int;
-  mutable preemptions : int;
-  mutable writeback_stalls : int;
-  mutable frame_stalls : int;
-  mutable fetch_timeouts : int;
-  mutable fetch_retries : int;
-  mutable retries_hwm : int;
-  mutable drops_qp : int;
-  mutable steals : int;
-}
-
 type entry = {
   req : Request.t;
   mutable task : Task.t option;
@@ -96,7 +77,7 @@ type t = {
   mutable rr_cursor : int;
   rng : Rng.t;
   mutable reclaimer : Reclaimer.t option;
-  counters : counters;
+  counts : int array;  (** one slot per {!Counter.t}, by [Counter.index] *)
   fault : Injector.t option;
   trace : Trace_sink.t;
   trace_on : bool;  (** cached [Trace_sink.enabled trace]: one load+branch
@@ -106,7 +87,17 @@ type t = {
   prof_on : bool;  (** cached [Option.is_some prof], like [trace_on] *)
 }
 
-let counters t = t.counters
+let bump t c =
+  let i = Counter.index c in
+  t.counts.(i) <- t.counts.(i) + 1
+
+let counter t c = t.counts.(Counter.index c)
+
+(* Read after every simulator event by the runner's termination check,
+   so the two slots are resolved once here rather than per call. *)
+let drops_queue = Counter.index Counter.Drops_queue
+let drops_buffer = Counter.index Counter.Drops_buffer
+let drops t = t.counts.(drops_queue) + t.counts.(drops_buffer)
 let pager t = t.pager
 
 let faults_injected t =
@@ -201,7 +192,7 @@ let attach_drain cq =
 let wait_frame t ~req ~worker ~page =
   (match t.reclaimer with Some r -> Reclaimer.trigger r | None -> ());
   if Pager.free_frames t.pager <= 0 then begin
-    t.counters.frame_stalls <- t.counters.frame_stalls + 1;
+    bump t Counter.Frame_stalls;
     ev t Trace_event.Stall_frame ~req ~worker ~page;
     acct_cpu t ~cpu:worker Acct.Pf_software;
     Proc.suspend (fun resume -> Pager.wait_frame t.pager resume)
@@ -310,8 +301,7 @@ let maybe_prefetch t e (w : worker) page =
               Sim.schedule t.sim ~delay:t.cfg.Config.fetch_timeout (fun () ->
                   if !live then begin
                     live := false;
-                    t.counters.fetch_timeouts <-
-                      t.counters.fetch_timeouts + 1;
+                    bump t Counter.Fetch_timeouts;
                     ev t Trace_event.Fetch_timeout ~worker:w.wid ~page:q;
                     Pager.abort_fetch t.pager q;
                     List.iter (fun f -> f ()) (Pager.take_waiters t.pager q);
@@ -326,7 +316,7 @@ let maybe_prefetch t e (w : worker) page =
             (* the QP filled under us: roll the reservation back and
                wake anyone who coalesced on it in the meantime (this
                used to drop the reservation silently) *)
-            t.counters.drops_qp <- t.counters.drops_qp + 1;
+            bump t Counter.Drops_qp;
             Pager.abort_fetch t.pager q;
             List.iter (fun f -> f ()) (Pager.take_waiters t.pager q)
           end
@@ -352,7 +342,7 @@ let rec ensure_present t e page =
       Proc.wait Params.hit_touch_cycles
     end
   | Pager.Inflight ->
-    t.counters.coalesced <- t.counters.coalesced + 1;
+    bump t Counter.Coalesced;
     let rid = e.req.Request.id and wid = worker_id e in
     ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
     ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
@@ -365,7 +355,7 @@ let rec ensure_present t e page =
 (* Handle a fault on a Remote page under the configured policy. *)
 and fault t e page =
   let comps = e.req.Request.comps in
-  t.counters.faults <- t.counters.faults + 1;
+  bump t Counter.Faults;
   let rid = e.req.Request.id and wid = worker_id e in
   ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
   let sw =
@@ -390,7 +380,7 @@ and fault t e page =
          the QP serving that node *)
       let node, _ = Cluster.route_read t.cluster ~page in
       if Nic.outstanding w.qps.(node) >= t.cfg.Config.qp_depth then begin
-        t.counters.qp_stalls <- t.counters.qp_stalls + 1;
+        bump t Counter.Qp_stalls;
         ev t Trace_event.Stall_qp ~req:rid ~worker:wid ~page;
         acct_cpu t ~cpu:wid Acct.Pf_software;
         Proc.wait Params.qp_retry_cycles;
@@ -451,7 +441,7 @@ and fault t e page =
         (* full QP: back off and repost. The first attempt runs on the
            worker and may block; retries run from the timer and must
            reschedule themselves instead. *)
-        t.counters.qp_stalls <- t.counters.qp_stalls + 1;
+        bump t Counter.Qp_stalls;
         ev t Trace_event.Stall_qp ~req:rid ~worker:wid ~page;
         if blocking then begin
           Proc.wait Params.qp_retry_cycles;
@@ -480,7 +470,7 @@ and fault t e page =
             (fun () ->
               if !live && !outcome = `Pending then begin
                 live := false;
-                t.counters.fetch_timeouts <- t.counters.fetch_timeouts + 1;
+                bump t Counter.Fetch_timeouts;
                 ev t Trace_event.Fetch_timeout ~req:rid ~worker:wid ~page;
                 if n >= t.cfg.Config.fetch_retries then begin
                   (* exhausted: surface the failure. Waiters re-examine
@@ -492,9 +482,9 @@ and fault t e page =
                   settle `Failed
                 end
                 else begin
-                  t.counters.fetch_retries <- t.counters.fetch_retries + 1;
-                  t.counters.retries_hwm <-
-                    max t.counters.retries_hwm (n + 1);
+                  bump t Counter.Fetch_retries;
+                  let hwm = Counter.index Counter.Retries_hwm in
+                  t.counts.(hwm) <- max t.counts.(hwm) (n + 1);
                   ev t Trace_event.Fetch_retry ~req:rid ~worker:wid ~page;
                   pretry t e;
                   post_attempt ~blocking:false (n + 1)
@@ -564,7 +554,7 @@ let make_ctx t e =
       if
         Sim.now t.sim - e.quantum_start >= Params.preempt_interval_cycles
       then begin
-        t.counters.preemptions <- t.counters.preemptions + 1;
+        bump t Counter.Preemptions;
         ev t Trace_event.Preempt ~req:e.req.Request.id ~worker:(worker_id e);
         compute Params.preempt_fire_cycles;
         e.preempted <- true;
@@ -647,8 +637,8 @@ let step_task t e task =
   | Task.Finished ->
     (* an errored handler still replies — with an error status — so the
        buffer recycles and request conservation holds under faults *)
-    if e.req.Request.errored then t.counters.errored <- t.counters.errored + 1
-    else t.counters.handled <- t.counters.handled + 1;
+    if e.req.Request.errored then bump t Counter.Errored
+    else bump t Counter.Handled;
     send_reply t e
   | Task.Suspended ->
     if e.preempted then begin
@@ -745,7 +735,7 @@ let try_steal t (w : worker) =
     Proc.wait Params.steal_cycles;
     let taken = Queue.take_opt v.local in
     (match taken with
-    | Some _ -> t.counters.steals <- t.counters.steals + 1
+    | Some _ -> bump t Counter.Steals
     | None -> ());
     taken
   | None -> None
@@ -773,7 +763,7 @@ let try_steal_ready t (w : worker) =
     let taken = Queue.take_opt v.ready in
     (match taken with
     | Some e ->
-      t.counters.steals <- t.counters.steals + 1;
+      bump t Counter.Steals;
       e.worker <- Some w
     | None -> ());
     taken
@@ -912,18 +902,18 @@ let rec dispatcher_loop t =
 let receive t ~rx_at req =
   req.Request.rx_at <- rx_at;
   if Queue.length t.pending >= t.cfg.Config.central_queue_capacity then begin
-    t.counters.drops_queue <- t.counters.drops_queue + 1;
+    bump t Counter.Drops_queue;
     ev t Trace_event.Req_drop_queue ~req:req.Request.id
   end
   else
     match Buffer_pool.alloc t.buffers with
     | None ->
-      t.counters.drops_buffer <- t.counters.drops_buffer + 1;
+      bump t Counter.Drops_buffer;
       ev t Trace_event.Stall_buffer ~req:req.Request.id;
       ev t Trace_event.Req_drop_buffer ~req:req.Request.id
     | Some buffer ->
       req.Request.buffer <- buffer;
-      t.counters.admitted <- t.counters.admitted + 1;
+      bump t Counter.Admitted;
       ev t Trace_event.Req_enqueue ~req:req.Request.id;
       (* profiled ⟺ admitted: drops never open attribution state *)
       (match t.prof with
@@ -1004,7 +994,7 @@ let evict_page t ~page ~dirty =
                     ~page)
             in
             if not ok then begin
-              t.counters.writeback_stalls <- t.counters.writeback_stalls + 1;
+              bump t Counter.Writeback_stalls;
               ev t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
               Proc.wait Params.qp_retry_cycles;
               try_post ()
@@ -1120,25 +1110,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
       rr_cursor = 0;
       rng;
       reclaimer = None;
-      counters =
-        {
-          admitted = 0;
-          drops_queue = 0;
-          drops_buffer = 0;
-          handled = 0;
-          errored = 0;
-          faults = 0;
-          coalesced = 0;
-          qp_stalls = 0;
-          preemptions = 0;
-          writeback_stalls = 0;
-          frame_stalls = 0;
-          fetch_timeouts = 0;
-          fetch_retries = 0;
-          retries_hwm = 0;
-          drops_qp = 0;
-          steals = 0;
-        };
+      counts = Array.make Counter.count 0;
       fault;
       trace;
       trace_on = Trace_sink.enabled trace;
@@ -1163,48 +1135,19 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
 
 (* --- metrics -------------------------------------------------------------- *)
 
-(* Single registration point for every mutable counter this module owns
-   (the metric-registry lint rule checks the [counters] record against
-   this binding) plus the occupancy gauges and the subsystem metrics. *)
+(* Every {!Counter.t}, then the occupancy gauges and the subsystem
+   metrics. *)
 let register_metrics t reg ~labels =
-  let c = t.counters in
-  let counter name help read = Registry.counter reg ~name ~help ~labels read in
+  List.iter
+    (fun c ->
+      let { Counter.name; help; gauge } = Counter.describe c in
+      let name = "adios_sys_" ^ name and read () = counter t c in
+      if gauge then
+        Registry.gauge reg ~name ~help ~labels (fun () ->
+            float_of_int (read ()))
+      else Registry.counter reg ~name:(name ^ "_total") ~help ~labels read)
+    Counter.all;
   let gauge name help read = Registry.gauge reg ~name ~help ~labels read in
-  counter "adios_sys_admitted_total" "Requests admitted into the central queue"
-    (fun () -> c.admitted);
-  counter "adios_sys_drops_queue_total" "Requests dropped: central queue full"
-    (fun () -> c.drops_queue);
-  counter "adios_sys_drops_buffer_total"
-    "Requests dropped: buffer pool exhausted" (fun () -> c.drops_buffer);
-  counter "adios_sys_handled_total" "Request handlers run to completion"
-    (fun () -> c.handled);
-  counter "adios_sys_errored_total"
-    "Handlers aborted by fetch-retry exhaustion" (fun () -> c.errored);
-  counter "adios_sys_faults_total" "Page faults taken (fetches issued)"
-    (fun () -> c.faults);
-  counter "adios_sys_coalesced_total" "Faults absorbed by an in-flight fetch"
-    (fun () -> c.coalesced);
-  counter "adios_sys_qp_stalls_total" "Fault-handler pauses on a full QP"
-    (fun () -> c.qp_stalls);
-  counter "adios_sys_preemptions_total" "DiLOS-P quantum expirations"
-    (fun () -> c.preemptions);
-  counter "adios_sys_writeback_stalls_total" "Reclaimer pauses on a full QP"
-    (fun () -> c.writeback_stalls);
-  counter "adios_sys_frame_stalls_total"
-    "Faults that waited for the reclaimer to free a frame" (fun () ->
-      c.frame_stalls);
-  counter "adios_sys_fetch_timeouts_total"
-    "Page fetches declared lost after the timeout" (fun () ->
-      c.fetch_timeouts);
-  counter "adios_sys_fetch_retries_total" "Fetches reposted after a timeout"
-    (fun () -> c.fetch_retries);
-  gauge "adios_sys_retries_hwm" "Most reposts any single fetch needed"
-    (fun () -> float_of_int c.retries_hwm);
-  counter "adios_sys_drops_qp_total"
-    "Prefetch posts refused by a full QP" (fun () -> c.drops_qp);
-  counter "adios_sys_steals_total"
-    "Requests taken from a sibling worker's local or ready queue"
-    (fun () -> c.steals);
   gauge "adios_sys_pending_depth" "Requests in the central queue" (fun () ->
       float_of_int (pending_depth t));
   gauge "adios_sys_ready_backlog"
@@ -1212,9 +1155,9 @@ let register_metrics t reg ~labels =
       float_of_int (ready_backlog t));
   gauge "adios_sys_busy_workers" "Workers currently not idle" (fun () ->
       float_of_int (busy_workers t));
-  counter "adios_sim_clamped_schedules_total"
-    "Past-deadline schedules clamped to now by the engine" (fun () ->
-      Sim.clamped_schedules t.sim);
+  Registry.counter reg ~name:"adios_sim_clamped_schedules_total"
+    ~help:"Past-deadline schedules clamped to now by the engine" ~labels
+    (fun () -> Sim.clamped_schedules t.sim);
   Nic.register_metrics t.nic reg ~labels;
   Pager.register_metrics t.pager reg ~labels;
   (match t.reclaimer with

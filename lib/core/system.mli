@@ -25,38 +25,6 @@
 
 type t
 
-type counters = {
-  mutable admitted : int;
-  mutable drops_queue : int;  (** central queue full *)
-  mutable drops_buffer : int;  (** buffer pool exhausted *)
-  mutable handled : int;  (** request handlers run to completion *)
-  mutable errored : int;
-      (** handlers aborted by fetch-retry exhaustion; their replies carry
-          an error status but still count toward conservation *)
-  mutable faults : int;  (** page faults taken (fetches issued) *)
-  mutable coalesced : int;  (** faults absorbed by an in-flight fetch *)
-  mutable qp_stalls : int;  (** fault handler pauses on a full QP *)
-  mutable preemptions : int;  (** DiLOS-P quantum expirations *)
-  mutable writeback_stalls : int;  (** reclaimer pauses on a full QP *)
-  mutable frame_stalls : int;
-      (** faults that found no free frame and had to wait for the
-          reclaimer — the out-of-memory stalls section 3.3 eliminates *)
-  mutable fetch_timeouts : int;
-      (** page fetches declared lost after [Config.fetch_timeout] cycles
-          without a completion *)
-  mutable fetch_retries : int;  (** fetches reposted after a timeout *)
-  mutable retries_hwm : int;
-      (** most reposts any single fetch needed (bounded by
-          [Config.fetch_retries]) *)
-  mutable drops_qp : int;
-      (** posts refused by a full QP on the prefetch path (the prefetch
-          is abandoned, never silently lost) *)
-  mutable steals : int;
-      (** requests taken from a sibling worker's queue: local-queue
-          steals under [Work_stealing] dispatch, plus ready-queue steals
-          of blocked-then-resumed requests under the [Steal] system *)
-}
-
 val create :
   ?trace:Adios_trace.Sink.t ->
   ?prof:Adios_prof.Profiler.t ->
@@ -87,7 +55,13 @@ val receive : t -> rx_at:int -> Request.t -> unit
 (** Deliver a client request packet (wired to the inbound raw-Ethernet
     channel by the runner). *)
 
-val counters : t -> counters
+val counter : t -> Counter.t -> int
+(** Current value of one counter. *)
+
+val drops : t -> int
+(** [Drops_queue + Drops_buffer]: every arrival rejected so far. A
+    direct read, cheap enough for a check after every simulator
+    event. *)
 
 val faults_injected : t -> int
 (** Completions suppressed or delayed by the fault injector so far
@@ -141,7 +115,8 @@ val accountant : t -> Adios_obs.Accountant.t
 
 val register_metrics :
   t -> Adios_obs.Registry.t -> labels:(string * string) list -> unit
-(** Register every counter this module owns, the occupancy gauges, the
-    NIC / pager / reclaimer metrics and the CPU-state accounting into
-    [reg] under [labels]. The single registration point the
-    [metric-registry] lint rule checks the [counters] record against. *)
+(** Register every {!Counter.t} (as [adios_sys_<name>_total], or
+    [adios_sys_<name>] for a gauge), the occupancy gauges, the NIC /
+    pager / reclaimer metrics, the CPU-state accounting and, under a
+    multi-node topology, the cluster metrics into [reg] under
+    [labels]. *)

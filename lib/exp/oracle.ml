@@ -139,17 +139,7 @@ let check_conservation ds =
 
 (* --- CPU accounting ------------------------------------------------------- *)
 
-let cpu_share_columns =
-  [
-    "cpu_app_share";
-    "cpu_pf_sw_share";
-    "cpu_busy_wait_share";
-    "cpu_cq_poll_share";
-    "cpu_ctx_switch_share";
-    "cpu_dispatch_share";
-    "cpu_tx_share";
-    "cpu_idle_share";
-  ]
+let cpu_share_columns = List.map fst Adios_core.Export.cpu_share_columns
 
 (* Conservation of worker cycles: the accountant's states partition each
    worker's time, so the exported shares must sum to 1 on every row (up

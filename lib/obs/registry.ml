@@ -52,6 +52,12 @@ let register t ~name ~help ?(labels = []) value =
   | Counter _ when not (ends_with ~suffix:"_total" name) ->
       invalid_arg
         (Printf.sprintf "Registry.register: counter %S must end in _total" name)
+  | (Gauge _ | Histogram _) when ends_with ~suffix:"_total" name ->
+      invalid_arg
+        (Printf.sprintf
+           "Registry.register: %S must not end in _total (OpenMetrics \
+            reserves the suffix for counter samples)"
+           name)
   | _ -> ());
   List.iter
     (fun (k, _) ->

@@ -7,14 +7,12 @@
     out. A metric is a name, help text, a label set and a {e reader}
     closure over the subsystem's existing mutable state — registration
     moves no counters, it only exposes them, so the hot paths keep
-    their plain record-field increments.
+    their plain increments.
 
     Naming follows the Prometheus conventions and is enforced at
     registration: names match [adios_[a-z0-9_]*], counters end in
-    [_total], and a (name, labels) pair may be registered only once.
-    The lint rule [metric-export] additionally checks, statically, that
-    every registration site uses a literal name so this set is closed
-    over the source. *)
+    [_total] and gauges and histograms do not, and a (name, labels)
+    pair may be registered only once. *)
 
 type value =
   | Counter of (unit -> int)
@@ -43,8 +41,8 @@ val register :
   value ->
   unit
 (** @raise Invalid_argument on a malformed name (see above), a counter
-    not ending in [_total], a malformed label name, or a duplicate
-    (name, labels) registration. *)
+    not ending in [_total], a gauge or histogram ending in [_total], a
+    malformed label name, or a duplicate (name, labels) registration. *)
 
 val counter :
   t ->

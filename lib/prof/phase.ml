@@ -51,11 +51,10 @@ let index = function
   | Cq_poll -> 10
   | Tx -> 11
 
-(* The name table: snake_case identifiers shared by the breakdown CSV
-   column suffixes, the OpenMetrics [phase] label values and the folded
-   flamegraph frames, so the three expositions cannot drift apart. The
-   phase-wiring lint rule checks every constructor reaches this table,
-   the CSV columns and the metric exposition. *)
+(* The name table: snake_case identifiers from which the phase CSV
+   columns ([<name>_cycles]), the OpenMetrics [phase] label values and
+   the folded flamegraph frames are all derived, so the expositions
+   cannot drift apart. *)
 let name = function
   | Req_wire -> "req_wire"
   | Queue -> "queue"
@@ -69,3 +68,19 @@ let name = function
   | Steal_wait -> "steal_wait"
   | Cq_poll -> "cq_poll"
   | Tx -> "tx"
+
+(* Display label in the report's phase table, kept beside [name] so a
+   new phase gets both in one place. *)
+let label = function
+  | Req_wire -> "req wire+rx"
+  | Queue -> "queue wait"
+  | Ctx_switch -> "ctx switch"
+  | App_compute -> "app compute"
+  | Pf_software -> "pf software"
+  | Busy_wait -> "busy-wait"
+  | Fetch_wire -> "fetch wire"
+  | Retry_backoff -> "retry backoff"
+  | Failover_wait -> "failover wait"
+  | Steal_wait -> "ready wait"
+  | Cq_poll -> "cq poll"
+  | Tx -> "tx+reply wire"

@@ -29,5 +29,9 @@ val index : t -> int
 (** Dense index in [0, count): the slot in per-request cycle arrays. *)
 
 val name : t -> string
-(** snake_case identifier shared by CSV column suffixes, OpenMetrics
-    [phase] label values and flamegraph frames. *)
+(** snake_case identifier from which the phase CSV column
+    ([<name>_cycles]), the OpenMetrics [phase] label value and the
+    flamegraph frame are derived. *)
+
+val label : t -> string
+(** Human-readable label for report tables (e.g. ["queue wait"]). *)

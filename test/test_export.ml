@@ -62,9 +62,9 @@ let golden_columns =
 
 (* The tail-forensics dataset's layout (one row per latency band; see
    Export.phase_csv_rows): identity columns, the band population, then
-   one cycle-total column per attribution phase in Phase.index order.
-   The phase-wiring lint keeps the column map exhaustive; this list
-   freezes the order the golden -phases.csv files were written in. *)
+   one cycle-total column per attribution phase in Phase.index order,
+   each named [Phase.name p ^ "_cycles"]. This list freezes the names
+   and order the golden -phases.csv files were written in. *)
 let golden_phase_columns =
   [
     "system";

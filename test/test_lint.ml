@@ -1,7 +1,6 @@
 (* adios-lint tests: one positive and one negative fixture per rule,
-   the cross-file wiring checks on synthetic sources, the suppression
-   grammar, and a self-check that the repository as committed lints
-   clean (the same gate CI enforces). *)
+   the suppression grammar, and a self-check that the repository as
+   committed lints clean (the same gate CI enforces). *)
 
 module Lint = Adios_analysis.Lint
 
@@ -31,11 +30,6 @@ let test_rule_names () =
     [
       "determinism";
       "event-wildcard";
-      "event-wiring";
-      "phase-wiring";
-      "counter-export";
-      "metric-export";
-      "counter-registry";
       "poly-compare";
       "float-equal";
       "no-abort";
@@ -452,210 +446,6 @@ let test_typed_source_must_type () =
     "parse-error"
     (tlint ~path:"lib/core/x.ml" "let f x = x + 1.0")
 
-(* --- event wiring (cross-file) ----------------------------------------- *)
-
-let event_src =
-  "type kind = Alpha | Beta\n\
-   let kind_name = function Alpha -> \"alpha\" | Beta -> \"beta\"\n"
-
-let chrome_full = "let phase = function Alpha -> 'B' | Beta -> 'E'\n"
-let checker_full = "let check = function Alpha -> () | Beta -> ()\n"
-
-let wiring ~chrome ~checker =
-  Lint.check_event_wiring
-    ~event:("lib/trace/event.ml", event_src)
-    ~chrome:("lib/trace/chrome.ml", chrome)
-    ~checker:("lib/trace/checker.ml", checker)
-
-let test_event_wiring_clean () =
-  check_clean "fully wired kinds" (wiring ~chrome:chrome_full ~checker:checker_full)
-
-let test_event_wiring_missing () =
-  (* Beta missing from the exporter: the simulated "added a constructor
-     without wiring it" scenario must fail the lint. *)
-  let fs = wiring ~chrome:"let phase = function Alpha -> 'B'\n" ~checker:checker_full in
-  check_int "exactly one gap" 1 (List.length fs);
-  let f = List.hd fs in
-  check_string "rule" "event-wiring" f.Lint.rule;
-  check_string "anchored at the declaration" "lib/trace/event.ml" f.Lint.file;
-  check_bool "names the constructor" true (contains_sub f.Lint.msg "Beta")
-
-let test_event_wiring_missing_everywhere () =
-  let fs =
-    wiring ~chrome:"let phase = function Alpha -> 'B'\n"
-      ~checker:"let check = function Alpha -> ()\n"
-  in
-  check_int "one gap per missing mapping" 2 (List.length fs)
-
-(* --- phase wiring (cross-file) ----------------------------------------- *)
-
-let phase_src =
-  "type t = Queue | Tx\n\
-   let name = function Queue -> \"queue\" | Tx -> \"tx\"\n"
-
-let export_full = "let phase_column = function Phase.Queue -> \"queue_cycles\" | Phase.Tx -> \"tx_cycles\"\n"
-let report_full = "let phase_label = function Phase.Queue -> \"queue wait\" | Phase.Tx -> \"tx\"\n"
-
-let phase_wiring ~export ~report =
-  Lint.check_phase_wiring
-    ~phase:("lib/prof/phase.ml", phase_src)
-    ~export:("lib/core/export.ml", export)
-    ~report:("lib/core/report.ml", report)
-
-let test_phase_wiring_clean () =
-  check_clean "fully wired phases"
-    (phase_wiring ~export:export_full ~report:report_full)
-
-let test_phase_wiring_missing_column () =
-  (* Tx missing from the CSV column map: the simulated "added a phase
-     without a column" scenario must fail the lint. *)
-  let fs =
-    phase_wiring
-      ~export:"let phase_column = function Phase.Queue -> \"queue_cycles\"\n"
-      ~report:report_full
-  in
-  check_int "exactly one gap" 1 (List.length fs);
-  let f = List.hd fs in
-  check_string "rule" "phase-wiring" f.Lint.rule;
-  check_string "anchored at the declaration" "lib/prof/phase.ml" f.Lint.file;
-  check_bool "names the constructor" true (contains_sub f.Lint.msg "Tx")
-
-let test_phase_wiring_wildcard_not_enough () =
-  (* a wildcard arm compiles but hides the phase: presence-in-a-pattern
-     is the check, so it must still fire *)
-  let fs =
-    phase_wiring
-      ~export:
-        "let phase_column = function Phase.Queue -> \"queue_cycles\" | _ -> \
-         \"other\"\n"
-      ~report:report_full
-  in
-  check_int "wildcard does not wire Tx" 1 (List.length fs)
-
-let test_phase_wiring_missing_everywhere () =
-  let fs =
-    phase_wiring
-      ~export:"let phase_column = function Phase.Queue -> \"queue_cycles\"\n"
-      ~report:"let phase_label = function Phase.Queue -> \"queue wait\"\n"
-  in
-  check_int "one gap per missing mapping" 2 (List.length fs)
-
-(* --- counter/export (cross-file) --------------------------------------- *)
-
-let counters ~system ~runner ~export =
-  Lint.check_counter_export
-    ~system:("lib/core/system.ml", system)
-    ~runner:("lib/core/runner.ml", runner)
-    ~export:("lib/core/export.ml", export)
-
-let sys_ok = "type counters = { mutable faults : int }\n"
-let run_ok = "type result = { faults : int }\nlet get c = c.System.faults\n"
-let exp_ok = "let f r = string_of_int r.Runner.faults\n"
-
-let test_counter_export_clean () =
-  check_clean "wired counter" (counters ~system:sys_ok ~runner:run_ok ~export:exp_ok)
-
-let test_counter_unread () =
-  (* the "added a Params counter without wiring it" scenario *)
-  let fs =
-    counters
-      ~system:"type counters = { mutable faults : int; mutable orphan : int }\n"
-      ~runner:run_ok ~export:exp_ok
-  in
-  check_int "one unread counter" 1 (List.length fs);
-  check_string "rule" "counter-export" (List.hd fs).Lint.rule;
-  check_string "anchored in system.ml" "lib/core/system.ml" (List.hd fs).Lint.file
-
-let test_result_field_unexported () =
-  let fs =
-    counters ~system:sys_ok
-      ~runner:
-        "type result = { faults : int; hidden : int }\nlet get c = c.System.faults\n"
-      ~export:exp_ok
-  in
-  check_int "one unexported field" 1 (List.length fs);
-  check_string "anchored in runner.ml" "lib/core/runner.ml" (List.hd fs).Lint.file
-
-let test_non_scalar_fields_exempt () =
-  check_clean "histograms etc. need no CSV column"
-    (counters ~system:sys_ok
-       ~runner:
-         "type result = { faults : int; hist : Histogram.t }\n\
-          let get c = c.System.faults\n"
-       ~export:exp_ok)
-
-(* --- metric registry (cross-file) -------------------------------------- *)
-
-let reg_def =
-  "let register_metrics t reg = Registry.counter reg ~name:\"adios_nic_ops_total\" \
-   ~help:\"h\" ~labels:[] (fun () -> t)\n"
-
-let reg_caller = "let go nic reg = Nic.register_metrics nic reg\n"
-
-let metric_sources caller =
-  [ ("lib/rdma/nic.ml", reg_def); ("lib/core/system.ml", caller) ]
-
-let test_metric_export_clean () =
-  check_clean "registered and called"
-    (Lint.check_metric_export ~sources:(metric_sources reg_caller))
-
-let test_metric_export_uncalled () =
-  let fs = Lint.check_metric_export ~sources:(metric_sources "let go () = ()\n") in
-  check_int "one unreachable register_metrics" 1 (List.length fs);
-  check_string "rule" "metric-export" (List.hd fs).Lint.rule;
-  check_string "anchored at the definition" "lib/rdma/nic.ml" (List.hd fs).Lint.file
-
-let test_metric_export_alias_resolves () =
-  check_clean "call through a module alias counts"
-    (Lint.check_metric_export
-       ~sources:
-         (metric_sources
-            "module N = Adios_rdma.Nic\nlet go nic reg = N.register_metrics nic reg\n"))
-
-let test_metric_export_bad_names () =
-  let bad src =
-    Lint.check_metric_export ~sources:[ ("lib/core/x.ml", src) ]
-  in
-  check_fires "counter without _total" "metric-export"
-    (bad "let f reg = Registry.counter reg ~name:\"adios_ops\" (fun () -> 0)\n");
-  check_fires "gauge with _total" "metric-export"
-    (bad "let f reg = Registry.gauge reg ~name:\"adios_depth_total\" (fun () -> 0.)\n");
-  check_fires "illegal characters" "metric-export"
-    (bad "let f reg = Registry.gauge reg ~name:\"adios_Depth\" (fun () -> 0.)\n");
-  check_clean "well-formed names pass"
-    (bad
-       "let f reg = Registry.gauge reg ~name:\"adios_depth\" (fun () -> 0.)\n\
-        let g reg = Registry.histogram reg ~name:\"adios_lat_us\" (fun () -> h)\n")
-
-(* --- counter registry (cross-file) ------------------------------------- *)
-
-let counter_registry src =
-  Lint.check_counter_registry ~system:("lib/core/system.ml", src)
-
-let test_counter_registry_clean () =
-  check_clean "every counter registered"
-    (counter_registry
-       "type counters = { mutable faults : int }\n\
-        let register_metrics t reg =\n\
-        \  Registry.counter reg ~name:\"adios_sys_faults_total\" ~help:\"h\"\n\
-        \    ~labels:[] (fun () -> t.counters.faults)\n")
-
-let test_counter_registry_orphan () =
-  let fs =
-    counter_registry
-      "type counters = { mutable faults : int; mutable orphan : int }\n\
-       let register_metrics t reg =\n\
-       \  Registry.counter reg ~name:\"adios_sys_faults_total\" ~help:\"h\"\n\
-       \    ~labels:[] (fun () -> t.counters.faults)\n"
-  in
-  check_int "one unregistered counter" 1 (List.length fs);
-  check_string "rule" "counter-registry" (List.hd fs).Lint.rule;
-  check_bool "names the field" true (contains_sub (List.hd fs).Lint.msg "orphan")
-
-let test_counter_registry_blind () =
-  check_fires "missing register_metrics is itself a finding" "counter-registry"
-    (counter_registry "type counters = { mutable faults : int }\n")
-
 (* --- repository self-check --------------------------------------------- *)
 
 let repo_root () =
@@ -765,46 +555,6 @@ let () =
           Alcotest.test_case "unit mixing" `Quick test_cycle_units_mixing;
           Alcotest.test_case "fixture must type" `Quick
             test_typed_source_must_type;
-        ] );
-      ( "wiring",
-        [
-          Alcotest.test_case "clean" `Quick test_event_wiring_clean;
-          Alcotest.test_case "missing exporter" `Quick test_event_wiring_missing;
-          Alcotest.test_case "missing twice" `Quick
-            test_event_wiring_missing_everywhere;
-        ] );
-      ( "phase-wiring",
-        [
-          Alcotest.test_case "clean" `Quick test_phase_wiring_clean;
-          Alcotest.test_case "missing column" `Quick
-            test_phase_wiring_missing_column;
-          Alcotest.test_case "wildcard not enough" `Quick
-            test_phase_wiring_wildcard_not_enough;
-          Alcotest.test_case "missing twice" `Quick
-            test_phase_wiring_missing_everywhere;
-        ] );
-      ( "counter-export",
-        [
-          Alcotest.test_case "clean" `Quick test_counter_export_clean;
-          Alcotest.test_case "unread counter" `Quick test_counter_unread;
-          Alcotest.test_case "unexported field" `Quick test_result_field_unexported;
-          Alcotest.test_case "non-scalar exempt" `Quick test_non_scalar_fields_exempt;
-        ] );
-      ( "metric-export",
-        [
-          Alcotest.test_case "clean" `Quick test_metric_export_clean;
-          Alcotest.test_case "uncalled registration" `Quick
-            test_metric_export_uncalled;
-          Alcotest.test_case "alias resolves" `Quick
-            test_metric_export_alias_resolves;
-          Alcotest.test_case "name convention" `Quick test_metric_export_bad_names;
-        ] );
-      ( "counter-registry",
-        [
-          Alcotest.test_case "clean" `Quick test_counter_registry_clean;
-          Alcotest.test_case "orphan counter" `Quick test_counter_registry_orphan;
-          Alcotest.test_case "blind without binding" `Quick
-            test_counter_registry_blind;
         ] );
       ( "self-check",
         [

@@ -1,11 +1,19 @@
 (* lib/obs tests: registry registration rules and label rendering, the
    accountant's cycle-conservation identity (unit fixtures plus a qcheck
    property over real end-to-end runs), episode-histogram merging, the
+   dense indices of the counter, phase and CPU-state tables, the
    OpenMetrics render/validate round-trip with a golden exposition of a
-   tiny fixed run, and the shared sampling clock. *)
+   tiny fixed run, every metric family reaching the exposition, every
+   counter agreeing between CSV and metrics, and the shared sampling
+   clock. *)
 
 module Config = Adios_core.Config
+module Counter = Adios_core.Counter
 module Runner = Adios_core.Runner
+module Export = Adios_core.Export
+module Cluster = Adios_cluster.Cluster
+module Injector = Adios_fault.Injector
+module Phase = Adios_prof.Phase
 module Registry = Adios_obs.Registry
 module Acct = Adios_obs.Accountant
 module Openmetrics = Adios_obs.Openmetrics
@@ -47,6 +55,13 @@ let test_registration_rules () =
   check_bool "counter must end in _total" true
     (raises_invalid (fun () ->
          Registry.counter reg ~name:"adios_ops" ~help:"h" (fun () -> 0)));
+  check_bool "gauge must not end in _total" true
+    (raises_invalid (fun () ->
+         Registry.gauge reg ~name:"adios_ops_total" ~help:"h" (fun () -> 0.)));
+  check_bool "histogram must not end in _total" true
+    (raises_invalid (fun () ->
+         Registry.histogram reg ~name:"adios_lat_total" ~help:"h" (fun () ->
+             Histogram.create ())));
   check_bool "label names are validated" true
     (raises_invalid (fun () ->
          Registry.gauge reg ~name:"adios_depth" ~help:"h"
@@ -171,22 +186,28 @@ let prop_conservation =
           s.Acct.cycles
       in
       let share_sum =
-        List.fold_left ( +. ) 0.
-          [
-            r.Runner.cpu_app_share;
-            r.Runner.cpu_pf_sw_share;
-            r.Runner.cpu_busy_wait_share;
-            r.Runner.cpu_cq_poll_share;
-            r.Runner.cpu_ctx_switch_share;
-            r.Runner.cpu_dispatch_share;
-            r.Runner.cpu_tx_share;
-            r.Runner.cpu_idle_share;
-          ]
+        List.fold_left
+          (fun acc (_, st) ->
+            acc +. Acct.share s ~cpus:cfg.Config.workers st)
+          0. Export.cpu_share_columns
       in
       exact
       && Array.length s.Acct.cycles = s.Acct.cpus
       && s.Acct.cpus = cfg.Config.workers + 1
       && Float.abs (share_sum -. 1.) < 1e-6)
+
+(* The per-counter, per-phase and per-state arrays are indexed by
+   [index], so it must number [all] densely and in order. *)
+let test_dense_indices () =
+  let dense what index all count =
+    check
+      (Alcotest.list Alcotest.int)
+      (what ^ ": index maps all onto 0 .. count-1")
+      (List.init count Fun.id) (List.map index all)
+  in
+  dense "Counter" Counter.index Counter.all Counter.count;
+  dense "Phase" Phase.index Phase.all Phase.count;
+  dense "Accountant.state" Acct.state_index Acct.states Acct.state_count
 
 (* --- OpenMetrics -------------------------------------------------------- *)
 
@@ -270,6 +291,105 @@ let validator_rejections =
        # EOF\n";
   ]
 
+(* Every subsystem's [register_metrics] must be reached through
+   [Runner.run]: a 3-node R = 2 cluster with one crash, profiled, is
+   the configuration that registers all of them. *)
+let test_all_families_rendered () =
+  let reg = Registry.create () in
+  let cfg =
+    {
+      (Config.default Config.Adios) with
+      Config.cluster =
+        {
+          Cluster.default with
+          Cluster.nodes = 3;
+          replication = 2;
+          crashes = 1;
+          crash_at_us = 500.;
+        };
+    }
+  in
+  let _ =
+    Runner.run cfg (small_array ()) ~offered_krps:300. ~requests:500
+      ~metrics:reg ~profile:true ()
+  in
+  let text = Openmetrics.render reg in
+  (match Openmetrics.validate text with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("exposition does not validate: " ^ msg));
+  List.iter
+    (fun prefix ->
+      check_bool (prefix ^ " families rendered") true
+        (contains_sub text ("\n# TYPE " ^ prefix)))
+    [
+      "adios_sys_"; "adios_sim_"; "adios_nic_"; "adios_pager_";
+      "adios_reclaimer_"; "adios_cpu_"; "adios_cluster_"; "adios_req_";
+    ]
+
+(* Overload on a lossy fabric with one retry, stride prefetch into a
+   4-deep QP, 5% local DRAM and a small queue and buffer pool: settings
+   that drive most counters off zero. *)
+let stressed system =
+  {
+    (Config.default system) with
+    Config.fetch_timeout = 20_000;
+    fetch_retries = 1;
+    fault = { Injector.none with Injector.drop = 0.05; spike = 0.05; seed = 9 };
+    prefetch = Config.Stride 4;
+    qp_depth = 4;
+    local_ratio = 0.05;
+    central_queue_capacity = 16;
+    buffer_count = 24;
+  }
+
+(* Value of the sample line [name{...} v] in an exposition. *)
+let sample_value text name =
+  List.find_map
+    (fun line ->
+      if String.starts_with ~prefix:(name ^ "{") line then
+        let sp = String.rindex line ' ' in
+        Some (String.sub line (sp + 1) (String.length line - sp - 1))
+      else None)
+    (String.split_on_char '\n' text)
+
+(* Each counter reaches the CSV column and the metric sample named
+   after it, with the same value. *)
+let test_counters_agree () =
+  let nonzero = Hashtbl.create 16 in
+  List.iter
+    (fun system ->
+      let reg = Registry.create () in
+      let r =
+        Runner.run (stressed system) (small_array ()) ~offered_krps:2500.
+          ~requests:3000 ~metrics:reg ()
+      in
+      let text = Openmetrics.render reg in
+      let cells =
+        List.combine Export.column_names
+          (String.split_on_char ',' (Export.csv_row r))
+      in
+      List.iter
+        (fun c ->
+          let { Counter.name; gauge; _ } = Counter.describe c in
+          let sample = "adios_sys_" ^ name ^ if gauge then "" else "_total" in
+          let csv =
+            match List.assoc_opt name cells with
+            | Some v -> v
+            | None -> Alcotest.fail ("no CSV column " ^ name)
+          in
+          check
+            (Alcotest.option Alcotest.string)
+            (Printf.sprintf "%s: %s = %s" r.Runner.system name sample)
+            (Some csv) (sample_value text sample);
+          if not (String.equal csv "0") then Hashtbl.replace nonzero name ())
+        Counter.all)
+    [ Config.Dilos_p; Config.Steal ];
+  check_bool
+    (Printf.sprintf "%d of %d counters exercised" (Hashtbl.length nonzero)
+       Counter.count)
+    true
+    (Hashtbl.length nonzero >= 14)
+
 (* --- sampler ------------------------------------------------------------ *)
 
 let test_sampler_alignment () =
@@ -321,11 +441,17 @@ let () =
           Alcotest.test_case "episode merge" `Quick test_merged_episodes;
           QCheck_alcotest.to_alcotest prop_conservation;
         ] );
+      ( "tables",
+        [ Alcotest.test_case "dense indices" `Quick test_dense_indices ] );
       ( "openmetrics",
         [
           Alcotest.test_case "render validates" `Quick test_render_validates;
           Alcotest.test_case "golden exposition" `Quick test_openmetrics_golden;
           Alcotest.test_case "label escaping" `Quick test_label_escaping;
+          Alcotest.test_case "every family rendered" `Quick
+            test_all_families_rendered;
+          Alcotest.test_case "counters agree with the CSV" `Quick
+            test_counters_agree;
         ]
         @ validator_rejections );
       ( "sampler",
