@@ -11,7 +11,10 @@
                          (default 42); the same seed replays the same run
                          bit-for-bit
      ADIOS_BENCH_JOBS    worker processes per sweep (default 1); results
-                         are identical at any job count *)
+                         are identical at any job count
+
+   A malformed value or an unknown experiment id exits with status 2
+   before anything runs. *)
 
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
@@ -24,10 +27,24 @@ module Buffer_pool = Adios_unithread.Buffer_pool
 
 let pf = Printf.printf
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let knob name ~default ~expect parse ok =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+    match parse (String.trim s) with
+    | Some v when ok v -> v
+    | Some _ | None -> usage_error "%s must be %s, got %S" name expect s)
+
 let scale =
-  match Sys.getenv_opt "ADIOS_BENCH_SCALE" with
-  | Some s -> ( try float_of_string s with _ -> 1.0)
-  | None -> 1.0
+  knob "ADIOS_BENCH_SCALE" ~default:1.0 ~expect:"a positive number"
+    float_of_string_opt (fun f -> f > 0. && Float.is_finite f)
 
 let only =
   match Sys.getenv_opt "ADIOS_BENCH_ONLY" with
@@ -38,14 +55,12 @@ let want id = only = [] || List.mem id only
 let reqs n = max 2_000 (int_of_float (float_of_int n *. scale))
 
 let bench_seed =
-  match Sys.getenv_opt "ADIOS_BENCH_SEED" with
-  | Some s -> ( try int_of_string (String.trim s) with _ -> 42)
-  | None -> 42
+  knob "ADIOS_BENCH_SEED" ~default:42 ~expect:"an integer" int_of_string_opt
+    (fun _ -> true)
 
 let jobs =
-  match Sys.getenv_opt "ADIOS_BENCH_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> 1
+  knob "ADIOS_BENCH_JOBS" ~default:1 ~expect:"a positive integer"
+    int_of_string_opt (fun j -> j >= 1)
 
 (* Every experiment derives its config from here, so ADIOS_BENCH_SEED
    reseeds the whole harness: the seed reaches Engine.Rng through
@@ -59,8 +74,9 @@ let all_systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios ]
    points fan out over ADIOS_BENCH_JOBS worker processes. The harness
    seed is pinned onto every point (historical bench behaviour: one
    seed per run, not per point), so results at any job count match a
-   sequential run bit-for-bit. *)
-let sweep ?(cfg_tweak = fun c -> c) systems app loads ~requests =
+   sequential run bit-for-bit. [profile] attaches the phase profiler,
+   which changes no measurement. *)
+let sweep ?(cfg_tweak = fun c -> c) ?profile systems app loads ~requests =
   let spec =
     Adios_exp.Spec.
       {
@@ -80,7 +96,7 @@ let sweep ?(cfg_tweak = fun c -> c) systems app loads ~requests =
   in
   let cfg_tweak c = cfg_tweak { c with Config.seed = bench_seed } in
   let results =
-    Adios_exp.Sweep.run ~jobs ~cfg_tweak
+    Adios_exp.Sweep.run ~jobs ~cfg_tweak ?profile
       ~progress:(fun _ r -> Report.result_line r)
       spec
   in
@@ -174,7 +190,9 @@ let micro_sweep =
   lazy
     (pf "\n[running microbenchmark sweep: 4 systems x %d load points]\n"
        (List.length micro_loads);
-     sweep all_systems (micro_app ()) micro_loads ~requests:(reqs 60_000))
+     (* profiled for the per-band phase tables of figs. 2(c) and 7(c) *)
+     sweep ~profile:true all_systems (micro_app ()) micro_loads
+       ~requests:(reqs 60_000))
 
 let get_series name =
   match List.assoc_opt name (Lazy.force micro_sweep) with
@@ -188,12 +206,13 @@ let fig2 () =
     ~percentile:"p99"
     [ ("DiLOS", dilos); ("DiLOS-P", dilos_p) ];
   (match nearest_load dilos 1300. with
-  | Some r -> Report.cdf ~title:"fig2(b) DiLOS latency CDF @ ~1.3 MRPS" r
-  | None -> ());
-  (match nearest_load dilos 1300. with
   | Some r ->
-    Report.breakdown
-      ~title:"fig2(c) DiLOS request-handling breakdown @ ~1.3 MRPS (cycles)" r
+    Report.cdf ~title:"fig2(b) DiLOS latency CDF @ ~1.3 MRPS" r;
+    Report.phase_bands
+      ~title:"fig2(c) DiLOS request phases per latency band @ ~1.3 MRPS" r;
+    Report.cpu_efficiency
+      ~title:"fig2(c) DiLOS worker cycles @ ~1.3 MRPS"
+      [ ("DiLOS", r) ]
   | None -> ());
   Report.throughput_vs_load ~title:"fig2(d) DiLOS throughput vs offered load"
     [ ("DiLOS", dilos) ];
@@ -216,7 +235,8 @@ let fig7 () =
     ~percentile:"p50" series;
   (match nearest_load (get_series "Adios") 1300. with
   | Some r ->
-    Report.breakdown ~title:"fig7(c) Adios breakdown @ ~1.3 MRPS (cycles)" r
+    Report.phase_bands
+      ~title:"fig7(c) Adios request phases per latency band @ ~1.3 MRPS" r
   | None -> ());
   Report.throughput_vs_load ~title:"fig7(d) throughput: DiLOS vs Adios"
     [ ("DiLOS", get_series "DiLOS"); ("Adios", get_series "Adios") ];
@@ -569,6 +589,12 @@ let experiments =
   ]
 
 let () =
+  (match List.filter (fun id -> not (List.mem_assoc id experiments)) only with
+  | [] -> ()
+  | unknown ->
+    usage_error "unknown ADIOS_BENCH_ONLY id %s (valid: %s)"
+      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+      (String.concat ", " (List.map fst experiments)));
   pf "Adios reproduction benchmark harness (scale=%.2f)\n" scale;
   Format.printf "%a@." Params.pp_table ();
   List.iter

@@ -3,7 +3,7 @@
 
      adios_sim --system adios --app array --load 1300 --requests 60000
      adios_sim --system dilos --app rocksdb --load 500 --cdf
-     adios_sim --system adios --app silo --load 300 --breakdown *)
+     adios_sim --system adios --app silo --load 300 --profile *)
 
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
@@ -59,7 +59,7 @@ let dispatch_conv =
   Cmdliner.Arg.conv (parse, print)
 
 let run system app load requests local_ratio dispatch prefetch no_delegation
-    seed show_cdf show_breakdown trace_file timeseries_file trace_cap
+    seed show_cdf trace_file timeseries_file trace_cap
     metrics_file metrics_csv_file metrics_interval_us fault_drop fault_spike
     fault_stall fault_throttle fault_seed fetch_timeout_us fetch_retries
     profile profile_out =
@@ -122,7 +122,6 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
   List.iter
     (fun (k, s) -> Format.printf "%-6s %a@." k Summary.pp s)
     r.Runner.kind_summaries;
-  if show_breakdown then Report.breakdown ~title:"latency breakdown (cycles)" r;
   if show_cdf then Report.cdf ~title:"latency CDF" r;
   let write path f =
     try f () with
@@ -275,11 +274,6 @@ let seed_arg =
 
 let cdf_arg =
   Arg.(value & flag & info [ "cdf" ] ~doc:"Print the latency CDF.")
-
-let breakdown_arg =
-  Arg.(
-    value & flag
-    & info [ "breakdown" ] ~doc:"Print the per-stage latency breakdown.")
 
 let trace_arg =
   Arg.(
@@ -448,7 +442,7 @@ let cmd =
     Term.(
       const run $ system_arg $ app_arg $ load_arg $ requests_arg $ ratio_arg
       $ dispatch_arg $ prefetch_arg $ no_delegation_arg $ seed_arg $ cdf_arg
-      $ breakdown_arg $ trace_arg $ timeseries_arg $ trace_cap_arg
+      $ trace_arg $ timeseries_arg $ trace_cap_arg
       $ metrics_out_arg $ metrics_csv_arg $ metrics_interval_arg
       $ fault_drop_arg $ fault_spike_arg $ fault_stall_arg
       $ fault_throttle_arg $ fault_seed_arg $ fetch_timeout_arg

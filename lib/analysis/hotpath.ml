@@ -83,6 +83,14 @@ let manifest =
       functions = [ "deliver_wr" ];
       cold = [];
     };
+    { file = "lib/core/system.ml";
+      (* every phase and CPU-state transition, with the two switches it
+         makes below; [Phase.cpu_state] returns static constants *)
+      functions = [ "enter" ];
+      cold = [];
+    };
+    { file = "lib/obs/accountant.ml"; functions = [ "switch" ]; cold = [] };
+    { file = "lib/prof/profiler.ml"; functions = [ "switch" ]; cold = [] };
     { file = "lib/stats/histogram.ml";
       (* every completed request records its latency here; [ensure]
          grows the bucket array on a new magnitude, amortised away *)

@@ -1,5 +1,4 @@
 module Summary = Adios_stats.Summary
-module Breakdown = Adios_stats.Breakdown
 module Clock = Adios_engine.Clock
 module Accountant = Adios_obs.Accountant
 module Phase = Adios_prof.Phase
@@ -102,21 +101,6 @@ let cdf ~title (r : Runner.result) =
   List.iter
     (fun (v, frac) -> pf "%-14.2f %.5f\n" (us v) frac)
     (Adios_stats.Histogram.cdf r.Runner.e2e_hist ~points:40 ())
-
-let breakdown ~title (r : Runner.result) =
-  pf "\n-- %s --\n" title;
-  pf "%-8s %10s %10s %10s %10s %10s %10s %10s\n" "pctile" "queue"
-    "(busywait)" "compute" "pf_sw" "rdma" "ready_wait" "tx";
-  List.iter
-    (fun p ->
-      match Breakdown.at_percentile r.Runner.breakdown p with
-      | None -> ()
-      | Some c ->
-        pf "P%-7g %10d %10d %10d %10d %10d %10d %10d  (total %d cycles)\n" p
-          c.Breakdown.queue c.Breakdown.queue_busywait c.Breakdown.compute
-          c.Breakdown.pf_sw c.Breakdown.rdma c.Breakdown.ready_wait
-          c.Breakdown.tx (Breakdown.total c))
-    [ 10.; 50.; 99.; 99.9 ]
 
 let peak_throughput systems =
   List.map

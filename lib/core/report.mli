@@ -27,9 +27,6 @@ val util_vs_load : title:string -> (string * Runner.result list) list -> unit
 val cdf : title:string -> Runner.result -> unit
 (** Latency CDF of one run (Fig. 2(b)). *)
 
-val breakdown : title:string -> Runner.result -> unit
-(** Component decomposition at P10/P50/P99/P99.9 (Figs. 2(c)/7(c)). *)
-
 val peak_throughput : (string * Runner.result list) list -> (string * float) list
 (** Highest achieved KRPS per system across a sweep. *)
 

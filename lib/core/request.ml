@@ -5,11 +5,9 @@ type t = {
   spec : spec;
   tx_at : int;
   mutable rx_at : int;
-  mutable dispatched_at : int;
   mutable done_at : int;
   mutable buffer : int;
   mutable errored : bool;
-  comps : Adios_stats.Breakdown.components;
   mutable prof : Adios_prof.Profiler.req option;
 }
 
@@ -19,11 +17,9 @@ let make ~id ~spec ~tx_at =
     spec;
     tx_at;
     rx_at = 0;
-    dispatched_at = 0;
     done_at = 0;
     buffer = -1;
     errored = false;
-    comps = Adios_stats.Breakdown.make ();
     prof = None;
   }
 

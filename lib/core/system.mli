@@ -45,11 +45,12 @@ val create :
     it does not perturb the simulation.
 
     [prof] (off by default) attaches critical-path attribution to every
-    admitted request: phase-switch probes planted beside the
-    accountant's state switches decompose each request's end-to-end
-    latency into the exact {!Adios_prof.Phase} segmentation. Like the
-    trace sink and the accountant, the probes are perturbation-free —
-    the caller finalizes each request from [on_reply]. *)
+    admitted request: the probe that switches a worker's accountant
+    state for a request also moves the request's phase, decomposing its
+    end-to-end latency into the exact {!Adios_prof.Phase} segmentation.
+    Like the trace sink and the accountant, the probes are
+    perturbation-free — the caller finalizes each request from
+    [on_reply]. *)
 
 val receive : t -> rx_at:int -> Request.t -> unit
 (** Deliver a client request packet (wired to the inbound raw-Ethernet

@@ -1,4 +1,3 @@
-module Integrator = Adios_stats.Integrator
 module Histogram = Adios_stats.Histogram
 
 type state =
@@ -39,7 +38,7 @@ let state_name = function
 type cpu = {
   mutable state : state;
   mutable entered_at : int; (* when the current episode started *)
-  integrators : Integrator.t array; (* one per state; exactly one at level 1 *)
+  closed : int array; (* cycles of closed episodes, per state *)
   episodes : Histogram.t array; (* closed episode lengths per state *)
 }
 
@@ -49,14 +48,10 @@ let create sim ~cpus =
   if cpus <= 0 then invalid_arg "Accountant.create: cpus must be positive";
   let now = Adios_engine.Sim.now sim in
   let slot _ =
-    let integrators =
-      Array.init state_count (fun _ -> Integrator.create sim)
-    in
-    Integrator.set integrators.(state_index Idle) 1;
     {
       state = Idle;
       entered_at = now;
-      integrators;
+      closed = Array.make state_count 0;
       episodes = Array.init state_count (fun _ -> Histogram.create ());
     }
   in
@@ -69,15 +64,21 @@ let switch t ~cpu state =
   if c.state <> state then begin
     let now = Adios_engine.Sim.now t.sim in
     let elapsed = now - c.entered_at in
-    if elapsed > 0 then
-      Histogram.record c.episodes.(state_index c.state) elapsed;
-    Integrator.set c.integrators.(state_index c.state) 0;
-    Integrator.set c.integrators.(state_index state) 1;
+    let i = state_index c.state in
+    if elapsed > 0 then Histogram.record c.episodes.(i) elapsed;
+    c.closed.(i) <- c.closed.(i) + elapsed;
     c.state <- state;
     c.entered_at <- now
   end
 
 let current t ~cpu = t.slots.(cpu).state
+
+(* Closed episodes plus the one still open. *)
+let cycles_in t (c : cpu) st =
+  let open_span =
+    if c.state = st then Adios_engine.Sim.now t.sim - c.entered_at else 0
+  in
+  c.closed.(state_index st) + open_span
 
 type snapshot = {
   duration : int;
@@ -98,7 +99,7 @@ let snapshot t =
     cpus = Array.length t.slots;
     cycles =
       Array.map
-        (fun c -> Array.map Integrator.integral c.integrators)
+        (fun c -> Array.of_list (List.map (cycles_in t c) states))
         t.slots;
     episodes =
       Array.map (fun (c : cpu) -> Array.map copy_hist c.episodes) t.slots;
@@ -139,7 +140,7 @@ let register_metrics t reg ~labels =
             ~labels:
               (labels
               @ [ ("cpu", cpu_label t cpu); ("state", state_name st) ])
-            (fun () -> Integrator.integral c.integrators.(state_index st)))
+            (fun () -> cycles_in t c st))
         states)
     t.slots;
   List.iter

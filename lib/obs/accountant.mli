@@ -5,10 +5,9 @@
     cycles into useful work (PAPER.md section 2, Fig. 2). This module
     measures exactly that. Each simulated CPU (the workers, plus one
     slot for the dispatcher) is at every instant in exactly one
-    {!state}; {!switch} moves it, and the elapsed span is integrated
-    into the state it just left (one {!Adios_stats.Integrator} per
-    (cpu, state)) and recorded as an episode length in that state's HDR
-    histogram.
+    {!state}; {!switch} moves it, and the elapsed span is added to the
+    cycles of the state it just left and recorded as an episode length
+    in that state's HDR histogram.
 
     Because the state function is total and piecewise-constant, the
     per-CPU integrals partition the run: for every CPU the state cycles

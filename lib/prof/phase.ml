@@ -84,3 +84,18 @@ let label = function
   | Steal_wait -> "ready wait"
   | Cq_poll -> "cq poll"
   | Tx -> "tx+reply wire"
+
+(* The CPU state a phase occupies on the request's worker, kept beside
+   [name] and [label]: [System.enter] switches the profiler and the
+   accountant through this one table. The other phases are off-CPU
+   (wire, queues, a yielded fetch), so the worker is free meanwhile. *)
+let cpu_state = function
+  | Ctx_switch -> Some Adios_obs.Accountant.Ctx_switch
+  | App_compute -> Some Adios_obs.Accountant.App_compute
+  | Pf_software -> Some Adios_obs.Accountant.Pf_software
+  | Busy_wait -> Some Adios_obs.Accountant.Busy_wait
+  | Cq_poll -> Some Adios_obs.Accountant.Cq_poll
+  | Tx -> Some Adios_obs.Accountant.Tx
+  | Req_wire | Queue | Fetch_wire | Retry_backoff | Failover_wait | Steal_wait
+    ->
+    None

@@ -2,7 +2,8 @@
     end-to-end latency: at any simulated instant between client TX and
     reply RX an admitted request is in exactly one phase, so per-request
     phase cycles sum exactly to end-to-end latency (the profiler's core
-    invariant). See DESIGN.md §11 for the transition diagram. *)
+    invariant). DESIGN.md §11 lists which [System] functions enter
+    each phase. *)
 
 type t =
   | Req_wire  (** client→server wire + NIC RX, TX stamp to admission *)
@@ -35,3 +36,9 @@ val name : t -> string
 
 val label : t -> string
 (** Human-readable label for report tables (e.g. ["queue wait"]). *)
+
+val cpu_state : t -> Adios_obs.Accountant.state option
+(** The state the request's worker is in while the request is in this
+    phase; [None] for off-CPU phases (wires, queues, a yielded fetch).
+    [Tx] covers the reply's wire time too, so the profiler's [Tx]
+    cycles exceed the accountant's. *)

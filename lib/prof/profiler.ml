@@ -1,7 +1,8 @@
 (* Streaming critical-path profiler: one tiny mutable record per
-   admitted request, advanced by phase-switch probes planted in
-   lib/core/system.ml at the same sites as the per-CPU accountant's
-   state switches. A switch closes the current segment at [Sim.now] and
+   admitted request, advanced by [System.enter] in lib/core/system.ml,
+   the one probe that also moves the request's worker to the matching
+   per-CPU accountant state when the phase runs on a CPU
+   ([Phase.cpu_state]). A switch closes the current segment at [Sim.now] and
    opens the next, so the per-phase cycle array telescopes from the
    client TX timestamp to the reply RX timestamp: phase cycles sum
    EXACTLY to end-to-end latency, by construction, for every request —

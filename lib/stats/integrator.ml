@@ -13,13 +13,9 @@ let settle t =
   t.acc <- t.acc + (t.level * (now - t.last_change));
   t.last_change <- now
 
-let value t = t.level
-
 let set t v =
   settle t;
   t.level <- v
-
-let add t d = set t (t.level + d)
 
 let integral t =
   settle t;

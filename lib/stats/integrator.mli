@@ -1,22 +1,15 @@
 (** Time-weighted integral of a piecewise-constant quantity.
 
-    Used for the RDMA link busy-time (utilization of Figs. 2(e)/7(e)) and
-    for the "how many workers are busy-waiting right now" signal that
-    attributes queueing delay to busy-waiting in Fig. 2(c). *)
+    Used for the RDMA link busy time, from which the link utilization of
+    Figs. 2(e)/7(e) is derived. *)
 
 type t
 
 val create : Adios_engine.Sim.t -> t
 (** Integrator starting at value 0 at the current simulated time. *)
 
-val value : t -> int
-(** Current level. *)
-
 val set : t -> int -> unit
 (** Change the level at the current simulated time. *)
-
-val add : t -> int -> unit
-(** [add t d] is [set t (value t + d)]. *)
 
 val integral : t -> int
 (** Integral of the level from creation up to now (level x cycles). *)

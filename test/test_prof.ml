@@ -1,13 +1,14 @@
 (* Critical-path profiler tests: the phase-sum invariant across every
    system x fabric x topology combination (matrix + qcheck), the
-   perturbation-freedom claim (profiling on/off yields byte-identical
-   measurements), attribution direction on clean runs (yield systems
-   never busy-wait; spinning baselines never enter the fetch-wire
-   phase), marshal identity through forked sweep workers, folded-stack
-   well-formedness, and the failure direction of the tail-forensics
-   oracles on synthetic fixtures — including the busy-wait-in-the-tail
-   fixture for a yield system that the acceptance criteria require to
-   FAIL. *)
+   profiler's on-CPU phases agreeing with the per-CPU accountant to the
+   cycle over the same matrix, the perturbation-freedom claim
+   (profiling on/off yields byte-identical measurements), attribution
+   direction on clean runs (yield systems never busy-wait; spinning
+   baselines never enter the fetch-wire phase), marshal identity
+   through forked sweep workers, folded-stack well-formedness, and the
+   failure direction of the tail-forensics oracles on synthetic
+   fixtures — including the busy-wait-in-the-tail fixture for a yield
+   system that the acceptance criteria require to FAIL. *)
 
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
@@ -21,6 +22,8 @@ module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
 module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
+module Accountant = Adios_obs.Accountant
+module Registry = Adios_obs.Registry
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -70,9 +73,18 @@ let clustered cfg =
 
 let tweaks = [ ("clean", clean); ("faulty", faulty); ("cluster", clustered) ]
 
-let run_profiled ?(cfg_tweak = clean) ?(seed = 42) system ~load ~requests =
+(* No replica to fail over to: the crash surfaces errored requests,
+   which the bands drop but both sides of the CPU identity count. *)
+let unreplicated cfg =
+  let c = clustered cfg in
+  let one_copy = { c.Config.cluster with Cluster.nodes = 2; replication = 1 } in
+  { c with Config.cluster = one_copy }
+
+let run_profiled ?(cfg_tweak = clean) ?(seed = 42) ?metrics system ~load
+    ~requests =
   let cfg = cfg_tweak { (Config.default system) with Config.seed } in
-  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ~profile:true ()
+  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ?metrics
+    ~profile:true ()
 
 let summary_exn name (r : Runner.result) =
   match r.Runner.prof with
@@ -100,20 +112,62 @@ let assert_invariants name (r : Runner.result) =
         (Array.fold_left ( + ) 0 b.Profiler.phase_cycles))
     s.Profiler.bands
 
-let test_invariant_matrix () =
+(* Cross-layer identity: a request in an on-CPU phase is exactly what
+   its worker's accountant state says it is doing, so over a run the
+   profiler's cycles in each such phase equal the worker CPUs' cycles
+   in the matching state (dispatcher excluded). Both sides come from
+   the run's registry, whose phase series count warmup and errored
+   requests just as the accountant does. Two exceptions: [Tx] runs on
+   through the reply wire while the CPU state covers only the post, and
+   under [Tx_sync_spin] (no run here uses it) a request closes at client
+   RX while its worker may still spin on the CQE. *)
+let assert_cpu_identity name (r : Runner.result) reg =
+  let series = Registry.scalar_series reg in
+  let read fmt =
+    Printf.ksprintf
+      (fun s ->
+        match List.assoc_opt s series with
+        | Some read -> int_of_float (read ())
+        | None -> Alcotest.fail (name ^ ": no series " ^ s))
+      fmt
+  in
+  let sys = r.Runner.system and workers = r.Runner.cpu.Accountant.cpus - 1 in
   List.iter
-    (fun system ->
-      List.iter
-        (fun (tname, tweak) ->
-          let name =
-            Printf.sprintf "%s/%s" (Config.system_name system) tname
-          in
-          let r =
-            run_profiled ~cfg_tweak:tweak system ~load:800. ~requests:6000
-          in
-          assert_invariants name r)
-        tweaks)
-    all_systems
+    (fun p ->
+      match Phase.cpu_state p with
+      | Some st when p <> Phase.Tx ->
+        let state = Accountant.state_name st in
+        let cpu_cycles =
+          List.fold_left ( + ) 0
+            (List.init workers (fun cpu ->
+                 read "adios_cpu_state_cycles_total{system=%s,cpu=%d,state=%s}"
+                   sys cpu state))
+        in
+        check_int
+          (Printf.sprintf "%s: %s phase = %s state" name (Phase.name p) state)
+          cpu_cycles
+          (read "adios_req_phase_cycles_total{system=%s,phase=%s}" sys
+             (Phase.name p))
+      | Some _ | None -> ())
+    Phase.all
+
+let test_invariant_matrix () =
+  let matrix =
+    List.concat_map
+      (fun system -> List.map (fun tweak -> (system, tweak)) tweaks)
+      all_systems
+  in
+  List.iter
+    (fun (system, (tname, tweak)) ->
+      let name = Printf.sprintf "%s/%s" (Config.system_name system) tname in
+      let metrics = Registry.create () in
+      let r =
+        run_profiled ~cfg_tweak:tweak ~metrics system ~load:800.
+          ~requests:6000
+      in
+      assert_invariants name r;
+      assert_cpu_identity name r metrics)
+    (matrix @ [ (Config.Dilos, ("unreplicated", unreplicated)) ])
 
 (* qcheck widens the matrix over seeds and loads: any (system, fabric,
    seed, load) draw must preserve the invariant — the per-request

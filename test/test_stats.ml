@@ -1,6 +1,5 @@
 module Histogram = Adios_stats.Histogram
 module Summary = Adios_stats.Summary
-module Breakdown = Adios_stats.Breakdown
 module Integrator = Adios_stats.Integrator
 module Sim = Adios_engine.Sim
 
@@ -174,37 +173,6 @@ let test_hist_count_le_boundaries () =
   check_int "le 128 includes its whole bucket" 6 (Histogram.count_le h 128);
   check_int "le max" 6 (Histogram.count_le h 1_000_000)
 
-let components total =
-  let c = Breakdown.make () in
-  c.Breakdown.compute <- total;
-  c
-
-let test_breakdown () =
-  let b = Breakdown.create () in
-  for i = 1 to 1000 do
-    Breakdown.record b (components i)
-  done;
-  check_int "count" 1000 (Breakdown.count b);
-  (match Breakdown.at_percentile b 50. with
-  | None -> Alcotest.fail "empty"
-  | Some c -> check_bool "p50 compute" true (abs (c.Breakdown.compute - 500) < 20));
-  match Breakdown.at_percentile b 99.9 with
-  | None -> Alcotest.fail "empty"
-  | Some c -> check_bool "p999 compute" true (c.Breakdown.compute > 950)
-
-let test_breakdown_total () =
-  let c = Breakdown.make () in
-  c.Breakdown.queue <- 10;
-  c.Breakdown.queue_busywait <- 4;
-  c.Breakdown.compute <- 20;
-  c.Breakdown.pf_sw <- 5;
-  c.Breakdown.rdma <- 30;
-  c.Breakdown.busy_wait <- 0;
-  c.Breakdown.ready_wait <- 7;
-  c.Breakdown.tx <- 3;
-  (* queue_busywait is a subset of queue, not added again *)
-  check_int "total" 75 (Breakdown.total c)
-
 let test_integrator () =
   let sim = Sim.create () in
   let i = Integrator.create sim in
@@ -213,14 +181,13 @@ let test_integrator () =
   Sim.schedule sim ~delay:50 (fun () -> ());
   Sim.run sim;
   (* level 2 for cycles [10,30): integral = 40 *)
-  check_int "integral" 40 (Integrator.integral i);
-  check_int "value" 0 (Integrator.value i)
+  check_int "integral" 40 (Integrator.integral i)
 
 let test_integrator_add_and_mean () =
   let sim = Sim.create () in
   let i = Integrator.create sim in
-  Sim.schedule sim ~delay:0 (fun () -> Integrator.add i 1);
-  Sim.schedule sim ~delay:100 (fun () -> Integrator.add i (-1));
+  Sim.schedule sim ~delay:0 (fun () -> Integrator.set i 1);
+  Sim.schedule sim ~delay:100 (fun () -> Integrator.set i 0);
   Sim.schedule sim ~delay:200 (fun () -> ());
   Sim.run sim;
   let mean = Integrator.mean_over i ~since_integral:0 ~since_time:0 in
@@ -254,11 +221,6 @@ let () =
           Alcotest.test_case "of_histogram" `Quick test_summary;
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "single sample" `Quick test_summary_single_sample;
-        ] );
-      ( "breakdown",
-        [
-          Alcotest.test_case "at_percentile" `Quick test_breakdown;
-          Alcotest.test_case "total" `Quick test_breakdown_total;
         ] );
       ( "integrator",
         [

@@ -7,6 +7,9 @@ module Summary = Adios_stats.Summary
 module Rng = Adios_engine.Rng
 module App = Adios_core.App
 module Request = Adios_core.Request
+module Accountant = Adios_obs.Accountant
+module Phase = Adios_prof.Phase
+module Profiler = Adios_prof.Profiler
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -14,9 +17,9 @@ let check_int = check Alcotest.int
 
 let small_array () = Adios_apps.Array_bench.app ~pages:2048 ()
 
-let run ?(cfg_tweak = fun c -> c) system ~load ~requests =
+let run ?(cfg_tweak = fun c -> c) ?profile system ~load ~requests =
   let cfg = cfg_tweak (Config.default system) in
-  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ()
+  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ?profile ()
 
 let test_conservation () =
   List.iter
@@ -216,23 +219,36 @@ let test_memcached_set_mix_writes_back () =
   check_bool "set summaries present" true
     (List.mem_assoc "SET" r.Runner.kind_summaries)
 
+(* Figs. 2(c)/7(c) read off the profiler's latency bands: mean cycles a
+   band's requests spent in one phase is [cycles / requests], so two
+   phases of one band compare by their totals. *)
+let band (r : Runner.result) name =
+  match r.Runner.prof with
+  | None -> Alcotest.fail "profiled run carries no phase summary"
+  | Some s -> (
+    match Array.find_opt (fun b -> b.Profiler.band = name) s.Profiler.bands with
+    | Some b -> b
+    | None -> Alcotest.fail ("no band " ^ name))
+
+let cycles (b : Profiler.band_stats) p = b.Profiler.phase_cycles.(Phase.index p)
+
 let test_breakdown_recorded () =
-  let r = run Config.Dilos ~load:1200. ~requests:10_000 in
-  check_bool "breakdown entries" true
-    (Adios_stats.Breakdown.count r.Runner.breakdown > 5000);
-  match Adios_stats.Breakdown.at_percentile r.Runner.breakdown 50. with
-  | None -> Alcotest.fail "no breakdown"
-  | Some c ->
-    check_bool "p50 rdma dominated" true
-      (c.Adios_stats.Breakdown.rdma > c.Adios_stats.Breakdown.compute)
+  let r = run ~profile:true Config.Dilos ~load:1200. ~requests:10_000 in
+  let mid = band r "p50_p99" in
+  check_bool "p50-p99 band populated" true (mid.Profiler.requests > 4000);
+  check_bool "p50-p99 spins longer than it computes" true
+    (cycles mid Phase.Busy_wait > cycles mid Phase.App_compute)
 
 let test_adios_breakdown_has_no_tx_wait () =
-  let r = run Config.Adios ~load:1200. ~requests:10_000 in
-  match Adios_stats.Breakdown.at_percentile r.Runner.breakdown 99. with
-  | None -> Alcotest.fail "no breakdown"
-  | Some c ->
-    check_int "delegated tx wait" 0 c.Adios_stats.Breakdown.tx;
-    check_bool "ready_wait present" true (c.Adios_stats.Breakdown.ready_wait > 0)
+  let r = run ~profile:true Config.Adios ~load:1200. ~requests:10_000 in
+  check_int "no worker cycle busy-waits" 0
+    (Accountant.state_cycles r.Runner.cpu Accountant.Busy_wait);
+  List.iter
+    (fun name ->
+      check_int (name ^ " busy_wait") 0 (cycles (band r name) Phase.Busy_wait))
+    (Array.to_list Profiler.band_names);
+  check_bool "p99-p99.9 waits in a ready queue" true
+    (cycles (band r "p99_p999") Phase.Steal_wait > 0)
 
 let () =
   Alcotest.run "system"
