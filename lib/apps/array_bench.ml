@@ -43,6 +43,11 @@ let app ?(pages = 16_384) ?(page_size = App.page_size) () =
     pages;
     page_size;
     build;
+    save = (fun () -> App.No_handles);
+    adopt =
+      (function
+      | App.No_handles -> ()
+      | _ -> invalid_arg "Array_bench: another app's handles");
     gen;
     handle;
     kinds = [| "GET" |];

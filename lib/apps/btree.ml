@@ -219,6 +219,7 @@ let last_below t view bound =
   else if i > 0 then Some (key_at view leaf (i - 1), val_at view leaf (i - 1))
   else None
 
+let copy t = { t with root = t.root }
 let size t = t.size
 let height t = t.height
 let pages_used t = t.next_page

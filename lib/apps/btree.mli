@@ -30,6 +30,12 @@ val last_below : t -> Adios_mem.View.t -> int -> (int * int) option
 (** Greatest (key, value) with key <= the bound; [None] if the tree holds
     nothing at or below it. *)
 
+val copy : t -> t
+(** A second handle on the same nodes. Its root, node allocator, size
+    and height move independently of the original's, so inserting
+    through the copy leaves the original describing the tree as it was
+    (the node bytes are the arena's business). *)
+
 val size : t -> int
 (** Number of live keys. *)
 

@@ -4,6 +4,8 @@ module Rng = Adios_engine.Rng
 
 let parse_cycles = 800
 
+type App.handles += Index of Ivf.t * Ivf.query_source
+
 (* SIMD distance cost for a BIGANN-sized (128-byte) vector: the stored
    prefix is what we actually compute on; the charge models the full
    vector so service times scale like the paper's. *)
@@ -50,6 +52,18 @@ let app ?(params = Ivf.default_params) ?(k = 10) () =
     pages;
     page_size = App.page_size;
     build;
+    save =
+      (fun () ->
+        Index
+          ( App.require "faiss index" !index,
+            App.require "faiss query source" !queries ));
+    adopt =
+      (function
+      (* neither changes after [build]: share them *)
+      | Index (idx, qs) ->
+        index := Some idx;
+        queries := Some qs
+      | _ -> invalid_arg "Faiss: another app's handles");
     gen;
     handle;
     kinds = [| "QUERY" |];

@@ -147,3 +147,4 @@ let create view ~keys ~key_bytes ~value_bytes =
   t
 
 let keys t = t.keys
+let copy t = { t with keys = t.keys }

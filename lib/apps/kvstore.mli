@@ -34,3 +34,7 @@ val put : t -> Adios_mem.View.t -> string -> string -> bool
 
 val keys : t -> int
 (** Number of keys inserted at build time. *)
+
+val copy : t -> t
+(** A second handle on the same table: its heap cursor and key count
+    move independently of the original's. *)

@@ -12,6 +12,8 @@ let key_bytes = 50
 let kind_get = 0
 let kind_set = 1
 
+type App.handles += Store of Kvstore.t
+
 let app ?keys ?(value_bytes = 128) ?(zipf_theta = 0.) ?(set_fraction = 0.) () =
   let keys =
     match keys with
@@ -79,6 +81,11 @@ let app ?keys ?(value_bytes = 128) ?(zipf_theta = 0.) ?(set_fraction = 0.) () =
     pages;
     page_size = App.page_size;
     build;
+    save = (fun () -> Store (App.require "memcached store" !store));
+    adopt =
+      (function
+      | Store s -> store := Some (Kvstore.copy s)
+      | _ -> invalid_arg "Memcached: another app's handles");
     gen;
     handle;
     kinds = [| "GET"; "SET" |];

@@ -1,8 +1,11 @@
 (* Name -> application factory table, shared by every front end
    (adios_sim, adios_sweep, the sweep spec in lib/exp). Entries are
    thunks, not built applications: each experiment point constructs its
-   own App.t so no generator or cache state leaks between points and a
-   forked worker process sees exactly what an in-process run sees. *)
+   own App.t, so no generator or cache state leaks between points. A
+   sweep builds each app's dataset once and every point adopts it
+   (App.adopt), which is sound because no factory here builds anything
+   that depends on the point: array values are a function of the
+   index, and TPC-C and IVF draw from fixed private seeds (7 and 11). *)
 
 let table : (string * (unit -> Adios_core.App.t)) list =
   [

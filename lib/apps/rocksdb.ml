@@ -5,6 +5,8 @@ module Rng = Adios_engine.Rng
 let kind_get = 0
 let kind_scan = 1
 
+type App.handles += Table of Scanstore.t
+
 let parse_cycles = 1000
 let seek_cycles = 1600 (* index probe + PlainTable decode *)
 let next_cycles = 140 (* iterator advance per row *)
@@ -66,6 +68,12 @@ let app ?keys ?(value_bytes = 1024) ?(scan_fraction = 0.01)
     pages;
     page_size = App.page_size;
     build;
+    save = (fun () -> Table (App.require "rocksdb store" !store));
+    adopt =
+      (function
+      (* a Scanstore.t never changes after [create]: share it *)
+      | Table s -> store := Some s
+      | _ -> invalid_arg "Rocksdb: another app's handles");
     gen;
     handle;
     kinds = [| "GET"; "SCAN" |];

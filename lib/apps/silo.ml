@@ -5,6 +5,8 @@ module Rng = Adios_engine.Rng
 let kind_names = [| "NO"; "PAY"; "OS"; "DLV"; "SL" |]
 let weights = [| 44.5; 43.1; 4.1; 4.2; 4.1 |]
 
+type App.handles += Db of Tpcc.t
+
 let txn_base_cycles = 1200 (* parse + begin/commit *)
 let per_record_cycles = 220 (* index compute, field marshalling *)
 
@@ -57,6 +59,11 @@ let app ?(config = Tpcc.default_config) () =
     pages;
     page_size = App.page_size;
     build;
+    save = (fun () -> Db (App.require "silo database" !db));
+    adopt =
+      (function
+      | Db d -> db := Some (Tpcc.copy d)
+      | _ -> invalid_arg "Silo: another app's handles");
     gen;
     handle;
     kinds = kind_names;

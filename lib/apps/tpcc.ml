@@ -294,6 +294,7 @@ let create view cfg =
   t
 
 let config t = t.cfg
+let copy t = { t with order_index = Array.map Btree.copy t.order_index }
 
 (* --- transactions ---------------------------------------------------------- *)
 

@@ -34,6 +34,10 @@ val create : Adios_mem.View.t -> config -> t
 
 val config : t -> config
 
+val copy : t -> t
+(** A second handle on the same database, with its own copy of every
+    district's order-index handle ({!Btree.copy}). *)
+
 (** Per-transaction results, for correctness checks. The [tick]
     callback fires once per record processed — the Silo adapter uses it
     to charge per-record CPU and to plant preemption checkpoints. *)

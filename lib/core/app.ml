@@ -18,14 +18,28 @@ type ctx = {
   rng : Adios_engine.Rng.t;
 }
 
+type handles = ..
+type handles += No_handles
+
 type t = {
   name : string;
   pages : int;
   page_size : int;
   build : Adios_mem.View.t -> unit;
+  save : unit -> handles;
+  adopt : handles -> unit;
   gen : Adios_engine.Rng.t -> Request.spec;
   handle : ctx -> Request.spec -> unit;
   kinds : string array;
 }
 
 let page_size = 4096
+
+type image = { arena : Adios_mem.Arena.t; handles : handles }
+
+let build_image app =
+  let arena =
+    Adios_mem.Arena.create ~pages:app.pages ~page_size:app.page_size
+  in
+  app.build (Adios_mem.View.direct arena);
+  { arena; handles = app.save () }

@@ -89,9 +89,13 @@ let register_gauges timeline system =
       last := Link.snapshot link;
       u)
 
-let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
-    ?timeline ?metrics ?snapshot ?(sample_period = Clock.of_us 5.)
+let run cfg app ~offered_krps ~requests ?image ?warmup ?(max_seconds = 30.)
+    ?trace ?timeline ?metrics ?snapshot ?(sample_period = Clock.of_us 5.)
     ?(profile = false) () =
+  let image =
+    match image with Some image -> image | None -> App.build_image app
+  in
+  app.App.adopt image.App.handles;
   let warmup = match warmup with Some w -> w | None -> requests / 10 in
   let sim = Sim.create () in
   let prof = if profile then Some (Profiler.create ()) else None in
@@ -121,7 +125,9 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
         Histogram.record kind_hists.(kind) (Request.e2e_latency req)
     end
   in
-  let system = System.create ?trace ?prof sim cfg app ~on_reply in
+  let system =
+    System.create ?trace ?prof sim cfg app ~arena:image.App.arena ~on_reply
+  in
   let labels = [ ("system", Config.system_name cfg.Config.system) ] in
   (match metrics with
   | Some reg -> System.register_metrics system reg ~labels

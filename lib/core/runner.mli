@@ -79,6 +79,7 @@ val run :
   App.t ->
   offered_krps:float ->
   requests:int ->
+  ?image:App.image ->
   ?warmup:int ->
   ?max_seconds:float ->
   ?trace:Adios_trace.Sink.t ->
@@ -94,6 +95,12 @@ val run :
     returns measurements over the post-warmup window. [warmup] (default
     [requests/10]) initial requests are excluded from every statistic.
     [max_seconds] (default 30 simulated seconds) bounds runaway runs.
+
+    [image] is the dataset the run uses: [app] adopts its handles and
+    the testbed's memory is its arena. It defaults to a fresh
+    {!App.build_image} of [app]. The run writes into the image's arena,
+    so a caller that runs several points on one image restores it
+    between them ({!Adios_mem.Arena.rollback}).
 
     [trace] records the span stream of the whole run (see
     {!Adios_trace.Sink}); the default null sink records nothing and does

@@ -934,9 +934,11 @@ let evict_page t ~page ~dirty =
         targets
   end
 
-let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
-  let arena = Arena.create ~pages:app.App.pages ~page_size:app.App.page_size in
-  app.App.build (View.direct arena);
+let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
+  if
+    Arena.pages arena <> app.App.pages
+    || Arena.page_size arena <> app.App.page_size
+  then invalid_arg "System.create: the arena is not the app's size";
   let capacity =
     max 2 (int_of_float (cfg.Config.local_ratio *. float_of_int app.App.pages))
   in

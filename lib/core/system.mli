@@ -31,12 +31,16 @@ val create :
   Adios_engine.Sim.t ->
   Config.t ->
   App.t ->
+  arena:Adios_mem.Arena.t ->
   on_reply:(Request.t -> unit) ->
   t
-(** Build the node: arena (populated via the app's [build]), pager warmed
-    to steady state, NICs and links, buffer pool, reclaimer, dispatcher
+(** Build the node around [arena], the app's dataset as the caller
+    built it (the app's handles must point into it): pager warmed to
+    steady state, NICs and links, buffer pool, reclaimer, dispatcher
     and worker processes. [on_reply] fires at the load generator when a
     reply packet lands (its hardware RX timestamp is [Request.done_at]).
+
+    @raise Invalid_argument if [arena] is not [app]'s size.
 
     [trace] (default {!Adios_trace.Sink.null}, which records nothing and
     costs one branch per probe) receives the full span stream: request

@@ -6,29 +6,65 @@ let wait dt = Effect.perform (Wait dt)
 let yield () = wait 0
 let suspend register = Effect.perform (Suspend register)
 
+(* One process's blocking state, allocated once at [spawn]. A process
+   parks in at most one place at a time, so one continuation slot
+   serves every block: a one-element array, made at the first block
+   (an array needs an element to start from). The handler passes the
+   wait delay and the suspension's [register] through fields, and
+   every wake schedules the same [wake] closure, so a wait allocates
+   only its effect and the continuation the runtime hands over, and a
+   suspension adds just its one-shot [resume]. *)
+type proc = {
+  sim : Sim.t;
+  mutable parked : (unit, unit) Effect.Deep.continuation array;
+  mutable delay : Clock.cycles;
+  mutable register : (unit -> unit) -> unit;
+  mutable generation : int;
+      (* bumped by every suspend and every resume: a [resume] closure
+         is live only from its own suspend to its first call *)
+}
+
+let park p k =
+  if Array.length p.parked = 0 then p.parked <- [| k |] else p.parked.(0) <- k
+
 let spawn sim body =
   let open Effect.Deep in
+  let p =
+    { sim; parked = [||]; delay = 0; register = ignore; generation = 0 }
+  in
+  let wake () = continue p.parked.(0) () in
+  let resume generation () =
+    if p.generation <> generation then failwith "Proc.suspend: double resume";
+    p.generation <- generation + 1;
+    Sim.schedule p.sim ~delay:0 wake
+  in
+  let on_wait =
+    Some
+      (fun k ->
+        park p k;
+        Sim.schedule p.sim ~delay:p.delay wake)
+  in
+  let on_suspend =
+    Some
+      (fun k ->
+        park p k;
+        p.generation <- p.generation + 1;
+        p.register (resume p.generation))
+  in
   let handler =
     {
       retc = (fun () -> ());
       exnc = raise;
       effc =
-        (fun (type b) (eff : b Effect.t) ->
+        (fun (type b) (eff : b Effect.t) :
+             ((b, unit) continuation -> unit) option ->
           match eff with
           | Wait dt ->
-            Some
-              (fun (k : (b, unit) continuation) ->
-                Sim.schedule sim ~delay:dt (fun () -> continue k ()))
+            p.delay <- dt;
+            on_wait
           | Suspend register ->
-            Some
-              (fun (k : (b, unit) continuation) ->
-                let resumed = ref false in
-                let resume () =
-                  if !resumed then failwith "Proc.suspend: double resume";
-                  resumed := true;
-                  Sim.schedule sim ~delay:0 (fun () -> continue k ())
-                in
-                register resume)
+            p.register <- register;
+            on_suspend
           | _ -> None);
     }
   in

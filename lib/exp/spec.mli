@@ -7,8 +7,10 @@ type t = {
   name : string;  (** dataset label, e.g. ["array-reduced"] *)
   systems : Adios_core.Config.system list;
   apps : (string * (unit -> Adios_core.App.t)) list;
-      (** name + factory; a fresh [App.t] is built per point so no
-          mutable state leaks between points *)
+      (** name + factory. Every point makes a fresh [App.t], so no
+          OCaml-side state leaks between points; the points of one app
+          share its built dataset ({!Sweep}), so a factory must build
+          the same dataset on every call *)
   loads : float list;  (** offered-load grid, KRPS, ascending *)
   requests : int;  (** arrivals injected per point *)
   seed : int;  (** sweep master seed; per-point seeds derive from it *)

@@ -4,12 +4,28 @@
     mmap-ed address space. The paging layer ({!Pager}) decides *when* an
     access may proceed (hit, fault, fetch); the arena holds the actual
     bytes so applications compute real answers regardless of residency.
-    Addresses are byte offsets from 0. *)
+    Addresses are byte offsets from 0.
+
+    A sweep builds an app's dataset into one arena and runs many points
+    on it. An undo journal keeps those points from seeing each other's
+    writes: once {!journal} is on, the first write to a page saves the
+    page's bytes, and {!rollback} puts them back. The five write
+    functions keep the journal; reads never look at it. *)
 
 type t
 
 val create : pages:int -> page_size:int -> t
-(** Arena of [pages * page_size] zeroed bytes. *)
+(** Arena of [pages * page_size] zeroed bytes, with no journal. *)
+
+val journal : t -> unit
+(** Start the undo journal (no-op if it is on). From here, the first
+    write to each page since the last {!rollback} copies the page
+    first, so the journal grows by one page per page written. *)
+
+val rollback : t -> unit
+(** Restore every page written since {!journal} or the previous
+    rollback, byte for byte, and keep journaling. A second rollback in a
+    row, or a rollback without a journal, does nothing. *)
 
 val pages : t -> int
 val page_size : t -> int

@@ -129,6 +129,31 @@ let test_btree_splits () =
       (Btree.find t v k)
   done
 
+(* A copy runs on a shared image: inserts through it split nodes and
+   grow the root, and once the arena is rolled back the original still
+   describes the tree as built. *)
+let test_btree_copy () =
+  let v = direct_view ~pages:256 in
+  let t = Btree.create v ~region_base:0 ~region_pages:256 in
+  for k = 0 to 99 do
+    Btree.insert t v ~key:k ~value:k
+  done;
+  Arena.journal (View.arena v);
+  let c = Btree.copy t in
+  for k = 100 to 4999 do
+    Btree.insert c v ~key:k ~value:k
+  done;
+  check_bool "the copy grew" true (Btree.height c > Btree.height t);
+  Arena.rollback (View.arena v);
+  check_int "original size" 100 (Btree.size t);
+  check_int "original height" 1 (Btree.height t);
+  check_int "original pages" 1 (Btree.pages_used t);
+  for k = 0 to 99 do
+    check (Alcotest.option Alcotest.int) "built key" (Some k)
+      (Btree.find t v k)
+  done;
+  check_bool "copy's key gone" true (Btree.find t v 100 = None)
+
 let test_btree_fold_range () =
   let v = direct_view ~pages:64 in
   let t = Btree.create v ~region_base:0 ~region_pages:64 in
@@ -402,6 +427,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_btree_basic;
           Alcotest.test_case "splits" `Quick test_btree_splits;
+          Alcotest.test_case "copy" `Quick test_btree_copy;
           Alcotest.test_case "fold_range" `Quick test_btree_fold_range;
           Alcotest.test_case "last_below" `Quick test_btree_last_below;
           QCheck_alcotest.to_alcotest prop_btree_matches_map;

@@ -358,6 +358,33 @@ let test_proc_double_resume_rejected sim =
       (Failure "Proc.suspend: double resume") (fun () -> r ())
   | None -> Alcotest.fail "no resumer"
 
+(* A resume kept from a suspension that was already resumed stays dead
+   after the process parks again: calling it raises and leaves the
+   process parked, and the live resume still wakes it. *)
+let test_proc_stale_resume_rejected sim =
+  let resumers = ref [] and woke = ref 0 in
+  let park () =
+    Proc.suspend (fun resume -> resumers := resume :: !resumers)
+  in
+  Proc.spawn sim (fun () ->
+      park ();
+      incr woke;
+      park ();
+      incr woke);
+  Sim.run sim;
+  let first = List.hd !resumers in
+  first ();
+  Sim.run sim;
+  check_int "woken by the first resume" 1 !woke;
+  check_int "parked again" 2 (List.length !resumers);
+  Alcotest.check_raises "stale resume"
+    (Failure "Proc.suspend: double resume") first;
+  Sim.run sim;
+  check_int "the stale resume did not wake it" 1 !woke;
+  List.hd !resumers ();
+  Sim.run sim;
+  check_int "the live resume did" 2 !woke
+
 let test_gate sim =
   let woke = ref (-1) in
   let gate = Proc.Gate.create sim in
@@ -541,6 +568,7 @@ let () =
           sim_case "wait interleaving" test_proc_wait;
           sim_case "suspend/resume" test_proc_suspend_resume;
           sim_case "double resume" test_proc_double_resume_rejected;
+          sim_case "stale resume" test_proc_stale_resume_rejected;
           sim_case "gate" test_gate;
           sim_case "gate no lost wakeup" test_gate_no_lost_wakeup;
           sim_case "mailbox" test_mailbox;

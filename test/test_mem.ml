@@ -29,6 +29,36 @@ let test_arena_rw () =
   check_int "page_of_addr" 1 (Arena.page_of_addr a 4096);
   check_int "page_of_addr same page" 0 (Arena.page_of_addr a 4095)
 
+let digest a =
+  Digest.to_hex (Digest.string (Arena.read_string a 0 (Arena.size_bytes a)))
+
+(* The undo journal behind shared dataset images: every write function
+   is journaled, including a write that straddles two pages, one of
+   which an earlier write already saved. *)
+let test_arena_rollback () =
+  let a = Arena.create ~pages:4 ~page_size:4096 in
+  for i = 0 to (Arena.size_bytes a / 8) - 1 do
+    Arena.set_int a (i * 8) (i * 7919)
+  done;
+  let built = digest a in
+  Arena.journal a;
+  Arena.set_u8 a 4100 0xAB;
+  Arena.set_u64 a 4092 0x1122334455667788L;
+  Arena.set_int a 8200 (-1);
+  Arena.write_blob a 12000 (Bytes.of_string "blob");
+  Arena.blit_string a 16380 "tail";
+  check (Alcotest.int64) "straddling write landed" 0x1122334455667788L
+    (Arena.get_u64 a 4092);
+  check_bool "the writes changed the arena" true (digest a <> built);
+  Arena.rollback a;
+  check Alcotest.string "rollback restores the built image" built (digest a);
+  Arena.rollback a;
+  check Alcotest.string "a second rollback is a no-op" built (digest a);
+  Arena.set_u8 a 0 1;
+  Arena.rollback a;
+  check Alcotest.string "the journal stays on after a rollback" built
+    (digest a)
+
 (* --- pager ------------------------------------------------------------- *)
 
 let test_pager_transitions () =
@@ -262,7 +292,11 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
     [
-      ("arena", [ Alcotest.test_case "rw" `Quick test_arena_rw ]);
+      ( "arena",
+        [
+          Alcotest.test_case "rw" `Quick test_arena_rw;
+          Alcotest.test_case "rollback" `Quick test_arena_rollback;
+        ] );
       ( "pager",
         [
           Alcotest.test_case "transitions" `Quick test_pager_transitions;

@@ -6,11 +6,13 @@
    rests on — and every golden spec's engine-event total is pinned on
    the sequential, forked and domains runs. The steal-reduced spec gets
    its own golden/oracle suite for the Adios-vs-work-stealing dispatch
-   contrast. A small spec checks the contract the three backends share
-   (failure naming, progress order) and that the sequential backend
-   lets go of each point's testbed. Synthetic datasets then exercise
-   each oracle's failure direction, so a broken oracle (one that never
-   fires) also fails here. *)
+   contrast. Every registry app, swept on each backend with its points
+   sharing one dataset image, must give the dataset the same points give
+   one at a time on fresh builds. A small spec checks the contract the
+   three backends share (failure naming, progress order) and that the
+   sequential backend lets go of each point's testbed. Synthetic
+   datasets then exercise each oracle's failure direction, so a broken
+   oracle (one that never fires) also fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
@@ -403,6 +405,78 @@ let test_sequential_releases_testbeds () =
     "points whose App.t outlived the start of the point two later" []
     (List.rev !held)
 
+(* --- shared dataset images ----------------------------------------------- *)
+
+(* Every registry app, plus a memcached whose SETs write into the image
+   its block shares, at two systems each: the second point of every
+   block runs on the image the first one used, and the sweep switches
+   images seven times. A faiss request costs about 5 ms of host time,
+   which sets the request count. *)
+let image_spec =
+  {
+    (Spec.make ~name:"images" ~systems:[ Config.Adios; Config.Dilos ]
+       ~loads:[ 150. ] ~requests:150 ())
+    with
+    Spec.apps =
+      List.map
+        (fun name -> (name, Option.get (Adios_apps.Registry.find name)))
+        Adios_apps.Registry.names
+      @ [
+          ( "memcached-set",
+            fun () -> Adios_apps.Memcached.app ~set_fraction:0.3 () );
+        ];
+  }
+
+let image_csv run = Dataset.to_csv (Dataset.of_run run)
+
+(* The reference: the same points one at a time, each on a dataset of
+   its own. The full major before each point keeps one dead silo arena
+   (380 MiB) at most alive. *)
+let fresh_images =
+  lazy
+    (image_csv
+       (List.map
+          (fun p ->
+            Gc.full_major ();
+            (p, Sweep.run_point image_spec p))
+          (Spec.points image_spec)))
+
+let test_images_sequential () =
+  check Alcotest.string "shared images give the fresh builds' dataset"
+    (Lazy.force fresh_images)
+    (image_csv (Sweep.run ~jobs:1 image_spec))
+
+(* Factory calls in this process are the coordinator's: each worker
+   makes its own App.t after the fork. Like every fork test here, it
+   runs before any test spawns a domain; the domains run is in the
+   domains group below. *)
+let test_images_fork () =
+  let calls = ref 0 in
+  let counted =
+    {
+      image_spec with
+      Spec.apps =
+        List.map
+          (fun (name, make) ->
+            ( name,
+              fun () ->
+                incr calls;
+                make () ))
+          image_spec.Spec.apps;
+    }
+  in
+  let run = Sweep.run ~jobs:2 counted in
+  check Alcotest.string "inherited images give the fresh builds' dataset"
+    (Lazy.force fresh_images) (image_csv run);
+  check Alcotest.int "one coordinator factory call per app block"
+    (List.length image_spec.Spec.apps)
+    !calls
+
+let test_images_domains () =
+  check Alcotest.string "per-domain images give the fresh builds' dataset"
+    (Lazy.force fresh_images)
+    (image_csv (Sweep.run ~jobs:2 ~mode:`Domains image_spec))
+
 (* --- spec--------------------------------------------------------------- *)
 
 let test_point_seeds () =
@@ -663,6 +737,13 @@ let () =
           pinned "cluster" Spec.cluster_reduced ~jobs:2;
           pinned "steal" Spec.steal_reduced ~jobs:1;
         ] );
+      ( "images",
+        [
+          Alcotest.test_case "sequential matches fresh builds" `Quick
+            test_images_sequential;
+          Alcotest.test_case "fork matches fresh builds" `Quick
+            test_images_fork;
+        ] );
       ( "backends",
         [
           Alcotest.test_case "lowest failing point named" `Quick
@@ -680,6 +761,8 @@ let () =
             test_domains_metrics_identical;
           Alcotest.test_case "sim_events pinned" `Quick
             test_sim_events_pinned;
+          Alcotest.test_case "images match fresh builds" `Quick
+            test_images_domains;
         ] );
       ( "spec",
         [
