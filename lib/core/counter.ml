@@ -13,6 +13,9 @@ type t =
   | Fetch_timeouts
   | Fetch_retries
   | Retries_hwm
+  (* Nothing bumps [Drops_qp]: a prefetch is posted only with QP slots to
+     spare, so its post is never refused. It stays for its column in
+     every golden CSV and its family in the metrics golden. *)
   | Drops_qp
   | Steals
 

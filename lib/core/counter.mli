@@ -29,8 +29,9 @@ type t =
       (** most reposts any single fetch needed (bounded by
           [Config.fetch_retries]); a high-water mark, not a count *)
   | Drops_qp
-      (** posts refused by a full QP on the prefetch path (the prefetch
-          is abandoned, never silently lost) *)
+      (** prefetch posts refused by a full QP. Always 0: a prefetch is
+          posted only with QP slots to spare. Kept for its CSV column and
+          metric family. *)
   | Steals
       (** requests taken from a sibling worker's queue: local-queue
           steals under [Work_stealing] dispatch, plus ready-queue steals

@@ -42,7 +42,7 @@ type result = {
   fetch_retries : int;  (** fetches reposted after a timeout *)
   retries_hwm : int;  (** most reposts any single fetch needed *)
   faults_injected : int;  (** completions dropped/delayed by the injector *)
-  drops_qp : int;  (** prefetch posts refused by a full QP *)
+  drops_qp : int;  (** always 0 (see {!Counter.Drops_qp}) *)
   steals : int;
       (** requests taken from sibling workers' local/ready queues
           (Work-Stealing dispatch and the Steal system; 0 elsewhere) *)

@@ -54,14 +54,11 @@ type t = {
   arena : Arena.t;
   pager : Pager.t;
   cluster : Cluster.t;
-  memnode : Memnode.t;  (** node 0 (the whole cluster under defaults) *)
   nic : (unit -> unit) Nic.t;  (** node 0's NIC *)
   reclaim_qps : (unit -> unit) Nic.qp array;  (** one per memory node *)
   reclaim_cq : (unit -> unit) Verbs.Cq.t;
   reply_channel : Request.t Raw_eth.t;
-  reply_link : Link.t;
   rdma_rx_link : Link.t;
-  rdma_tx_link : Link.t;
   workers : worker array;
   pending : entry Queue.t;
   dispatch_gate : Proc.Gate.t;
@@ -148,17 +145,12 @@ let reclaimer t =
 
 let buffers t = t.buffers
 let rdma_rx_link t = t.rdma_rx_link
-let rdma_tx_link t = t.rdma_tx_link
-let reply_link t = t.reply_link
-let memnode t = t.memnode
 let cluster t = t.cluster
-let arena t = t.arena
 
 (* Congestion signal of a worker: fetches outstanding across all its
    QPs (one per memory node; a single sum, exactly the old per-QP count
    under the default single-node topology). *)
 let qp_load w = Array.fold_left (fun acc qp -> acc + Nic.outstanding qp) 0 w.qps
-let worker_outstanding t = Array.map qp_load t.workers
 let node_memnode t node = (Cluster.nodes t.cluster).(node).Cluster.memnode
 let prefetch_stats t = t.prefetch_stats
 let pending_depth t = Queue.length t.pending
@@ -229,10 +221,145 @@ let yield_on_inflight t e page =
   Pager.add_waiter t.pager page (fun () -> enqueue_ready t w e);
   Task.suspend ()
 
+(* --- page fetches --------------------------------------------------------- *)
+
+(* One page READ (Fig. 5: post, park the faulting unithread, resume it
+   from the CQE) and its recovery protocol. A demand fetch has an
+   [owner], the faulting entry, parked until the fetch settles; a
+   prefetch has none and no reposts, so a lost one just gives its frame
+   back. Three transitions drive it: [post_fetch] posts attempt [n], and
+   that attempt's CQE ([fetch_cqe]) and timer ([fetch_timer]) act only
+   while [live = n]. A completion the fabric delivers after its timer
+   gave up (or a duplicate) is thereby ignored, and the page stays
+   Inflight across reposts until the fetch settles. *)
+type outcome = Pending | Fetched | Failed
+
+type fetch = {
+  page : int;
+  home : worker;  (** whose QPs carry every attempt *)
+  owner : entry option;  (** [None]: a prefetch *)
+  budget : int;  (** reposts allowed after a timeout *)
+  mutable live : int;  (** the attempt whose CQE or timer acts; -1: none *)
+  mutable outcome : outcome;
+  mutable wake : unit -> unit;  (** a busy-waiting owner's resume *)
+}
+
+let owner_id f = match f.owner with Some e -> e.req.Request.id | None -> -1
+
+(* Coalesced faulters re-examine the page once its fetch settles. *)
+let wake_waiters t page =
+  List.iter (fun f -> f ()) (Pager.take_waiters t.pager page)
+
+(* A prefetched page nobody touched: it was evicted, or its fetch was
+   abandoned. *)
+let drop_prefetched t page =
+  if Bytes.get t.prefetched page = '\001' then begin
+    Bytes.set t.prefetched page '\000';
+    t.prefetch_stats.Prefetcher.wasted <- t.prefetch_stats.Prefetcher.wasted + 1
+  end
+
+(* Only a live attempt settles a fetch, so this runs once per fetch. A
+   busy-waiting owner resumes its spin; a yielded one goes back on its
+   worker's ready queue. *)
+let settle t f outcome =
+  f.outcome <- outcome;
+  match f.owner with
+  | None -> ()
+  | Some e -> if is_busywait t.cfg then f.wake () else enqueue_ready t f.home e
+
+let fetch_cqe t f n =
+  if f.live = n then begin
+    f.live <- -1;
+    Pager.complete_fetch t.pager f.page;
+    ev t Trace_event.Rdma_complete ~req:(owner_id f) ~worker:f.home.wid
+      ~page:f.page;
+    wake_waiters t f.page;
+    settle t f Fetched
+  end
+
+(* Post attempt [n]; its trace events name request [req] (a prefetch's
+   names the request whose fault triggered it). A full QP backs off and
+   reposts: in place when [blocking] (the first attempt, which runs on
+   the worker), from a timer otherwise. *)
+let rec post_fetch t f ~req ~blocking n =
+  let page = f.page and worker = f.home.wid and bytes = t.app.App.page_size in
+  (* re-route every attempt: a retry after a node death must land on a
+     surviving replica, not repost into the dead NIC forever *)
+  let node, failover = Cluster.route_read t.cluster ~page in
+  if n > 0 then Memnode.record_read (node_memnode t node) ~bytes;
+  if
+    Nic.post f.home.qps.(node) ~opcode:Verbs.Read ~bytes ~cq:f.home.fetch_cq
+      ~user:(fun () -> fetch_cqe t f n)
+  then begin
+    f.live <- n;
+    ev t Trace_event.Rdma_issue ~req ~worker ~page;
+    (match f.owner with
+    | Some e ->
+      if failover then begin
+        Cluster.note_failover t.cluster;
+        ev t Trace_event.Failover ~req ~worker ~page;
+        pfailover t e
+      end;
+      if not (Cluster.node_alive t.cluster node) then
+        (* every replica dead: the post lands in a dead NIC and the
+           timer will surface a Req_error *)
+        Cluster.note_dead_read t.cluster
+    | None -> ());
+    let timeout = t.cfg.Config.fetch_timeout in
+    if timeout > 0 then
+      (* exponential backoff: the deadline doubles per repost (capped
+         at 64x) so a throttled fabric is not flooded *)
+      Sim.schedule t.sim
+        ~delay:(timeout lsl min n 6)
+        (fun () -> fetch_timer t f n)
+  end
+  else begin
+    bump t Counter.Qp_stalls;
+    ev t Trace_event.Stall_qp ~req ~worker ~page;
+    if blocking then begin
+      Proc.wait Params.qp_retry_cycles;
+      post_fetch t f ~req ~blocking n
+    end
+    else
+      (* no attempt is live while this waits, so nothing can settle the
+         fetch meanwhile *)
+      Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
+          post_fetch t f ~req ~blocking:false n)
+  end
+
+(* Attempt [n] outlived its deadline: repost within the budget, else
+   abandon the fetch. The page reverts to Remote and its waiters refetch
+   it themselves. *)
+and fetch_timer t f n =
+  if f.live = n then begin
+    f.live <- -1;
+    let req = owner_id f and worker = f.home.wid and page = f.page in
+    bump t Counter.Fetch_timeouts;
+    ev t Trace_event.Fetch_timeout ~req ~worker ~page;
+    if n >= f.budget then begin
+      Pager.abort_fetch t.pager page;
+      wake_waiters t page;
+      drop_prefetched t page;
+      settle t f Failed
+    end
+    else begin
+      bump t Counter.Fetch_retries;
+      let hwm = Counter.index Counter.Retries_hwm in
+      t.counts.(hwm) <- max t.counts.(hwm) (n + 1);
+      ev t Trace_event.Fetch_retry ~req ~worker ~page;
+      (match f.owner with Some e -> pretry t e | None -> ());
+      post_fetch t f ~req ~blocking:false (n + 1)
+    end
+  end
+
+let new_fetch page w ~owner ~budget =
+  { page; home = w; owner; budget; live = -1; outcome = Pending; wake = ignore }
+
 (* Issue stride prefetches next to a demand fetch: detect the request's
    fault stride and pull the predicted pages without anyone waiting on
    them. Prefetches never take the last free frame or the last QP slots,
-   so they cannot starve demand fetches. *)
+   so they cannot starve demand fetches, and their post always finds
+   room. *)
 let maybe_prefetch t e (w : worker) page =
   match t.cfg.Config.prefetch with
   | Config.No_prefetch -> ()
@@ -240,13 +367,10 @@ let maybe_prefetch t e (w : worker) page =
     match Prefetcher.Stride_detector.record e.detector page with
     | None -> ()
     | Some stride ->
-      let page_bytes = t.app.App.page_size in
       let pages = t.app.App.pages in
       let issued = ref 0 in
-      let k = ref 1 in
-      while !issued < degree && !k <= degree do
-        let q = page + (!k * stride) in
-        incr k;
+      for k = 1 to degree do
+        let q = page + (k * stride) in
         (* the pager's placement directory names the node to pull from *)
         let node = if q >= 0 && q < pages then Pager.locate t.pager q else 0 in
         if
@@ -256,55 +380,14 @@ let maybe_prefetch t e (w : worker) page =
           && Nic.outstanding w.qps.(node) < t.cfg.Config.qp_depth - 2
         then begin
           Pager.start_fetch t.pager q;
-          Memnode.record_read (node_memnode t node) ~bytes:page_bytes;
-          (* [live] dies when the fetch times out: a completion the
-             fabric delivered late (or a duplicate) must not install the
-             page a second time *)
-          let live = ref true in
-          let ok =
-            Nic.post w.qps.(node) ~opcode:Verbs.Read ~bytes:page_bytes
-              ~cq:w.fetch_cq
-              ~user:(fun () ->
-                if !live then begin
-                  live := false;
-                  Pager.complete_fetch t.pager q;
-                  ev t Trace_event.Rdma_complete ~worker:w.wid ~page:q;
-                  List.iter (fun f -> f ()) (Pager.take_waiters t.pager q)
-                end)
-          in
-          if ok then begin
-            incr issued;
-            ev t Trace_event.Rdma_issue ~req:e.req.Request.id ~worker:w.wid
-              ~page:q;
-            Bytes.set t.prefetched q '\001';
-            t.prefetch_stats.Prefetcher.issued <-
-              t.prefetch_stats.Prefetcher.issued + 1;
-            (* a prefetch nobody waits on is not worth retrying: if its
-               completion is lost, just release the frame so demand
-               faults can fetch the page themselves *)
-            if t.cfg.Config.fetch_timeout > 0 then
-              Sim.schedule t.sim ~delay:t.cfg.Config.fetch_timeout (fun () ->
-                  if !live then begin
-                    live := false;
-                    bump t Counter.Fetch_timeouts;
-                    ev t Trace_event.Fetch_timeout ~worker:w.wid ~page:q;
-                    Pager.abort_fetch t.pager q;
-                    List.iter (fun f -> f ()) (Pager.take_waiters t.pager q);
-                    if Bytes.get t.prefetched q = '\001' then begin
-                      Bytes.set t.prefetched q '\000';
-                      t.prefetch_stats.Prefetcher.wasted <-
-                        t.prefetch_stats.Prefetcher.wasted + 1
-                    end
-                  end)
-          end
-          else begin
-            (* the QP filled under us: roll the reservation back and
-               wake anyone who coalesced on it in the meantime (this
-               used to drop the reservation silently) *)
-            bump t Counter.Drops_qp;
-            Pager.abort_fetch t.pager q;
-            List.iter (fun f -> f ()) (Pager.take_waiters t.pager q)
-          end
+          Memnode.record_read (node_memnode t node) ~bytes:t.app.App.page_size;
+          post_fetch t
+            (new_fetch q w ~owner:None ~budget:0)
+            ~req:e.req.Request.id ~blocking:true 0;
+          incr issued;
+          Bytes.set t.prefetched q '\001';
+          t.prefetch_stats.Prefetcher.issued <-
+            t.prefetch_stats.Prefetcher.issued + 1
         end
       done;
       if !issued > 0 then charge_pf t e (60 * !issued))
@@ -378,122 +461,33 @@ and fault t e page =
     ensure_present t e page
   | `Go ->
     Pager.start_fetch t.pager page;
-    let page_bytes = t.app.App.page_size in
     Memnode.record_read (node_memnode t (Pager.locate t.pager page))
-      ~bytes:page_bytes;
+      ~bytes:t.app.App.page_size;
     maybe_prefetch t e w page;
-    (* Recovery protocol. The page stays Inflight across reposts — only
-       the final give-up aborts it back to Remote. Each attempt carries
-       its own [live] flag so a completion the fabric delivered after we
-       stopped believing in it (timeout fired, retry posted) is ignored;
-       [outcome] settles exactly once, waking the parked unithread. *)
-    let timeout = t.cfg.Config.fetch_timeout in
-    let outcome = ref `Pending in
-    let waker = ref (fun () -> ()) in
-    let settle o =
-      if !outcome = `Pending then begin
-        outcome := o;
-        !waker ()
-      end
-    in
-    let on_complete () =
-      Pager.complete_fetch t.pager page;
-      ev t Trace_event.Rdma_complete ~req:rid ~worker:wid ~page;
-      List.iter (fun f -> f ()) (Pager.take_waiters t.pager page);
-      settle `Ok
-    in
-    let rec post_attempt ~blocking n =
-      (* re-route every attempt: a retry after a node death must land on
-         a surviving replica, not repost into the dead NIC forever *)
-      let node, failover = Cluster.route_read t.cluster ~page in
-      if n > 0 then Memnode.record_read (node_memnode t node) ~bytes:page_bytes;
-      let live = ref true in
-      let ok =
-        Nic.post w.qps.(node) ~opcode:Verbs.Read ~bytes:page_bytes
-          ~cq:w.fetch_cq
-          ~user:(fun () ->
-            if !live then begin
-              live := false;
-              on_complete ()
-            end)
-      in
-      if not ok then begin
-        (* full QP: back off and repost. The first attempt runs on the
-           worker and may block; retries run from the timer and must
-           reschedule themselves instead. *)
-        bump t Counter.Qp_stalls;
-        ev t Trace_event.Stall_qp ~req:rid ~worker:wid ~page;
-        if blocking then begin
-          Proc.wait Params.qp_retry_cycles;
-          post_attempt ~blocking n
-        end
-        else
-          Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
-              if !outcome = `Pending then post_attempt ~blocking:false n)
-      end
-      else begin
-        ev t Trace_event.Rdma_issue ~req:rid ~worker:wid ~page;
-        if failover then begin
-          Cluster.note_failover t.cluster;
-          ev t Trace_event.Failover ~req:rid ~worker:wid ~page;
-          pfailover t e
-        end;
-        if not (Cluster.node_alive t.cluster node) then
-          (* every replica dead: the post lands in a dead NIC and the
-             timeout ladder will surface a Req_error *)
-          Cluster.note_dead_read t.cluster;
-        if timeout > 0 then
-          (* exponential backoff: the deadline doubles per repost (capped
-             at 64x) so a throttled fabric is not flooded *)
-          Sim.schedule t.sim
-            ~delay:(timeout lsl min n 6)
-            (fun () ->
-              if !live && !outcome = `Pending then begin
-                live := false;
-                bump t Counter.Fetch_timeouts;
-                ev t Trace_event.Fetch_timeout ~req:rid ~worker:wid ~page;
-                if n >= t.cfg.Config.fetch_retries then begin
-                  (* exhausted: surface the failure. Waiters re-examine
-                     the page and refetch it themselves. *)
-                  Pager.abort_fetch t.pager page;
-                  List.iter
-                    (fun f -> f ())
-                    (Pager.take_waiters t.pager page);
-                  settle `Failed
-                end
-                else begin
-                  bump t Counter.Fetch_retries;
-                  let hwm = Counter.index Counter.Retries_hwm in
-                  t.counts.(hwm) <- max t.counts.(hwm) (n + 1);
-                  ev t Trace_event.Fetch_retry ~req:rid ~worker:wid ~page;
-                  pretry t e;
-                  post_attempt ~blocking:false (n + 1)
-                end
-              end)
-      end
+    let f =
+      new_fetch page w ~owner:(Some e) ~budget:t.cfg.Config.fetch_retries
     in
     if is_busywait t.cfg then begin
       (* the spin covers the post (incl. QP backoff) and the CQE wait *)
       enter t e Phase.Busy_wait;
-      post_attempt ~blocking:true 0;
-      if !outcome = `Pending then Proc.suspend (fun resume -> waker := resume);
+      post_fetch t f ~req:rid ~blocking:true 0;
+      if f.outcome = Pending then Proc.suspend (fun resume -> f.wake <- resume);
       enter t e Phase.Pf_software
     end
     else begin
-      (* Adios: issue and yield (Fig. 5 steps 4-5, 8-10). *)
-      waker := (fun () -> enqueue_ready t w e);
-      (* wire time opens before the post so a blocking QP backoff counts
-         against the fetch; the CQE's [enqueue_ready] closes it *)
+      (* Adios: issue and yield (Fig. 5 steps 4-5, 8-10). Wire time
+         opens before the post so a blocking QP backoff counts against
+         the fetch; the CQE's [enqueue_ready] closes it. *)
       enter t e Phase.Fetch_wire;
-      post_attempt ~blocking:true 0;
-      if !outcome = `Pending then Task.suspend ()
+      post_fetch t f ~req:rid ~blocking:true 0;
+      if f.outcome = Pending then Task.suspend ()
     end;
-    (match !outcome with
-    | `Failed ->
+    (match f.outcome with
+    | Failed ->
       ev t Trace_event.Req_error ~req:rid ~worker:wid ~page;
       ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
       raise (Fetch_failed page)
-    | `Ok | `Pending ->
+    | Fetched | Pending ->
       (* map the fetched page and return (Fig. 5 step 10) *)
       charge_pf t e Params.map_page_cycles;
       ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page)
@@ -649,13 +643,15 @@ let resume_ready t e =
   | Some task -> step_task t e task
   | None -> assert false
 
-(* Work stealing: take the head of the longest sibling queue (FCFS
-   order within the victim); the scan itself costs cycles. *)
-let try_steal t (w : worker) =
+(* Work stealing: take the head of the longest sibling queue that
+   [queue] selects (FCFS order within the victim). The scan costs
+   cycles, and the victim may drain its own queue during that wait (the
+   take re-checks). *)
+let try_steal t (w : worker) queue =
   let victim = ref None and best = ref 0 in
   Array.iter
     (fun v ->
-      let len = Queue.length v.local in
+      let len = Queue.length (queue v) in
       if v.wid <> w.wid && len > !best then begin
         victim := Some v;
         best := len
@@ -665,39 +661,8 @@ let try_steal t (w : worker) =
   | Some v ->
     acct_cpu t ~cpu:w.wid Acct.Dispatch;
     Proc.wait Params.steal_cycles;
-    let taken = Queue.take_opt v.local in
-    (match taken with
-    | Some _ -> bump t Counter.Steals
-    | None -> ());
-    taken
-  | None -> None
-
-(* The Steal system's extra axis: an idle worker also steals
-   blocked-then-resumed requests from the longest sibling *ready*
-   queue, re-homing the request — its later faults are issued on the
-   thief's QPs and its later resumptions land on the thief. The scan
-   costs the same as a local-queue steal, and the victim may drain its
-   own queue during that wait (the take re-checks). *)
-let try_steal_ready t (w : worker) =
-  let victim = ref None and best = ref 0 in
-  Array.iter
-    (fun v ->
-      let len = Queue.length v.ready in
-      if v.wid <> w.wid && len > !best then begin
-        victim := Some v;
-        best := len
-      end)
-    t.workers;
-  match !victim with
-  | Some v ->
-    acct_cpu t ~cpu:w.wid Acct.Dispatch;
-    Proc.wait Params.steal_cycles;
-    let taken = Queue.take_opt v.ready in
-    (match taken with
-    | Some e ->
-      bump t Counter.Steals;
-      e.worker <- Some w
-    | None -> ());
+    let taken = Queue.take_opt (queue v) in
+    if Option.is_some taken then bump t Counter.Steals;
     taken
   | None -> None
 
@@ -724,7 +689,8 @@ let rec worker_loop t (w : worker) =
         worker_loop t w
       | None -> (
         let stolen =
-          if t.cfg.Config.dispatch = Config.Work_stealing then try_steal t w
+          if t.cfg.Config.dispatch = Config.Work_stealing then
+            try_steal t w (fun v -> v.local)
           else None
         in
         match stolen with
@@ -734,12 +700,18 @@ let rec worker_loop t (w : worker) =
           run_entry t w e;
           worker_loop t w
         | None -> (
+          (* the Steal system's extra axis: blocked-then-resumed
+             requests from the sibling ready queues, re-homed so their
+             later faults are issued on the thief's QPs and their later
+             resumptions land on the thief *)
           let resumed =
-            if t.cfg.Config.system = Config.Steal then try_steal_ready t w
+            if t.cfg.Config.system = Config.Steal then
+              try_steal t w (fun v -> v.ready)
             else None
           in
           match resumed with
           | Some e ->
+            e.worker <- Some w;
             w.idle <- false;
             resume_ready t e;
             worker_loop t w
@@ -897,10 +869,7 @@ let prefill_pages t =
   end
 
 let evict_page t ~page ~dirty =
-  if Bytes.get t.prefetched page = '\001' then begin
-    Bytes.set t.prefetched page '\000';
-    t.prefetch_stats.Prefetcher.wasted <- t.prefetch_stats.Prefetcher.wasted + 1
-  end;
+  drop_prefetched t page;
   if dirty then begin
     (* write the page back to every alive replica before dropping it *)
     let bytes = t.app.App.page_size in
@@ -969,10 +938,8 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
   Pager.attach_locator pager (fun page ->
       fst (Cluster.route_read cluster ~page));
   let node0 = (Cluster.nodes cluster).(0) in
-  let memnode = node0.Cluster.memnode in
   let nic = node0.Cluster.nic in
   let rdma_rx_link = node0.Cluster.rx_link in
-  let rdma_tx_link = node0.Cluster.tx_link in
   let reply_link = Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead () in
   let reply_channel =
     Raw_eth.create sim ~link:reply_link
@@ -1021,14 +988,11 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       arena;
       pager;
       cluster;
-      memnode;
       nic;
       reclaim_qps;
       reclaim_cq;
       reply_channel;
-      reply_link;
       rdma_rx_link;
-      rdma_tx_link;
       workers;
       pending = Queue.create ();
       dispatch_gate = Proc.Gate.create sim;
@@ -1088,7 +1052,10 @@ let register_metrics t reg ~labels =
   Registry.counter reg ~name:"adios_sim_clamped_schedules_total"
     ~help:"Past-deadline schedules clamped to now by the engine" ~labels
     (fun () -> Sim.clamped_schedules t.sim);
-  Nic.register_metrics t.nic reg ~labels;
+  (* a multi-node topology registers every NIC, node 0's included,
+     under a node label below *)
+  if not (Cluster.enabled t.cfg.Config.cluster) then
+    Nic.register_metrics t.nic reg ~labels;
   Pager.register_metrics t.pager reg ~labels;
   (match t.reclaimer with
   | Some r -> Reclaimer.register_metrics r reg ~labels

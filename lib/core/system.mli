@@ -82,24 +82,9 @@ val rdma_rx_link : t -> Adios_rdma.Link.t
     utilization plotted in Figs. 2(e)/7(e)); see
     {!Adios_cluster.Cluster.total_rx_bytes} for the whole topology. *)
 
-val rdma_tx_link : t -> Adios_rdma.Link.t
-(** Node 0's compute-to-memory link carrying write-backs. *)
-
-val reply_link : t -> Adios_rdma.Link.t
-(** Compute-to-client link carrying replies. *)
-
-val memnode : t -> Adios_rdma.Memnode.t
-(** Memory node 0 — the whole cluster under the default topology. *)
-
 val cluster : t -> Adios_cluster.Cluster.t
 (** The memory-node topology: placement directory, per-node links and
     NICs, failover and re-replication state. *)
-
-val arena : t -> Adios_mem.Arena.t
-
-val worker_outstanding : t -> int array
-(** Per-worker outstanding page fetches (Algorithm 1's signal),
-    exposed for tests. *)
 
 val prefetch_stats : t -> Adios_mem.Prefetcher.stats
 (** Prefetch engine accounting (issued / useful / wasted). *)

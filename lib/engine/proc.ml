@@ -3,7 +3,6 @@ type _ Effect.t +=
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let wait dt = Effect.perform (Wait dt)
-let yield () = wait 0
 let suspend register = Effect.perform (Suspend register)
 
 (* One process's blocking state, allocated once at [spawn]. A process
@@ -93,25 +92,4 @@ module Gate = struct
       t.waiter <- None;
       resume ()
     | None -> t.pending <- true
-end
-
-module Mailbox = struct
-  type 'a t = { queue : 'a Queue.t; gate : Gate.t }
-
-  let create sim = { queue = Queue.create (); gate = Gate.create sim }
-
-  let send t v =
-    Queue.push v t.queue;
-    Gate.signal t.gate
-
-  let try_recv t = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue)
-
-  let rec recv t =
-    match try_recv t with
-    | Some v -> v
-    | None ->
-      Gate.await t.gate;
-      recv t
-
-  let length t = Queue.length t.queue
 end

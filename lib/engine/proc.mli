@@ -18,9 +18,6 @@ val wait : Clock.cycles -> unit
 (** Block the calling process for a virtual duration. Must be called from
     process context. [wait 0] yields through the event loop. *)
 
-val yield : unit -> unit
-(** [yield ()] is [wait 0]. *)
-
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and hands a one-shot
     [resume] thunk to [register]. Calling [resume] (from any event
@@ -43,24 +40,4 @@ module Gate : sig
   val signal : t -> unit
   (** Wake the waiter, or remember the signal if nobody waits yet.
       Multiple signals before an [await] coalesce into one. *)
-end
-
-(** Unbounded FIFO channel with a single blocking consumer. *)
-module Mailbox : sig
-  type 'a t
-
-  val create : Sim.t -> 'a t
-  (** Fresh empty mailbox. *)
-
-  val send : 'a t -> 'a -> unit
-  (** Enqueue a value; wakes the consumer if it is blocked in {!recv}. *)
-
-  val recv : 'a t -> 'a
-  (** Dequeue, blocking the calling process while empty. *)
-
-  val try_recv : 'a t -> 'a option
-  (** Non-blocking dequeue. *)
-
-  val length : 'a t -> int
-  (** Values currently queued. *)
 end

@@ -80,29 +80,16 @@ let cycles_in t (c : cpu) st =
   in
   c.closed.(state_index st) + open_span
 
-type snapshot = {
-  duration : int;
-  cpus : int;
-  cycles : int array array;
-  episodes : Histogram.t array array;
-}
+type snapshot = { duration : int; cpus : int; cycles : int array array }
 
 let snapshot t =
-  let now = Adios_engine.Sim.now t.sim in
-  let copy_hist h =
-    let dst = Histogram.create () in
-    Histogram.merge_into ~dst h;
-    dst
-  in
   {
-    duration = now - t.created_at;
+    duration = Adios_engine.Sim.now t.sim - t.created_at;
     cpus = Array.length t.slots;
     cycles =
       Array.map
         (fun c -> Array.of_list (List.map (cycles_in t c) states))
         t.slots;
-    episodes =
-      Array.map (fun (c : cpu) -> Array.map copy_hist c.episodes) t.slots;
   }
 
 let state_cycles snap ?cpus state =
@@ -119,12 +106,6 @@ let share snap ?cpus state =
   let total = n * snap.duration in
   if total <= 0 then 0.
   else float_of_int (state_cycles snap ~cpus:n state) /. float_of_int total
-
-let merged_episodes snap state =
-  let si = state_index state in
-  let dst = Histogram.create () in
-  Array.iter (fun row -> Histogram.merge_into ~dst row.(si)) snap.episodes;
-  dst
 
 let cpu_label t cpu =
   (* the last slot is the dispatcher by the convention in the mli *)

@@ -67,9 +67,6 @@ type snapshot = {
   cycles : int array array;
       (** [cycles.(cpu).(state_index st)]: total cycles [cpu] spent in
           [st]; rows sum to [duration] exactly *)
-  episodes : Adios_stats.Histogram.t array array;
-      (** closed-episode lengths per (cpu, state); the episode open at
-          snapshot time is not included *)
 }
 
 val snapshot : t -> snapshot
@@ -82,10 +79,6 @@ val state_cycles : snapshot -> ?cpus:int -> state -> int
 val share : snapshot -> ?cpus:int -> state -> float
 (** [state_cycles] as a fraction of the summed duration of the first
     [cpus] slots; 0 for an empty window. *)
-
-val merged_episodes : snapshot -> state -> Adios_stats.Histogram.t
-(** Episode lengths of a state merged across every CPU (fresh
-    histogram; the snapshot is not mutated). *)
 
 val register_metrics :
   t -> Registry.t -> labels:(string * string) list -> unit

@@ -16,7 +16,6 @@
    aggregation state is plain data — safe to Marshal across forked
    sweep workers. *)
 
-module Histogram = Adios_stats.Histogram
 module Registry = Adios_obs.Registry
 
 type req = {
@@ -147,8 +146,6 @@ type band_stats = {
   requests : int;
   e2e_cycles : int;  (* total end-to-end cycles over the band *)
   phase_cycles : int array;  (* per-phase totals; sums to [e2e_cycles] *)
-  phase_hist : Histogram.t array;
-      (* per-request cycles in each phase, conditioned on the band *)
 }
 
 type slow = { id : int; e2e : int; cycles : int array }
@@ -158,7 +155,6 @@ type summary = {
   measured : int;  (* post-warmup, non-errored: the banded population *)
   errored : int;
   violations : int;  (* requests whose phases failed to sum to e2e *)
-  thresholds : int array;  (* p50 / p99 / p99.9 e2e cycles, length 3 *)
   bands : band_stats array;  (* length [band_count], band_names order *)
   slowest : slow array;  (* top-K by e2e, descending *)
 }
@@ -188,7 +184,6 @@ let summary ?(top_k = 32) t =
           requests = 0;
           e2e_cycles = 0;
           phase_cycles = Array.make Phase.count 0;
-          phase_hist = Array.init Phase.count (fun _ -> Histogram.create ());
         })
   in
   let requests = Array.make band_count 0 in
@@ -200,8 +195,7 @@ let summary ?(top_k = 32) t =
     e2e_tot.(b) <- e2e_tot.(b) + s.e2e;
     let st = bands.(b) in
     for p = 0 to Phase.count - 1 do
-      st.phase_cycles.(p) <- st.phase_cycles.(p) + s.scycles.(p);
-      Histogram.record st.phase_hist.(p) s.scycles.(p)
+      st.phase_cycles.(p) <- st.phase_cycles.(p) + s.scycles.(p)
     done
   done;
   let bands =
@@ -227,7 +221,6 @@ let summary ?(top_k = 32) t =
     measured = n;
     errored = t.errored;
     violations = t.sum_violations;
-    thresholds = [| p50; p99; p999 |];
     bands;
     slowest;
   }

@@ -1,9 +1,8 @@
 (** Streaming critical-path profiler: decomposes each admitted request's
     end-to-end latency into an exact, non-overlapping {!Phase}
-    segmentation, then aggregates per-phase HDR histograms conditioned
-    on the request's latency band (p0–p50, p50–p99, p99–p99.9,
-    >p99.9) — so "what do tail requests spend their time on" is a
-    first-class query.
+    segmentation, then totals each phase's cycles per latency band
+    (p0–p50, p50–p99, p99–p99.9, >p99.9) — so "what do tail requests
+    spend their time on" is a first-class query.
 
     Invariant: for every finalized request, phase cycles sum exactly to
     end-to-end latency (reply RX − client TX). The probes guarantee it
@@ -72,8 +71,6 @@ type band_stats = {
   phase_cycles : int array;
       (** per-phase totals, {!Phase.index} order; sums to [e2e_cycles]
           exactly (the conservation oracle re-checks this per band) *)
-  phase_hist : Adios_stats.Histogram.t array;
-      (** distribution of per-request cycles in each phase *)
 }
 
 type slow = { id : int; e2e : int; cycles : int array }
@@ -83,7 +80,6 @@ type summary = {
   measured : int;  (** post-warmup non-errored: the banded population *)
   errored : int;
   violations : int;
-  thresholds : int array;  (** p50 / p99 / p99.9 e2e cycles *)
   bands : band_stats array;  (** length {!band_count} *)
   slowest : slow array;  (** top-K requests by e2e, descending *)
 }

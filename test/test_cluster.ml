@@ -12,6 +12,8 @@ module Event = Adios_trace.Event
 module Checker = Adios_trace.Checker
 module Sink = Adios_trace.Sink
 module Registry = Adios_obs.Registry
+module Config = Adios_core.Config
+module Runner = Adios_core.Runner
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -217,6 +219,35 @@ let test_node_labelled_metrics () =
       check_bool (want ^ " exported") true (List.mem want series))
     [ 0; 1 ]
 
+(* A clustered run registers each node's NIC once, under its node label:
+   an unlabelled copy of node 0's would count its posts twice in any sum
+   over the family. *)
+let test_nic_series_node_labelled () =
+  let cfg =
+    {
+      (Config.default Config.Adios) with
+      Config.cluster = topo ~nodes:2 ~replication:1 ();
+    }
+  in
+  let reg = Registry.create () in
+  ignore
+    (Runner.run cfg
+       (Adios_apps.Array_bench.app ~pages:2048 ())
+       ~offered_krps:500. ~requests:1000 ~metrics:reg ());
+  let nic =
+    List.filter
+      (fun m -> String.starts_with ~prefix:"adios_nic_" m.Registry.name)
+      (Registry.metrics reg)
+  in
+  check_bool "NIC series registered" true (nic <> []);
+  List.iter
+    (fun m ->
+      check_bool
+        (Registry.series_name m ^ " carries a node label")
+        true
+        (List.mem_assoc "node" m.Registry.labels))
+    nic
+
 (* --- checker rules on synthetic streams ----------------------------------- *)
 
 let ev ?(ts = 0) ?(req = Event.none) ?(worker = Event.none)
@@ -283,6 +314,8 @@ let () =
         [
           Alcotest.test_case "node-labelled series" `Quick
             test_node_labelled_metrics;
+          Alcotest.test_case "every NIC series node-labelled" `Quick
+            test_nic_series_node_labelled;
         ] );
       ( "checker",
         [

@@ -414,21 +414,6 @@ let test_gate_no_lost_wakeup sim =
   Sim.run sim;
   check_bool "coalesced" false !woke2
 
-let test_mailbox sim =
-  let mb = Proc.Mailbox.create sim in
-  let got = ref [] in
-  Proc.spawn sim (fun () ->
-      for _ = 1 to 3 do
-        got := Proc.Mailbox.recv mb :: !got
-      done);
-  Sim.schedule sim ~delay:10 (fun () -> Proc.Mailbox.send mb 1);
-  Sim.schedule sim ~delay:20 (fun () ->
-      Proc.Mailbox.send mb 2;
-      Proc.Mailbox.send mb 3);
-  Sim.run sim;
-  check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3 ] (List.rev !got);
-  check_int "empty" 0 (Proc.Mailbox.length mb)
-
 (* --- rng -------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -571,7 +556,6 @@ let () =
           sim_case "stale resume" test_proc_stale_resume_rejected;
           sim_case "gate" test_gate;
           sim_case "gate no lost wakeup" test_gate_no_lost_wakeup;
-          sim_case "mailbox" test_mailbox;
         ] );
       ( "rng",
         [
