@@ -8,11 +8,14 @@
    its own golden/oracle suite for the Adios-vs-work-stealing dispatch
    contrast. Every registry app, swept on each backend with its points
    sharing one dataset image, must give the dataset the same points give
-   one at a time on fresh builds. A small spec checks the contract the
-   three backends share (failure naming, progress order) and that the
-   sequential backend lets go of each point's testbed. Synthetic
-   datasets then exercise each oracle's failure direction, so a broken
-   oracle (one that never fires) also fails here. *)
+   one at a time on fresh builds, also where a fork worker runs two silo
+   points on its image. A small spec checks the contract the three
+   backends share (failure naming, progress order), that the fork
+   backend runs a block on at most [jobs] workers and leaves none behind
+   however the sweep ends, and that the sequential backend lets go of
+   each point's testbed. Synthetic datasets then exercise each oracle's
+   failure direction, so a broken oracle (one that never fires) also
+   fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
@@ -377,15 +380,71 @@ let test_contract_progress () =
         seen)
     (Lazy.force contract_runs)
 
+(* --- the fork backend's pools ---------------------------------------------
+
+   These fork, so the group lists them ahead of the contract tests,
+   whose runs spawn a domain. *)
+
+(* No forked worker may outlive Sweep.run: waitpid must find no child,
+   exited or running. *)
+let check_no_child () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.fail "a worker is still running"
+  | pid, _ -> Alcotest.failf "worker %d exited but was never reaped" pid
+
+(* The contract spec is one block of six points: at jobs=2 they run on
+   two long-lived workers, not one process per point. *)
+let test_pool_processes () =
+  let log = Filename.temp_file "sweep-pids" ".txt" in
+  let note_pid c =
+    Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o600 log (fun oc ->
+        Printf.fprintf oc "%d\n" (Unix.getpid ()));
+    c
+  in
+  ignore (Sweep.run ~jobs:2 ~cfg_tweak:note_pid contract_spec);
+  let pids =
+    In_channel.with_open_bin log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove log;
+  check Alcotest.int "points run" (Array.length contract_points)
+    (List.length pids);
+  check Alcotest.int "worker processes" 2
+    (List.length (List.sort_uniq String.compare pids))
+
+(* A worker that dies mid-point fails that point, through the EOF on
+   its result pipe, and its sibling is still reaped. *)
+let test_pool_worker_dies () =
+  let die_at_2 (c : Config.t) =
+    if c.Config.seed = contract_points.(2).Spec.point_seed then
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+    c
+  in
+  Alcotest.check_raises "the dead worker's point is named"
+    (Failure
+       ("sweep point "
+       ^ Sweep.point_label contract_points.(2)
+       ^ ": worker exited before reporting"))
+    (fun () -> ignore (Sweep.run ~jobs:2 ~cfg_tweak:die_at_2 contract_spec));
+  check_no_child ()
+
+let test_pool_progress_raises () =
+  Alcotest.check_raises "progress's exception passes through" Exit (fun () ->
+      ignore
+        (Sweep.run ~jobs:2 ~progress:(fun _ _ -> raise Exit) contract_spec));
+  check_no_child ()
+
 (* The sequential backend keeps dead testbeds from piling up at the
    collector's whim: each point's App.t, which its testbed holds, is
-   collected before the point two places later starts. *)
+   collected before the next point starts. *)
 let test_sequential_releases_testbeds () =
   let apps = Weak.create (Array.length contract_points) in
   let started = ref 0 and held = ref [] in
   let track make () =
     let i = !started in
-    if i >= 2 && Weak.check apps (i - 2) then held := (i - 2) :: !held;
+    if i >= 1 && Weak.check apps (i - 1) then held := (i - 1) :: !held;
     incr started;
     let app = make () in
     Weak.set apps i (Some app);
@@ -402,7 +461,7 @@ let test_sequential_releases_testbeds () =
   check Alcotest.int "points started" (Array.length contract_points) !started;
   check
     Alcotest.(list int)
-    "points whose App.t outlived the start of the point two later" []
+    "points whose App.t outlived the start of the next point" []
     (List.rev !held)
 
 (* --- shared dataset images ----------------------------------------------- *)
@@ -471,6 +530,23 @@ let test_images_fork () =
   check Alcotest.int "one coordinator factory call per app block"
     (List.length image_spec.Spec.apps)
     !calls
+
+(* Above, each fork worker runs one point per block. Here a block of
+   three silo points runs on two workers, so one of them runs two points
+   on its image and must roll the first one's writes back. *)
+let test_images_fork_rollback () =
+  let spec =
+    Spec.make ~name:"rollback" ~apps:[ "silo" ] ~systems:[ Config.Adios ]
+      ~loads:[ 150.; 300.; 450. ] ~requests:150 ()
+  in
+  check Alcotest.string "a worker's second point sees the pristine image"
+    (image_csv
+       (List.map
+          (fun p ->
+            Gc.full_major ();
+            (p, Sweep.run_point spec p))
+          (Spec.points spec)))
+    (image_csv (Sweep.run ~jobs:2 spec))
 
 let test_images_domains () =
   check Alcotest.string "per-domain images give the fresh builds' dataset"
@@ -743,9 +819,17 @@ let () =
             test_images_sequential;
           Alcotest.test_case "fork matches fresh builds" `Quick
             test_images_fork;
+          Alcotest.test_case "fork workers roll back" `Quick
+            test_images_fork_rollback;
         ] );
       ( "backends",
         [
+          Alcotest.test_case "a block runs on at most jobs workers" `Quick
+            test_pool_processes;
+          Alcotest.test_case "a dead worker fails its point" `Quick
+            test_pool_worker_dies;
+          Alcotest.test_case "raising progress leaves no worker" `Quick
+            test_pool_progress_raises;
           Alcotest.test_case "lowest failing point named" `Quick
             test_contract_failure;
           Alcotest.test_case "progress in points order" `Quick
