@@ -18,23 +18,9 @@ module Checker = Adios_trace.Checker
 module Registry = Adios_obs.Registry
 module Openmetrics = Adios_obs.Openmetrics
 
-let system_names = [ "adios"; "dilos"; "dilos-p"; "hermit"; "steal" ]
-
 let system_conv =
-  let parse = function
-    | "dilos" -> Ok Config.Dilos
-    | "dilos-p" | "dilosp" -> Ok Config.Dilos_p
-    | "adios" -> Ok Config.Adios
-    | "hermit" -> Ok Config.Hermit
-    | "steal" -> Ok Config.Steal
-    | s ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown system %S (valid: %s)" s
-              (String.concat ", " system_names)))
-  in
   let print ppf s = Format.pp_print_string ppf (Config.system_name s) in
-  Cmdliner.Arg.conv (parse, print)
+  Cmdliner.Arg.conv (Config.system_of_name, print)
 
 let app_of_name s =
   match Adios_apps.Registry.find s with
@@ -59,8 +45,8 @@ let dispatch_conv =
   Cmdliner.Arg.conv (parse, print)
 
 let run system app load requests local_ratio dispatch prefetch no_delegation
-    seed show_cdf trace_file timeseries_file trace_cap
-    metrics_file metrics_csv_file metrics_interval_us fault_drop fault_spike
+    seed show_cdf trace_file trace_cap metrics_file metrics_csv_file
+    sample_period fault_drop fault_spike
     fault_stall fault_throttle fault_seed fetch_timeout_us fetch_retries
     profile profile_out =
   let cfg = Config.default system in
@@ -99,9 +85,6 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
     | None -> Sink.null
     | Some _ -> Sink.create ~capacity:trace_cap
   in
-  let timeline =
-    match timeseries_file with None -> None | Some _ -> Some (Timeline.create ())
-  in
   let metrics =
     match (metrics_file, metrics_csv_file) with
     | None, None -> None
@@ -112,10 +95,8 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
   in
   let profile = profile || profile_out <> None in
   let r =
-    Runner.run cfg app ~offered_krps:load ~requests ~trace ?timeline ?metrics
-      ?snapshot
-      ~sample_period:(Clock.of_us metrics_interval_us)
-      ~profile ()
+    Runner.run cfg app ~offered_krps:load ~requests ~trace ?metrics ?snapshot
+      ~sample_period ~profile ()
   in
   Report.result_line r;
   Report.cpu_efficiency ~title:"CPU efficiency" [ (r.Runner.system, r) ];
@@ -160,13 +141,6 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
         s.Profiler.violations;
       exit 1
     end);
-  (match (timeseries_file, timeline) with
-  | Some path, Some tl ->
-    write path (fun () -> Timeline.write_csv ~path tl);
-    Format.printf "timeseries: %d samples x %d series -> %s@." (Timeline.length tl)
-      (List.length (Timeline.names tl))
-      path
-  | _ -> ());
   (match (metrics_csv_file, snapshot) with
   | Some path, Some snap ->
     write path (fun () -> Timeline.write_csv ~path snap);
@@ -221,7 +195,10 @@ let system_arg =
     value
     & opt system_conv Config.Adios
     & info [ "system"; "s" ] ~docv:"SYSTEM"
-        ~doc:"System under test: adios, dilos, dilos-p or hermit.")
+        ~doc:
+          ("System under test: "
+          ^ String.concat ", " (List.map fst Config.systems)
+          ^ "."))
 
 let app_arg =
   Arg.(
@@ -229,8 +206,9 @@ let app_arg =
     & opt app_conv (Adios_apps.Array_bench.app ())
     & info [ "app"; "a" ] ~docv:"APP"
         ~doc:
-          "Application: array, memcached, memcached-1024, rocksdb, silo or \
-           faiss.")
+          ("Application: "
+          ^ String.concat ", " Adios_apps.Registry.names
+          ^ "."))
 
 let load_arg =
   Arg.(
@@ -286,15 +264,6 @@ let trace_arg =
            The trace-derived invariant checker runs on the recorded events; \
            violations are printed and make the run exit non-zero.")
 
-let timeseries_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "timeseries" ] ~docv:"FILE"
-        ~doc:
-          "Sample queue depths, in-flight faults, free frames and link \
-           utilization every 5us and write the series to FILE as CSV.")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -313,18 +282,29 @@ let metrics_csv_arg =
     & opt (some string) None
     & info [ "metrics-csv" ] ~docv:"FILE"
         ~doc:
-          "Sample every scalar metric periodically (see \
-           --metrics-interval-us) and write the series to FILE as CSV. \
-           Shares its sampling clock with --timeseries, so rows of the two \
-           files align 1:1.")
+          "Sample every scalar metric (each counter and gauge, one column \
+           per labelled series) periodically (see --metrics-interval-us) \
+           and write the series to FILE as CSV.")
+
+(* a duration in microseconds, parsed to cycles; one that rounds to 0
+   cycles is a usage error *)
+let period_us =
+  let parse s =
+    match float_of_string_opt s with
+    | Some us when Clock.of_us us > 0 -> Ok (Clock.of_us us)
+    | Some _ ->
+      Error (`Msg "must round to at least one cycle (1 cycle = 0.0005 us)")
+    | None -> Error (`Msg ("not a number: " ^ s))
+  in
+  let print ppf cycles = Format.fprintf ppf "%g" (Clock.to_us cycles) in
+  Cmdliner.Arg.conv (parse, print)
 
 let metrics_interval_arg =
   Arg.(
-    value & opt float 5.
+    value
+    & opt period_us (Clock.of_us 5.)
     & info [ "metrics-interval-us" ] ~docv:"US"
-        ~doc:
-          "Sampling period in microseconds for --metrics-csv and \
-           --timeseries (default 5).")
+        ~doc:"Sampling period in microseconds for --metrics-csv (default 5).")
 
 let positive_int =
   let parse s =
@@ -442,7 +422,7 @@ let cmd =
     Term.(
       const run $ system_arg $ app_arg $ load_arg $ requests_arg $ ratio_arg
       $ dispatch_arg $ prefetch_arg $ no_delegation_arg $ seed_arg $ cdf_arg
-      $ trace_arg $ timeseries_arg $ trace_cap_arg
+      $ trace_arg $ trace_cap_arg
       $ metrics_out_arg $ metrics_csv_arg $ metrics_interval_arg
       $ fault_drop_arg $ fault_spike_arg $ fault_stall_arg
       $ fault_throttle_arg $ fault_seed_arg $ fetch_timeout_arg

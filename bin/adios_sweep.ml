@@ -23,19 +23,6 @@ let bundle spec ?k ds =
   else if List.mem Config.Steal spec.Spec.systems then Oracle.check_steal ?k ds
   else Oracle.check_all ?k ds
 
-let system_of_name = function
-  | "dilos" -> Ok Config.Dilos
-  | "dilos-p" | "dilosp" -> Ok Config.Dilos_p
-  | "adios" -> Ok Config.Adios
-  | "hermit" -> Ok Config.Hermit
-  | "steal" -> Ok Config.Steal
-  | s ->
-    Error
-      (`Msg
-         (Printf.sprintf "unknown system %S (valid: %s)" s
-            (String.concat ", "
-               [ "adios"; "dilos"; "dilos-p"; "hermit"; "steal" ])))
-
 let comma_list conv_one =
   let parse s =
     let rec go acc = function
@@ -298,7 +285,7 @@ let spec_arg =
 let systems_arg =
   let systems_conv =
     Arg.conv
-      ( comma_list system_of_name,
+      ( comma_list Config.system_of_name,
         fun ppf l ->
           Format.pp_print_string ppf
             (String.concat "," (List.map Config.system_name l)) )

@@ -15,9 +15,9 @@
    growth, error reporting) that allocate by design and are amortised
    or unreachable in steady state.
 
-   The boxed-record heap the flat-array heap is differentially tested
-   against lives in test/heap_reference.ml, outside the linted tree:
-   allocating is its whole point. *)
+   The boxed-record heap under the reference scheduler that
+   test_engine_diff runs [Sim] against lives in test/heap_reference.ml,
+   outside the linted tree: allocating is its whole point. *)
 
 type entry = {
   file : string;  (** repo-relative source path *)
@@ -57,21 +57,6 @@ let manifest =
           "heap_top";
         ];
       cold = [ "grow_pool"; "heap_grow" ];
-    };
-    { file = "lib/engine/heap.ml";
-      functions =
-        [
-          "push";
-          "pop_into";
-          "top_time";
-          "top_seq";
-          "popped_time";
-          "popped_seq";
-          "popped_value";
-        ];
-      (* [pop] is the boxed compat shim over [pop_into]; steady-state
-         callers use [pop_into] + the scalar accessors. *)
-      cold = [ "grow" ];
     };
     { file = "lib/rdma/verbs.ml";
       functions = [ "Cq.push"; "Cq.drain" ];

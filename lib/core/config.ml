@@ -7,6 +7,26 @@ let system_name = function
   | Hermit -> "Hermit"
   | Steal -> "Steal"
 
+let systems =
+  [
+    ("adios", Adios);
+    ("dilos", Dilos);
+    ("dilos-p", Dilos_p);
+    ("hermit", Hermit);
+    ("steal", Steal);
+  ]
+
+let system_of_name = function
+  | "dilosp" -> Ok Dilos_p
+  | s -> (
+    match List.assoc_opt s systems with
+    | Some system -> Ok system
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown system %S (valid: %s)" s
+              (String.concat ", " (List.map fst systems)))))
+
 type dispatch = Pf_aware | Round_robin | Partitioned | Work_stealing
 
 type tx_mode = Tx_delegated | Tx_sync_spin | Tx_deferred

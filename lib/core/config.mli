@@ -15,6 +15,15 @@ type system =
 
 val system_name : system -> string
 
+val systems : (string * system) list
+(** Every system under its command-line name ([adios], [dilos],
+    [dilos-p], [hermit], [steal]), in the order the front ends list
+    them. *)
+
+val system_of_name : string -> (system, [> `Msg of string ]) result
+(** Parse a command-line name from {!systems} (or the alias [dilosp]);
+    the error lists the valid names. *)
+
 (** Request dispatching / queueing policy. The first two are single
     (centralized) queue variants; the last two are the designs section
     3.4 argues against, implemented for the comparison. *)

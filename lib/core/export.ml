@@ -135,23 +135,3 @@ let phase_csv_rows (r : Runner.result) =
                  string_of_int b.Profiler.phase_cycles.(Phase.index p))
                Phase.all)
          s.Profiler.bands)
-
-let to_csv sweeps =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (_, results) ->
-      List.iter
-        (fun r ->
-          Buffer.add_string buf (csv_row r);
-          Buffer.add_char buf '\n')
-        results)
-    sweeps;
-  Buffer.contents buf
-
-let write_csv ~path sweeps =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_csv sweeps))

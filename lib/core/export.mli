@@ -47,10 +47,3 @@ val phase_band_columns : string list
 val phase_csv_rows : Runner.result -> string list list
 (** One row per latency band ({!Adios_prof.Profiler.band_names} order)
     under {!phase_band_columns}; [[]] when the run did not profile. *)
-
-val to_csv : (string * Runner.result list) list -> string
-(** A whole sweep — the [(system, results)] pairs the bench harness
-    builds — as a CSV document with header. *)
-
-val write_csv : path:string -> (string * Runner.result list) list -> unit
-(** [to_csv] straight to a file. *)

@@ -12,7 +12,6 @@ module Trace_sink = Adios_trace.Sink
 module Profiler = Adios_prof.Profiler
 module Accountant = Adios_obs.Accountant
 module Registry = Adios_obs.Registry
-module Sampler = Adios_obs.Sampler
 module Cluster = Adios_cluster.Cluster
 
 type result = {
@@ -64,39 +63,15 @@ type result = {
       (* per-request phase attribution, present when the run profiled *)
 }
 
-(* The standard gauge set every time-series run records (DESIGN.md's
-   occupancy signals): queue depths, fault pipeline, memory pressure and
-   fetch-link utilization over the sampling window. *)
-let register_gauges timeline system =
-  let pager = System.pager system in
-  Timeline.add_gauge timeline ~name:"queue_depth" (fun () ->
-      float_of_int (System.pending_depth system));
-  Timeline.add_gauge timeline ~name:"ready_backlog" (fun () ->
-      float_of_int (System.ready_backlog system));
-  Timeline.add_gauge timeline ~name:"busy_workers" (fun () ->
-      float_of_int (System.busy_workers system));
-  Timeline.add_gauge timeline ~name:"inflight_faults" (fun () ->
-      float_of_int (Adios_mem.Pager.inflight pager));
-  Timeline.add_gauge timeline ~name:"free_frames" (fun () ->
-      float_of_int (Adios_mem.Pager.free_frames pager));
-  Timeline.add_gauge timeline ~name:"buffers_in_use" (fun () ->
-      float_of_int
-        (Adios_unithread.Buffer_pool.in_use (System.buffers system)));
-  let link = System.rdma_rx_link system in
-  let last = ref (Link.snapshot link) in
-  Timeline.add_gauge timeline ~name:"rdma_rx_util" (fun () ->
-      let u = Link.utilization_since link ~snapshot:!last in
-      last := Link.snapshot link;
-      u)
-
-let run cfg app ~offered_krps ~requests ?image ?warmup ?(max_seconds = 30.)
-    ?trace ?timeline ?metrics ?snapshot ?(sample_period = Clock.of_us 5.)
-    ?(profile = false) () =
+let run cfg app ~offered_krps ~requests ?image ?trace ?metrics ?snapshot
+    ?(sample_period = Clock.of_us 5.) ?(profile = false) () =
+  if sample_period <= 0 then
+    invalid_arg "Runner.run: sample_period must be positive";
   let image =
     match image with Some image -> image | None -> App.build_image app
   in
   app.App.adopt image.App.handles;
-  let warmup = match warmup with Some w -> w | None -> requests / 10 in
+  let warmup = requests / 10 in
   let sim = Sim.create () in
   let prof = if profile then Some (Profiler.create ()) else None in
   let e2e_hist = Histogram.create () in
@@ -135,17 +110,6 @@ let run cfg app ~offered_krps ~requests ?image ?warmup ?(max_seconds = 30.)
   (match (metrics, prof) with
   | Some reg, Some p -> Profiler.register_metrics p reg ~labels
   | (Some _ | None), _ -> ());
-  (* one shared sampling clock drives both periodic consumers, so the
-     gauge timeline and the metrics snapshot CSV have aligned rows. The
-     sampler is a plain process: it shifts spawn sequence numbers but
-     emits no events into the datapath, so enabling it only adds rows
-     to the CSVs (which is why sweeps run without it). *)
-  let sampler = Sampler.create sim ~period:sample_period in
-  (match timeline with
-  | Some tl ->
-    register_gauges tl system;
-    Sampler.on_tick sampler (fun ~ts -> Timeline.sample tl ~ts)
-  | None -> ());
   (match snapshot with
   | Some snap ->
     let reg =
@@ -157,9 +121,15 @@ let run cfg app ~offered_krps ~requests ?image ?warmup ?(max_seconds = 30.)
         reg
     in
     Registry.attach_timeline reg snap;
-    Sampler.on_tick sampler (fun ~ts -> Timeline.sample snap ~ts)
+    (* a plain process: it shifts spawn sequence numbers but emits no
+       events into the datapath, so a snapshot only adds rows to its
+       CSV (which is why sweeps run without one) *)
+    Proc.spawn sim (fun () ->
+        while true do
+          Proc.wait sample_period;
+          Timeline.sample snap ~ts:(Sim.now sim)
+        done)
   | None -> ());
-  Sampler.start sampler;
   let client_link =
     Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead
       ()
@@ -190,7 +160,7 @@ let run cfg app ~offered_krps ~requests ?image ?warmup ?(max_seconds = 30.)
         let req = Request.make ~id:i ~spec ~tx_at:(Sim.now sim) in
         Raw_eth.send to_compute ~bytes:spec.Request.req_bytes req
       done);
-  let horizon = Clock.of_sec max_seconds in
+  let horizon = Clock.of_sec 30. in
   let finished () = !replies + System.drops system >= requests in
   while (not (finished ())) && Sim.now sim < horizon && Sim.step sim do
     ()

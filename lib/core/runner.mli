@@ -80,10 +80,7 @@ val run :
   offered_krps:float ->
   requests:int ->
   ?image:App.image ->
-  ?warmup:int ->
-  ?max_seconds:float ->
   ?trace:Adios_trace.Sink.t ->
-  ?timeline:Adios_trace.Timeline.t ->
   ?metrics:Adios_obs.Registry.t ->
   ?snapshot:Adios_trace.Timeline.t ->
   ?sample_period:Adios_engine.Clock.cycles ->
@@ -92,9 +89,10 @@ val run :
   result
 (** [run cfg app ~offered_krps ~requests ()] builds a fresh simulated
     testbed, injects [requests] Poisson arrivals at the offered rate and
-    returns measurements over the post-warmup window. [warmup] (default
-    [requests/10]) initial requests are excluded from every statistic.
-    [max_seconds] (default 30 simulated seconds) bounds runaway runs.
+    returns measurements over the post-warmup window. The first
+    [requests/10] requests are warmup, excluded from every statistic.
+    The run stops at 30 simulated seconds at the latest, which bounds
+    runaway runs.
 
     [image] is the dataset the run uses: [app] adopts its handles and
     the testbed's memory is its arena. It defaults to a fresh
@@ -104,19 +102,19 @@ val run :
 
     [trace] records the span stream of the whole run (see
     {!Adios_trace.Sink}); the default null sink records nothing and does
-    not perturb the simulation. [timeline], if given, gets the standard
-    gauge set registered (queue depth, ready backlog, busy workers,
-    in-flight faults, free frames, buffers in use, fetch-link
-    utilization) and is sampled every [sample_period] cycles
-    (default 5 us).
+    not perturb the simulation.
 
     [metrics], if given, has the full metric set registered into it
     ({!System.register_metrics}) under a [system] label; read it after
     [run] returns (e.g. through {!Adios_obs.Openmetrics.render}).
-    [snapshot], if given, is sampled with every scalar metric as a
-    series. Both periodic consumers — [timeline] and [snapshot] — are
-    driven by one {!Adios_obs.Sampler}, so their rows share timestamps
-    and align 1:1.
+    [snapshot], if given, gets every scalar metric as a series and is
+    sampled every [sample_period] cycles (default 5 us), the first row
+    one period into the run. The sampling process, spawned only for a
+    snapshot, emits no datapath events, so a snapshot only adds rows.
+    For fetch-link use per tick, take the per-tick delta of
+    [adios_nic_read_bytes_total] and scale it as [rdma_util] scales
+    bytes (wire overhead over the link rate).
+    @raise Invalid_argument if [sample_period <= 0].
 
     [profile] (default false) attaches the critical-path profiler: every
     admitted request's end-to-end latency is decomposed into the exact

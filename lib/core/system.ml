@@ -58,7 +58,6 @@ type t = {
   reclaim_qps : (unit -> unit) Nic.qp array;  (** one per memory node *)
   reclaim_cq : (unit -> unit) Verbs.Cq.t;
   reply_channel : Request.t Raw_eth.t;
-  rdma_rx_link : Link.t;
   workers : worker array;
   pending : entry Queue.t;
   dispatch_gate : Proc.Gate.t;
@@ -90,7 +89,6 @@ let counter t c = t.counts.(Counter.index c)
 let drops_queue = Counter.index Counter.Drops_queue
 let drops_buffer = Counter.index Counter.Drops_buffer
 let drops t = t.counts.(drops_queue) + t.counts.(drops_buffer)
-let pager t = t.pager
 
 let faults_injected t =
   match t.fault with None -> 0 | Some inj -> Injector.injected inj
@@ -128,23 +126,10 @@ let enter t e phase =
     | Some r -> Profiler.switch r ~now:(Sim.now t.sim) phase
     | None -> ()
 
-let pretry t e =
-  if t.prof_on then
-    match e.req.Request.prof with
-    | Some r -> Profiler.note_retry r ~now:(Sim.now t.sim)
-    | None -> ()
-
-let pfailover t e =
-  if t.prof_on then
-    match e.req.Request.prof with
-    | Some r -> Profiler.note_failover r ~now:(Sim.now t.sim)
-    | None -> ()
-
 let reclaimer t =
   match t.reclaimer with Some r -> r | None -> assert false
 
 let buffers t = t.buffers
-let rdma_rx_link t = t.rdma_rx_link
 let cluster t = t.cluster
 
 (* Congestion signal of a worker: fetches outstanding across all its
@@ -153,15 +138,6 @@ let cluster t = t.cluster
 let qp_load w = Array.fold_left (fun acc qp -> acc + Nic.outstanding qp) 0 w.qps
 let node_memnode t node = (Cluster.nodes t.cluster).(node).Cluster.memnode
 let prefetch_stats t = t.prefetch_stats
-let pending_depth t = Queue.length t.pending
-
-let ready_backlog t =
-  Array.fold_left
-    (fun acc w -> acc + Queue.length w.ready + Queue.length w.local)
-    0 t.workers
-
-let busy_workers t =
-  Array.fold_left (fun acc w -> if w.idle then acc else acc + 1) 0 t.workers
 
 let is_busywait cfg =
   match cfg.Config.system with
@@ -298,7 +274,7 @@ let rec post_fetch t f ~req ~blocking n =
       if failover then begin
         Cluster.note_failover t.cluster;
         ev t Trace_event.Failover ~req ~worker ~page;
-        pfailover t e
+        if not (is_busywait t.cfg) then enter t e Phase.Failover_wait
       end;
       if not (Cluster.node_alive t.cluster node) then
         (* every replica dead: the post lands in a dead NIC and the
@@ -347,7 +323,12 @@ and fetch_timer t f n =
       let hwm = Counter.index Counter.Retries_hwm in
       t.counts.(hwm) <- max t.counts.(hwm) (n + 1);
       ev t Trace_event.Fetch_retry ~req ~worker ~page;
-      (match f.owner with Some e -> pretry t e | None -> ());
+      (* a parked owner now waits out the repost; a busy-waiting one
+         stays in [Busy_wait] through it, since its CPU never stops
+         spinning *)
+      (match f.owner with
+      | Some e -> if not (is_busywait t.cfg) then enter t e Phase.Retry_backoff
+      | None -> ());
       post_fetch t f ~req ~blocking:false (n + 1)
     end
   end
@@ -371,8 +352,11 @@ let maybe_prefetch t e (w : worker) page =
       let issued = ref 0 in
       for k = 1 to degree do
         let q = page + (k * stride) in
-        (* the pager's placement directory names the node to pull from *)
-        let node = if q >= 0 && q < pages then Pager.locate t.pager q else 0 in
+        (* the placement directory names the node to pull from *)
+        let node =
+          if q >= 0 && q < pages then fst (Cluster.route_read t.cluster ~page:q)
+          else 0
+        in
         if
           q >= 0 && q < pages
           && Pager.state t.pager q = Pager.Remote
@@ -461,7 +445,8 @@ and fault t e page =
     ensure_present t e page
   | `Go ->
     Pager.start_fetch t.pager page;
-    Memnode.record_read (node_memnode t (Pager.locate t.pager page))
+    Memnode.record_read
+      (node_memnode t (fst (Cluster.route_read t.cluster ~page)))
       ~bytes:t.app.App.page_size;
     maybe_prefetch t e w page;
     let f =
@@ -934,12 +919,8 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       ~rereplicate_gap_cycles:Params.rereplicate_gap_cycles
       ~seed:cfg.Config.seed
   in
-  (* the placement directory the pager consults on fetch routing *)
-  Pager.attach_locator pager (fun page ->
-      fst (Cluster.route_read cluster ~page));
   let node0 = (Cluster.nodes cluster).(0) in
   let nic = node0.Cluster.nic in
-  let rdma_rx_link = node0.Cluster.rx_link in
   let reply_link = Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead () in
   let reply_channel =
     Raw_eth.create sim ~link:reply_link
@@ -992,7 +973,6 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       reclaim_qps;
       reclaim_cq;
       reply_channel;
-      rdma_rx_link;
       workers;
       pending = Queue.create ();
       dispatch_gate = Proc.Gate.create sim;
@@ -1042,13 +1022,18 @@ let register_metrics t reg ~labels =
       else Registry.counter reg ~name:(name ^ "_total") ~help ~labels read)
     Counter.all;
   let gauge name help read = Registry.gauge reg ~name ~help ~labels read in
+  let count_workers f =
+    float_of_int (Array.fold_left (fun acc w -> acc + f w) 0 t.workers)
+  in
   gauge "adios_sys_pending_depth" "Requests in the central queue" (fun () ->
-      float_of_int (pending_depth t));
+      float_of_int (Queue.length t.pending));
   gauge "adios_sys_ready_backlog"
     "Entries across per-worker ready and local queues" (fun () ->
-      float_of_int (ready_backlog t));
+      count_workers (fun w -> Queue.length w.ready + Queue.length w.local));
   gauge "adios_sys_busy_workers" "Workers currently not idle" (fun () ->
-      float_of_int (busy_workers t));
+      count_workers (fun w -> if w.idle then 0 else 1));
+  gauge "adios_sys_buffers_in_use" "Unithread buffers currently in use"
+    (fun () -> float_of_int (Buffer_pool.in_use t.buffers));
   Registry.counter reg ~name:"adios_sim_clamped_schedules_total"
     ~help:"Past-deadline schedules clamped to now by the engine" ~labels
     (fun () -> Sim.clamped_schedules t.sim);

@@ -72,15 +72,8 @@ val faults_injected : t -> int
 (** Completions suppressed or delayed by the fault injector so far
     (0 on a clean fabric). *)
 
-
-val pager : t -> Adios_mem.Pager.t
 val reclaimer : t -> Adios_mem.Reclaimer.t
 val buffers : t -> Adios_unithread.Buffer_pool.t
-
-val rdma_rx_link : t -> Adios_rdma.Link.t
-(** Node 0's memory-to-compute link carrying page fetches (the
-    utilization plotted in Figs. 2(e)/7(e)); see
-    {!Adios_cluster.Cluster.total_rx_bytes} for the whole topology. *)
 
 val cluster : t -> Adios_cluster.Cluster.t
 (** The memory-node topology: placement directory, per-node links and
@@ -88,15 +81,6 @@ val cluster : t -> Adios_cluster.Cluster.t
 
 val prefetch_stats : t -> Adios_mem.Prefetcher.stats
 (** Prefetch engine accounting (issued / useful / wasted). *)
-
-val pending_depth : t -> int
-(** Requests sitting in the central queue right now (gauge). *)
-
-val ready_backlog : t -> int
-(** Entries across all per-worker ready + local queues (gauge). *)
-
-val busy_workers : t -> int
-(** Workers currently not idle (gauge). *)
 
 val accountant : t -> Adios_obs.Accountant.t
 (** Per-CPU time-in-state accounting: slots [0 .. workers-1] are the
@@ -106,7 +90,8 @@ val accountant : t -> Adios_obs.Accountant.t
 val register_metrics :
   t -> Adios_obs.Registry.t -> labels:(string * string) list -> unit
 (** Register every {!Counter.t} (as [adios_sys_<name>_total], or
-    [adios_sys_<name>] for a gauge), the occupancy gauges, the NIC /
+    [adios_sys_<name>] for a gauge), the occupancy gauges (central
+    queue depth, ready backlog, busy workers, buffers in use), the NIC /
     pager / reclaimer metrics, the CPU-state accounting and, under a
     multi-node topology, the cluster metrics into [reg] under
     [labels]. *)

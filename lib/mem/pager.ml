@@ -16,8 +16,6 @@ type t = {
   frame_waiters : (unit -> unit) Queue.t;
   mutable trace : Adios_trace.Sink.t;
   mutable trace_now : unit -> int;
-  mutable locator : (int -> int) option;
-      (* page -> home memory node; None = single-node (everything on 0) *)
 }
 
 let create ~pages ~capacity =
@@ -40,15 +38,11 @@ let create ~pages ~capacity =
     frame_waiters = Queue.create ();
     trace = Adios_trace.Sink.null;
     trace_now = (fun () -> 0);
-    locator = None;
   }
 
 let attach_trace t sink ~now =
   t.trace <- sink;
   t.trace_now <- now
-
-let attach_locator t f = t.locator <- Some f
-let locate t page = match t.locator with None -> 0 | Some f -> f page
 
 let pages t = t.pages
 let capacity t = t.capacity

@@ -24,15 +24,6 @@ val attach_trace : t -> Adios_trace.Sink.t -> now:(unit -> int) -> unit
 (** Route an [Evict] trace event through [sink] for every {!evict},
     timestamped with [now] (the pager itself has no clock). *)
 
-val attach_locator : t -> (int -> int) -> unit
-(** Install the page-to-memory-node map consulted by {!locate}. The
-    cluster layer provides its placement directory here; the pager
-    itself never interprets node ids. *)
-
-val locate : t -> int -> int
-(** Home memory node of a page: the attached locator's answer, or node
-    0 when none is attached (single-node topology). *)
-
 val pages : t -> int
 val capacity : t -> int
 

@@ -86,25 +86,6 @@ let switch r ~now p =
     r.entered_at <- now
   end
 
-(* Is the request currently parked on an in-flight fetch? Only then do
-   retry and failover transitions apply; a busy-waiting baseline stays
-   in [Busy_wait] through its reposts (the CPU never stops spinning,
-   which is precisely the pathology under measurement). *)
-let waiting_on_fetch r =
-  match r.phase with
-  | Phase.Fetch_wire | Phase.Retry_backoff | Phase.Failover_wait -> true
-  | Phase.Req_wire | Phase.Queue | Phase.Ctx_switch | Phase.App_compute
-  | Phase.Pf_software | Phase.Busy_wait | Phase.Steal_wait | Phase.Cq_poll
-  | Phase.Tx ->
-    false
-
-let note_retry r ~now =
-  if (not r.closed) && waiting_on_fetch r then switch r ~now Phase.Retry_backoff
-
-let note_failover r ~now =
-  if (not r.closed) && waiting_on_fetch r then
-    switch r ~now Phase.Failover_wait
-
 let push t s =
   if t.len = Array.length t.samples then begin
     let grown = Array.make (2 * t.len) none in

@@ -32,15 +32,6 @@ val switch : req -> now:int -> Phase.t -> unit
 (** Close the current segment at [now] and enter the given phase.
     No-op when the phase is unchanged or the request is finalized. *)
 
-val note_retry : req -> now:int -> unit
-(** The in-flight fetch timed out and was reposted: subsequent wait is
-    [Retry_backoff]. No-op unless the request is parked on a fetch —
-    a busy-waiting baseline stays in [Busy_wait] through its reposts. *)
-
-val note_failover : req -> now:int -> unit
-(** The fetch was rerouted to a surviving replica: subsequent wait is
-    [Failover_wait]. Same parked-on-fetch guard as {!note_retry}. *)
-
 val finalize :
   t -> req -> done_at:int -> errored:bool -> measured:bool -> unit
 (** Close the open segment at [done_at] (the reply's client RX stamp),

@@ -27,10 +27,21 @@ let length t = t.count
 
 let to_rows t = List.rev t.samples
 
+(* RFC 4180: a field holding a comma, a double quote or a line break is
+   quoted, with each inner quote doubled. Series names carry
+   comma-separated labels ([name{system=Adios,cpu=0}]); row values never
+   need it. *)
+let needs_quotes = function ',' | '"' | '\n' | '\r' -> true | _ -> false
+
+let quote field =
+  if String.exists needs_quotes field then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' field) ^ "\""
+  else field
+
 let to_csv ?(cycles_per_us = 2000) t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (String.concat "," ("ts_cycles" :: "ts_us" :: names t));
+    (String.concat "," ("ts_cycles" :: "ts_us" :: List.map quote (names t)));
   Buffer.add_char buf '\n';
   List.iter
     (fun (ts, row) ->

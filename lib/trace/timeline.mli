@@ -1,11 +1,10 @@
-(** Periodic time-series sampler.
+(** Periodic time series.
 
     A timeline is a set of named gauges (closures returning the current
-    value of some instantaneous quantity — queue depth, free frames,
-    link utilization over the last window) sampled together at periodic
-    timestamps. The runner registers the standard gauges and drives
-    {!sample} from a simulation process; {!to_csv} dumps the matrix for
-    plotting.
+    value of some quantity — queue depth, free frames, bytes fetched so
+    far) sampled together at periodic timestamps. The runner registers
+    every scalar metric of a run on one and drives {!sample} from a
+    simulation process; {!to_csv} dumps the matrix for plotting.
 
     Gauges must all be registered before the first {!sample} so every
     row has the same arity. *)
@@ -31,7 +30,9 @@ val to_rows : t -> (int * float array) list
 (** Samples oldest-first; each array is in {!names} order. *)
 
 val to_csv : ?cycles_per_us:int -> t -> string
-(** CSV with header [ts_cycles,ts_us,<series...>]. [cycles_per_us]
-    defaults to the simulator's 2 GHz clock. *)
+(** CSV with header [ts_cycles,ts_us,<series...>]. A series name that
+    holds a comma, a double quote or a line break is quoted as RFC 4180
+    specifies, so the header has exactly as many fields as every row.
+    [cycles_per_us] defaults to the simulator's 2 GHz clock. *)
 
 val write_csv : ?cycles_per_us:int -> path:string -> t -> unit

@@ -1,12 +1,11 @@
 (** Reference binary min-heap keyed by [(time, sequence)].
 
-    This is the original boxed-entry event heap, kept verbatim as the
-    behavioural oracle for the allocation-free {!Heap} and the wheel/heap
-    scheduler inside {!Sim}: the differential property suite
-    ([test_engine_diff]) replays random schedules against both and
-    asserts identical [(time, seq, value)] pop streams, including FIFO
-    order for same-time entries. Do not optimise this module — its value
-    is that it stays simple and obviously correct. *)
+    This is the original boxed-entry event heap, kept verbatim under the
+    reference scheduler that the differential property suite
+    ([test_engine_diff]) replays random schedules on, against the
+    wheel/heap scheduler inside {!Sim}; same-time entries pop in FIFO
+    order. Do not optimise this module — its value is that it stays
+    simple and obviously correct. *)
 
 type 'a t
 (** Heap of payloads ordered by ascending key. *)

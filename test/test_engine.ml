@@ -1,4 +1,3 @@
-module Heap = Adios_engine.Heap
 module Clock = Adios_engine.Clock
 module Sim = Adios_engine.Sim
 module Proc = Adios_engine.Proc
@@ -7,134 +6,6 @@ module Rng = Adios_engine.Rng
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
-
-(* --- heap ------------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Heap.create () in
-  check_bool "empty" true (Heap.is_empty h);
-  Heap.push h ~time:5 ~seq:1 "a";
-  Heap.push h ~time:3 ~seq:2 "b";
-  Heap.push h ~time:7 ~seq:3 "c";
-  check_int "len" 3 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek" (Some 3) (Heap.peek_time h);
-  let pop () =
-    match Heap.pop h with Some (t, _, v) -> (t, v) | None -> (-1, "!")
-  in
-  check (Alcotest.pair Alcotest.int Alcotest.string) "min" (3, "b") (pop ());
-  check (Alcotest.pair Alcotest.int Alcotest.string) "next" (5, "a") (pop ());
-  check (Alcotest.pair Alcotest.int Alcotest.string) "last" (7, "c") (pop ());
-  check_bool "drained" true (Heap.pop h = None)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun i -> Heap.push h ~time:9 ~seq:i i) [ 1; 2; 3; 4; 5 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !order)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list (pair small_nat small_nat))
-    (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-      let rec drain acc =
-        match Heap.pop h with
-        | Some (t, _, _) -> drain (t :: acc)
-        | None -> List.rev acc
-      in
-      let times = drain [] in
-      List.sort compare times = times)
-
-let drain_all h =
-  let rec go acc =
-    match Heap.pop h with
-    | Some (t, s, v) -> go ((t, s, v) :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-(* Stronger than sortedness: the drain is exactly the stable sort of the
-   pushed entries by time — same-timestamp events leave in push (seq)
-   order. This is the FIFO-tie guarantee the whole simulator's
-   determinism rests on. *)
-let prop_heap_stable_fifo =
-  QCheck.Test.make ~name:"heap drain = stable sort (same-time FIFO)"
-    ~count:300
-    (* small_nat times force plenty of timestamp collisions *)
-    QCheck.(list (int_range 0 8))
-    (fun times ->
-      let h = Heap.create () in
-      List.iteri (fun i t -> Heap.push h ~time:t ~seq:i i) times;
-      let expected =
-        List.stable_sort
-          (fun (a, _, _) (b, _, _) -> compare a b)
-          (List.mapi (fun i t -> (t, i, i)) times)
-      in
-      drain_all h = expected)
-
-let prop_heap_drain_to_empty =
-  QCheck.Test.make ~name:"heap drains to empty" ~count:300
-    QCheck.(list (pair small_nat small_nat))
-    (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-      let popped = List.length (drain_all h) in
-      popped = List.length entries
-      && Heap.is_empty h && Heap.length h = 0 && Heap.pop h = None
-      && Heap.peek_time h = None)
-
-(* Growth from the empty [[||]] backing array: the first push allocates
-   storage and pushes past the initial capacity double it, preserving
-   order throughout. *)
-let test_heap_growth_from_empty () =
-  let h = Heap.create () in
-  check_bool "starts empty" true (Heap.is_empty h);
-  check_int "empty top sentinel" max_int (Heap.top_time h);
-  for i = 0 to 199 do
-    Heap.push h ~time:(199 - i) ~seq:i i
-  done;
-  check_int "len" 200 (Heap.length h);
-  let rec drain last n =
-    match Heap.pop h with
-    | Some (t, _, _) ->
-      check_bool "sorted" true (t >= last);
-      drain t (n + 1)
-    | None -> n
-  in
-  check_int "all out" 200 (drain min_int 0)
-
-(* Pop to empty, then push again: the heap (and the pop_into accessors)
-   must come back clean after a full drain. *)
-let test_heap_pop_to_empty_then_reuse () =
-  let h = Heap.create () in
-  Heap.push h ~time:1 ~seq:1 "x";
-  check_bool "popped" true (Heap.pop_into h);
-  check Alcotest.string "popped value" "x" (Heap.popped_value h);
-  check_int "popped time" 1 (Heap.popped_time h);
-  check_int "popped seq" 1 (Heap.popped_seq h);
-  check_bool "empty again" true (Heap.is_empty h);
-  check_bool "pop on empty" false (Heap.pop_into h);
-  check_int "empty top_time" max_int (Heap.top_time h);
-  check_int "empty top_seq" max_int (Heap.top_seq h);
-  Heap.push h ~time:9 ~seq:2 "y";
-  Heap.push h ~time:4 ~seq:3 "z";
-  check
-    (Alcotest.option
-       (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
-    "reused" (Some (4, 3, "z")) (Heap.pop h);
-  check
-    (Alcotest.option
-       (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
-    "drained" (Some (9, 2, "y")) (Heap.pop h)
 
 (* --- clock ------------------------------------------------------------ *)
 
@@ -188,9 +59,8 @@ let test_sim_nested_schedule sim =
   Sim.run sim;
   check_int "nested time" 10 !result
 
-(* The sim inherits the heap's guarantee: events fire in the stable sort
-   of their delays, so two events scheduled for the same instant run in
-   scheduling order. *)
+(* Events fire in the stable sort of their delays, so two events
+   scheduled for the same instant run in scheduling order. *)
 let prop_sim_stable_order =
   QCheck.Test.make ~name:"sim fires events in stable delay order" ~count:300
     QCheck.(list (int_range 0 8))
@@ -521,18 +391,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "growth from empty" `Quick
-            test_heap_growth_from_empty;
-          Alcotest.test_case "pop to empty then reuse" `Quick
-            test_heap_pop_to_empty_then_reuse;
-          q prop_heap_sorted;
-          q prop_heap_stable_fifo;
-          q prop_heap_drain_to_empty;
-        ] );
       ("clock", [ Alcotest.test_case "conversions" `Quick test_clock ]);
       ( "sim",
         [

@@ -3,9 +3,8 @@
    property over real end-to-end runs), episode-histogram merging, the
    dense indices of the counter, phase and CPU-state tables, the
    OpenMetrics render/validate round-trip with a golden exposition of a
-   tiny fixed run, every metric family reaching the exposition, every
-   counter agreeing between CSV and metrics, and the shared sampling
-   clock. *)
+   tiny fixed run, every metric family reaching the exposition, and
+   every counter agreeing between CSV and metrics. *)
 
 module Config = Adios_core.Config
 module Counter = Adios_core.Counter
@@ -17,7 +16,6 @@ module Phase = Adios_prof.Phase
 module Registry = Adios_obs.Registry
 module Acct = Adios_obs.Accountant
 module Openmetrics = Adios_obs.Openmetrics
-module Sampler = Adios_obs.Sampler
 module Histogram = Adios_stats.Histogram
 module Sim = Adios_engine.Sim
 module Proc = Adios_engine.Proc
@@ -406,41 +404,6 @@ let test_counters_agree () =
     true
     (Hashtbl.length nonzero >= 14)
 
-(* --- sampler ------------------------------------------------------------ *)
-
-let test_sampler_alignment () =
-  let sim = Sim.create () in
-  let sampler = Sampler.create sim ~period:100 in
-  let a = ref [] and b = ref [] in
-  Sampler.on_tick sampler (fun ~ts -> a := ts :: !a);
-  Sampler.on_tick sampler (fun ~ts -> b := ts :: !b);
-  Sampler.start sampler;
-  Sim.run_until sim 550;
-  check
-    (Alcotest.list Alcotest.int)
-    "ticks on the period" [ 100; 200; 300; 400; 500 ] (List.rev !a);
-  check
-    (Alcotest.list Alcotest.int)
-    "every consumer sees the same clock" !a !b
-
-let test_sampler_idle_without_consumers () =
-  let sim = Sim.create () in
-  let sampler = Sampler.create sim ~period:100 in
-  Sampler.start sampler;
-  check_int "no consumers, no events" 0 (Sim.pending sim)
-
-let test_sampler_guards () =
-  let sim = Sim.create () in
-  check_bool "period must be positive" true
-    (raises_invalid (fun () -> Sampler.create sim ~period:0));
-  let sampler = Sampler.create sim ~period:100 in
-  Sampler.on_tick sampler (fun ~ts:_ -> ());
-  Sampler.start sampler;
-  check_bool "late registration rejected" true
-    (raises_invalid (fun () -> Sampler.on_tick sampler (fun ~ts:_ -> ())));
-  check_bool "double start rejected" true
-    (raises_invalid (fun () -> Sampler.start sampler))
-
 let () =
   Alcotest.run "obs"
     [
@@ -470,11 +433,4 @@ let () =
             test_counters_agree;
         ]
         @ validator_rejections );
-      ( "sampler",
-        [
-          Alcotest.test_case "aligned ticks" `Quick test_sampler_alignment;
-          Alcotest.test_case "idle without consumers" `Quick
-            test_sampler_idle_without_consumers;
-          Alcotest.test_case "guards" `Quick test_sampler_guards;
-        ] );
     ]

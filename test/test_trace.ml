@@ -501,15 +501,94 @@ let test_timeline_csv () =
        false
      with Invalid_argument _ -> true)
 
-let test_timeline_in_run () =
-  let cfg = Config.default Config.Adios in
+(* One CSV line split as RFC 4180 readers split it: a comma inside a
+   quoted field is data, and a doubled quote there is one quote. *)
+let split_quoted line =
+  let fields = ref [] and field = Buffer.create 64 and quoted = ref false in
+  let n = String.length line and i = ref 0 in
+  while !i < n do
+    (match line.[!i] with
+    | '"' when !quoted && !i + 1 < n && line.[!i + 1] = '"' ->
+      Buffer.add_char field '"';
+      incr i
+    | '"' -> quoted := not !quoted
+    | ',' when not !quoted ->
+      fields := Buffer.contents field :: !fields;
+      Buffer.clear field
+    | c -> Buffer.add_char field c);
+    incr i
+  done;
+  List.rev (Buffer.contents field :: !fields)
+
+let test_timeline_header_quoting () =
   let tl = Timeline.create () in
+  List.iter
+    (fun name -> Timeline.add_gauge tl ~name (fun () -> 1.))
+    [ "plain"; "m{a=1,b=2}"; "q\"uote" ];
+  Timeline.sample tl ~ts:2000;
+  match String.split_on_char '\n' (String.trim (Timeline.to_csv tl)) with
+  | [ header; row ] ->
+    check_string "header" "ts_cycles,ts_us,plain,\"m{a=1,b=2}\",\"q\"\"uote\""
+      header;
+    check
+      (Alcotest.list Alcotest.string)
+      "fields read back"
+      [ "ts_cycles"; "ts_us"; "plain"; "m{a=1,b=2}"; "q\"uote" ]
+      (split_quoted header);
+    check_string "rows unquoted" "2000,1.000,1,1,1" row
+  | lines ->
+    Alcotest.failf "expected header + 1 row, got %d lines" (List.length lines)
+
+(* A run's metrics snapshot: one row per sampling tick, the occupancy
+   gauges among its series, and a header that a CSV reader splits into
+   exactly as many fields as every row, labels and all. *)
+let test_snapshot_in_run () =
+  let cfg = Config.default Config.Adios in
+  let sample_period = Adios_engine.Clock.of_us 5. in
+  check_bool "non-positive period rejected" true
+    (try
+       ignore
+         (Runner.run cfg (small_array ()) ~offered_krps:800. ~requests:10
+            ~snapshot:(Timeline.create ()) ~sample_period:0 ());
+       false
+     with Invalid_argument _ -> true);
+  let snap = Timeline.create () in
   let _ =
     Runner.run cfg (small_array ()) ~offered_krps:800. ~requests:3000
-      ~timeline:tl ()
+      ~snapshot:snap ~sample_period ()
   in
-  check_bool "sampled" true (Timeline.length tl > 10);
-  check_int "standard gauges" 7 (List.length (Timeline.names tl))
+  let ticks = Timeline.length snap in
+  check_bool "sampled" true (ticks > 10);
+  check
+    (Alcotest.list Alcotest.int)
+    "one row per tick"
+    (List.init ticks (fun i -> (i + 1) * sample_period))
+    (List.map fst (Timeline.to_rows snap));
+  List.iter
+    (fun stem ->
+      check_bool stem true
+        (List.mem (stem ^ "{system=Adios}") (Timeline.names snap)))
+    [
+      "adios_sys_pending_depth";
+      "adios_sys_ready_backlog";
+      "adios_sys_busy_workers";
+      "adios_sys_buffers_in_use";
+      "adios_pager_inflight";
+      "adios_pager_free_frames";
+      "adios_nic_read_bytes_total";
+    ];
+  match String.split_on_char '\n' (String.trim (Timeline.to_csv snap)) with
+  | [] -> Alcotest.fail "empty CSV"
+  | header :: rows ->
+    let arity = List.length (split_quoted header) in
+    check_int "header fields = series + 2"
+      (List.length (Timeline.names snap) + 2)
+      arity;
+    List.iter
+      (fun row ->
+        check_int "row arity = header arity" arity
+          (List.length (split_quoted row)))
+      rows
 
 (* --- properties ---------------------------------------------------------- *)
 
@@ -597,7 +676,9 @@ let () =
       ( "timeline",
         [
           Alcotest.test_case "csv shape" `Quick test_timeline_csv;
-          Alcotest.test_case "runner gauges" `Quick test_timeline_in_run;
+          Alcotest.test_case "header quoting" `Quick
+            test_timeline_header_quoting;
+          Alcotest.test_case "snapshot in run" `Quick test_snapshot_in_run;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]
