@@ -13,6 +13,11 @@
      ADIOS_BENCH_JOBS    worker processes per sweep (default 1); results
                          are identical at any job count
 
+   Every experiment that simulates is one Spec swept through [run]:
+   an experiment's knob (local memory, TX mode, dispatch policy, ...)
+   is the spec's variant axis, and its rows are printed from the
+   results.
+
    A malformed value or an unknown experiment id exits with status 2
    before anything runs. *)
 
@@ -20,6 +25,7 @@ module Config = Adios_core.Config
 module Runner = Adios_core.Runner
 module Report = Adios_core.Report
 module Params = Adios_core.Params
+module Spec = Adios_exp.Spec
 module Summary = Adios_stats.Summary
 module Clock = Adios_engine.Clock
 module Context = Adios_unithread.Context
@@ -62,52 +68,48 @@ let jobs =
   knob "ADIOS_BENCH_JOBS" ~default:1 ~expect:"a positive integer"
     int_of_string_opt (fun j -> j >= 1)
 
-(* Every experiment derives its config from here, so ADIOS_BENCH_SEED
-   reseeds the whole harness: the seed reaches Engine.Rng through
-   Config.seed, and a full-scale run replays exactly under the same
-   seed. *)
-let base_cfg sys = { (Config.default sys) with Config.seed = bench_seed }
+(* An experiment's spec: [requests] is the full-scale count per point,
+   scaled by ADIOS_BENCH_SCALE. *)
+let spec ?systems ?variants ~apps ~loads ~requests name =
+  Spec.make ~name ?systems ~apps ?variants ~loads ~requests:(reqs requests)
+    ~seed:bench_seed ()
 
-let all_systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios ]
+(* Run one experiment's spec: its points fan out over ADIOS_BENCH_JOBS
+   worker processes. The harness seed is pinned onto every point (one
+   seed per run, not per point, as the harness has always seeded), so
+   ADIOS_BENCH_SEED replays every experiment bit for bit, at any job
+   count. [profile] attaches the phase profiler, which changes no
+   measurement. *)
+let run ?profile spec =
+  Adios_exp.Sweep.run ~jobs ?profile
+    ~cfg_tweak:(fun c -> { c with Config.seed = bench_seed })
+    ~progress:(fun _ r -> Report.result_line r)
+    spec
 
-(* Run one (app x systems x loads) sweep through the lib/exp runner:
-   points fan out over ADIOS_BENCH_JOBS worker processes. The harness
-   seed is pinned onto every point (historical bench behaviour: one
-   seed per run, not per point), so results at any job count match a
-   sequential run bit-for-bit. [profile] attaches the phase profiler,
-   which changes no measurement. *)
-let sweep ?(cfg_tweak = fun c -> c) ?profile systems app loads ~requests =
-  let spec =
-    Adios_exp.Spec.
-      {
-        name = app.Adios_core.App.name;
-        systems;
-        apps = [ (app.Adios_core.App.name, fun () -> app) ];
-        loads;
-        requests;
-        seed = bench_seed;
-        fault = Adios_fault.Injector.none;
-        fetch_timeout_us = 0.;
-        fetch_retries = 3;
-        local_ratio = None;
-        workers = None;
-        clusters = [ Adios_cluster.Cluster.default ];
-      }
-  in
-  let cfg_tweak c = cfg_tweak { c with Config.seed = bench_seed } in
-  let results =
-    Adios_exp.Sweep.run ~jobs ~cfg_tweak ?profile
-      ~progress:(fun _ r -> Report.result_line r)
-      spec
+(* The results grouped by [key], in first-appearance order: a figure's
+   series, each in ascending load. *)
+let series key results =
+  let keys =
+    List.fold_left
+      (fun ks (p, _) -> if List.mem (key p) ks then ks else ks @ [ key p ])
+      [] results
   in
   List.map
-    (fun sys ->
-      ( Config.system_name sys,
+    (fun k ->
+      ( k,
         List.filter_map
-          (fun ((p : Adios_exp.Spec.point), r) ->
-            if p.Adios_exp.Spec.system = sys then Some r else None)
+          (fun (p, r) -> if key p = k then Some r else None)
           results ))
-    systems
+    keys
+
+let by_system (p : Spec.point) = Config.system_name p.Spec.system
+let by_variant (p : Spec.point) = fst p.Spec.variant
+
+(* A variant for each setting of one knob, named by [name]. *)
+let variants name set values =
+  List.map (fun v -> (name v, fun c -> set c v)) values
+
+let all_systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios ]
 
 let nearest_load results target =
   List.fold_left
@@ -184,15 +186,16 @@ let table2 () =
 (* ---- microbenchmark sweeps (Figs. 2 and 7) ----------------------------- *)
 
 let micro_loads = [ 200.; 600.; 1000.; 1300.; 1450.; 1600.; 2000.; 2400.; 2700. ]
-let micro_app () = Adios_apps.Array_bench.app ()
 
 let micro_sweep =
   lazy
     (pf "\n[running microbenchmark sweep: 4 systems x %d load points]\n"
        (List.length micro_loads);
      (* profiled for the per-band phase tables of figs. 2(c) and 7(c) *)
-     sweep ~profile:true all_systems (micro_app ()) micro_loads
-       ~requests:(reqs 60_000))
+     run ~profile:true
+       (spec "micro" ~systems:all_systems ~apps:[ "array" ] ~loads:micro_loads
+          ~requests:60_000)
+     |> series by_system)
 
 let get_series name =
   match List.assoc_opt name (Lazy.force micro_sweep) with
@@ -202,8 +205,8 @@ let get_series name =
 let fig2 () =
   Report.header "Figure 2: performance analysis of DiLOS (busy-waiting)";
   let dilos = get_series "DiLOS" and dilos_p = get_series "DiLOS-P" in
-  Report.latency_vs_load ~title:"fig2(a) P99 e2e latency vs load"
-    ~percentile:"p99"
+  Report.load_table ~title:"fig2(a) P99 e2e latency vs load"
+    (Report.latency Report.p99)
     [ ("DiLOS", dilos); ("DiLOS-P", dilos_p) ];
   (match nearest_load dilos 1300. with
   | Some r ->
@@ -214,89 +217,76 @@ let fig2 () =
       ~title:"fig2(c) DiLOS worker cycles @ ~1.3 MRPS"
       [ ("DiLOS", r) ]
   | None -> ());
-  Report.throughput_vs_load ~title:"fig2(d) DiLOS throughput vs offered load"
-    [ ("DiLOS", dilos) ];
-  Report.util_vs_load ~title:"fig2(e) DiLOS RDMA link utilization"
-    [ ("DiLOS", dilos) ]
+  Report.load_table ~title:"fig2(d) DiLOS throughput vs offered load"
+    Report.achieved [ ("DiLOS", dilos) ];
+  Report.load_table ~title:"fig2(e) DiLOS RDMA link utilization"
+    Report.rdma_util [ ("DiLOS", dilos) ]
 
 let fig7 () =
   Report.header "Figure 7: Hermit vs DiLOS vs DiLOS-P vs Adios (microbench)";
-  let series =
-    [
-      ("Hermit", get_series "Hermit");
-      ("DiLOS", get_series "DiLOS");
-      ("DiLOS-P", get_series "DiLOS-P");
-      ("Adios", get_series "Adios");
-    ]
-  in
-  Report.latency_vs_load ~title:"fig7(a) P99.9 latency vs throughput"
-    ~percentile:"p99.9" series;
-  Report.latency_vs_load ~title:"fig7(b) P50 latency vs throughput"
-    ~percentile:"p50" series;
+  let series = Lazy.force micro_sweep in
+  Report.load_table ~title:"fig7(a) P99.9 latency vs throughput"
+    (Report.latency Report.p999) series;
+  Report.load_table ~title:"fig7(b) P50 latency vs throughput"
+    (Report.latency Report.p50) series;
   (match nearest_load (get_series "Adios") 1300. with
   | Some r ->
     Report.phase_bands
       ~title:"fig7(c) Adios request phases per latency band @ ~1.3 MRPS" r
   | None -> ());
-  Report.throughput_vs_load ~title:"fig7(d) throughput: DiLOS vs Adios"
-    [ ("DiLOS", get_series "DiLOS"); ("Adios", get_series "Adios") ];
-  Report.util_vs_load ~title:"fig7(e) RDMA utilization: DiLOS vs Adios"
-    [ ("DiLOS", get_series "DiLOS"); ("Adios", get_series "Adios") ];
+  let dilos_adios =
+    [ ("DiLOS", get_series "DiLOS"); ("Adios", get_series "Adios") ]
+  in
+  Report.load_table ~title:"fig7(d) throughput: DiLOS vs Adios"
+    Report.achieved dilos_adios;
+  Report.load_table ~title:"fig7(e) RDMA utilization: DiLOS vs Adios"
+    Report.rdma_util dilos_adios;
   Report.summary_speedups ~baseline:"DiLOS" series;
   pf "(raw rows: bin/adios_sweep exports this sweep as CSV; see \
       EXPERIMENTS.md)\n"
 
 let fig8 () =
   Report.header "Figure 8: sensitivity to local DRAM size (array microbench)";
-  let ratios = [ 0.1; 0.2; 0.4; 0.6; 0.8; 1.0 ] in
-  let loads = [ 1000.; 1500.; 2000.; 2500.; 3000. ] in
-  let app = micro_app () in
-  List.iter
-    (fun sys ->
-      List.iter
-        (fun ratio ->
-          let cfg = { (base_cfg sys) with Config.local_ratio = ratio } in
-          let rs =
-            List.map
-              (fun load ->
-                Runner.run cfg app ~offered_krps:load
-                  ~requests:(reqs 30_000) ())
-              loads
-          in
-          let peak =
-            List.fold_left
-              (fun acc (r : Runner.result) ->
-                Float.max acc r.Runner.achieved_krps)
-              0. rs
-          in
-          let p99_at_1500 =
-            match nearest_load rs 1500. with
-            | Some r -> Clock.to_us r.Runner.e2e.Summary.p99
-            | None -> 0.
-          in
-          pf "%-8s local=%3.0f%%  peak=%7.0f krps  P99@1.5M=%8.2f us\n"
-            (Config.system_name sys) (100. *. ratio) peak p99_at_1500)
-        ratios)
-    [ Config.Dilos; Config.Adios ]
+  let series =
+    run
+      (spec "fig8" ~systems:[ Config.Dilos; Config.Adios ] ~apps:[ "array" ]
+         ~variants:
+           (variants
+              (fun ratio -> Printf.sprintf "local=%3.0f%%" (100. *. ratio))
+              (fun c local_ratio -> { c with Config.local_ratio })
+              [ 0.1; 0.2; 0.4; 0.6; 0.8; 1.0 ])
+         ~loads:[ 1000.; 1500.; 2000.; 2500.; 3000. ]
+         ~requests:30_000)
+    |> series (fun p -> Printf.sprintf "%-8s %s" (by_system p) (by_variant p))
+  in
+  List.iter2
+    (fun (name, rs) (_, peak) ->
+      let p99_at_1500 =
+        match nearest_load rs 1500. with
+        | Some r -> Clock.to_us r.Runner.e2e.Summary.p99
+        | None -> 0.
+      in
+      pf "%s  peak=%7.0f krps  P99@1.5M=%8.2f us\n" name peak p99_at_1500)
+    series
+    (Report.peak_throughput series)
 
 let fig9 () =
   Report.header "Figure 9: effect of polling delegation (Adios)";
-  let loads = [ 1200.; 1700.; 2100.; 2400.; 2600. ] in
-  let app = micro_app () in
   let series =
-    [
-      ( "Delegation",
-        sweep [ Config.Adios ] app loads ~requests:(reqs 40_000)
-        |> List.hd |> snd );
-      ( "Sync-TX",
-        sweep
-          ~cfg_tweak:(fun c -> { c with Config.tx_mode = Config.Tx_sync_spin })
-          [ Config.Adios ] app loads ~requests:(reqs 40_000)
-        |> List.hd |> snd );
-    ]
+    run
+      (spec "fig9" ~systems:[ Config.Adios ] ~apps:[ "array" ]
+         ~variants:
+           [
+             ("Delegation", Fun.id);
+             ( "Sync-TX",
+               fun c -> { c with Config.tx_mode = Config.Tx_sync_spin } );
+           ]
+         ~loads:[ 1200.; 1700.; 2100.; 2400.; 2600. ]
+         ~requests:40_000)
+    |> series by_variant
   in
-  Report.latency_vs_load ~title:"fig9 P50" ~percentile:"p50" series;
-  Report.latency_vs_load ~title:"fig9 P99.9" ~percentile:"p99.9" series;
+  Report.load_table ~title:"fig9 P50" (Report.latency Report.p50) series;
+  Report.load_table ~title:"fig9 P99.9" (Report.latency Report.p999) series;
   let peaks = Report.peak_throughput series in
   List.iter (fun (n, p) -> pf "%-12s peak %7.0f krps\n" n p) peaks
 
@@ -304,85 +294,73 @@ let fig9 () =
 
 let app_figure ~id ~title ~app ~loads ~requests ~kinds () =
   Report.header title;
-  let series = sweep all_systems app loads ~requests in
+  let series =
+    run (spec id ~systems:all_systems ~apps:[ app ] ~loads ~requests)
+    |> series by_system
+  in
   List.iter
     (fun kind ->
-      Report.kind_latency_vs_load
+      Report.load_table
         ~title:(Printf.sprintf "%s %s P50 (us)" id kind)
-        ~kind ~percentile:"p50" series;
-      Report.kind_latency_vs_load
+        (Report.latency ~kind Report.p50) series;
+      Report.load_table
         ~title:(Printf.sprintf "%s %s P99.9 (us)" id kind)
-        ~kind ~percentile:"p99.9" series)
+        (Report.latency ~kind Report.p999) series)
     kinds;
-  Report.throughput_vs_load ~title:(id ^ " throughput") series;
-  Report.summary_speedups ~baseline:"DiLOS" series;
-  series
+  Report.load_table ~title:(id ^ " throughput") Report.achieved series;
+  Report.summary_speedups ~baseline:"DiLOS" series
 
 let dispatch_figure ~id ~app ~loads ~requests ~kind () =
   Report.header (id ^ ": PF-aware vs round-robin dispatching (Adios)");
   let series =
-    [
-      ( "PF-Aware",
-        sweep [ Config.Adios ] app loads ~requests |> List.hd |> snd );
-      ( "RR",
-        sweep
-          ~cfg_tweak:(fun c -> { c with Config.dispatch = Config.Round_robin })
-          [ Config.Adios ] app loads ~requests
-        |> List.hd |> snd );
-    ]
+    run
+      (spec id ~systems:[ Config.Adios ] ~apps:[ app ]
+         ~variants:
+           [
+             ("PF-Aware", Fun.id);
+             ("RR", fun c -> { c with Config.dispatch = Config.Round_robin });
+           ]
+         ~loads ~requests)
+    |> series by_variant
   in
-  Report.kind_latency_vs_load ~title:(id ^ " P99.9 (us)") ~kind
-    ~percentile:"p99.9" series
+  Report.load_table ~title:(id ^ " P99.9 (us)")
+    (Report.latency ~kind Report.p999) series
 
 let memcached_loads = [ 300.; 600.; 800.; 900.; 1000.; 1100. ]
 
 let fig10 () =
-  ignore
-    (app_figure ~id:"fig10(a,b)"
-       ~title:"Figure 10(a,b): Memcached GET, 128B values"
-       ~app:(Adios_apps.Memcached.app ~value_bytes:128 ())
-       ~loads:memcached_loads ~requests:(reqs 40_000) ~kinds:[ "GET" ] ());
-  ignore
-    (app_figure ~id:"fig10(c,d)"
-       ~title:"Figure 10(c,d): Memcached GET, 1024B values"
-       ~app:(Adios_apps.Memcached.app ~value_bytes:1024 ())
-       ~loads:memcached_loads ~requests:(reqs 40_000) ~kinds:[ "GET" ] ())
+  app_figure ~id:"fig10(a,b)"
+    ~title:"Figure 10(a,b): Memcached GET, 128B values" ~app:"memcached"
+    ~loads:memcached_loads ~requests:40_000 ~kinds:[ "GET" ] ();
+  app_figure ~id:"fig10(c,d)"
+    ~title:"Figure 10(c,d): Memcached GET, 1024B values" ~app:"memcached-1024"
+    ~loads:memcached_loads ~requests:40_000 ~kinds:[ "GET" ] ()
 
 let fig10e () =
-  dispatch_figure ~id:"fig10(e)"
-    ~app:(Adios_apps.Memcached.app ~value_bytes:128 ())
-    ~loads:memcached_loads ~requests:(reqs 40_000) ~kind:"GET" ()
+  dispatch_figure ~id:"fig10(e)" ~app:"memcached" ~loads:memcached_loads
+    ~requests:40_000 ~kind:"GET" ()
 
 let rocksdb_loads = [ 300.; 500.; 700.; 850.; 1000.; 1150.; 1300. ]
 
 let fig11 () =
-  ignore
-    (app_figure ~id:"fig11"
-       ~title:"Figure 11: RocksDB 99% GET / 1% SCAN(100), 1024B values"
-       ~app:(Adios_apps.Rocksdb.app ())
-       ~loads:rocksdb_loads ~requests:(reqs 30_000)
-       ~kinds:[ "GET"; "SCAN" ] ())
+  app_figure ~id:"fig11"
+    ~title:"Figure 11: RocksDB 99% GET / 1% SCAN(100), 1024B values"
+    ~app:"rocksdb" ~loads:rocksdb_loads ~requests:30_000
+    ~kinds:[ "GET"; "SCAN" ] ()
 
 let fig11e () =
-  dispatch_figure ~id:"fig11(e)"
-    ~app:(Adios_apps.Rocksdb.app ())
-    ~loads:rocksdb_loads ~requests:(reqs 30_000) ~kind:"GET" ()
+  dispatch_figure ~id:"fig11(e)" ~app:"rocksdb" ~loads:rocksdb_loads
+    ~requests:30_000 ~kind:"GET" ()
 
 let fig12 () =
-  ignore
-    (app_figure ~id:"fig12" ~title:"Figure 12: Silo TPC-C"
-       ~app:(Adios_apps.Silo.app ())
-       ~loads:[ 150.; 300.; 450.; 600.; 750. ]
-       ~requests:(reqs 20_000)
-       ~kinds:[ "NO"; "PAY"; "SL" ] ())
+  app_figure ~id:"fig12" ~title:"Figure 12: Silo TPC-C" ~app:"silo"
+    ~loads:[ 150.; 300.; 450.; 600.; 750. ]
+    ~requests:20_000 ~kinds:[ "NO"; "PAY"; "SL" ] ()
 
 let fig13 () =
-  ignore
-    (app_figure ~id:"fig13" ~title:"Figure 13: Faiss IVF-Flat (BIGANN-like)"
-       ~app:(Adios_apps.Faiss.app ())
-       ~loads:[ 4.; 8.; 12.; 16.; 20. ]
-       ~requests:(reqs 2_500)
-       ~kinds:[ "QUERY" ] ())
+  app_figure ~id:"fig13" ~title:"Figure 13: Faiss IVF-Flat (BIGANN-like)"
+    ~app:"faiss" ~loads:[ 4.; 8.; 12.; 16.; 20. ] ~requests:2_500
+    ~kinds:[ "QUERY" ] ()
 
 (* ---- ablations ----------------------------------------------------------- *)
 
@@ -399,34 +377,30 @@ let ablate_reclaimer () =
       wakeup_delay = Clock.of_us 15.;
     }
   in
-  let app = micro_app () in
-  List.iter
-    (fun mode ->
-      let name =
-        match mode with
-        | Adios_mem.Reclaimer.Proactive -> "proactive"
-        | Adios_mem.Reclaimer.Wakeup -> "wakeup"
-      in
-      List.iter
-        (fun load ->
-          let cfg =
-            {
-              (base_cfg Config.Adios) with
-              Config.reclaim = mode;
-              reclaim_config = pressured;
-              local_ratio = 0.05;
-            }
-          in
-          let r = Runner.run cfg app ~offered_krps:load ~requests:(reqs 30_000) () in
-          pf
-            "%-10s load=%5.0f  p50=%8.2fus  p99.9=%9.2fus  evictions=%d  \
-             oom_stalls=%d\n"
-            name load
-            (Clock.to_us r.Runner.e2e.Summary.p50)
-            (Clock.to_us r.Runner.e2e.Summary.p999)
-            r.Runner.evictions r.Runner.frame_stalls)
-        [ 1500.; 2000.; 2300. ])
-    [ Adios_mem.Reclaimer.Proactive; Adios_mem.Reclaimer.Wakeup ]
+  run
+    (spec "ablate-reclaimer" ~systems:[ Config.Adios ] ~apps:[ "array" ]
+       ~variants:
+         (variants
+            (function
+              | Adios_mem.Reclaimer.Proactive -> "proactive"
+              | Adios_mem.Reclaimer.Wakeup -> "wakeup")
+            (fun c reclaim ->
+              {
+                c with
+                Config.reclaim;
+                reclaim_config = pressured;
+                local_ratio = 0.05;
+              })
+            [ Adios_mem.Reclaimer.Proactive; Adios_mem.Reclaimer.Wakeup ])
+       ~loads:[ 1500.; 2000.; 2300. ] ~requests:30_000)
+  |> List.iter (fun ((p : Spec.point), (r : Runner.result)) ->
+         pf
+           "%-10s load=%5.0f  p50=%8.2fus  p99.9=%9.2fus  evictions=%d  \
+            oom_stalls=%d\n"
+           (by_variant p) p.Spec.load
+           (Clock.to_us r.Runner.e2e.Summary.p50)
+           (Clock.to_us r.Runner.e2e.Summary.p999)
+           r.Runner.evictions r.Runner.frame_stalls)
 
 let ablate_stack () =
   Report.header "Ablation A2: universal stack memory footprint (section 3.2)";
@@ -447,80 +421,76 @@ let ablate_stack () =
     (saved / 1024 / 1024)
     (100. *. float_of_int saved /. (8. *. 1024. *. 1024. *. 1024.))
 
-let prefetch_row name sys pf r scan issued useful wasted =
-  Printf.printf
-    "%-8s %-7s prefetch=%-10s p50=%8.2fus p99.9=%9.2fus scan_p50=%8.2fus \
-     issued=%d useful=%d wasted=%d\n"
-    name (Config.system_name sys) (Config.prefetch_name pf)
-    (Clock.to_us r.Runner.e2e.Summary.p50)
-    (Clock.to_us r.Runner.e2e.Summary.p999)
-    scan issued useful wasted
-
 let ablate_prefetch () =
   Report.header
     "Ablation A4: Leap-style stride prefetching (section 2.3 overlap)";
-  let cases =
-    [
-      ("rocksdb", Adios_apps.Rocksdb.app (), 700.);
-      ("array", Adios_apps.Array_bench.app (), 1300.);
-    ]
-  in
   List.iter
-    (fun (name, app, load) ->
-      List.iter
-        (fun sys ->
-          List.iter
-            (fun pf ->
-              let cfg = { (base_cfg sys) with Config.prefetch = pf } in
-              let r =
-                Runner.run cfg app ~offered_krps:load ~requests:(reqs 25_000) ()
-              in
-              let issued, useful, wasted = r.Runner.prefetches in
-              let scan =
-                match List.assoc_opt "SCAN" r.Runner.kind_summaries with
-                | Some s -> Clock.to_us s.Summary.p50
-                | None -> 0.
-              in
-              prefetch_row name sys pf r scan issued useful wasted)
-            [ Config.No_prefetch; Config.Stride 8 ])
-        [ Config.Dilos; Config.Adios ])
-    cases
+    (fun (app, load) ->
+      run
+        (spec "ablate-prefetch" ~systems:[ Config.Dilos; Config.Adios ]
+           ~apps:[ app ]
+           ~variants:
+             (variants Config.prefetch_name
+                (fun c prefetch -> { c with Config.prefetch })
+                [ Config.No_prefetch; Config.Stride 8 ])
+           ~loads:[ load ] ~requests:25_000)
+      |> List.iter (fun ((p : Spec.point), (r : Runner.result)) ->
+             let issued, useful, wasted = r.Runner.prefetches in
+             let scan =
+               match List.assoc_opt "SCAN" r.Runner.kind_summaries with
+               | Some s -> Clock.to_us s.Summary.p50
+               | None -> 0.
+             in
+             pf
+               "%-8s %-7s prefetch=%-10s p50=%8.2fus p99.9=%9.2fus \
+                scan_p50=%8.2fus issued=%d useful=%d wasted=%d\n"
+               p.Spec.app_name (by_system p) (by_variant p)
+               (Clock.to_us r.Runner.e2e.Summary.p50)
+               (Clock.to_us r.Runner.e2e.Summary.p999)
+               scan issued useful wasted))
+    [ ("rocksdb", 700.); ("array", 1300.) ]
 
 let ablate_dispatch () =
   Report.header
     "Ablation A5: queueing policy (single queue vs d-FCFS vs stealing, \
      section 3.4)";
-  let app = Adios_apps.Rocksdb.app () in
-  List.iter
-    (fun sys ->
-      List.iter
-        (fun disp ->
-          let cfg = { (base_cfg sys) with Config.dispatch = disp } in
-          let r = Runner.run cfg app ~offered_krps:850. ~requests:(reqs 25_000) () in
-          let get = List.assoc "GET" r.Runner.kind_summaries in
-          pf "%-8s %-14s GET p50=%8.2fus  GET p99.9=%9.2fus  achieved=%5.0f\n"
-            (Config.system_name sys)
-            (Config.dispatch_name disp)
-            (Clock.to_us get.Summary.p50)
-            (Clock.to_us get.Summary.p999)
-            r.Runner.achieved_krps)
-        [ Config.Pf_aware; Config.Round_robin; Config.Work_stealing;
-          Config.Partitioned ])
-    [ Config.Dilos; Config.Adios ]
+  run
+    (spec "ablate-dispatch" ~systems:[ Config.Dilos; Config.Adios ]
+       ~apps:[ "rocksdb" ]
+       ~variants:
+         (variants Config.dispatch_name
+            (fun c dispatch -> { c with Config.dispatch })
+            [ Config.Pf_aware; Config.Round_robin; Config.Work_stealing;
+              Config.Partitioned ])
+       ~loads:[ 850. ] ~requests:25_000)
+  |> List.iter (fun ((p : Spec.point), (r : Runner.result)) ->
+         let get = List.assoc "GET" r.Runner.kind_summaries in
+         pf "%-8s %-14s GET p50=%8.2fus  GET p99.9=%9.2fus  achieved=%5.0f\n"
+           (by_system p) (by_variant p)
+           (Clock.to_us get.Summary.p50)
+           (Clock.to_us get.Summary.p999)
+           r.Runner.achieved_krps)
 
 let ablate_workers () =
   Report.header
     "Ablation A6: single-queue scalability with worker count (section 6)";
-  let app = micro_app () in
   List.iter
     (fun workers ->
-      let cfg = { (base_cfg Config.Adios) with Config.workers } in
-      (* drive each configuration well past its per-worker knee *)
+      (* drive each configuration well past its per-worker knee: the
+         load follows the variant, so each worker count is a spec of
+         its own *)
       let load = 350. *. float_of_int workers in
-      let r = Runner.run cfg app ~offered_krps:load ~requests:(reqs 40_000) () in
-      pf "workers=%2d offered=%5.0f achieved=%5.0f krps  p99.9=%9.2fus\n"
-        workers load r.Runner.achieved_krps
-        (Clock.to_us r.Runner.e2e.Summary.p999))
+      run
+        (spec "ablate-workers" ~systems:[ Config.Adios ] ~apps:[ "array" ]
+           ~variants:
+             (variants (Printf.sprintf "workers=%d")
+                (fun c workers -> { c with Config.workers })
+                [ workers ])
+           ~loads:[ load ] ~requests:40_000)
+      |> List.iter (fun (_, (r : Runner.result)) ->
+             pf "workers=%2d offered=%5.0f achieved=%5.0f krps  p99.9=%9.2fus\n"
+               workers load r.Runner.achieved_krps
+               (Clock.to_us r.Runner.e2e.Summary.p999)))
     [ 2; 4; 8; 12; 16; 24 ]
 
 let ablate_huge_pages () =
@@ -529,39 +499,65 @@ let ablate_huge_pages () =
      section 5.2 Silo)";
   (* the same array working set, but faulted in 2 MB units: each miss
      drags 512x the bytes over the wire *)
+  let array label ~page_size ~pages =
+    ( label,
+      fun () ->
+        {
+          (Adios_apps.Array_bench.app ~pages ~page_size ()) with
+          Adios_core.App.name = label;
+        } )
+  in
+  let results =
+    run
+      {
+        (spec "ablate-huge-pages" ~systems:[ Config.Adios ] ~apps:[]
+           ~loads:[ 4.; 100.; 800. ] ~requests:20_000)
+        with
+        Spec.apps =
+          [
+            array "4KB" ~page_size:4096 ~pages:16_384;
+            array "2MB" ~page_size:(2 * 1024 * 1024) ~pages:32;
+          ];
+      }
+  in
   List.iter
-    (fun (label, page_size, pages, load) ->
-      let app = Adios_apps.Array_bench.app ~pages ~page_size () in
-      let app = { app with Adios_core.App.name = label } in
-      let cfg = base_cfg Config.Adios in
-      let r = Runner.run cfg app ~offered_krps:load ~requests:(reqs 20_000) () in
+    (fun (label, load) ->
+      let _, (r : Runner.result) =
+        List.find
+          (fun ((p : Spec.point), _) ->
+            p.Spec.app_name = label && p.Spec.load = load)
+          results
+      in
       pf "%-10s load=%5.0f achieved=%5.0f krps  p50=%9.2fus  p99.9=%10.2fus  util=%5.1f%%\n"
         label load r.Runner.achieved_krps
         (Clock.to_us r.Runner.e2e.Summary.p50)
         (Clock.to_us r.Runner.e2e.Summary.p999)
         (100. *. r.Runner.rdma_util))
     [
-      ("4KB", 4096, 16_384, 800.);
-      ("2MB", 2 * 1024 * 1024, 32, 800.);
-      ("4KB", 4096, 16_384, 100.);
-      ("2MB", 2 * 1024 * 1024, 32, 100.);
+      ("4KB", 800.);
+      ("2MB", 800.);
+      ("4KB", 100.);
+      ("2MB", 100.);
       (* the highest load 2 MB pages survive at all: the link carries
-         512x the useful bytes *)
-      ("2MB", 2 * 1024 * 1024, 32, 4.);
+         512x the useful bytes (the grid's 4KB point there goes
+         unprinted) *)
+      ("2MB", 4.);
     ]
 
 let ablate_qp_depth () =
   Report.header "Ablation A3: QP depth vs Adios saturation (section 5.2)";
-  let app = micro_app () in
-  List.iter
-    (fun depth ->
-      let cfg = { (base_cfg Config.Adios) with Config.qp_depth = depth } in
-      let r = Runner.run cfg app ~offered_krps:2400. ~requests:(reqs 40_000) () in
-      pf "qp_depth=%4d  achieved=%7.0f krps  p99.9=%9.2f us  qp_stalls=%d\n"
-        depth r.Runner.achieved_krps
-        (Clock.to_us r.Runner.e2e.Summary.p999)
-        r.Runner.qp_stalls)
-    [ 4; 16; 64; 128; 512 ]
+  run
+    (spec "ablate-qp-depth" ~systems:[ Config.Adios ] ~apps:[ "array" ]
+       ~variants:
+         (variants (Printf.sprintf "qp_depth=%d")
+            (fun c qp_depth -> { c with Config.qp_depth })
+            [ 4; 16; 64; 128; 512 ])
+       ~loads:[ 2400. ] ~requests:40_000)
+  |> List.iter (fun ((p : Spec.point), (r : Runner.result)) ->
+         pf "qp_depth=%4d  achieved=%7.0f krps  p99.9=%9.2f us  qp_stalls=%d\n"
+           (Spec.config p).Config.qp_depth r.Runner.achieved_krps
+           (Clock.to_us r.Runner.e2e.Summary.p999)
+           r.Runner.qp_stalls)
 
 (* ---- main ------------------------------------------------------------------ *)
 

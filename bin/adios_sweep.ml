@@ -257,8 +257,7 @@ let run spec_name systems apps loads requests seed jobs mode out golden oracle
       | Ok g ->
         ok :=
           report "phase golden"
-            (Oracle.compare_golden ~tolerance:Oracle.phase_tolerance ~golden:g
-               pds)
+            (Oracle.compare_golden ~golden:g pds)
           && !ok)
     | _ -> ());
     if oracle then ok := report "oracle" (bundle spec ~k:knee_k ds) && !ok;
@@ -362,8 +361,8 @@ let golden_arg =
     & opt (some string) None
     & info [ "golden" ] ~docv:"FILE"
         ~doc:
-          "Compare the dataset against a golden CSV within per-column \
-           tolerance bands; violations exit non-zero.")
+          "Compare the dataset against a golden CSV cell by cell; any \
+           difference exits non-zero.")
 
 let oracle_arg =
   Arg.(

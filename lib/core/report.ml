@@ -9,91 +9,60 @@ let pf = Printf.printf
 let header title =
   pf "\n==== %s ====\n" title
 
-let pick_percentile (s : Summary.t) = function
-  | "p50" -> s.Summary.p50
-  | "p99" -> s.Summary.p99
-  | "p99.9" -> s.Summary.p999
-  | "p10" -> s.Summary.p10
-  | p -> invalid_arg ("Report: unknown percentile " ^ p)
+type percentile = string * (Summary.t -> int)
+
+let p50 = ("p50", fun (s : Summary.t) -> s.Summary.p50)
+let p99 = ("p99", fun (s : Summary.t) -> s.Summary.p99)
+let p999 = ("p99.9", fun (s : Summary.t) -> s.Summary.p999)
 
 let us v = Clock.to_us v
 
-let series_table ~title ~ylabel ~rows systems =
+type cell = { ylabel : string; decimals : int; value : Runner.result -> float }
+
+let latency ?kind ((label, pick) : percentile) =
+  let summary (r : Runner.result) =
+    match kind with
+    | None -> Some r.Runner.e2e
+    | Some k -> List.assoc_opt k r.Runner.kind_summaries
+  in
+  {
+    ylabel = label ^ " latency, us";
+    decimals = 2;
+    value =
+      (fun r -> match summary r with Some s -> us (pick s) | None -> 0.);
+  }
+
+let achieved =
+  {
+    ylabel = "achieved krps";
+    decimals = 0;
+    value = (fun r -> r.Runner.achieved_krps);
+  }
+
+let rdma_util =
+  {
+    ylabel = "rdma wire util %";
+    decimals = 1;
+    value = (fun r -> 100. *. r.Runner.rdma_util);
+  }
+
+let load_table ~title cell series =
   pf "\n-- %s --\n" title;
   pf "%-14s" "offered_krps";
-  List.iter (fun (name, _) -> pf "%14s" name) systems;
-  pf "    (%s)\n" ylabel;
-  rows ()
-
-let latency_of_result ~kind ~percentile (r : Runner.result) =
-  match kind with
-  | None -> pick_percentile r.Runner.e2e percentile
-  | Some k -> (
-    match List.assoc_opt k r.Runner.kind_summaries with
-    | Some s -> pick_percentile s percentile
-    | None -> 0)
-
-let latency_table ~title ~kind ~percentile systems =
-  let points =
-    match systems with [] -> 0 | (_, rs) :: _ -> List.length rs
-  in
-  series_table ~title ~ylabel:(percentile ^ " latency, us")
-    ~rows:(fun () ->
-      for i = 0 to points - 1 do
-        let offered =
-          (List.nth (snd (List.hd systems)) i).Runner.offered_krps
-        in
-        pf "%-14.0f" offered;
+  List.iter (fun (name, _) -> pf "%14s" name) series;
+  pf "    (%s)\n" cell.ylabel;
+  match series with
+  | [] -> ()
+  | (_, first) :: _ ->
+    List.iteri
+      (fun i (r : Runner.result) ->
+        pf "%-14.0f" r.Runner.offered_krps;
         List.iter
           (fun (_, rs) ->
-            let r = List.nth rs i in
-            pf "%14.2f" (us (latency_of_result ~kind ~percentile r)))
-          systems;
-        pf "\n"
-      done)
-    systems
-
-let latency_vs_load ~title ~percentile systems =
-  latency_table ~title ~kind:None ~percentile systems
-
-let kind_latency_vs_load ~title ~kind ~percentile systems =
-  latency_table ~title ~kind:(Some kind) ~percentile systems
-
-let throughput_vs_load ~title systems =
-  let points =
-    match systems with [] -> 0 | (_, rs) :: _ -> List.length rs
-  in
-  series_table ~title ~ylabel:"achieved krps" ~rows:(fun () ->
-      for i = 0 to points - 1 do
-        let offered =
-          (List.nth (snd (List.hd systems)) i).Runner.offered_krps
-        in
-        pf "%-14.0f" offered;
-        List.iter
-          (fun (_, rs) ->
-            pf "%14.0f" (List.nth rs i).Runner.achieved_krps)
-          systems;
-        pf "\n"
-      done)
-    systems
-
-let util_vs_load ~title systems =
-  let points =
-    match systems with [] -> 0 | (_, rs) :: _ -> List.length rs
-  in
-  series_table ~title ~ylabel:"rdma wire util %" ~rows:(fun () ->
-      for i = 0 to points - 1 do
-        let offered =
-          (List.nth (snd (List.hd systems)) i).Runner.offered_krps
-        in
-        pf "%-14.0f" offered;
-        List.iter
-          (fun (_, rs) ->
-            pf "%14.1f" (100. *. (List.nth rs i).Runner.rdma_util))
-          systems;
-        pf "\n"
-      done)
-    systems
+            pf "%14.*f" cell.decimals (cell.value (List.nth rs i)))
+          series;
+        pf "\n")
+      first
 
 let cdf ~title (r : Runner.result) =
   pf "\n-- %s --\n" title;

@@ -5,24 +5,34 @@
 val header : string -> unit
 (** Banner line for an experiment section. *)
 
-val latency_vs_load :
-  title:string -> percentile:string -> (string * Runner.result list) list -> unit
-(** One row per offered-load point, one column per system:
-    [percentile] is ["p50"], ["p99"] or ["p99.9"]. *)
+type percentile = string * (Adios_stats.Summary.t -> int)
+(** A latency percentile: its column label and its field of a summary. *)
 
-val kind_latency_vs_load :
-  title:string ->
-  kind:string ->
-  percentile:string ->
-  (string * Runner.result list) list ->
-  unit
-(** Like {!latency_vs_load} but for one request class (GET or SCAN). *)
+val p50 : percentile
+val p99 : percentile
+val p999 : percentile
 
-val throughput_vs_load : title:string -> (string * Runner.result list) list -> unit
-(** Offered vs achieved KRPS per system (Figs. 2(d)/7(d)). *)
+type cell = {
+  ylabel : string;  (** the unit, printed after the column names *)
+  decimals : int;
+  value : Runner.result -> float;
+}
+(** What a {!load_table} prints for one result. *)
 
-val util_vs_load : title:string -> (string * Runner.result list) list -> unit
-(** Offered load vs RDMA wire utilization (Figs. 2(e)/7(e)). *)
+val latency : ?kind:string -> percentile -> cell
+(** A latency percentile in us, end to end or, with [kind], of one
+    request class (GET or SCAN); 0 for a class the run never served. *)
+
+val achieved : cell
+(** Achieved KRPS (Figs. 2(d)/7(d)). *)
+
+val rdma_util : cell
+(** RDMA wire utilization in percent (Figs. 2(e)/7(e)). *)
+
+val load_table :
+  title:string -> cell -> (string * Runner.result list) list -> unit
+(** One row per offered-load point of the first series, one column per
+    series: each series' [cell] at that point. *)
 
 val cdf : title:string -> Runner.result -> unit
 (** Latency CDF of one run (Fig. 2(b)). *)

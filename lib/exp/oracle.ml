@@ -471,83 +471,32 @@ let check_replication_tail ?(factor = 3.) ds =
 
 (* --- golden comparison --------------------------------------------------- *)
 
-(* Absolute tolerance bands per column. The simulator is deterministic,
-   so an unchanged tree reproduces goldens bit-for-bit; the bands define
-   how far an *intentional* model change may shift each measurement
-   before the golden must be regenerated (and the shape re-justified in
-   EXPERIMENTS.md). Identity columns never drift. *)
-type tolerance = Exact | Band of { abs : float; rel : float }
-
-let default_tolerance = function
-  | "system" | "app" | "load" | "seed" | "requests"
-  | "nodes" | "replication" | "crashes" ->
-    Exact
-  | "p50_us" | "p90_us" | "p99_us" | "p999_us" | "mean_us" ->
-    Band { abs = 2.0; rel = 0.25 }
-  | "offered_krps" | "achieved_krps" -> Band { abs = 10.; rel = 0.05 }
-  | "drop_fraction" -> Band { abs = 0.02; rel = 0. }
-  | "rdma_util" -> Band { abs = 0.05; rel = 0. }
-  (* worker-cycle shares are fractions of the whole run: small absolute
-     drift is expected from scheduling shifts, relative drift is not *)
-  | c when String.length c > 4 && String.sub c 0 4 = "cpu_" ->
-    Band { abs = 0.02; rel = 0. }
-  (* counters: faults, evictions, preemptions, stalls, drops, ... *)
-  | _ -> Band { abs = 50.; rel = 0.25 }
-
-(* Tolerances for the phase goldens: identity columns exact, per-band
-   populations near-exact, cycle totals banded like the counter columns
-   (the simulator is deterministic — the bands only say how far an
-   intentional model change may drift before regeneration). *)
-let phase_tolerance = function
-  | "system" | "app" | "load" | "seed" | "band" -> Exact
-  | "requests" -> Band { abs = 5.; rel = 0.1 }
-  | _ -> Band { abs = 50_000.; rel = 0.35 }
-
-let compare_cell ~tolerance ~column ~where ~golden ~got =
-  match tolerance column with
-  | Exact ->
-    if String.equal golden got then []
-    else
-      [ Printf.sprintf "%s: %s is %S, golden has %S" where column got golden ]
-  | Band { abs; rel } -> (
-    match (float_of_string_opt golden, float_of_string_opt got) with
-    | Some g, Some v ->
-      let band = Float.max abs (rel *. Float.abs g) in
-      if Float.abs (v -. g) <= band then []
-      else
-        [ Printf.sprintf "%s: %s drifted to %s, golden %s (band %.3f)" where
-            column got golden band ]
-    | _ ->
-      if String.equal golden got then []
-      else
-        [ Printf.sprintf "%s: %s is %S, golden has %S (not numeric)" where
-            column got golden ])
-
-let compare_golden ?(tolerance = default_tolerance) ~golden ds =
+(* The simulator is deterministic, so an unchanged model reproduces a
+   golden byte for byte, and any difference is a model change: the
+   comparison is exact, and a change that moves a golden regenerates it
+   (adios_sweep --regen-golden). A header or row-count change leaves no
+   cells to pair, so it is the one violation reported. *)
+let compare_golden ~golden ds =
+  let line = String.concat "," in
   if not (List.equal String.equal golden.Dataset.header ds.Dataset.header) then
     [ Printf.sprintf "header changed: golden %s, got %s"
-        (String.concat "," golden.Dataset.header)
-        (String.concat "," ds.Dataset.header) ]
+        (line golden.Dataset.header) (line ds.Dataset.header) ]
   else if Dataset.length golden <> Dataset.length ds then
     [ Printf.sprintf "row count changed: golden %d, got %d"
         (Dataset.length golden) (Dataset.length ds) ]
   else
     List.concat
-      (List.map2
-         (fun grow row ->
-           let where =
-             Printf.sprintf "%s/%s @ %s krps"
-               (Dataset.get ds row "system")
-               (Dataset.get ds row "app")
-               (Dataset.get ds row "load")
-           in
+      (List.mapi
+         (fun i (grow, row) ->
            List.concat
              (List.map2
-                (fun column (golden, got) ->
-                  compare_cell ~tolerance ~column ~where ~golden ~got)
-                golden.Dataset.header
-                (List.combine grow row)))
-         golden.Dataset.rows ds.Dataset.rows)
+                (fun column (g, v) ->
+                  if String.equal g v then []
+                  else
+                    [ Printf.sprintf "row %d, column %s: %S, golden %S" (i + 1)
+                        column v g ])
+                golden.Dataset.header (List.combine grow row)))
+         (List.combine golden.Dataset.rows ds.Dataset.rows))
 
 (* --- bundles ------------------------------------------------------------- *)
 

@@ -1,8 +1,8 @@
 (** Figure-shape oracles over sweep datasets: knee detection, cross-system
     ranking, throughput monotonicity, request-conservation checks tying
-    rows back to the exported counters, and golden comparison with
-    absolute tolerance bands. Each check returns human-readable
-    violations; an empty list is a pass. *)
+    rows back to the exported counters, and exact golden comparison.
+    Each check returns human-readable violations; an empty list is a
+    pass. *)
 
 type violation = string
 
@@ -111,25 +111,12 @@ val check_replication_tail : ?factor:float -> Dataset.t -> violation list
     [factor] (default 3) of the R = 1 twin at the same (nodes, load) —
     replicated write-backs must not poison the read tail. *)
 
-type tolerance = Exact | Band of { abs : float; rel : float }
-
-val default_tolerance : string -> tolerance
-(** Per-column bands: identity columns exact; latencies 2 us or 25%;
-    rates 10 krps or 5%; fractions absolute; counters 50 or 25%. *)
-
-val phase_tolerance : string -> tolerance
-(** Bands for the phase goldens: identity and band columns exact,
-    band populations near-exact, cycle totals 50k cycles or 35%. *)
-
-val compare_golden :
-  ?tolerance:(string -> tolerance) ->
-  golden:Dataset.t ->
-  Dataset.t ->
-  violation list
-(** Column-by-column comparison against a golden dataset. The simulator
-    is deterministic, so an unchanged tree matches bit-for-bit; the
-    bands bound how far an intentional model change may shift each
-    measurement before the golden must be regenerated. *)
+val compare_golden : golden:Dataset.t -> Dataset.t -> violation list
+(** Exact comparison against a golden dataset: the simulator is
+    deterministic, so an unchanged model reproduces it byte for byte.
+    Reports a header change or a row-count change on its own, and
+    otherwise every differing cell by row (data rows count from 1, so
+    row [n] is line [n + 1] of the CSV) and column. *)
 
 val check_all : ?k:float -> Dataset.t -> violation list
 (** The standard bundle: knees detected and ranked per app, throughput

@@ -5,18 +5,16 @@ module Rng = Adios_engine.Rng
 module Injector = Adios_fault.Injector
 module Cluster = Adios_cluster.Cluster
 
+type variant = string * (Config.t -> Config.t)
+
 type t = {
   name : string;
   systems : Config.system list;
   apps : (string * (unit -> App.t)) list;
+  variants : variant list;
   loads : float list;
   requests : int;
   seed : int;
-  fault : Injector.config;
-  fetch_timeout_us : float;
-  fetch_retries : int;
-  local_ratio : float option;
-  workers : int option;
   clusters : Cluster.config list;
 }
 
@@ -25,6 +23,7 @@ type point = {
   system : Config.system;
   app_name : string;
   make_app : unit -> App.t;
+  variant : variant;
   load : float;
   point_seed : int;
   cluster : Cluster.config;
@@ -41,10 +40,11 @@ let point_seed ~seed ~index =
   let key = Rng.int (Rng.create seed) seed_bound + index in
   Rng.int (Rng.create key) seed_bound
 
+let default_variant = ("default", Fun.id)
+
 let make ?(systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios ])
-    ?(apps = [ "array" ]) ?(loads = [ 1000. ]) ?(requests = 4000) ?(seed = 42)
-    ?(fault = Injector.none) ?(fetch_timeout_us = 50.) ?(fetch_retries = 3)
-    ?local_ratio ?workers ?(clusters = [ Cluster.default ]) ~name () =
+    ?(apps = [ "array" ]) ?(variants = [ default_variant ]) ?(loads = [ 1000. ])
+    ?(requests = 4000) ?(seed = 42) ?(clusters = [ Cluster.default ]) ~name () =
   let apps =
     List.map
       (fun n ->
@@ -53,26 +53,13 @@ let make ?(systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios
         | None -> invalid_arg ("Spec.make: " ^ Adios_apps.Registry.unknown n))
       apps
   in
-  {
-    name;
-    systems;
-    apps;
-    loads;
-    requests;
-    seed;
-    fault;
-    fetch_timeout_us;
-    fetch_retries;
-    local_ratio;
-    workers;
-    clusters;
-  }
+  { name; systems; apps; variants; loads; requests; seed; clusters }
 
 let clustered spec = List.exists Cluster.enabled spec.clusters
 
-(* App-major, then system, then cluster, then load: each
-   (app, system, cluster) series is a contiguous ascending-load block,
-   the shape the figure oracles read. *)
+(* App-major, then system, then variant, then cluster, then load: each
+   (app, system, variant, cluster) series is a contiguous ascending-load
+   block, the shape the figure oracles read. *)
 let points spec =
   let index = ref (-1) in
   List.concat_map
@@ -80,53 +67,48 @@ let points spec =
       List.concat_map
         (fun system ->
           List.concat_map
-            (fun cluster ->
-              List.map
-                (fun load ->
-                  incr index;
-                  {
-                    index = !index;
-                    system;
-                    app_name;
-                    make_app;
-                    load;
-                    point_seed = point_seed ~seed:spec.seed ~index:!index;
-                    cluster;
-                  })
-                spec.loads)
-            spec.clusters)
+            (fun variant ->
+              List.concat_map
+                (fun cluster ->
+                  List.map
+                    (fun load ->
+                      incr index;
+                      {
+                        index = !index;
+                        system;
+                        app_name;
+                        make_app;
+                        variant;
+                        load;
+                        point_seed = point_seed ~seed:spec.seed ~index:!index;
+                        cluster;
+                      })
+                    spec.loads)
+                spec.clusters)
+            spec.variants)
         spec.systems)
     spec.apps
 
-let config spec point =
-  let cfg = Config.default point.system in
-  let cfg =
-    match spec.local_ratio with
-    | None -> cfg
-    | Some local_ratio -> { cfg with Config.local_ratio }
-  in
-  let cfg =
-    match spec.workers with
-    | None -> cfg
-    | Some workers -> { cfg with Config.workers }
-  in
+let fetch_timeout_us = 50.
+
+let config point =
+  let cfg = snd point.variant (Config.default point.system) in
   {
     cfg with
     Config.seed = point.point_seed;
-    fault = spec.fault;
     cluster = point.cluster;
-    (* recovery is armed on a faulty fabric or a crashing cluster — a
-       dead node's fetches only resolve through the timeout ladder;
-       clean sweeps stay byte-identical to builds without the injector *)
+    (* recovery is armed on a faulty fabric (a variant's) or a crashing
+       cluster — a dead node's fetches only resolve through the timeout
+       ladder; clean sweeps stay byte-identical to builds without the
+       injector *)
     fetch_timeout =
-      (if Injector.enabled spec.fault || point.cluster.Cluster.crashes > 0
-       then Clock.of_us spec.fetch_timeout_us
+      (if Injector.enabled cfg.Config.fault || point.cluster.Cluster.crashes > 0
+       then Clock.of_us fetch_timeout_us
        else 0);
-    fetch_retries = spec.fetch_retries;
   }
 
 let point_count spec =
-  List.length spec.apps * List.length spec.systems
+  List.length spec.apps * List.length spec.systems * List.length spec.variants
   * List.length spec.clusters * List.length spec.loads
 
 (* --- canonical reduced-scale specs (the golden tier) ------------------- *)
@@ -198,7 +180,7 @@ let cluster_reduced =
    documented factor of Adios's (see Oracle.check_steal). *)
 let steal_reduced =
   make ~name:"steal-reduced" ~systems:[ Config.Adios; Config.Steal ]
-    ~workers:16
+    ~variants:[ ("workers=16", fun c -> { c with Config.workers = 16 }) ]
     ~loads:[ 400.; 1200.; 2000.; 2800.; 3600.; 4400.; 5200. ]
     ()
 

@@ -1,7 +1,13 @@
-(** Declarative sweep specification: systems x apps x load grid x fault
-    config x seed. A spec expands to a list of {!point}s, each with a
-    deterministic per-point seed, so a sweep is replayable point-by-point
-    in any order and across worker processes. *)
+(** Declarative sweep specification: apps x systems x variants x
+    cluster topologies x load grid, with a sweep seed. A spec expands to
+    a list of {!point}s, each with a deterministic per-point seed, so a
+    sweep is replayable point-by-point in any order and across worker
+    processes. *)
+
+type variant = string * (Adios_core.Config.t -> Adios_core.Config.t)
+(** A named rewrite of a system's default configuration: one setting of
+    an experiment's knob, such as Fig. 8's local-memory ratio or
+    Fig. 9's TX mode. *)
 
 type t = {
   name : string;  (** dataset label, e.g. ["array-reduced"] *)
@@ -11,17 +17,14 @@ type t = {
           OCaml-side state leaks between points; the points of one app
           share its built dataset ({!Sweep}), so a factory must build
           the same dataset on every call *)
+  variants : variant list;
+      (** the configuration axis; default [[default_variant]]. Datasets
+          carry no variant column, so a spec with several variants is
+          for callers that tell its rows apart themselves (the bench
+          harness); every golden spec has one *)
   loads : float list;  (** offered-load grid, KRPS, ascending *)
   requests : int;  (** arrivals injected per point *)
   seed : int;  (** sweep master seed; per-point seeds derive from it *)
-  fault : Adios_fault.Injector.config;
-  fetch_timeout_us : float;
-      (** armed only when [fault] injects or a cluster point crashes *)
-  fetch_retries : int;
-  local_ratio : float option;  (** [None] keeps each system's default *)
-  workers : int option;
-      (** worker (CPU) count; [None] keeps the paper's standard 8 —
-          the steal spec raises it to stress dispatch at scale *)
   clusters : Adios_cluster.Cluster.config list;
       (** memory-node topology axis; default [[Cluster.default]] (one
           node, R = 1) keeps every existing spec byte-identical *)
@@ -32,10 +35,14 @@ type point = {
   system : Adios_core.Config.system;
   app_name : string;
   make_app : unit -> Adios_core.App.t;
+  variant : variant;
   load : float;
   point_seed : int;
   cluster : Adios_cluster.Cluster.config;
 }
+
+val default_variant : variant
+(** [("default", Fun.id)]: each system's default configuration. *)
 
 val point_seed : seed:int -> index:int -> int
 (** Deterministic per-point seed, a pure function of the sweep seed and
@@ -44,21 +51,17 @@ val point_seed : seed:int -> index:int -> int
 val make :
   ?systems:Adios_core.Config.system list ->
   ?apps:string list ->
+  ?variants:variant list ->
   ?loads:float list ->
   ?requests:int ->
   ?seed:int ->
-  ?fault:Adios_fault.Injector.config ->
-  ?fetch_timeout_us:float ->
-  ?fetch_retries:int ->
-  ?local_ratio:float ->
-  ?workers:int ->
   ?clusters:Adios_cluster.Cluster.config list ->
   name:string ->
   unit ->
   t
 (** Build a spec, resolving app names through
     {!Adios_apps.Registry}. Defaults: all four systems, the array app,
-    4000 requests, seed 42, clean fabric.
+    the default variant, 4000 requests, seed 42, one memory node.
 
     @raise Invalid_argument on an unknown app name. *)
 
@@ -67,13 +70,17 @@ val clustered : t -> bool
     datasets carry the cluster columns.) *)
 
 val points : t -> point list
-(** Grid expansion, app-major then system then cluster then load: each
-    (app, system, cluster) series is a contiguous ascending-load
+(** Grid expansion, app-major then system then variant then cluster
+    then load: each (app, system, variant, cluster) series is a
+    contiguous ascending-load block, and all of an app's points are one
     block. *)
 
-val config : t -> point -> Adios_core.Config.t
-(** The per-point run configuration: the system's default, with the
-    spec's fault fabric, local ratio and the point seed applied. *)
+val config : point -> Adios_core.Config.t
+(** The per-point run configuration: the system's default, rewritten by
+    the point's variant, then given the point's seed, cluster and fetch
+    timeout, which a variant therefore cannot change. The timeout is
+    50 us on a faulty fabric (as a variant sets it) or a cluster that
+    crashes a node, and 0 (off) otherwise. *)
 
 val point_count : t -> int
 
@@ -97,8 +104,8 @@ val cluster_reduced : t
 
 val steal_reduced : t
 (** Adios vs the Steal per-CPU work-stealing variant on the array app at
-    16 workers: the centralized-vs-distributed dispatch contrast, gated
-    by {!Oracle.check_steal}. *)
+    16 workers (its one variant): the centralized-vs-distributed
+    dispatch contrast, gated by {!Oracle.check_steal}. *)
 
 val all_goldens : t list
 (** Every spec with a checked-in golden: {!reduced} plus

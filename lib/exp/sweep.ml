@@ -5,9 +5,9 @@ module Arena = Adios_mem.Arena
 (* --- dataset images ------------------------------------------------------
 
    [Spec.points] is app-major, so each app's points form one contiguous
-   block, and a process (or domain) needs one image slot: the image of
-   the block in progress. The factory closure names the block; every
-   point of an app entry shares it. *)
+   block, whatever the other axes hold, and a process (or domain) needs
+   one image slot: the image of the block in progress. The factory
+   closure names the block; every point of an app entry shares it. *)
 type slot = ((unit -> App.t) * App.image) option ref
 
 (* End the slot's block: drop its image and run a full major GC, so the
@@ -41,7 +41,7 @@ let image_of (slot : slot) (point : Spec.point) make =
    there. *)
 let run_in ?slot ~cfg_tweak ~profile spec (point : Spec.point) =
   let app = point.Spec.make_app () in
-  let cfg = cfg_tweak (Spec.config spec point) in
+  let cfg = cfg_tweak (Spec.config point) in
   let run image =
     Runner.run cfg app ?image ~offered_krps:point.Spec.load
       ~requests:spec.Spec.requests ~profile ()
@@ -63,9 +63,13 @@ let with_slot f =
   Fun.protect ~finally:(fun () -> release slot) (fun () -> f slot)
 
 let point_label (p : Spec.point) =
-  Printf.sprintf "%s/%s @ %.0f krps (seed %d)"
+  let variant = fst p.Spec.variant in
+  Printf.sprintf "%s/%s%s @ %.0f krps (seed %d)"
     (Adios_core.Config.system_name p.Spec.system)
-    p.Spec.app_name p.Spec.load p.Spec.point_seed
+    p.Spec.app_name
+    (if String.equal variant (fst Spec.default_variant) then ""
+     else " [" ^ variant ^ "]")
+    p.Spec.load p.Spec.point_seed
 
 (* What a point comes to. A forked worker marshals it back over its
    pipe: Runner.result is plain data (records, arrays, floats), so

@@ -5,11 +5,12 @@
     one shared atomic cursor ([mode = `Domains]).
 
     Each app's dataset is built once per {!run}: {!Spec.points} is
-    app-major, and every point of an app's block runs on one pristine
-    {!Adios_core.App.image}. The fork backend builds the image in the
-    coordinator, then forks the block's workers, which inherit it
-    copy-on-write; each worker runs the points it is sent one after
-    another, and the next block gets a new pool. The sequential backend,
+    app-major (app, then system, variant, cluster and load), and every
+    point of an app's block, whatever its system or variant, runs on
+    one pristine {!Adios_core.App.image}. The fork backend builds the
+    image in the coordinator, then forks the block's workers, which
+    inherit it copy-on-write; each worker runs the points it is sent one
+    after another, and the next block gets a new pool. The sequential backend,
     and each domain of the domains backend, builds it inside the block's
     first point from that point's own [App.t]. Every backend restores
     the pages a point wrote ({!Adios_mem.Arena.rollback}) before the
@@ -43,7 +44,9 @@ val run_point :
     byte-identical either way. *)
 
 val point_label : Spec.point -> string
-(** Human-readable point identifier for progress and error messages. *)
+(** Human-readable point identifier for progress and error messages:
+    system, app, variant (unless it is {!Spec.default_variant}), load
+    and point seed. *)
 
 val run :
   ?jobs:int ->
@@ -60,7 +63,9 @@ val run :
     [`Domains] runs the points on [jobs] domains (the caller plus
     [jobs - 1] spawned ones), each claiming the next unclaimed point.
     Results are returned in {!Spec.points} order and are byte-identical
-    across backends. [progress] fires once per point, in points order,
+    across backends. A {!Dataset} of them has no variant column, so the
+    caller of a spec with several variants tells its rows apart by each
+    point's [variant]. [progress] fires once per point, in points order,
     on the calling domain; the parallel backends release it as the
     finished prefix of the points grows. The sequential backend and
     every fork worker run a full major GC before each point after their

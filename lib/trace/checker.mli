@@ -4,7 +4,10 @@
     properties of the simulated system {e from the trace alone}:
 
     - worker spans nest: per worker, [Run_begin]/[Run_end] strictly
-      alternate and end the request they began;
+      alternate and end the request they began, and every run has ended
+      by the end of the trace — except one whose reply was submitted
+      and whose TX completion is still pending, the wait of a worker
+      under [Tx_sync_spin] when the run stops at the last reply;
     - every [Fault_begin] is closed by a [Fault_end] and, in between,
       saw either an [Rdma_complete] for its page or a [Coalesce] — no
       fault resolves out of thin air;

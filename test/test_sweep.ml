@@ -6,16 +6,18 @@
    rests on — and every golden spec's engine-event total is pinned on
    the sequential, forked and domains runs. The steal-reduced spec gets
    its own golden/oracle suite for the Adios-vs-work-stealing dispatch
-   contrast. Every registry app, swept on each backend with its points
-   sharing one dataset image, must give the dataset the same points give
-   one at a time on fresh builds, also where a fork worker runs two silo
-   points on its image. A small spec checks the contract the three
-   backends share (failure naming, progress order), that the fork
-   backend runs a block on at most [jobs] workers and leaves none behind
-   however the sweep ends, and that the sequential backend lets go of
-   each point's testbed. Synthetic datasets then exercise each oracle's
-   failure direction, so a broken oracle (one that never fires) also
-   fails here. *)
+   contrast. A spec's variant axis keeps its place in the point order
+   and cannot move a point's seed, and a two-variant spec gives the same
+   CSV on one process and on forked workers. Every registry app, swept
+   on each backend with its points sharing one dataset image, must give
+   the dataset the same points give one at a time on fresh builds, also
+   where a fork worker runs two silo points on its image. A small spec
+   checks the contract the three backends share (failure naming,
+   progress order), that the fork backend runs a block on at most
+   [jobs] workers and leaves none behind however the sweep ends, and
+   that the sequential backend lets go of each point's testbed.
+   Synthetic datasets then exercise each oracle's failure direction, so
+   a broken oracle (one that never fires) also fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
@@ -23,6 +25,8 @@ module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
+module Clock = Adios_engine.Clock
+module Cluster = Adios_cluster.Cluster
 module Registry = Adios_obs.Registry
 module Openmetrics = Adios_obs.Openmetrics
 
@@ -32,7 +36,7 @@ let no_violations name vs = check Alcotest.(list string) name [] vs
 (* Engine events summed over each golden spec's points: the simulator's
    deterministic work measure, pinned exactly. A change to any of these
    means the engine now processes a different event stream for the same
-   spec — even where the CSV columns stay inside the golden bands. *)
+   spec — even where no CSV column moves. *)
 let golden_sim_events =
   [
     ("array-reduced", 2_988_041);
@@ -77,7 +81,7 @@ let test_golden_match () =
   match Dataset.load ~path:"golden/array-reduced.csv" with
   | Error e -> Alcotest.fail e
   | Ok golden ->
-    no_violations "within tolerance of golden"
+    no_violations "identical to the golden"
       (Oracle.compare_golden ~golden (Lazy.force dataset))
 
 let test_knees_detected () =
@@ -124,9 +128,8 @@ let test_phase_golden_match () =
   match Dataset.load ~path:"golden/array-reduced-phases.csv" with
   | Error e -> Alcotest.fail e
   | Ok golden ->
-    no_violations "within tolerance of the tail-forensics golden"
-      (Oracle.compare_golden ~tolerance:Oracle.phase_tolerance ~golden
-         (Lazy.force phase_dataset))
+    no_violations "identical to the tail-forensics golden"
+      (Oracle.compare_golden ~golden (Lazy.force phase_dataset))
 
 let test_phase_oracles () =
   no_violations "phase conservation + tail attribution"
@@ -161,7 +164,7 @@ let test_cluster_golden_match () =
   match Dataset.load ~path:"golden/cluster-reduced.csv" with
   | Error e -> Alcotest.fail e
   | Ok golden ->
-    no_violations "within tolerance of the cluster golden"
+    no_violations "identical to the cluster golden"
       (Oracle.compare_golden ~golden (Lazy.force cluster_dataset))
 
 let test_cluster_oracles () =
@@ -199,7 +202,7 @@ let test_steal_golden_match () =
   match Dataset.load ~path:"golden/steal-reduced.csv" with
   | Error e -> Alcotest.fail e
   | Ok golden ->
-    no_violations "within tolerance of the steal golden"
+    no_violations "identical to the steal golden"
       (Oracle.compare_golden ~golden (Lazy.force steal_dataset))
 
 let test_steal_oracles () =
@@ -578,6 +581,157 @@ let test_unknown_app_rejected () =
        ("Spec.make: " ^ Adios_apps.Registry.unknown "nope"))
     (fun () -> ignore (Spec.make ~apps:[ "nope" ] ~name:"x" ()))
 
+(* --- the variant axis ---------------------------------------------------- *)
+
+let sync_tx c = { c with Config.tx_mode = Config.Tx_sync_spin }
+
+let test_variant_order () =
+  let spec =
+    Spec.make ~name:"axes" ~apps:[ "array"; "memcached" ]
+      ~systems:[ Config.Adios; Config.Hermit ]
+      ~variants:[ Spec.default_variant; ("sync-tx", sync_tx) ]
+      ~clusters:[ Cluster.default; { Cluster.default with Cluster.nodes = 2 } ]
+      ~loads:[ 200.; 600. ] ()
+  in
+  let key app system variant nodes load =
+    Printf.sprintf "%s/%s/%s/%d/%.0f" app system variant nodes load
+  in
+  let expected =
+    List.concat_map
+      (fun app ->
+        List.concat_map
+          (fun system ->
+            List.concat_map
+              (fun variant ->
+                List.concat_map
+                  (fun nodes ->
+                    List.map (key app system variant nodes) [ 200.; 600. ])
+                  [ 1; 2 ])
+              [ "default"; "sync-tx" ])
+          [ "Adios"; "Hermit" ])
+      [ "array"; "memcached" ]
+  in
+  let points = Spec.points spec in
+  check Alcotest.int "point count" (List.length expected)
+    (Spec.point_count spec);
+  check
+    Alcotest.(list string)
+    "app, then system, variant, cluster, load" expected
+    (List.map
+       (fun (p : Spec.point) ->
+         key p.Spec.app_name
+           (Config.system_name p.Spec.system)
+           (fst p.Spec.variant) p.Spec.cluster.Cluster.nodes p.Spec.load)
+       points);
+  List.iteri
+    (fun i (p : Spec.point) ->
+      check Alcotest.int "seed is a pure function of (seed, index)"
+        (Spec.point_seed ~seed:spec.Spec.seed ~index:i)
+        p.Spec.point_seed)
+    points
+
+(* A variant rewrites the system default; the point's seed and cluster
+   go on after it. *)
+let test_variant_before_seed () =
+  let crashing = { Cluster.default with Cluster.nodes = 2; crashes = 1 } in
+  let meddle c =
+    { c with Config.seed = 7; cluster = crashing; workers = 3 }
+  in
+  let spec = Spec.make ~name:"meddle" ~variants:[ ("meddle", meddle) ] () in
+  List.iter
+    (fun (p : Spec.point) ->
+      let cfg = Spec.config p in
+      check Alcotest.int "the point's seed" p.Spec.point_seed cfg.Config.seed;
+      check Alcotest.bool "the point's cluster" true
+        (cfg.Config.cluster = p.Spec.cluster);
+      check Alcotest.int "the variant's setting" 3 cfg.Config.workers)
+    (Spec.points spec)
+
+let test_timeout_arming () =
+  let crash_rows =
+    List.filter
+      (fun (p : Spec.point) ->
+        let armed =
+          (Spec.config p).Config.fetch_timeout = Clock.of_us 50.
+        in
+        check Alcotest.bool
+          (Sweep.point_label p ^ ": armed iff the cluster crashes")
+          (p.Spec.cluster.Cluster.crashes > 0)
+          armed;
+        armed)
+      (Spec.points Spec.cluster_reduced)
+  in
+  check Alcotest.int "cluster-reduced's crash rows" 4 (List.length crash_rows);
+  let faulty c =
+    let module Injector = Adios_fault.Injector in
+    { c with Config.fault = { Injector.none with Injector.drop = 0.01 } }
+  in
+  check
+    Alcotest.(list int)
+    "clean fabric, a variant's faulty fabric" [ 0; Clock.of_us 50. ]
+    (List.map
+       (fun p -> (Spec.config p).Config.fetch_timeout)
+       (Spec.points
+          (Spec.make ~name:"faulty" ~systems:[ Config.Adios ]
+             ~variants:[ Spec.default_variant; ("faulty", faulty) ]
+             ())))
+
+let test_label_names_variant () =
+  let spec =
+    Spec.make ~name:"labels" ~systems:[ Config.Adios ]
+      ~variants:[ Spec.default_variant; ("sync-tx", sync_tx) ]
+      ~loads:[ 600. ] ()
+  in
+  check
+    Alcotest.(list string)
+    "only a non-default variant is named"
+    [
+      Printf.sprintf "Adios/array @ 600 krps (seed %d)"
+        (Spec.point_seed ~seed:42 ~index:0);
+      Printf.sprintf "Adios/array [sync-tx] @ 600 krps (seed %d)"
+        (Spec.point_seed ~seed:42 ~index:1);
+    ]
+    (List.map Sweep.point_label (Spec.points spec))
+
+(* Forks, so its group runs before any test spawns a domain. The seed
+   is pinned on every point, as the bench harness pins it, so that
+   only the variant tells two points at one (system, load) apart. *)
+let test_variants_fork () =
+  let spec =
+    Spec.make ~name:"variants" ~systems:[ Config.Adios; Config.Dilos ]
+      ~variants:[ Spec.default_variant; ("sync-tx", sync_tx) ]
+      ~loads:[ 600.; 1200. ] ~requests:300 ()
+  in
+  let run jobs =
+    Dataset.of_run
+      (Sweep.run ~jobs ~cfg_tweak:(fun c -> { c with Config.seed = 1 }) spec)
+  in
+  let ds = run 1 in
+  check Alcotest.string "same bytes (jobs=1 vs fork jobs=2)"
+    (Dataset.to_csv ds)
+    (Dataset.to_csv (run 2));
+  (* each (system, load) pair runs once per variant, two rows apart:
+     past the point columns (load, seed), the sync-TX rows must differ
+     from the default ones *)
+  let measured i =
+    List.filteri
+      (fun j _ -> j >= List.length Dataset.point_columns)
+      (List.nth ds.Dataset.rows i)
+  in
+  List.iter
+    (fun i ->
+      check Alcotest.bool "the variant changes the run" false
+        (measured i = measured (i + 2)))
+    [ 0; 1; 4; 5 ]
+
+let test_steal_workers () =
+  List.iter
+    (fun (p : Spec.point) ->
+      check Alcotest.int
+        (Sweep.point_label p ^ " workers")
+        16 (Spec.config p).Config.workers)
+    (Spec.points Spec.steal_reduced)
+
 (* --- oracles on synthetic data ------------------------------------------ *)
 
 (* A minimal dataset with just the columns a given oracle reads. *)
@@ -672,27 +826,30 @@ let test_conservation_synthetic () =
           (synth conservation_header
              [ conservation_row ~requests:100 ~completed:90 ~dropped:5 ])))
 
-let test_compare_golden_bands () =
-  let mk p999 = synth latency_header (curve_rows "A" [ (100., p999, 90.) ]) in
-  let golden = mk 10. in
-  no_violations "identical matches" (Oracle.compare_golden ~golden (mk 10.));
-  (* latency band is max(2us, 25%): 12.4 is inside, 13 is outside *)
-  no_violations "drift within band tolerated"
-    (Oracle.compare_golden ~golden (mk 12.4));
-  check Alcotest.int "drift past band caught" 1
-    (List.length (Oracle.compare_golden ~golden (mk 13.)));
-  (* identity columns never drift *)
-  let moved =
+let test_compare_golden_exact () =
+  let mk p999 =
     synth latency_header
-      [ [ "100."; "B"; "array"; "10."; "90." ] ]
+      (curve_rows "A" [ (100., 10., 90.); (200., p999, 180.) ])
   in
-  check Alcotest.int "exact column mismatch caught" 1
-    (List.length (Oracle.compare_golden ~golden moved));
-  check Alcotest.int "row count change caught" 1
+  let golden = mk 25. in
+  no_violations "identical matches" (Oracle.compare_golden ~golden (mk 25.));
+  (* no drift is tolerated: the smallest change is reported, by row and
+     column *)
+  check
+    Alcotest.(list string)
+    "one changed cell"
+    [ {|row 2, column p999_us: "25.1", golden "25."|} ]
+    (Oracle.compare_golden ~golden (mk 25.1));
+  check
+    Alcotest.(list string)
+    "row count change"
+    [ "row count changed: golden 2, got 1" ]
+    (Oracle.compare_golden ~golden
+       (synth latency_header (curve_rows "A" [ (100., 10., 90.) ])));
+  check Alcotest.int "header change" 1
     (List.length
        (Oracle.compare_golden ~golden
-          (synth latency_header
-             (curve_rows "A" [ (100., 10., 90.); (200., 11., 150.) ]))))
+          { (mk 25.) with Dataset.header = List.rev latency_header }))
 
 let cluster_header =
   [
@@ -822,6 +979,19 @@ let () =
           Alcotest.test_case "fork workers roll back" `Quick
             test_images_fork_rollback;
         ] );
+      ( "variants",
+        [
+          Alcotest.test_case "point order" `Quick test_variant_order;
+          Alcotest.test_case "variant before seed and cluster" `Quick
+            test_variant_before_seed;
+          Alcotest.test_case "fetch timeout arming" `Quick test_timeout_arming;
+          Alcotest.test_case "label names the variant" `Quick
+            test_label_names_variant;
+          Alcotest.test_case "csv equal at jobs 1 and 2" `Quick
+            test_variants_fork;
+          Alcotest.test_case "steal-reduced runs 16 workers" `Quick
+            test_steal_workers;
+        ] );
       ( "backends",
         [
           Alcotest.test_case "a block runs on at most jobs workers" `Quick
@@ -861,7 +1031,7 @@ let () =
           Alcotest.test_case "monotonicity" `Quick test_monotone_synthetic;
           Alcotest.test_case "conservation" `Quick
             test_conservation_synthetic;
-          Alcotest.test_case "golden bands" `Quick test_compare_golden_bands;
+          Alcotest.test_case "golden exact" `Quick test_compare_golden_exact;
           Alcotest.test_case "failover" `Quick test_failover_synthetic;
           Alcotest.test_case "replication tail" `Quick
             test_replication_tail_synthetic;

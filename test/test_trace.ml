@@ -289,6 +289,52 @@ let test_checker_accepts_minimal_valid_stream () =
   in
   check (Alcotest.list Alcotest.string) "clean" [] (errors_of stream)
 
+(* Under Tx_sync_spin a worker stays in its run until its reply's TX CQE
+   arrives, and a run stops at the last client RX: its trace ends with
+   runs still open on a pending TX completion, which strict checking
+   accepts on every system. *)
+let test_checker_sync_spin () =
+  List.iter
+    (fun sys ->
+      let name = Config.system_name sys in
+      let _, trace =
+        traced_run sys ~load:800. ~requests:3000 ~cfg_tweak:(fun c ->
+            { c with Config.tx_mode = Config.Tx_sync_spin })
+      in
+      let events = Sink.to_list trace in
+      let count kind =
+        List.length
+          (List.filter (fun (e : Event.t) -> e.Event.kind = kind) events)
+      in
+      check_bool (name ^ " ends with a run open") true
+        (count Event.Run_begin > count Event.Run_end);
+      check (Alcotest.list Alcotest.string) (name ^ " invariants") []
+        (Checker.check events).Checker.errors)
+    (Config.Steal :: all_systems)
+
+(* Only a pending TX completion excuses an open run. *)
+let test_checker_rejects_open_run () =
+  let opened =
+    [
+      ev ~ts:0 ~req:1 Event.Req_enqueue;
+      ev ~ts:1 ~req:1 ~worker:0 Event.Dispatch;
+      ev ~ts:2 ~req:1 ~worker:0 Event.Run_begin;
+    ]
+  in
+  let still_running = "end of trace: worker 0 still running r1" in
+  check_bool "no reply submitted" true
+    (List.mem still_running (errors_of opened));
+  check_bool "reply's TX already complete" true
+    (List.mem still_running
+       (errors_of
+          (opened
+          @ [
+              ev ~ts:3 ~req:1 ~worker:0 Event.Tx_submit;
+              ev ~ts:4 ~req:1 Event.Tx_complete;
+            ])));
+  check (Alcotest.list Alcotest.string) "reply's TX pending" []
+    (errors_of (opened @ [ ev ~ts:3 ~req:1 ~worker:0 Event.Tx_submit ]))
+
 (* --- checker: fault-recovery events -------------------------------------- *)
 
 (* One request whose demand fetch is lost, times out, and is recovered
@@ -657,6 +703,10 @@ let () =
           Alcotest.test_case "accepts minimal valid stream" `Quick
             test_checker_accepts_minimal_valid_stream;
           Alcotest.test_case "tolerant mode" `Quick test_checker_tolerant_mode;
+          Alcotest.test_case "accepts sync-spin run end" `Quick
+            test_checker_sync_spin;
+          Alcotest.test_case "rejects an open run" `Quick
+            test_checker_rejects_open_run;
           Alcotest.test_case "accepts fault recovery" `Quick
             test_checker_accepts_fault_recovery;
           Alcotest.test_case "rejects broken recovery" `Quick
