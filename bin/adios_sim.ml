@@ -210,14 +210,34 @@ let app_arg =
           ^ String.concat ", " Adios_apps.Registry.names
           ^ "."))
 
+(* a rate of 0, below 0 or not finite would give an infinite mean gap:
+   a usage error *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some _ -> Error (`Msg "must be positive and finite")
+    | None -> Error (`Msg ("not a number: " ^ s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ -> Error (`Msg "must be positive")
+    | None -> Error (`Msg ("not an integer: " ^ s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
 let load_arg =
   Arg.(
-    value & opt float 1000.
+    value & opt positive_float 1000.
     & info [ "load"; "l" ] ~docv:"KRPS" ~doc:"Offered load in KRPS.")
 
 let requests_arg =
   Arg.(
-    value & opt int 40_000
+    value & opt positive_int 40_000
     & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests to inject.")
 
 let ratio_arg =
@@ -305,15 +325,6 @@ let metrics_interval_arg =
     & opt period_us (Clock.of_us 5.)
     & info [ "metrics-interval-us" ] ~docv:"US"
         ~doc:"Sampling period in microseconds for --metrics-csv (default 5).")
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ -> Error (`Msg "must be positive")
-    | None -> Error (`Msg ("not an integer: " ^ s))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
 let trace_cap_arg =
   Arg.(

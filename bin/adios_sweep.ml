@@ -36,9 +36,12 @@ let comma_list conv_one =
   in
   parse
 
-let float_of_name s =
+(* a load of 0, below 0 or not finite would give an infinite mean
+   gap: a usage error *)
+let load_of_name s =
   match float_of_string_opt s with
-  | Some f -> Ok f
+  | Some f when f > 0. && Float.is_finite f -> Ok f
+  | Some _ -> Error (`Msg ("load must be positive and finite: " ^ s))
   | None -> Error (`Msg ("not a number: " ^ s))
 
 (* --- output ------------------------------------------------------------- *)
@@ -307,7 +310,7 @@ let apps_arg =
 let loads_arg =
   let loads_conv =
     Arg.conv
-      ( comma_list float_of_name,
+      ( comma_list load_of_name,
         fun ppf l ->
           Format.pp_print_string ppf
             (String.concat "," (List.map (Printf.sprintf "%g") l)) )
@@ -318,8 +321,17 @@ let loads_arg =
     & info [ "loads" ] ~docv:"LIST" ~doc:"Offered-load grid in KRPS.")
 
 let requests_arg =
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | Some _ -> Error (`Msg "must be positive")
+      | None -> Error (`Msg ("not an integer: " ^ s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
-    value & opt int 4000
+    value & opt positive_int 4000
     & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests per point.")
 
 let seed_arg =

@@ -63,16 +63,45 @@ let manifest =
       cold = [ "Cq.grow" ];
     };
     { file = "lib/rdma/nic.ml";
-      (* the in-order delivery path every completion takes; out-of-order
-         parking ([stalled]) pays a closure by design and is not listed *)
-      functions = [ "deliver_wr" ];
+      (* a work request's whole life: the post into its QP's ring, the
+         engine picking and serializing it, the service-end event, and
+         the in-order delivery (parked or not) that pushes its CQE. The
+         events are made once, per engine and per ring slot; the fault
+         fabric's verdict runs only with an injector, and the payload
+         rings are sized by a QP's first post *)
+      functions =
+        [ "post"; "serve"; "next_qp"; "finish_service"; "arrive"; "deliver" ];
+      cold = [ "fault_delay"; "size_payloads" ];
+    };
+    { file = "lib/rdma/link.ml";
+      (* every WR's serialization; the float arithmetic reruns only
+         when a link's payload size changes *)
+      functions = [ "serialize_cycles"; "occupy" ];
+      cold = [ "nominal_cycles" ];
+    };
+    { file = "lib/cluster/cluster.ml";
+      (* every fault routes its read up to three times *)
+      functions = [ "route_read"; "current_primary" ];
       cold = [];
     };
     { file = "lib/core/system.ml";
       (* every phase and CPU-state transition, with the two switches it
-         makes below; [Phase.cpu_state] returns static constants *)
-      functions = [ "enter" ];
-      cold = [];
+         makes below ([Phase.cpu_state] returns static constants);
+         Algorithm 1's order; and a page fetch's slot, post and CQE.
+         The pool doubles when it runs dry; a full QP's backoff and the
+         fetch timer allocate their closures, and run only when a QP is
+         full or [fetch_timeout] is set *)
+      functions =
+        [
+          "enter";
+          "dispatch_order";
+          "idle_order";
+          "acquire_fetch";
+          "release_fetch";
+          "post_fetch";
+          "fetch_cqe";
+        ];
+      cold = [ "grow_fetches"; "fetch_backoff"; "arm_fetch_timer" ];
     };
     { file = "lib/obs/accountant.ml"; functions = [ "switch" ]; cold = [] };
     { file = "lib/prof/profiler.ml"; functions = [ "switch" ]; cold = [] };

@@ -54,9 +54,9 @@ type node = {
   memnode : Memnode.t;
   rx_link : Link.t;
   tx_link : Link.t;
-  nic : (unit -> unit) Nic.t;
+  nic : int Nic.t;
   mutable alive : bool;
-  mutable repl_qp : (unit -> unit) Nic.qp option;
+  mutable repl_qp : int Nic.qp option;
 }
 
 type t = {
@@ -69,7 +69,10 @@ type t = {
   gap : int; (* cycles between background re-replication steps *)
   rng : Rng.t; (* drawn only inside scheduled crash/slowdown callbacks *)
   trace : Sink.t;
-  repl_cq : (unit -> unit) Verbs.Cq.t;
+  repl_cq : int Verbs.Cq.t;
+  legs : (int, unit -> unit) Hashtbl.t;
+      (* token -> what a re-replication leg does when its CQE lands *)
+  mutable next_leg : int;
   override : (int, int list) Hashtbl.t; (* page -> repaired replica list *)
   mutable nodes_failed : int;
   mutable failovers : int;
@@ -83,8 +86,9 @@ type t = {
 
 (* splitmix64 finalizer: an explicit, seed-free page mixer (the
    determinism lint bans [Hashtbl.hash], whose value may change across
-   compiler releases). *)
-let mix64 z =
+   compiler releases). Inlined, so its [Int64] intermediates stay
+   unboxed and routing a page allocates nothing. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
   let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
@@ -135,29 +139,35 @@ let create ?(trace = Sink.null) ?fault sim cfg ~pages ~page_size ~gbps
       if !hosted > 0 then
         ignore (Memnode.register_exn nd.memnode ~bytes:(!hosted * page_size)))
     node_tab;
-  let repl_cq = Verbs.Cq.create () in
-  Verbs.Cq.set_notify repl_cq (fun () ->
-      Verbs.Cq.drain repl_cq
-        (fun (c : (unit -> unit) Verbs.completion) -> c.user ()));
-  {
-    sim;
-    cfg;
-    node_tab;
-    pages;
-    page_size;
-    qp_depth;
-    gap = rereplicate_gap_cycles;
-    rng = Rng.create (seed + 0x5eed);
-    trace;
-    repl_cq;
-    override = Hashtbl.create 64;
-    nodes_failed = 0;
-    failovers = 0;
-    rereplicated = 0;
-    lost_writes = 0;
-    dead_reads = 0;
-    backlog = 0;
-  }
+  let t =
+    {
+      sim;
+      cfg;
+      node_tab;
+      pages;
+      page_size;
+      qp_depth;
+      gap = rereplicate_gap_cycles;
+      rng = Rng.create (seed + 0x5eed);
+      trace;
+      repl_cq = Verbs.Cq.create ();
+      legs = Hashtbl.create 16;
+      next_leg = 0;
+      override = Hashtbl.create 64;
+      nodes_failed = 0;
+      failovers = 0;
+      rereplicated = 0;
+      lost_writes = 0;
+      dead_reads = 0;
+      backlog = 0;
+    }
+  in
+  Verbs.Cq.set_notify t.repl_cq (fun () ->
+      Verbs.Cq.drain t.repl_cq (fun (c : int Verbs.completion) ->
+          let leg = Hashtbl.find t.legs c.user in
+          Hashtbl.remove t.legs c.user;
+          leg ()));
+  t
 
 let config t = t.cfg
 let nodes t = t.node_tab
@@ -173,15 +183,40 @@ let replicas t ~page =
   | Some l -> l
   | None -> default_replicas t.cfg ~page
 
+(* Re-replication rewrote this page's replica list. Empty until a node
+   has crashed, so the healthy path pays one length test. *)
+let overridden t ~page =
+  Hashtbl.length t.override > 0 && Hashtbl.mem t.override page
+
+(* The first alive node of a rewritten replica list; its head when every
+   replica is dead. *)
+let rec first_alive_of t head = function
+  | [] -> head
+  | id :: rest ->
+    if t.node_tab.(id).alive then id else first_alive_of t head rest
+
+(* The first alive node among placement replicas [i ..] of a page whose
+   primary is [p]; [p] when every replica is dead. *)
+let rec first_alive t ~p i =
+  if i = t.cfg.replication then p
+  else begin
+    let id = (p + i) mod t.cfg.nodes in
+    if t.node_tab.(id).alive then id else first_alive t ~p (i + 1)
+  end
+
+(* With every replica dead the read still goes to the list's head, and
+   the timeout surfaces it. *)
 let route_read t ~page =
-  let reps = replicas t ~page in
-  let prim = match reps with p :: _ -> p | [] -> 0 in
-  let rec pick = function
-    | [] -> (prim, false) (* every replica dead: let the timeout surface it *)
-    | id :: rest ->
-      if t.node_tab.(id).alive then (id, id <> prim) else pick rest
-  in
-  pick reps
+  if overridden t ~page then
+    match Hashtbl.find t.override page with
+    | head :: _ as reps -> first_alive_of t head reps
+    | [] -> 0
+  else first_alive t ~p:(primary t ~page) 0
+
+let current_primary t ~page =
+  if overridden t ~page then
+    match Hashtbl.find t.override page with head :: _ -> head | [] -> 0
+  else primary t ~page
 
 let write_targets t ~page =
   List.filter (fun id -> t.node_tab.(id).alive) (replicas t ~page)
@@ -236,6 +271,23 @@ let pick_target t ~reps ~prim =
   in
   scan 1
 
+(* Post one re-replication leg on [nd]'s repair QP, retrying every
+   [gap] cycles while the QP is full. Its WR carries a token into
+   [legs], which the CQ drain turns back into [on_cqe]. *)
+let rec post_leg t nd ~opcode ~page on_cqe =
+  let token = t.next_leg in
+  if
+    Nic.post (repl_qp t nd) ~opcode ~bytes:t.page_size ~user:token
+      ~cq:t.repl_cq
+  then begin
+    t.next_leg <- token + 1;
+    Hashtbl.replace t.legs token on_cqe;
+    ev t Event.Rdma_issue ~page
+  end
+  else
+    Sim.schedule t.sim ~delay:t.gap (fun () ->
+        post_leg t nd ~opcode ~page on_cqe)
+
 (* Restore one page's replication factor: READ it from a surviving
    replica, WRITE it onto the chosen spare, then swap the dead node out
    of the page's replica list. Both legs go through a real QP and the
@@ -264,27 +316,13 @@ let copy_page t ~victim page =
           done_ ();
           ev t Event.Rereplicated ~page
         in
-        let rec write_leg () =
-          if
-            Nic.post (repl_qp t tgt) ~opcode:Verbs.Write ~bytes ~user:finish
-              ~cq:t.repl_cq
-          then ev t Event.Rdma_issue ~page
-          else Sim.schedule t.sim ~delay:t.gap write_leg
-        in
         let read_done () =
           ev t Event.Rdma_complete ~page;
           Memnode.record_write tgt.memnode ~bytes;
-          write_leg ()
-        in
-        let rec read_leg () =
-          if
-            Nic.post (repl_qp t src) ~opcode:Verbs.Read ~bytes ~user:read_done
-              ~cq:t.repl_cq
-          then ev t Event.Rdma_issue ~page
-          else Sim.schedule t.sim ~delay:t.gap read_leg
+          post_leg t tgt ~opcode:Verbs.Write ~page finish
         in
         Memnode.record_read src.memnode ~bytes;
-        read_leg ())
+        post_leg t src ~opcode:Verbs.Read ~page read_done)
   end
 
 let start_rereplication t ~victim =

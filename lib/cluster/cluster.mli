@@ -58,10 +58,12 @@ type node = {
   memnode : Memnode.t;
   rx_link : Link.t;  (** fetch direction (node to compute) *)
   tx_link : Link.t;  (** write-back direction *)
-  nic : (unit -> unit) Nic.t;
+  nic : int Nic.t;
   mutable alive : bool;
-  mutable repl_qp : (unit -> unit) Nic.qp option;
-      (** lazily created QP for background re-replication traffic *)
+  mutable repl_qp : int Nic.qp option;
+      (** lazily created QP for background re-replication traffic; its
+          WRs carry tokens the cluster maps back to each leg's next
+          step *)
 }
 
 type t
@@ -107,13 +109,19 @@ val replicas : t -> page:int -> int list
 (** Current replica list, primary first — reflects re-replication
     overrides. *)
 
-val route_read : t -> page:int -> int * bool
+val route_read : t -> page:int -> int
 (** Node to fetch the page from: the first alive node in its replica
-    list. The flag is [true] when that is not the primary (a failover).
-    When every replica is dead, returns the (dead) primary and [false]:
-    the post goes through, the completion is swallowed, and the host's
-    timeout/retry path surfaces the error — callers should count it via
-    {!note_dead_read}. *)
+    list. When every replica is dead, returns the (dead) head of the
+    list: the post goes through, the completion is swallowed, and the
+    host's timeout/retry path surfaces the error — callers should count
+    it via {!note_dead_read}. Allocates nothing: a loop over the
+    placement successors, or over the rewritten list after
+    re-replication. *)
+
+val current_primary : t -> page:int -> int
+(** Head of the page's current replica list: {!primary}, or the spare
+    that replaced it after re-replication. A read {!route_read} sends
+    elsewhere is a failover. *)
 
 val write_targets : t -> page:int -> int list
 (** Alive replicas a write-back must land on. Empty when every replica

@@ -67,6 +67,11 @@ let run cfg app ~offered_krps ~requests ?image ?trace ?metrics ?snapshot
     ?(sample_period = Clock.of_us 5.) ?(profile = false) () =
   if sample_period <= 0 then
     invalid_arg "Runner.run: sample_period must be positive";
+  (* a zero or NaN rate makes the mean gap infinite, and [int_of_float]
+     would turn it into [min_int]: every arrival at t = 0 *)
+  if not (offered_krps > 0. && Float.is_finite offered_krps) then
+    invalid_arg "Runner.run: offered_krps must be positive and finite";
+  if requests <= 0 then invalid_arg "Runner.run: requests must be positive";
   let image =
     match image with Some image -> image | None -> App.build_image app
   in

@@ -114,7 +114,8 @@ val run :
     For fetch-link use per tick, take the per-tick delta of
     [adios_nic_read_bytes_total] and scale it as [rdma_util] scales
     bytes (wire overhead over the link rate).
-    @raise Invalid_argument if [sample_period <= 0].
+    @raise Invalid_argument if [sample_period <= 0], if [offered_krps]
+    is not a positive finite rate, or if [requests <= 0].
 
     [profile] (default false) attaches the critical-path profiler: every
     admitted request's end-to-end latency is decomposed into the exact

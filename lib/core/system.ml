@@ -38,13 +38,39 @@ type entry = {
 
 and worker = {
   wid : int;
-  qps : (unit -> unit) Nic.qp array;  (** one QP per memory node *)
-  fetch_cq : (unit -> unit) Verbs.Cq.t;
+  qps : int Nic.qp array;
+      (** one QP per memory node; each WR carries a fetch token *)
+  fetch_cq : int Verbs.Cq.t;
   gate : Proc.Gate.t;
   ready : entry Queue.t;
   local : entry Queue.t; (* per-worker queue (partitioned / stealing) *)
   mutable assigned : entry option;
   mutable idle : bool;
+}
+
+type outcome = Pending | Fetched | Failed
+
+(* Every page READ that is posted or waiting to post holds one slot of
+   this pool: the simulator's counterpart of the paper's pre-allocated
+   per-request memory. Slot [s]'s fields sit at index [s] of the
+   parallel arrays, which double when the pool runs out of free slots
+   (so never bind one across a blocking wait). *)
+type fetches = {
+  mutable page : int array;
+  mutable home : int array;  (** the worker whose QPs carry every attempt *)
+  mutable owner : entry array;
+      (** the parked faulting entry; [nobody] for a prefetch *)
+  mutable budget : int array;  (** reposts allowed after a timeout *)
+  mutable live : int array;
+      (** token of the attempt whose CQE or timer acts; -1: none *)
+  mutable attempt : int array;
+  mutable outcome : outcome array;
+  mutable wake : (unit -> unit) array;  (** a busy-waiting owner's resume *)
+  mutable park : ((unit -> unit) -> unit) array;
+      (** slot [s]'s suspend hook, storing the resume in [wake.(s)] *)
+  mutable free : int array;  (** stack of free slots, [nfree] deep *)
+  mutable nfree : int;
+  mutable serial : int;  (** attempts posted so far: the token's high bits *)
 }
 
 type t = {
@@ -54,9 +80,10 @@ type t = {
   arena : Arena.t;
   pager : Pager.t;
   cluster : Cluster.t;
-  nic : (unit -> unit) Nic.t;  (** node 0's NIC *)
-  reclaim_qps : (unit -> unit) Nic.qp array;  (** one per memory node *)
-  reclaim_cq : (unit -> unit) Verbs.Cq.t;
+  nic : int Nic.t;  (** node 0's NIC *)
+  reclaim_qps : int Nic.qp array;
+      (** one per memory node; each WR carries its page *)
+  reclaim_cq : int Verbs.Cq.t;
   reply_channel : Request.t Raw_eth.t;
   workers : worker array;
   pending : entry Queue.t;
@@ -66,6 +93,12 @@ type t = {
   prefetched : Bytes.t; (* per-page flag: resident due to a prefetch *)
   prefetch_stats : Prefetcher.stats;
   mutable rr_cursor : int;
+  load : int array;  (** [dispatch_order]'s input, one slot per worker *)
+  order : int array;  (** and its output *)
+  fetches : fetches;
+  nobody : entry;
+      (** the owner of a prefetch: no request waits on it, and its
+          detector stands in for every entry's when prefetching is off *)
   rng : Rng.t;
   mutable reclaimer : Reclaimer.t option;
   counts : int array;  (** one slot per {!Counter.t}, by [Counter.index] *)
@@ -95,10 +128,16 @@ let faults_injected t =
 
 (* Single tracing entry point: one branch and no allocation when the
    sink is off — the cached [trace_on] flag skips even the [Sim.now]
-   read and the cross-module [emit] call. *)
-let ev ?(req = -1) ?(worker = -1) ?(page = -1) t kind =
+   read and the cross-module [emit] call. [ev] is [emit] with the
+   fields optional; the zero-alloc manifest functions call [emit],
+   since the typed lint counts the [Some] an optional argument is
+   wrapped in as an allocation. *)
+let emit t kind ~req ~worker ~page =
   if t.trace_on then
     Trace_sink.emit t.trace ~ts:(Sim.now t.sim) ~kind ~req ~worker ~page
+
+let ev ?(req = -1) ?(worker = -1) ?(page = -1) t kind =
+  emit t kind ~req ~worker ~page
 
 let worker_id e = match e.worker with Some w -> w.wid | None -> -1
 
@@ -135,7 +174,13 @@ let cluster t = t.cluster
 (* Congestion signal of a worker: fetches outstanding across all its
    QPs (one per memory node; a single sum, exactly the old per-QP count
    under the default single-node topology). *)
-let qp_load w = Array.fold_left (fun acc qp -> acc + Nic.outstanding qp) 0 w.qps
+let qp_load w =
+  let load = ref 0 in
+  for node = 0 to Array.length w.qps - 1 do
+    load := !load + Nic.outstanding w.qps.(node)
+  done;
+  !load
+
 let node_memnode t node = (Cluster.nodes t.cluster).(node).Cluster.memnode
 let prefetch_stats t = t.prefetch_stats
 
@@ -143,13 +188,6 @@ let is_busywait cfg =
   match cfg.Config.system with
   | Config.Dilos | Config.Dilos_p | Config.Hermit -> true
   | Config.Adios | Config.Steal -> false
-
-(* Drain a CQ, executing the per-completion callbacks immediately: a
-   spinning poller sees its CQE the moment it arrives; yield-mode
-   callbacks only enqueue the unithread, the worker switches back later. *)
-let attach_drain cq =
-  let run (c : (unit -> unit) Verbs.completion) = c.user () in
-  Verbs.Cq.set_notify cq (fun () -> Verbs.Cq.drain cq run)
 
 (* --- page-fault handling ------------------------------------------------ *)
 
@@ -200,31 +238,85 @@ let yield_on_inflight t e page =
 (* --- page fetches --------------------------------------------------------- *)
 
 (* One page READ (Fig. 5: post, park the faulting unithread, resume it
-   from the CQE) and its recovery protocol. A demand fetch has an
-   [owner], the faulting entry, parked until the fetch settles; a
-   prefetch has none and no reposts, so a lost one just gives its frame
-   back. Three transitions drive it: [post_fetch] posts attempt [n], and
-   that attempt's CQE ([fetch_cqe]) and timer ([fetch_timer]) act only
-   while [live = n]. A completion the fabric delivers after its timer
-   gave up (or a duplicate) is thereby ignored, and the page stays
-   Inflight across reposts until the fetch settles. *)
-type outcome = Pending | Fetched | Failed
+   from the CQE) and its recovery protocol, in one slot of the fetch
+   pool. A demand fetch has an owner, the faulting entry, parked until
+   the fetch settles; a prefetch has none ([nobody]) and no reposts, so
+   a lost one just gives its frame back. Three transitions drive it:
+   [post_fetch] posts the slot's current attempt with a fresh token,
+   and that attempt's CQE ([fetch_cqe]) and timer ([fetch_timer]) act
+   only while the token is the slot's [live] one. A completion the
+   fabric delivers after its timer gave up, a duplicate, or one for an
+   earlier fetch that used the same slot is thereby ignored (attempt
+   numbers repeat across a slot's fetches, tokens never do), and the
+   page stays Inflight across reposts until the fetch settles. A demand
+   fetch frees its slot once the owner has read the outcome; a prefetch
+   frees its slot when it settles. *)
 
-type fetch = {
-  page : int;
-  home : worker;  (** whose QPs carry every attempt *)
-  owner : entry option;  (** [None]: a prefetch *)
-  budget : int;  (** reposts allowed after a timeout *)
-  mutable live : int;  (** the attempt whose CQE or timer acts; -1: none *)
-  mutable outcome : outcome;
-  mutable wake : unit -> unit;  (** a busy-waiting owner's resume *)
-}
+(* A token is the post's serial above the slot's index. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
 
-let owner_id f = match f.owner with Some e -> e.req.Request.id | None -> -1
+(* Double the pool. The new slots' hooks are made here, once. *)
+let grow_fetches t =
+  let f = t.fetches in
+  let cap = Array.length f.page in
+  let ncap = max 64 (2 * cap) in
+  if ncap > slot_mask then invalid_arg "System: fetch pool exhausted";
+  let extend a fill =
+    Array.init ncap (fun s -> if s < cap then a.(s) else fill)
+  in
+  f.page <- extend f.page 0;
+  f.home <- extend f.home 0;
+  f.owner <- extend f.owner t.nobody;
+  f.budget <- extend f.budget 0;
+  f.live <- extend f.live (-1);
+  f.attempt <- extend f.attempt 0;
+  f.outcome <- extend f.outcome Pending;
+  f.wake <- extend f.wake ignore;
+  f.park <-
+    Array.init ncap (fun s ->
+        if s < cap then f.park.(s)
+        else fun resume -> t.fetches.wake.(s) <- resume);
+  f.free <- extend f.free 0;
+  for s = ncap - 1 downto cap do
+    f.free.(f.nfree) <- s;
+    f.nfree <- f.nfree + 1
+  done
+
+let acquire_fetch t ~page (w : worker) ~owner ~budget =
+  let f = t.fetches in
+  if f.nfree = 0 then grow_fetches t;
+  f.nfree <- f.nfree - 1;
+  let s = f.free.(f.nfree) in
+  f.page.(s) <- page;
+  f.home.(s) <- w.wid;
+  f.owner.(s) <- owner;
+  f.budget.(s) <- budget;
+  f.live.(s) <- -1;
+  f.attempt.(s) <- 0;
+  f.outcome.(s) <- Pending;
+  s
+
+let release_fetch t s =
+  let f = t.fetches in
+  f.live.(s) <- -1;
+  f.owner.(s) <- t.nobody;
+  f.wake.(s) <- ignore;
+  f.free.(f.nfree) <- s;
+  f.nfree <- f.nfree + 1
+
+let owner_id t s =
+  let e = t.fetches.owner.(s) in
+  if e == t.nobody then -1 else e.req.Request.id
 
 (* Coalesced faulters re-examine the page once its fetch settles. *)
-let wake_waiters t page =
-  List.iter (fun f -> f ()) (Pager.take_waiters t.pager page)
+let rec run_all = function
+  | [] -> ()
+  | f :: rest ->
+    f ();
+    run_all rest
+
+let wake_waiters t page = run_all (Pager.take_waiters t.pager page)
 
 (* A prefetched page nobody touched: it was evicted, or its fetch was
    abandoned. *)
@@ -236,87 +328,100 @@ let drop_prefetched t page =
 
 (* Only a live attempt settles a fetch, so this runs once per fetch. A
    busy-waiting owner resumes its spin; a yielded one goes back on its
-   worker's ready queue. *)
-let settle t f outcome =
-  f.outcome <- outcome;
-  match f.owner with
-  | None -> ()
-  | Some e -> if is_busywait t.cfg then f.wake () else enqueue_ready t f.home e
+   worker's ready queue; a prefetch frees its slot. *)
+let settle t s outcome =
+  let f = t.fetches in
+  f.outcome.(s) <- outcome;
+  let e = f.owner.(s) in
+  if e == t.nobody then release_fetch t s
+  else if is_busywait t.cfg then f.wake.(s) ()
+  else enqueue_ready t t.workers.(f.home.(s)) e
 
-let fetch_cqe t f n =
-  if f.live = n then begin
-    f.live <- -1;
-    Pager.complete_fetch t.pager f.page;
-    ev t Trace_event.Rdma_complete ~req:(owner_id f) ~worker:f.home.wid
-      ~page:f.page;
-    wake_waiters t f.page;
-    settle t f Fetched
+let fetch_cqe t token =
+  let f = t.fetches in
+  let s = token land slot_mask in
+  if f.live.(s) = token then begin
+    f.live.(s) <- -1;
+    let page = f.page.(s) in
+    Pager.complete_fetch t.pager page;
+    emit t Trace_event.Rdma_complete ~req:(owner_id t s) ~worker:f.home.(s)
+      ~page;
+    wake_waiters t page;
+    settle t s Fetched
   end
 
-(* Post attempt [n]; its trace events name request [req] (a prefetch's
-   names the request whose fault triggered it). A full QP backs off and
-   reposts: in place when [blocking] (the first attempt, which runs on
-   the worker), from a timer otherwise. *)
-let rec post_fetch t f ~req ~blocking n =
-  let page = f.page and worker = f.home.wid and bytes = t.app.App.page_size in
+(* Post slot [s]'s current attempt; its trace events name request [req]
+   (a prefetch's names the request whose fault triggered it). A full QP
+   backs off and reposts: in place when [blocking] (the first attempt,
+   which runs on the worker), from a timer otherwise. *)
+let rec post_fetch t s ~req ~blocking =
+  let f = t.fetches in
+  let page = f.page.(s) and n = f.attempt.(s) and bytes = t.app.App.page_size in
+  let w = t.workers.(f.home.(s)) in
   (* re-route every attempt: a retry after a node death must land on a
      surviving replica, not repost into the dead NIC forever *)
-  let node, failover = Cluster.route_read t.cluster ~page in
+  let node = Cluster.route_read t.cluster ~page in
   if n > 0 then Memnode.record_read (node_memnode t node) ~bytes;
-  if
-    Nic.post f.home.qps.(node) ~opcode:Verbs.Read ~bytes ~cq:f.home.fetch_cq
-      ~user:(fun () -> fetch_cqe t f n)
+  let token = (f.serial lsl slot_bits) lor s in
+  if Nic.post w.qps.(node) ~opcode:Verbs.Read ~bytes ~cq:w.fetch_cq ~user:token
   then begin
-    f.live <- n;
-    ev t Trace_event.Rdma_issue ~req ~worker ~page;
-    (match f.owner with
-    | Some e ->
-      if failover then begin
+    f.serial <- f.serial + 1;
+    f.live.(s) <- token;
+    emit t Trace_event.Rdma_issue ~req ~worker:w.wid ~page;
+    let e = f.owner.(s) in
+    if e != t.nobody then begin
+      if node <> Cluster.current_primary t.cluster ~page then begin
         Cluster.note_failover t.cluster;
-        ev t Trace_event.Failover ~req ~worker ~page;
+        emit t Trace_event.Failover ~req ~worker:w.wid ~page;
         if not (is_busywait t.cfg) then enter t e Phase.Failover_wait
       end;
       if not (Cluster.node_alive t.cluster node) then
         (* every replica dead: the post lands in a dead NIC and the
            timer will surface a Req_error *)
         Cluster.note_dead_read t.cluster
-    | None -> ());
+    end;
     let timeout = t.cfg.Config.fetch_timeout in
     if timeout > 0 then
       (* exponential backoff: the deadline doubles per repost (capped
          at 64x) so a throttled fabric is not flooded *)
-      Sim.schedule t.sim
-        ~delay:(timeout lsl min n 6)
-        (fun () -> fetch_timer t f n)
+      arm_fetch_timer t token ~delay:(timeout lsl min n 6)
   end
-  else begin
-    bump t Counter.Qp_stalls;
-    ev t Trace_event.Stall_qp ~req ~worker ~page;
-    if blocking then begin
-      Proc.wait Params.qp_retry_cycles;
-      post_fetch t f ~req ~blocking n
-    end
-    else
-      (* no attempt is live while this waits, so nothing can settle the
-         fetch meanwhile *)
-      Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
-          post_fetch t f ~req ~blocking:false n)
-  end
+  else fetch_backoff t s ~req ~blocking
 
-(* Attempt [n] outlived its deadline: repost within the budget, else
-   abandon the fetch. The page reverts to Remote and its waiters refetch
-   it themselves. *)
-and fetch_timer t f n =
-  if f.live = n then begin
-    f.live <- -1;
-    let req = owner_id f and worker = f.home.wid and page = f.page in
+and fetch_backoff t s ~req ~blocking =
+  bump t Counter.Qp_stalls;
+  ev t Trace_event.Stall_qp ~req ~worker:t.fetches.home.(s)
+    ~page:t.fetches.page.(s);
+  if blocking then begin
+    Proc.wait Params.qp_retry_cycles;
+    post_fetch t s ~req ~blocking
+  end
+  else
+    (* no attempt is live while this waits, so nothing can settle the
+       fetch meanwhile *)
+    Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
+        post_fetch t s ~req ~blocking:false)
+
+and arm_fetch_timer t token ~delay =
+  Sim.schedule t.sim ~delay (fun () -> fetch_timer t token)
+
+(* The attempt behind [token] outlived its deadline: repost within the
+   budget, else abandon the fetch. The page reverts to Remote and its
+   waiters refetch it themselves. *)
+and fetch_timer t token =
+  let f = t.fetches in
+  let s = token land slot_mask in
+  if f.live.(s) = token then begin
+    f.live.(s) <- -1;
+    let req = owner_id t s and worker = f.home.(s) and page = f.page.(s) in
+    let n = f.attempt.(s) in
     bump t Counter.Fetch_timeouts;
     ev t Trace_event.Fetch_timeout ~req ~worker ~page;
-    if n >= f.budget then begin
+    if n >= f.budget.(s) then begin
       Pager.abort_fetch t.pager page;
       wake_waiters t page;
       drop_prefetched t page;
-      settle t f Failed
+      settle t s Failed
     end
     else begin
       bump t Counter.Fetch_retries;
@@ -326,15 +431,13 @@ and fetch_timer t f n =
       (* a parked owner now waits out the repost; a busy-waiting one
          stays in [Busy_wait] through it, since its CPU never stops
          spinning *)
-      (match f.owner with
-      | Some e -> if not (is_busywait t.cfg) then enter t e Phase.Retry_backoff
-      | None -> ());
-      post_fetch t f ~req ~blocking:false (n + 1)
+      let e = f.owner.(s) in
+      if e != t.nobody && not (is_busywait t.cfg) then
+        enter t e Phase.Retry_backoff;
+      f.attempt.(s) <- n + 1;
+      post_fetch t s ~req ~blocking:false
     end
   end
-
-let new_fetch page w ~owner ~budget =
-  { page; home = w; owner; budget; live = -1; outcome = Pending; wake = ignore }
 
 (* Issue stride prefetches next to a demand fetch: detect the request's
    fault stride and pull the predicted pages without anyone waiting on
@@ -354,7 +457,7 @@ let maybe_prefetch t e (w : worker) page =
         let q = page + (k * stride) in
         (* the placement directory names the node to pull from *)
         let node =
-          if q >= 0 && q < pages then fst (Cluster.route_read t.cluster ~page:q)
+          if q >= 0 && q < pages then Cluster.route_read t.cluster ~page:q
           else 0
         in
         if
@@ -366,8 +469,8 @@ let maybe_prefetch t e (w : worker) page =
           Pager.start_fetch t.pager q;
           Memnode.record_read (node_memnode t node) ~bytes:t.app.App.page_size;
           post_fetch t
-            (new_fetch q w ~owner:None ~budget:0)
-            ~req:e.req.Request.id ~blocking:true 0;
+            (acquire_fetch t ~page:q w ~owner:t.nobody ~budget:0)
+            ~req:e.req.Request.id ~blocking:true;
           incr issued;
           Bytes.set t.prefetched q '\001';
           t.prefetch_stats.Prefetcher.issued <-
@@ -400,6 +503,29 @@ let rec ensure_present t e page =
     ensure_present t e page
   | Pager.Remote -> fault t e page
 
+(* Acquire a frame and a QP slot for a fault on [page]; [false] if the
+   page left Remote meanwhile. Each blocking wait is followed by a
+   re-check, since the world moves while we sleep. *)
+and prepare_fault t e (w : worker) page =
+  if Pager.state t.pager page <> Pager.Remote then false
+  else if Pager.free_frames t.pager <= 0 then begin
+    wait_frame t e page;
+    prepare_fault t e w page
+  end
+  else begin
+    (* route first (liveness may change while we slept), then check
+       the QP serving that node *)
+    let node = Cluster.route_read t.cluster ~page in
+    if Nic.outstanding w.qps.(node) >= t.cfg.Config.qp_depth then begin
+      bump t Counter.Qp_stalls;
+      ev t Trace_event.Stall_qp ~req:e.req.Request.id ~worker:w.wid ~page;
+      enter t e Phase.Pf_software;
+      Proc.wait Params.qp_retry_cycles;
+      prepare_fault t e w page
+    end
+    else true
+  end
+
 (* Handle a fault on a Remote page under the configured policy. *)
 and fault t e page =
   bump t Counter.Faults;
@@ -414,49 +540,27 @@ and fault t e page =
   in
   charge_pf t e sw;
   let w = match e.worker with Some w -> w | None -> assert false in
-  (* acquire a frame and a QP slot; re-examine the page after each
-     blocking wait since the world moves while we sleep *)
-  let rec prepare () =
-    if Pager.state t.pager page <> Pager.Remote then `Changed
-    else if Pager.free_frames t.pager <= 0 then begin
-      wait_frame t e page;
-      prepare ()
-    end
-    else begin
-      (* route first (liveness may change while we slept), then check
-         the QP serving that node *)
-      let node, _ = Cluster.route_read t.cluster ~page in
-      if Nic.outstanding w.qps.(node) >= t.cfg.Config.qp_depth then begin
-        bump t Counter.Qp_stalls;
-        ev t Trace_event.Stall_qp ~req:rid ~worker:wid ~page;
-        enter t e Phase.Pf_software;
-        Proc.wait Params.qp_retry_cycles;
-        prepare ()
-      end
-      else `Go
-    end
-  in
-  match prepare () with
-  | `Changed ->
+  if not (prepare_fault t e w page) then begin
     (* the page moved on while we slept: this fault was absorbed by
        someone else's fetch (or it is already Present) *)
     ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
     ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
     ensure_present t e page
-  | `Go ->
+  end
+  else begin
     Pager.start_fetch t.pager page;
     Memnode.record_read
-      (node_memnode t (fst (Cluster.route_read t.cluster ~page)))
+      (node_memnode t (Cluster.route_read t.cluster ~page))
       ~bytes:t.app.App.page_size;
     maybe_prefetch t e w page;
-    let f =
-      new_fetch page w ~owner:(Some e) ~budget:t.cfg.Config.fetch_retries
+    let s =
+      acquire_fetch t ~page w ~owner:e ~budget:t.cfg.Config.fetch_retries
     in
     if is_busywait t.cfg then begin
       (* the spin covers the post (incl. QP backoff) and the CQE wait *)
       enter t e Phase.Busy_wait;
-      post_fetch t f ~req:rid ~blocking:true 0;
-      if f.outcome = Pending then Proc.suspend (fun resume -> f.wake <- resume);
+      post_fetch t s ~req:rid ~blocking:true;
+      if t.fetches.outcome.(s) = Pending then Proc.suspend t.fetches.park.(s);
       enter t e Phase.Pf_software
     end
     else begin
@@ -464,10 +568,12 @@ and fault t e page =
          opens before the post so a blocking QP backoff counts against
          the fetch; the CQE's [enqueue_ready] closes it. *)
       enter t e Phase.Fetch_wire;
-      post_fetch t f ~req:rid ~blocking:true 0;
-      if f.outcome = Pending then Task.suspend ()
+      post_fetch t s ~req:rid ~blocking:true;
+      if t.fetches.outcome.(s) = Pending then Task.suspend ()
     end;
-    (match f.outcome with
+    let outcome = t.fetches.outcome.(s) in
+    release_fetch t s;
+    match outcome with
     | Failed ->
       ev t Trace_event.Req_error ~req:rid ~worker:wid ~page;
       ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
@@ -475,7 +581,8 @@ and fault t e page =
     | Fetched | Pending ->
       (* map the fetched page and return (Fig. 5 step 10) *)
       charge_pf t e Params.map_page_cycles;
-      ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page)
+      ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page
+  end
 
 (* Touch every page of [addr, addr+len); hit, coalesce or fault. *)
 let touch_range t e ~addr ~len ~write =
@@ -709,25 +816,50 @@ let rec worker_loop t (w : worker) =
 
 (* --- dispatcher ---------------------------------------------------------- *)
 
-(* Algorithm 1: idle workers ordered by outstanding page-fetch count;
-   round-robin baseline rotates from the cursor instead. *)
-let dispatch_order t =
-  let idle =
-    Array.to_list t.workers
-    |> List.filter (fun w -> w.idle && Option.is_none w.assigned)
-  in
-  match t.cfg.Config.dispatch with
-  | Config.Pf_aware ->
-    List.stable_sort (fun a b -> compare (qp_load a) (qp_load b)) idle
-  | Config.Round_robin ->
-    let n = Array.length t.workers in
-    List.stable_sort
-      (fun a b ->
-        compare ((a.wid - t.rr_cursor + n) mod n) ((b.wid - t.rr_cursor + n) mod n))
-      idle
+(* Algorithm 1's sort key of candidate worker [w] among [n]. *)
+let dispatch_key policy ~rr_cursor ~load ~n w =
+  match policy with
+  | Config.Pf_aware -> load.(w)
+  | Config.Round_robin -> (w - rr_cursor + n) mod n
   | Config.Partitioned | Config.Work_stealing ->
     (* these policies never consult the idle order *)
-    idle
+    0
+
+(* Stable insertion sort, candidates visited in id order: each goes
+   behind every earlier one whose key is not larger. *)
+let dispatch_order policy ~rr_cursor ~load ~order =
+  let n = Array.length load in
+  let len = ref 0 in
+  for w = 0 to n - 1 do
+    if load.(w) >= 0 then begin
+      let key = dispatch_key policy ~rr_cursor ~load ~n w in
+      let j = ref !len in
+      while
+        !j > 0 && dispatch_key policy ~rr_cursor ~load ~n order.(!j - 1) > key
+      do
+        order.(!j) <- order.(!j - 1);
+        decr j
+      done;
+      order.(!j) <- w;
+      incr len
+    end
+  done;
+  !len
+
+(* Algorithm 1: the idle, unassigned workers in [t.order], by
+   outstanding page-fetch count; round-robin rotates from the cursor
+   instead. Returns how many there are. *)
+let idle_order t =
+  let pf_aware = t.cfg.Config.dispatch = Config.Pf_aware in
+  for i = 0 to Array.length t.workers - 1 do
+    let w = t.workers.(i) in
+    t.load.(i) <-
+      (if not (w.idle && Option.is_none w.assigned) then -1
+       else if pf_aware then qp_load w
+       else 0)
+  done;
+  dispatch_order t.cfg.Config.dispatch ~rr_cursor:t.rr_cursor ~load:t.load
+    ~order:t.order
 
 let assign t (w : worker) e =
   ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
@@ -752,21 +884,21 @@ let rec dispatcher_loop t =
     (* single queue: dispatch to idle workers (Algorithm 1 or RR) *)
     let progress = ref true in
     while !progress && not (Queue.is_empty t.pending) do
-      match dispatch_order t with
-      | [] -> progress := false
-      | order ->
-        List.iter
-          (fun w ->
-            if
-              (not (Queue.is_empty t.pending))
-              && w.idle
-              && Option.is_none w.assigned
-            then begin
-              let e = Queue.pop t.pending in
-              Proc.wait Params.dispatch_cycles;
-              assign t w e
-            end)
-          order
+      let candidates = idle_order t in
+      if candidates = 0 then progress := false
+      else
+        for i = 0 to candidates - 1 do
+          let w = t.workers.(t.order.(i)) in
+          if
+            (not (Queue.is_empty t.pending))
+            && w.idle
+            && Option.is_none w.assigned
+          then begin
+            let e = Queue.pop t.pending in
+            Proc.wait Params.dispatch_cycles;
+            assign t w e
+          end
+        done
     done
   | Config.Partitioned | Config.Work_stealing ->
     (* d-FCFS: spray arrivals over per-worker queues with no regard for
@@ -816,7 +948,10 @@ let receive t ~rx_at req =
         {
           req;
           task = None;
-          detector = Prefetcher.Stride_detector.create ();
+          detector =
+            (match t.cfg.Config.prefetch with
+            | Config.Stride _ -> Prefetcher.Stride_detector.create ()
+            | Config.No_prefetch -> t.nobody.detector);
           worker = None;
           quantum_start = 0;
           preempted = false;
@@ -853,12 +988,25 @@ let prefill_pages t =
     Pager.prefill t.pager (Hashtbl.fold (fun p () acc -> p :: acc) chosen [])
   end
 
+(* Post one write-back WRITE, waiting out a full QP on the reclaimer.
+   The WR carries the page, which the reclaim CQ's drain traces. *)
+let rec post_writeback t ~node ~page =
+  let actor = Trace_event.reclaimer_actor in
+  if
+    Nic.post t.reclaim_qps.(node) ~opcode:Verbs.Write
+      ~bytes:t.app.App.page_size ~cq:t.reclaim_cq ~user:page
+  then ev t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page
+  else begin
+    bump t Counter.Writeback_stalls;
+    ev t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
+    Proc.wait Params.qp_retry_cycles;
+    post_writeback t ~node ~page
+  end
+
 let evict_page t ~page ~dirty =
   drop_prefetched t page;
   if dirty then begin
     (* write the page back to every alive replica before dropping it *)
-    let bytes = t.app.App.page_size in
-    let actor = Trace_event.reclaimer_actor in
     match Cluster.write_targets t.cluster ~page with
     | [] ->
       (* every replica is dead; the copy is gone until re-replication
@@ -867,24 +1015,9 @@ let evict_page t ~page ~dirty =
     | targets ->
       List.iter
         (fun node ->
-          Memnode.record_write (node_memnode t node) ~bytes;
-          let rec try_post () =
-            let ok =
-              Nic.post t.reclaim_qps.(node) ~opcode:Verbs.Write ~bytes
-                ~cq:t.reclaim_cq
-                ~user:(fun () ->
-                  ev t Trace_event.Rdma_complete ~req:actor ~worker:actor
-                    ~page)
-            in
-            if not ok then begin
-              bump t Counter.Writeback_stalls;
-              ev t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
-              Proc.wait Params.qp_retry_cycles;
-              try_post ()
-            end
-            else ev t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page
-          in
-          try_post ())
+          Memnode.record_write (node_memnode t node)
+            ~bytes:t.app.App.page_size;
+          post_writeback t ~node ~page)
         targets
   end
 
@@ -941,12 +1074,10 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
             (fun nd -> Nic.create_qp nd.Cluster.nic ~depth:cfg.Config.qp_depth)
             cluster_nodes
         in
-        let fetch_cq = Verbs.Cq.create () in
-        attach_drain fetch_cq;
         {
           wid;
           qps;
-          fetch_cq;
+          fetch_cq = Verbs.Cq.create ();
           gate = Proc.Gate.create sim;
           ready = Queue.create ();
           local = Queue.create ();
@@ -960,7 +1091,19 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       cluster_nodes
   in
   let reclaim_cq = Verbs.Cq.create () in
-  attach_drain reclaim_cq;
+  let nobody =
+    {
+      req =
+        Request.make ~id:(-1)
+          ~spec:{ Request.kind = 0; key = 0; req_bytes = 0; reply_bytes = 0 }
+          ~tx_at:0;
+      task = None;
+      detector = Prefetcher.Stride_detector.create ();
+      worker = None;
+      quantum_start = 0;
+      preempted = false;
+    }
+  in
   let t =
     {
       sim;
@@ -982,6 +1125,24 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       prefetched = Bytes.make app.App.pages '\000';
       prefetch_stats = Prefetcher.make_stats ();
       rr_cursor = 0;
+      load = Array.make cfg.Config.workers 0;
+      order = Array.make cfg.Config.workers 0;
+      fetches =
+        {
+          page = [||];
+          home = [||];
+          owner = [||];
+          budget = [||];
+          live = [||];
+          attempt = [||];
+          outcome = [||];
+          wake = [||];
+          park = [||];
+          free = [||];
+          nfree = 0;
+          serial = 0;
+        };
+      nobody;
       rng;
       reclaimer = None;
       counts = Array.make Counter.count 0;
@@ -993,6 +1154,22 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       prof_on = Option.is_some prof;
     }
   in
+  grow_fetches t;
+  (* CQ drains run the completion handlers at once: a spinning poller
+     sees its CQE the moment it arrives; yield-mode handlers only
+     enqueue the unithread, and the worker switches back later *)
+  Array.iter
+    (fun w ->
+      let on_cqe (c : int Verbs.completion) = fetch_cqe t c.Verbs.user in
+      Verbs.Cq.set_notify w.fetch_cq (fun () ->
+          Verbs.Cq.drain w.fetch_cq on_cqe))
+    workers;
+  let on_writeback (c : int Verbs.completion) =
+    let actor = Trace_event.reclaimer_actor in
+    ev t Trace_event.Rdma_complete ~req:actor ~worker:actor ~page:c.Verbs.user
+  in
+  Verbs.Cq.set_notify reclaim_cq (fun () ->
+      Verbs.Cq.drain reclaim_cq on_writeback);
   prefill_pages t;
   let reclaimer =
     Reclaimer.start ~trace sim pager cfg.Config.reclaim

@@ -56,6 +56,18 @@ val create :
     perturbation-free — the caller finalizes each request from
     [on_reply]. *)
 
+val dispatch_order :
+  Config.dispatch -> rr_cursor:int -> load:int array -> order:int array -> int
+(** Algorithm 1's visiting order over the [n = Array.length load]
+    workers. [load.(w)] is worker [w]'s outstanding page fetches, or
+    negative when [w] is busy or already assigned and so not a
+    candidate. Writes the candidates' ids to [order] (length at least
+    [n]) and returns how many there are: by ascending load under
+    [Pf_aware], by distance from [rr_cursor] under [Round_robin], and
+    in id order under the policies that never dispatch from the idle
+    order; equal keys keep id order. The dispatcher calls it with
+    arrays it owns, so it allocates nothing. *)
+
 val receive : t -> rx_at:int -> Request.t -> unit
 (** Deliver a client request packet (wired to the inbound raw-Ethernet
     channel by the runner). *)

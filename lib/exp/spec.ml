@@ -53,6 +53,14 @@ let make ?(systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios
         | None -> invalid_arg ("Spec.make: " ^ Adios_apps.Registry.unknown n))
       apps
   in
+  List.iter
+    (fun load ->
+      if not (load > 0. && Float.is_finite load) then
+        invalid_arg
+          (Printf.sprintf "Spec.make: load %g is not a positive finite rate"
+             load))
+    loads;
+  if requests <= 0 then invalid_arg "Spec.make: requests must be positive";
   { name; systems; apps; variants; loads; requests; seed; clusters }
 
 let clustered spec = List.exists Cluster.enabled spec.clusters

@@ -63,7 +63,8 @@ val make :
     {!Adios_apps.Registry}. Defaults: all four systems, the array app,
     the default variant, 4000 requests, seed 42, one memory node.
 
-    @raise Invalid_argument on an unknown app name. *)
+    @raise Invalid_argument on an unknown app name, a load that is not
+    a positive finite rate, or [requests <= 0]. *)
 
 val clustered : t -> bool
 (** Any non-trivial topology on the cluster axis? (Drives whether

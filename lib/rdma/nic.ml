@@ -1,32 +1,40 @@
-type 'a wr = {
-  wr_id : int;
-  qp_seq : int; (* per-QP posting order, for in-order completion *)
-  opcode : Verbs.opcode;
-  bytes : int;
-  posted_at : int;
-  user : 'a;
-  cq : 'a Verbs.Cq.t;
-}
-
+(* A QP keeps its outstanding work requests in a ring of [depth] slots:
+   sequence [s] lives in slot [s mod depth]. Sequences are handed out in
+   posting order and retired in posting order, so the outstanding ones
+   are always the contiguous range [deliver_seq, next_seq), at most
+   [depth] long, and no two share a slot. Inside that range,
+   [deliver_seq, serve_seq) have left the QP for an engine (in service,
+   on the wire, or parked) and [serve_seq, next_seq) still wait for
+   one. *)
 type 'a qp = {
   qp_id : int;
   depth : int;
-  fifo : 'a wr Queue.t;
-  mutable outstanding : int;
   mutable next_seq : int; (* next posting sequence to hand out *)
+  mutable serve_seq : int; (* oldest WR no engine has taken yet *)
   mutable deliver_seq : int; (* next sequence allowed to complete *)
-  stalled : (int, unit -> unit) Hashtbl.t;
-      (* finished out of order, waiting for predecessors *)
+  wr_id : int array;
+  opcode : Verbs.opcode array;
+  bytes : int array;
+  posted_at : int array;
+  mutable user : 'a array; (* sized by the first post, from its payload *)
+  mutable cq : 'a Verbs.Cq.t array;
+  lost : Bytes.t; (* '\001': the fabric lost this completion *)
+  parked : Bytes.t;
+      (* '\001': finished ahead of a predecessor, delivered when it lands *)
+  mutable arrive : (unit -> unit) array; (* each slot's delivery event *)
   nic : 'a t;
 }
 
 and direction = Rx | Tx
 
-and 'a engine = {
+and engine = {
   dir : direction;
   link : Link.t;
   mutable busy : bool;
   mutable cursor : int;
+  mutable serving : int; (* index in [qps] of the QP whose WR is in service *)
+  mutable slot : int; (* that WR's ring slot *)
+  mutable finish : unit -> unit; (* the service-end event, made once *)
 }
 
 and 'a t = {
@@ -34,8 +42,8 @@ and 'a t = {
   wqe_overhead : int;
   base_latency : int;
   mutable qps : 'a qp array;
-  rx : 'a engine;
-  tx : 'a engine;
+  rx : engine;
+  tx : engine;
   mutable next_wr_id : int;
   mutable posted : int;
   mutable completed : int;
@@ -47,193 +55,228 @@ and 'a t = {
   trace_on : bool; (* cached [Sink.enabled trace] for the per-WR path *)
 }
 
-let create ?(trace = Adios_trace.Sink.null) ?fault ?(wr_id_base = 0) sim
-    ~rx_link ~tx_link ~wqe_overhead_cycles ~base_latency_cycles () =
-  {
-    sim;
-    wqe_overhead = wqe_overhead_cycles;
-    base_latency = base_latency_cycles;
-    qps = [||];
-    rx = { dir = Rx; link = rx_link; busy = false; cursor = 0 };
-    tx = { dir = Tx; link = tx_link; busy = false; cursor = 0 };
-    next_wr_id = wr_id_base;
-    posted = 0;
-    completed = 0;
-    read_bytes = 0;
-    dropped = 0;
-    dead = false;
-    fault;
-    trace;
-    trace_on = Adios_trace.Sink.enabled trace;
-  }
-
-let create_qp nic ~depth =
-  let qp =
-    {
-      qp_id = Array.length nic.qps;
-      depth;
-      fifo = Queue.create ();
-      outstanding = 0;
-      next_seq = 0;
-      deliver_seq = 0;
-      stalled = Hashtbl.create 16;
-      nic;
-    }
-  in
-  nic.qps <- Array.append nic.qps [| qp |];
-  qp
-
 let qp_id qp = qp.qp_id
-let outstanding qp = qp.outstanding
+let outstanding qp = qp.next_seq - qp.deliver_seq
 
 let direction_of = function Verbs.Read -> Rx | Verbs.Write | Verbs.Send -> Tx
 
-(* Deliver one completion (or swallow a lost one). Top-level so the
-   in-order path — the overwhelmingly common case — calls it directly;
-   only a WR that finished ahead of a predecessor pays a closure to park
-   in [qp.stalled]. *)
-let deliver_wr qp wr ~lost =
+(* Retire the oldest outstanding WR, in slot [slot]: push its CQE, or
+   swallow a lost one. The sequence advances before the push, so a CQE
+   handler that posts on this QP finds the slot free. *)
+let deliver qp slot =
   let nic = qp.nic in
-  qp.outstanding <- qp.outstanding - 1;
-  if lost then begin
+  qp.deliver_seq <- qp.deliver_seq + 1;
+  if Bytes.get qp.lost slot = '\001' then begin
     nic.dropped <- nic.dropped + 1;
     if nic.trace_on then
       Adios_trace.Sink.emit nic.trace
         ~ts:(Adios_engine.Sim.now nic.sim)
         ~kind:Adios_trace.Event.Fault_injected ~req:Adios_trace.Event.none
-        ~worker:qp.qp_id ~page:wr.wr_id
+        ~worker:qp.qp_id ~page:qp.wr_id.(slot)
   end
   else begin
     nic.completed <- nic.completed + 1;
-    if wr.opcode = Verbs.Read then nic.read_bytes <- nic.read_bytes + wr.bytes;
+    let opcode = qp.opcode.(slot) and bytes = qp.bytes.(slot) in
+    if opcode = Verbs.Read then nic.read_bytes <- nic.read_bytes + bytes;
     if nic.trace_on then
       Adios_trace.Sink.emit nic.trace
         ~ts:(Adios_engine.Sim.now nic.sim)
         ~kind:Adios_trace.Event.Cqe ~req:Adios_trace.Event.none
-        ~worker:qp.qp_id ~page:wr.wr_id;
-    Verbs.Cq.push wr.cq
+        ~worker:qp.qp_id ~page:qp.wr_id.(slot);
+    Verbs.Cq.push qp.cq.(slot)
       (* lint: allow zero-alloc -- the completion record IS the CQ's payload: the documented budget is "nothing beyond the completion records themselves" *)
       {
-        Verbs.wr_id = wr.wr_id;
-        opcode = wr.opcode;
-        bytes = wr.bytes;
-        posted_at = wr.posted_at;
+        Verbs.wr_id = qp.wr_id.(slot);
+        opcode;
+        bytes;
+        posted_at = qp.posted_at.(slot);
         completed_at = Adios_engine.Sim.now nic.sim;
-        user = wr.user;
+        user = qp.user.(slot);
       }
   end
 
-(* Pick the next QP (round-robin from the engine cursor) whose head WR
-   travels in this engine's direction. *)
-let next_wr nic engine =
-  let n = Array.length nic.qps in
-  let rec scan i =
-    if i = n then None
-    else begin
-      let qp = nic.qps.((engine.cursor + i) mod n) in
-      match Queue.peek_opt qp.fifo with
-      | Some wr when direction_of wr.opcode = engine.dir ->
-        engine.cursor <- (engine.cursor + i + 1) mod n;
-        ignore (Queue.pop qp.fifo);
-        Some (qp, wr)
-      | Some _ | None -> scan (i + 1)
-    end
-  in
-  scan 0
-
-let rec kick nic engine =
-  if not engine.busy then begin
-    match next_wr nic engine with
-    | None -> ()
-    | Some (qp, wr) ->
-      engine.busy <- true;
-      let serialize = Link.serialize_cycles engine.link ~bytes:wr.bytes in
-      let service = nic.wqe_overhead + serialize in
-      Link.occupy engine.link ~cycles:service ~bytes:wr.bytes;
-      Adios_engine.Sim.schedule nic.sim ~delay:service (fun () ->
-          engine.busy <- false;
-          (* the pop may have exposed a head WR travelling the other
-             way: the sibling engine must look too *)
-          kick nic (match engine.dir with Rx -> nic.tx | Tx -> nic.rx);
-          (* the fault fabric decides this completion's fate now, in
-             serialization order, so a given fault seed replays
-             byte-identically whatever the host does in between *)
-          let verdict =
-            match nic.fault with
-            | None -> Adios_fault.Injector.Deliver
-            | Some inj ->
-              Adios_fault.Injector.on_completion inj
-                ~now:(Adios_engine.Sim.now nic.sim)
-                ~is_read:(wr.opcode = Verbs.Read) ~qp:qp.qp_id
-                ~base_cycles:nic.base_latency
-          in
-          (* a dead node never answers: its in-flight and future WRs all
-             take the lost-completion path, so the host's timeout/retry
-             machinery is the one recovery protocol for both fabrics *)
-          let lost = verdict = Adios_fault.Injector.Drop || nic.dead in
-          let latency =
-            nic.base_latency
-            +
-            match verdict with
-            | Adios_fault.Injector.Delay d -> d
-            | Adios_fault.Injector.Deliver | Adios_fault.Injector.Drop -> 0
-          in
-          (* completion after fabric + remote DMA; a QP's completions are
-             delivered in posting order, so a WR that finishes before a
-             predecessor parks until the predecessor lands. A lost
-             completion still advances the QP bookkeeping at its nominal
-             delivery time — the slot frees, successors may complete —
-             but no CQE is pushed: the initiator only learns of the loss
-             through its own timeout. *)
-          Adios_engine.Sim.schedule nic.sim ~delay:latency (fun () ->
-              if wr.qp_seq = qp.deliver_seq then begin
-                deliver_wr qp wr ~lost;
-                qp.deliver_seq <- qp.deliver_seq + 1;
-                if Hashtbl.length qp.stalled > 0 then begin
-                  let rec drain () =
-                    match Hashtbl.find_opt qp.stalled qp.deliver_seq with
-                    | Some f ->
-                      Hashtbl.remove qp.stalled qp.deliver_seq;
-                      f ();
-                      qp.deliver_seq <- qp.deliver_seq + 1;
-                      drain ()
-                    | None -> ()
-                  in
-                  drain ()
-                end
-              end
-              else
-                Hashtbl.replace qp.stalled wr.qp_seq (fun () ->
-                    deliver_wr qp wr ~lost));
-          kick nic engine)
+(* The delivery event of the WR in [slot], [base_latency] (plus any
+   fault delay) after its serialization ended. A QP's completions are
+   delivered in posting order: a WR that finishes ahead of a
+   predecessor parks, and the predecessor's delivery releases every
+   parked successor behind it. *)
+let arrive qp slot =
+  if slot = qp.deliver_seq mod qp.depth then begin
+    deliver qp slot;
+    while Bytes.get qp.parked (qp.deliver_seq mod qp.depth) = '\001' do
+      let next = qp.deliver_seq mod qp.depth in
+      Bytes.set qp.parked next '\000';
+      deliver qp next
+    done
   end
+  else Bytes.set qp.parked slot '\001'
+
+(* The next QP (round-robin from the engine cursor) whose head WR
+   travels in this engine's direction, as an index into [qps]; -1 if
+   none. *)
+let rec next_qp nic engine i =
+  let n = Array.length nic.qps in
+  if i = n then -1
+  else begin
+    let q = (engine.cursor + i) mod n in
+    let qp = nic.qps.(q) in
+    if
+      qp.serve_seq < qp.next_seq
+      && direction_of qp.opcode.(qp.serve_seq mod qp.depth) = engine.dir
+    then begin
+      engine.cursor <- (q + 1) mod n;
+      q
+    end
+    else next_qp nic engine (i + 1)
+  end
+
+(* Start serializing the next WR, if the engine is free and one is
+   waiting. *)
+let serve nic engine =
+  if not engine.busy then begin
+    let q = next_qp nic engine 0 in
+    if q >= 0 then begin
+      let qp = nic.qps.(q) in
+      let slot = qp.serve_seq mod qp.depth in
+      qp.serve_seq <- qp.serve_seq + 1;
+      engine.busy <- true;
+      engine.serving <- q;
+      engine.slot <- slot;
+      let bytes = qp.bytes.(slot) in
+      let service =
+        nic.wqe_overhead + Link.serialize_cycles engine.link ~bytes
+      in
+      Link.occupy engine.link ~cycles:service ~bytes;
+      Adios_engine.Sim.schedule nic.sim ~delay:service engine.finish
+    end
+  end
+
+(* The fault fabric's verdict on the completion of the WR in [slot], as
+   extra delivery cycles, or -1 if the completion is lost. *)
+let fault_delay nic inj qp slot =
+  match
+    Adios_fault.Injector.on_completion inj
+      ~now:(Adios_engine.Sim.now nic.sim)
+      ~is_read:(qp.opcode.(slot) = Verbs.Read)
+      ~qp:qp.qp_id ~base_cycles:nic.base_latency
+  with
+  | Adios_fault.Injector.Deliver -> 0
+  | Adios_fault.Injector.Drop -> -1
+  | Adios_fault.Injector.Delay d -> d
+
+(* The service-end event: free the engine, decide the completion's fate
+   and schedule its delivery. *)
+let finish_service nic engine =
+  let qp = nic.qps.(engine.serving) and slot = engine.slot in
+  engine.busy <- false;
+  (* the pop may have exposed a head WR travelling the other way: the
+     sibling engine must look too *)
+  serve nic (match engine.dir with Rx -> nic.tx | Tx -> nic.rx);
+  (* the fault fabric decides this completion's fate now, in
+     serialization order, so a given fault seed replays byte-identically
+     whatever the host does in between *)
+  let extra =
+    match nic.fault with None -> 0 | Some inj -> fault_delay nic inj qp slot
+  in
+  (* a dead node never answers: its in-flight and future WRs all take
+     the lost-completion path, so the host's timeout/retry machinery is
+     the one recovery protocol for both fabrics. A lost completion still
+     advances the QP bookkeeping at its nominal delivery time — the
+     slot frees, successors may complete — but no CQE is pushed: the
+     initiator only learns of the loss through its own timeout. *)
+  Bytes.set qp.lost slot (if extra < 0 || nic.dead then '\001' else '\000');
+  Adios_engine.Sim.schedule nic.sim
+    ~delay:(nic.base_latency + max 0 extra)
+    qp.arrive.(slot);
+  serve nic engine
+
+let create ?(trace = Adios_trace.Sink.null) ?fault ?(wr_id_base = 0) sim
+    ~rx_link ~tx_link ~wqe_overhead_cycles ~base_latency_cycles () =
+  let engine dir link =
+    {
+      dir;
+      link;
+      busy = false;
+      cursor = 0;
+      serving = 0;
+      slot = 0;
+      finish = ignore;
+    }
+  in
+  let nic =
+    {
+      sim;
+      wqe_overhead = wqe_overhead_cycles;
+      base_latency = base_latency_cycles;
+      qps = [||];
+      rx = engine Rx rx_link;
+      tx = engine Tx tx_link;
+      next_wr_id = wr_id_base;
+      posted = 0;
+      completed = 0;
+      read_bytes = 0;
+      dropped = 0;
+      dead = false;
+      fault;
+      trace;
+      trace_on = Adios_trace.Sink.enabled trace;
+    }
+  in
+  nic.rx.finish <- (fun () -> finish_service nic nic.rx);
+  nic.tx.finish <- (fun () -> finish_service nic nic.tx);
+  nic
+
+let create_qp nic ~depth =
+  let slots = max 0 depth in
+  let qp =
+    {
+      qp_id = Array.length nic.qps;
+      depth;
+      next_seq = 0;
+      serve_seq = 0;
+      deliver_seq = 0;
+      wr_id = Array.make slots 0;
+      opcode = Array.make slots Verbs.Read;
+      bytes = Array.make slots 0;
+      posted_at = Array.make slots 0;
+      user = [||];
+      cq = [||];
+      lost = Bytes.make slots '\000';
+      parked = Bytes.make slots '\000';
+      arrive = [||];
+      nic;
+    }
+  in
+  qp.arrive <- Array.init slots (fun slot () -> arrive qp slot);
+  nic.qps <- Array.append nic.qps [| qp |];
+  qp
+
+(* The payload rings need a value to start from: the first post's. *)
+let size_payloads qp user cq =
+  qp.user <- Array.make qp.depth user;
+  qp.cq <- Array.make qp.depth cq
 
 let post qp ~opcode ~bytes ~user ~cq =
   let nic = qp.nic in
-  if qp.outstanding >= qp.depth then false
+  if outstanding qp >= qp.depth then false
   else begin
+    if Array.length qp.user = 0 then size_payloads qp user cq;
     nic.next_wr_id <- nic.next_wr_id + 1;
     nic.posted <- nic.posted + 1;
-    qp.outstanding <- qp.outstanding + 1;
     if nic.trace_on then
       Adios_trace.Sink.emit nic.trace
         ~ts:(Adios_engine.Sim.now nic.sim)
         ~kind:Adios_trace.Event.Wqe_post ~req:Adios_trace.Event.none
         ~worker:qp.qp_id ~page:nic.next_wr_id;
-    let qp_seq = qp.next_seq in
+    let slot = qp.next_seq mod qp.depth in
     qp.next_seq <- qp.next_seq + 1;
-    Queue.push
-      {
-        wr_id = nic.next_wr_id;
-        qp_seq;
-        opcode;
-        bytes;
-        posted_at = Adios_engine.Sim.now nic.sim;
-        user;
-        cq;
-      }
-      qp.fifo;
-    kick nic (match direction_of opcode with Rx -> nic.rx | Tx -> nic.tx);
+    qp.wr_id.(slot) <- nic.next_wr_id;
+    qp.opcode.(slot) <- opcode;
+    qp.bytes.(slot) <- bytes;
+    qp.posted_at.(slot) <- Adios_engine.Sim.now nic.sim;
+    qp.user.(slot) <- user;
+    qp.cq.(slot) <- cq;
+    serve nic (match direction_of opcode with Rx -> nic.rx | Tx -> nic.tx);
     true
   end
 

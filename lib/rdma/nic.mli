@@ -16,7 +16,17 @@
     A lost completion still releases its QP slot and advances the
     in-order delivery sequence at the nominal delivery time — the
     fabric's bookkeeping survives — but no CQE reaches the host, which
-    must recover via its own timeout. *)
+    must recover via its own timeout.
+
+    The datapath allocates nothing beyond the completion records
+    themselves. A QP keeps its outstanding WRs in a ring of [depth]
+    slots (sequence [s] in slot [s mod depth]; the outstanding
+    sequences are always one contiguous range at most [depth] long).
+    Each engine serves its current WR through one service-end event
+    made with the NIC, and each ring slot owns one delivery event made
+    with the QP. A WR that finishes ahead of a predecessor sets its
+    slot's parked flag and is delivered, in sequence order, when the
+    predecessor lands. *)
 
 type 'a t
 type 'a qp
@@ -43,7 +53,8 @@ val create :
     shared trace (the checker treats them as global). *)
 
 val create_qp : 'a t -> depth:int -> 'a qp
-(** New QP accepting at most [depth] outstanding work requests. *)
+(** New QP accepting at most [depth] outstanding work requests, with
+    its ring and the ring slots' delivery events. *)
 
 val qp_id : 'a qp -> int
 (** Stable identifier (creation order). *)
@@ -60,7 +71,10 @@ val post :
   cq:'a Verbs.Cq.t ->
   bool
 (** Post a work request; [false] if the QP is at [depth] (caller must
-    back off, as Adios' dispatcher does when the NIC saturates). *)
+    back off, as Adios' dispatcher does when the NIC saturates). [user]
+    comes back in the completion; an immediate payload (an int token,
+    say) keeps the post and its CQE at the completion record's 7
+    words. *)
 
 val posted : 'a t -> int
 (** Total WRs accepted since creation. *)

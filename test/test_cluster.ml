@@ -110,27 +110,66 @@ let test_hashed_placement () =
 
 (* --- routing -------------------------------------------------------------- *)
 
+(* A read's node, and whether it is a failover: routed away from the
+   head of the page's current replica list. *)
+let route c ~page =
+  let node = Cluster.route_read c ~page in
+  (node, node <> Cluster.current_primary c ~page)
+
 let test_routing_follows_liveness () =
   let _, c = make (topo ()) in
   let nodes = Cluster.nodes c in
   let page = 0 in
   (* healthy: the primary serves, no failover *)
   check (Alcotest.pair Alcotest.int Alcotest.bool) "healthy read" (0, false)
-    (Cluster.route_read c ~page);
+    (route c ~page);
   check Alcotest.(list int) "healthy write fan-out" [ 0; 1 ]
     (Cluster.write_targets c ~page);
   (* dead primary: reads fail over to the replica, writes shrink *)
   nodes.(0).Cluster.alive <- false;
   check (Alcotest.pair Alcotest.int Alcotest.bool) "failover read" (1, true)
-    (Cluster.route_read c ~page);
+    (route c ~page);
   check Alcotest.(list int) "degraded write fan-out" [ 1 ]
     (Cluster.write_targets c ~page);
   (* both replicas dead: route to the dead primary (the timeout ladder
      surfaces the error) and drop the write *)
   nodes.(1).Cluster.alive <- false;
   check (Alcotest.pair Alcotest.int Alcotest.bool) "all-dead read" (0, false)
-    (Cluster.route_read c ~page);
+    (route c ~page);
   check Alcotest.(list int) "all-dead write" [] (Cluster.write_targets c ~page)
+
+(* every fault routes its read up to three times: on either placement,
+   healthy or after re-replication rewrote replica lists, a route
+   allocates nothing *)
+let test_routing_allocates_nothing () =
+  List.iter
+    (fun (name, cfg) ->
+      let sim, c = make cfg in
+      Cluster.start c;
+      Sim.run sim;
+      check_bool (name ^ ": lists rewritten iff a node crashed")
+        (cfg.Cluster.crashes > 0)
+        (Cluster.rereplicated c > 0);
+      let sum = ref 0 in
+      let route_all () =
+        for page = 0 to pages - 1 do
+          sum :=
+            !sum + Cluster.route_read c ~page + Cluster.current_primary c ~page
+        done
+      in
+      route_all ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        route_all ()
+      done;
+      let words = Gc.minor_words () -. before in
+      check (Alcotest.float 0.) (name ^ ": minor words over 12,800 routes") 0.
+        words)
+    [
+      ("striped", topo ());
+      ("hashed", { (topo ()) with Cluster.placement = Cluster.Hashed });
+      ("re-replicated", topo ~nodes:4 ~replication:2 ~crashes:1 ());
+    ]
 
 (* --- crash schedule ------------------------------------------------------- *)
 
@@ -184,7 +223,9 @@ let test_rereplication_restores_copies () =
       (List.mem dead reps);
     check_int "replication factor restored" 2
       (List.length (List.sort_uniq compare reps));
-    let node, _ = Cluster.route_read c ~page in
+    check_int "the current primary heads the replica list" (List.hd reps)
+      (Cluster.current_primary c ~page);
+    let node = Cluster.route_read c ~page in
     check_bool "reads never route to the dead node" true (node <> dead)
   done;
   (* the repair legs kept the trace's WQE accounting exact *)
@@ -296,6 +337,8 @@ let () =
         [
           Alcotest.test_case "follows liveness" `Quick
             test_routing_follows_liveness;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_routing_allocates_nothing;
         ] );
       ( "failure",
         [

@@ -5,6 +5,7 @@ module Verbs = Adios_rdma.Verbs
 module Nic = Adios_rdma.Nic
 module Raw_eth = Adios_rdma.Raw_eth
 module Memnode = Adios_rdma.Memnode
+module Injector = Adios_fault.Injector
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -261,35 +262,124 @@ let test_memnode_throttle_clamp () =
     (Memnode.throttle_extra m ~cycles:0)
 
 let prop_conservation =
-  (* every accepted WR produces exactly one completion, in per-QP order *)
-  QCheck.Test.make ~name:"posted = completed, per-QP FIFO" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 60) (pair (int_range 0 3) (int_range 1 8192)))
-    (fun posts ->
+  (* every accepted WR produces exactly one completion or one loss, and a
+     QP's CQEs arrive in posting order. Depths of 1-4 wrap each ring
+     many times; the injector's spikes and stalls, and WRITEs that
+     serialize beside a READ of the same QP, make WRs finish out of
+     order and take the parked path *)
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 60)
+           (triple (int_range 0 3) (int_range 1 8192) (int_range 0 20_000)))
+        (array_size (return 4) (int_range 1 4))
+        (int_range 0 1000) bool)
+  in
+  let print (posts, depths, seed, faulty) =
+    Printf.sprintf "depths=[%s] seed=%d faulty=%b posts=[%s]"
+      (String.concat ";" (Array.to_list (Array.map string_of_int depths)))
+      seed faulty
+      (String.concat "; "
+         (List.map (fun (q, b, at) -> Printf.sprintf "%d/%d@%d" q b at) posts))
+  in
+  QCheck.Test.make ~name:"posted = completed, per-QP FIFO"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (posts, depths, seed, faulty) ->
       let sim = Sim.create () in
-      let nic, _, _ = make_nic sim in
-      let qps = Array.init 4 (fun _ -> Nic.create_qp nic ~depth:64) in
+      let fault =
+        if faulty then
+          Some
+            (Injector.create
+               {
+                 Injector.none with
+                 Injector.drop = 0.15;
+                 spike = 0.3;
+                 stall = 0.1;
+                 stall_cycles = 4000;
+                 seed;
+               })
+        else None
+      in
+      let rx = Link.create sim ~gbps:100. ~wire_overhead:0. () in
+      let tx = Link.create sim ~gbps:100. ~wire_overhead:0. () in
+      let nic =
+        Nic.create ?fault sim ~rx_link:rx ~tx_link:tx ~wqe_overhead_cycles:100
+          ~base_latency_cycles:1000 ()
+      in
+      let qps = Array.map (fun depth -> Nic.create_qp nic ~depth) depths in
       let cq = Verbs.Cq.create () in
-      let order = Array.make 4 [] in
-      let accepted = ref 0 in
+      (* per QP, newest first: (post index, WR id) as posted, and as the
+         CQEs delivered them *)
+      let posted = Array.make 4 [] and seen = Array.make 4 [] in
+      let next_wr_id = ref 0 in
+      Verbs.Cq.set_notify cq (fun () ->
+          Verbs.Cq.drain cq (fun (c : (int * int) Verbs.completion) ->
+              let q, i = c.Verbs.user in
+              seen.(q) <- (i, c.Verbs.wr_id) :: seen.(q)));
+      (* a full QP retries until it accepts, so every WR is posted *)
+      let rec post i q bytes () =
+        if
+          Nic.post qps.(q)
+            ~opcode:(if i mod 3 = 0 then Verbs.Write else Verbs.Read)
+            ~bytes ~user:(q, i) ~cq
+        then begin
+          incr next_wr_id;
+          posted.(q) <- (i, !next_wr_id) :: posted.(q)
+        end
+        else Sim.schedule sim ~delay:50 (post i q bytes)
+      in
       List.iteri
-        (fun i (q, bytes) ->
-          let ok =
-            Nic.post qps.(q)
-              ~opcode:(if i mod 3 = 0 then Verbs.Write else Verbs.Read)
-              ~bytes
-              ~user:(fun () -> order.(q) <- i :: order.(q))
-              ~cq
-          in
-          if ok then incr accepted)
+        (fun i (q, bytes, at) -> Sim.schedule sim ~delay:at (post i q bytes))
         posts;
       Sim.run sim;
-      List.iter (fun (c : _ Verbs.completion) -> c.Verbs.user ()) (Verbs.Cq.poll cq ~max:max_int);
-      Nic.completed nic = !accepted
-      && Array.for_all
-           (fun l ->
-             let l = List.rev l in
-             List.sort compare l = l)
-           order)
+      (* the CQEs a QP delivered, in order, are its posts minus the lost
+         ones: an ordered subsequence *)
+      let rec subsequence seen posted =
+        match (seen, posted) with
+        | [], _ -> true
+        | _ :: _, [] -> false
+        | s :: seen', p :: posted' ->
+          if s = p then subsequence seen' posted' else subsequence seen posted'
+      in
+      let cqes = Array.fold_left (fun acc l -> acc + List.length l) 0 seen in
+      List.length posts = Nic.posted nic
+      && Nic.posted nic = Nic.completed nic + Nic.dropped_completions nic
+      && cqes = Nic.completed nic
+      && Array.for_all (fun qp -> Nic.outstanding qp = 0) qps
+      && Array.for_all2
+           (fun seen posted -> subsequence (List.rev seen) (List.rev posted))
+           seen posted
+      && (faulty || Array.for_all2 ( = ) seen posted))
+
+(* nic.mli's budget: once the rings and the CQ have grown, a post and
+   the CQE it produces allocate the completion record (6 fields and a
+   header) and nothing else. *)
+let test_post_cqe_allocation () =
+  let sim = Sim.create () in
+  let nic, _, _ = make_nic sim in
+  let qp = Nic.create_qp nic ~depth:128 in
+  let cq = Verbs.Cq.create () in
+  let drained = ref 0 in
+  let on_cqe (_ : unit Verbs.completion) = incr drained in
+  let round_trips n =
+    for _ = 1 to n do
+      if not (Nic.post qp ~opcode:Verbs.Read ~bytes:4096 ~user:() ~cq) then
+        Alcotest.fail "QP full";
+      while Verbs.Cq.depth cq = 0 && Sim.step sim do
+        ()
+      done;
+      Verbs.Cq.drain cq on_cqe
+    done
+  in
+  round_trips 10_000;
+  let before = Gc.minor_words () in
+  round_trips 10_000;
+  let words = Gc.minor_words () -. before in
+  check_int "every CQE drained" 20_000 !drained;
+  check_bool
+    (Printf.sprintf "%.0f words over 10,000 round trips, at most 7 each" words)
+    true
+    (words <= 7. *. 10_000.)
 
 let () =
   Alcotest.run "rdma"
@@ -320,5 +410,10 @@ let () =
           Alcotest.test_case "throttle clamping" `Quick
             test_memnode_throttle_clamp;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_conservation ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_conservation;
+          Alcotest.test_case "post to CQE allocates the completion only"
+            `Quick test_post_cqe_allocation;
+        ] );
     ]

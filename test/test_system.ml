@@ -7,6 +7,7 @@ module Summary = Adios_stats.Summary
 module Rng = Adios_engine.Rng
 module App = Adios_core.App
 module Request = Adios_core.Request
+module System = Adios_core.System
 module Accountant = Adios_obs.Accountant
 module Phase = Adios_prof.Phase
 module Profiler = Adios_prof.Profiler
@@ -245,6 +246,115 @@ let test_adios_breakdown_has_no_tx_wait () =
   check_bool "p99-p99.9 waits in a ready queue" true
     (cycles (band r "p99_p999") Phase.Steal_wait > 0)
 
+(* --- Algorithm 1's order ------------------------------------------------ *)
+
+type candidate = { wid : int; idle : bool; assigned : bool; qp_load : int }
+
+(* Algorithm 1's order as list code (filter the idle workers, then
+   stable-sort them), the reference for the dispatcher's array
+   version. *)
+let reference_order policy ~rr_cursor workers =
+  let idle =
+    Array.to_list workers |> List.filter (fun w -> w.idle && not w.assigned)
+  in
+  let n = Array.length workers in
+  let sorted =
+    match policy with
+    | Config.Pf_aware ->
+      List.stable_sort (fun a b -> compare a.qp_load b.qp_load) idle
+    | Config.Round_robin ->
+      List.stable_sort
+        (fun a b ->
+          compare
+            ((a.wid - rr_cursor + n) mod n)
+            ((b.wid - rr_cursor + n) mod n))
+        idle
+    | Config.Partitioned | Config.Work_stealing -> idle
+  in
+  List.map (fun w -> w.wid) sorted
+
+let prop_dispatch_order =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 16 in
+      let* flags = array_size (return n) (triple bool bool (int_range 0 3)) in
+      let* rr_cursor = int_range 0 (n - 1) in
+      let+ policy =
+        oneofl
+          [
+            Config.Pf_aware; Config.Round_robin; Config.Partitioned;
+            Config.Work_stealing;
+          ]
+      in
+      (flags, rr_cursor, policy))
+  in
+  let print (flags, rr_cursor, policy) =
+    Printf.sprintf "%s rr_cursor=%d [%s]"
+      (Config.dispatch_name policy) rr_cursor
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun (idle, assigned, load) ->
+                 Printf.sprintf "%b/%b/%d" idle assigned load)
+               flags)))
+  in
+  QCheck.Test.make ~name:"dispatch order equals the list reference"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (flags, rr_cursor, policy) ->
+      let workers =
+        Array.mapi
+          (fun wid (idle, assigned, qp_load) ->
+            { wid; idle; assigned; qp_load })
+          flags
+      in
+      let load =
+        Array.map
+          (fun w -> if w.idle && not w.assigned then w.qp_load else -1)
+          workers
+      in
+      let order = Array.make (Array.length workers) (-1) in
+      let len = System.dispatch_order policy ~rr_cursor ~load ~order in
+      Array.to_list (Array.sub order 0 len)
+      = reference_order policy ~rr_cursor workers)
+
+(* --- bad inputs --------------------------------------------------------- *)
+
+let test_rejects_degenerate_runs () =
+  (* a zero or NaN rate would give an infinite mean gap, clamped to a
+     burst of arrivals at t = 0 that reports a nonzero offered load;
+     no requests would give a row of zeros *)
+  let cfg = Config.default Config.Adios in
+  let raises name f =
+    match f () with
+    | (_ : Runner.result) -> Alcotest.failf "%s: the run was accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun load ->
+      raises
+        (Printf.sprintf "load %g" load)
+        (fun () ->
+          Runner.run cfg (small_array ()) ~offered_krps:load ~requests:100 ()))
+    [ 0.; -1.; Float.nan; Float.infinity ];
+  List.iter
+    (fun requests ->
+      raises
+        (Printf.sprintf "%d requests" requests)
+        (fun () ->
+          Runner.run cfg (small_array ()) ~offered_krps:300. ~requests ()))
+    [ 0; -5 ];
+  let spec_raises name f =
+    match f () with
+    | (_ : Adios_exp.Spec.t) -> Alcotest.failf "%s: the spec was accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  spec_raises "spec load 0" (fun () ->
+      Adios_exp.Spec.make ~name:"bad" ~loads:[ 0.; 100. ] ());
+  spec_raises "spec load nan" (fun () ->
+      Adios_exp.Spec.make ~name:"bad" ~loads:[ Float.nan ] ());
+  spec_raises "spec requests 0" (fun () ->
+      Adios_exp.Spec.make ~name:"bad" ~requests:0 ())
+
 let () =
   Alcotest.run "system"
     [
@@ -284,7 +394,10 @@ let () =
           Alcotest.test_case "wakeup reclaimer" `Quick
             test_wakeup_reclaimer_works;
           Alcotest.test_case "fault coalescing" `Quick test_fault_coalescing;
+          Alcotest.test_case "degenerate runs rejected" `Quick
+            test_rejects_degenerate_runs;
         ] );
+      ("dispatch", [ QCheck_alcotest.to_alcotest prop_dispatch_order ]);
       ( "breakdown",
         [
           Alcotest.test_case "csv export" `Quick test_csv_export;
