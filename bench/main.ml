@@ -371,7 +371,6 @@ let ablate_reclaimer () =
      reclamation, producing out-of-memory stalls in the fault path *)
   let pressured =
     {
-      Adios_mem.Reclaimer.default_config with
       Adios_mem.Reclaimer.low_watermark = 0.02;
       high_watermark = 0.03;
       wakeup_delay = Clock.of_us 15.;

@@ -47,12 +47,11 @@ let dispatch_conv =
 let run system app load requests local_ratio dispatch prefetch no_delegation
     seed show_cdf trace_file trace_cap metrics_file metrics_csv_file
     sample_period fault_drop fault_spike
-    fault_stall fault_throttle fault_seed fetch_timeout_us fetch_retries
+    fault_stall fault_throttle fault_seed fetch_timeout fetch_retries
     profile profile_out =
   let cfg = Config.default system in
   let fault =
     {
-      Adios_fault.Injector.none with
       Adios_fault.Injector.drop = fault_drop;
       spike = fault_spike;
       stall = fault_stall;
@@ -61,7 +60,6 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
       seed = fault_seed;
     }
   in
-  let faulty = Adios_fault.Injector.enabled fault in
   let cfg =
     {
       cfg with
@@ -73,10 +71,7 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
       tx_mode =
         (if no_delegation then Config.Tx_sync_spin else cfg.Config.tx_mode);
       fault;
-      (* recovery is armed only on a faulty fabric, keeping clean runs
-         byte-identical to builds without the injector *)
-      fetch_timeout =
-        (if faulty then Clock.of_us fetch_timeout_us else 0);
+      fetch_timeout;
       fetch_retries;
     }
   in
@@ -307,7 +302,7 @@ let metrics_csv_arg =
            and write the series to FILE as CSV.")
 
 (* a duration in microseconds, parsed to cycles; one that rounds to 0
-   cycles is a usage error *)
+   cycles or fewer is a usage error *)
 let period_us =
   let parse s =
     match float_of_string_opt s with
@@ -387,7 +382,8 @@ let fault_seed_arg =
 
 let fetch_timeout_arg =
   Arg.(
-    value & opt float 50.
+    value
+    & opt period_us (Clock.of_us 50.)
     & info [ "fetch-timeout-us" ] ~docv:"US"
         ~doc:
           "Declare a page fetch lost after US microseconds without a \

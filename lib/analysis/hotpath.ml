@@ -90,7 +90,8 @@ let manifest =
          Algorithm 1's order; and a page fetch's slot, post and CQE.
          The pool doubles when it runs dry; a full QP's backoff and the
          fetch timer allocate their closures, and run only when a QP is
-         full or [fetch_timeout] is set *)
+         full or a completion can be lost (a faulty fabric or a
+         crashing cluster) *)
       functions =
         [
           "enter";

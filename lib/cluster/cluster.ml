@@ -9,30 +9,14 @@ module Sink = Adios_trace.Sink
 module Event = Adios_trace.Event
 module Registry = Adios_obs.Registry
 
-type placement = Striped | Hashed
-
 type config = {
   nodes : int;
   replication : int;
-  placement : placement;
   crashes : int;
   crash_at_us : float;
-  slow_nodes : int;
-  slow_at_us : float;
-  slow_factor : float;
 }
 
-let default =
-  {
-    nodes = 1;
-    replication = 1;
-    placement = Striped;
-    crashes = 0;
-    crash_at_us = 1000.;
-    slow_nodes = 0;
-    slow_at_us = 1000.;
-    slow_factor = 0.;
-  }
+let default = { nodes = 1; replication = 1; crashes = 0; crash_at_us = 1000. }
 
 let normalize c =
   let nodes = max 1 c.nodes in
@@ -41,13 +25,11 @@ let normalize c =
     nodes;
     replication = min nodes (max 1 c.replication);
     crashes = max 0 c.crashes;
-    slow_nodes = min nodes (max 0 c.slow_nodes);
-    slow_factor = Float.max 0. c.slow_factor;
   }
 
 let enabled c =
   let c = normalize c in
-  c.nodes > 1 || c.crashes > 0 || c.slow_nodes > 0
+  c.nodes > 1 || c.crashes > 0
 
 type node = {
   id : int;
@@ -67,7 +49,7 @@ type t = {
   page_size : int;
   qp_depth : int;
   gap : int; (* cycles between background re-replication steps *)
-  rng : Rng.t; (* drawn only inside scheduled crash/slowdown callbacks *)
+  rng : Rng.t; (* drawn only inside scheduled crash callbacks *)
   trace : Sink.t;
   repl_cq : int Verbs.Cq.t;
   legs : (int, unit -> unit) Hashtbl.t;
@@ -84,24 +66,30 @@ type t = {
 
 (* --- placement ------------------------------------------------------------ *)
 
-(* splitmix64 finalizer: an explicit, seed-free page mixer (the
-   determinism lint bans [Hashtbl.hash], whose value may change across
-   compiler releases). Inlined, so its [Int64] intermediates stay
-   unboxed and routing a page allocates nothing. *)
-let[@inline] mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  logxor z (shift_right_logical z 33)
-
-let primary_of cfg ~page =
-  match cfg.placement with
-  | Striped -> page mod cfg.nodes
-  | Hashed -> Int64.to_int (mix64 (Int64.of_int page)) land max_int mod cfg.nodes
+(* Striped: page [p]'s primary is [p mod nodes], its replicas the
+   [replication - 1] nodes after it. *)
+let primary_of cfg ~page = page mod cfg.nodes
 
 let default_replicas cfg ~page =
   let p = primary_of cfg ~page in
   List.init cfg.replication (fun i -> (p + i) mod cfg.nodes)
+
+(* Node [node] holds page [page] iff it is one of the [replication]
+   nodes from the page's primary on. *)
+let holds cfg ~node ~page =
+  (node - primary_of cfg ~page + cfg.nodes) mod cfg.nodes < cfg.replication
+
+(* Whether a node holds a page depends only on the page's residue mod
+   [nodes], so count each residue class of [0, pages) once. *)
+let hosted_pages cfg ~pages ~node =
+  let hosted = ref 0 in
+  for r = 0 to cfg.nodes - 1 do
+    if holds cfg ~node ~page:r then
+      hosted :=
+        !hosted + (pages / cfg.nodes)
+        + if r < pages mod cfg.nodes then 1 else 0
+  done;
+  !hosted
 
 (* --- construction --------------------------------------------------------- *)
 
@@ -117,12 +105,13 @@ let create ?(trace = Sink.null) ?fault sim cfg ~pages ~page_size ~gbps
         let memnode = Memnode.create ~capacity_bytes:(2 * pages * page_size) in
         let rx_link = Link.create sim ~gbps ~wire_overhead () in
         let tx_link = Link.create sim ~gbps ~wire_overhead () in
-        if throttle > 0. then Memnode.set_throttle memnode throttle;
-        if throttle > 0. || cfg.slow_nodes > 0 then
+        if throttle > 0. then begin
           (* fail-slow path: a throttled node stretches every
              fetch-direction serialization (deterministic, replay-safe) *)
+          Memnode.set_throttle memnode throttle;
           Link.set_perturb rx_link
-            (Some (fun base -> Memnode.throttle_extra memnode ~cycles:base));
+            (Some (fun base -> Memnode.throttle_extra memnode ~cycles:base))
+        end;
         let nic =
           Nic.create ~trace ?fault ~wr_id_base:(id * wr_id_stride) sim
             ~rx_link ~tx_link ~wqe_overhead_cycles ~base_latency_cycles ()
@@ -132,12 +121,9 @@ let create ?(trace = Sink.null) ?fault sim cfg ~pages ~page_size ~gbps
   (* each node registers the bytes of the pages it hosts *)
   Array.iter
     (fun nd ->
-      let hosted = ref 0 in
-      for page = 0 to pages - 1 do
-        if List.mem nd.id (default_replicas cfg ~page) then incr hosted
-      done;
-      if !hosted > 0 then
-        ignore (Memnode.register_exn nd.memnode ~bytes:(!hosted * page_size)))
+      let hosted = hosted_pages cfg ~pages ~node:nd.id in
+      if hosted > 0 then
+        ignore (Memnode.register_exn nd.memnode ~bytes:(hosted * page_size)))
     node_tab;
   let t =
     {
@@ -361,29 +347,12 @@ let crash_one t =
     ev t Event.Node_failed ~page:victim.id;
     start_rereplication t ~victim
 
-let slow_some t =
-  let pool = ref (alive_list t) in
-  for _ = 1 to t.cfg.slow_nodes do
-    match !pool with
-    | [] -> ()
-    | l ->
-      let i = Rng.int t.rng (List.length l) in
-      let nd = List.nth l i in
-      pool := List.filteri (fun j _ -> j <> i) l;
-      Memnode.set_throttle nd.memnode t.cfg.slow_factor
-  done
-
 let start t =
-  if t.cfg.crashes > 0 then
-    for i = 0 to t.cfg.crashes - 1 do
-      Sim.schedule t.sim
-        ~delay:(Clock.of_us (t.cfg.crash_at_us *. float_of_int (i + 1)))
-        (fun () -> crash_one t)
-    done;
-  if t.cfg.slow_nodes > 0 then
+  for i = 0 to t.cfg.crashes - 1 do
     Sim.schedule t.sim
-      ~delay:(Clock.of_us t.cfg.slow_at_us)
-      (fun () -> slow_some t)
+      ~delay:(Clock.of_us (t.cfg.crash_at_us *. float_of_int (i + 1)))
+      (fun () -> crash_one t)
+  done
 
 (* --- metrics -------------------------------------------------------------- *)
 

@@ -3,8 +3,9 @@
     A cluster is [nodes] independent memory nodes, each with its own
     {!Adios_rdma.Memnode.t}, its own pair of directed links and its own
     NIC (so one node's congestion or death never serializes behind
-    another's). A deterministic placement directory maps every page to a
-    primary node and [replication - 1] successor replicas:
+    another's). Placement is striped: page [p]'s primary is node
+    [p mod nodes], and its [replication - 1] replicas are the nodes
+    after it (mod [nodes]):
 
     - fetches go to the first {e alive} node in the page's replica list
       (the primary when healthy — a {e failover} when not);
@@ -14,44 +15,34 @@
       — in-flight and future completions are swallowed, the host
       recovers via its timeout/retry protocol), after which a paced
       background task re-replicates the dead node's pages onto spares,
-      competing with demand traffic for link bandwidth;
-    - a seeded slowdown schedule throttles nodes instead of killing
-      them (the fail-slow case).
+      competing with demand traffic for link bandwidth.
 
     Everything is deterministic: placement is pure arithmetic, victim
     selection draws from a private seeded RNG only inside the scheduled
-    crash/slowdown callbacks, and a default config (1 node, R = 1, no
-    faults) schedules nothing and draws nothing — byte-identical to the
+    crash callbacks, and a default config (1 node, R = 1, no crashes)
+    schedules nothing and draws nothing — byte-identical to the
     single-node system. *)
 
 module Memnode = Adios_rdma.Memnode
 module Link = Adios_rdma.Link
 module Nic = Adios_rdma.Nic
 
-type placement =
-  | Striped  (** page [p] lives on node [p mod nodes] *)
-  | Hashed  (** node = mix64(p) mod nodes — decorrelates strided access *)
-
 type config = {
   nodes : int;  (** memory nodes (clamped to >= 1) *)
   replication : int;  (** copies per page (clamped to [1, nodes]) *)
-  placement : placement;
   crashes : int;  (** nodes to kill, one per [crash_at_us] period *)
   crash_at_us : float;  (** first crash time; the i-th at [(i+1) * this] *)
-  slow_nodes : int;  (** nodes to throttle at [slow_at_us] *)
-  slow_at_us : float;
-  slow_factor : float;  (** extra service fraction for slowed nodes *)
 }
 
 val default : config
-(** 1 node, R = 1, no crashes, no slowdowns: the single-node system. *)
+(** 1 node, R = 1, no crashes: the single-node system. *)
 
 val enabled : config -> bool
 (** Anything beyond the single-node default? *)
 
 val normalize : config -> config
 (** Clamp to the documented ranges ([nodes >= 1],
-    [1 <= replication <= nodes], ...). *)
+    [1 <= replication <= nodes], [crashes >= 0]). *)
 
 type node = {
   id : int;
@@ -86,13 +77,14 @@ val create :
   t
 (** Build the node array. Each node registers exactly the bytes of the
     pages it hosts (primary or replica) plus headroom; [throttle] > 0
-    pre-throttles every node (the single-node fail-slow knob routed
-    through the cluster). Creation schedules no events, spawns no
-    processes and draws no RNG — {!start} arms the fault schedules. *)
+    throttles every node (the fail-slow knob, see
+    {!Adios_fault.Injector.config}). Creation schedules no events,
+    spawns no processes and draws no RNG — {!start} arms the crash
+    schedule. *)
 
 val start : t -> unit
-(** Arm the crash / slowdown schedules. A no-op (zero [Sim.schedule]
-    calls) when the config has no crashes and no slowdowns. *)
+(** Arm the crash schedule. A no-op (zero [Sim.schedule] calls) when
+    the config has no crashes. *)
 
 val config : t -> config
 (** The normalized config this cluster was built with. *)
@@ -102,8 +94,8 @@ val node_count : t -> int
 val node_alive : t -> int -> bool
 
 val primary : t -> page:int -> int
-(** The page's home node per the placement policy (ignores overrides
-    and liveness — this is the directory, not the route). *)
+(** The page's home node, [page mod nodes] (ignores overrides and
+    liveness — this is the directory, not the route). *)
 
 val replicas : t -> page:int -> int list
 (** Current replica list, primary first — reflects re-replication

@@ -31,11 +31,6 @@ type dispatch = Pf_aware | Round_robin | Partitioned | Work_stealing
 
 type tx_mode = Tx_delegated | Tx_sync_spin | Tx_deferred
 
-let tx_mode_name = function
-  | Tx_delegated -> "delegated"
-  | Tx_sync_spin -> "sync-spin"
-  | Tx_deferred -> "deferred"
-
 type prefetch = No_prefetch | Stride of int
 
 let prefetch_name = function
@@ -92,7 +87,7 @@ let default system =
     reclaim_config = Adios_mem.Reclaimer.default_config;
     seed = 42;
     fault = Adios_fault.Injector.none;
-    fetch_timeout = 0;
+    fetch_timeout = Adios_engine.Clock.of_us 50.;
     fetch_retries = 3;
     cluster = Adios_cluster.Cluster.default;
   }

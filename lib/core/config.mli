@@ -53,8 +53,6 @@ type tx_mode =
           completions are reaped lazily off the worker's critical path
           (DiLOS' breakdown in Fig. 2(c) shows no TX wait) *)
 
-val tx_mode_name : tx_mode -> string
-
 (** Remote-page prefetching at the fault handler. *)
 type prefetch =
   | No_prefetch
@@ -83,8 +81,10 @@ type t = {
           fabric, the byte-identical default) *)
   fetch_timeout : int;
       (** cycles before an unanswered page fetch is declared lost and
-          reposted; 0 disables recovery (a lost completion then wedges —
-          only safe with a clean fabric). Doubles per retry up to 64x. *)
+          reposted (default 50 us); doubles per retry up to 64x. Used
+          only where a completion can be lost: {!System} arms fetch
+          timers iff [fault] is enabled or [cluster] crashes a node, so
+          a clean run schedules no timer. Must be positive there. *)
   fetch_retries : int;
       (** reposts allowed per fetch before the request completes with an
           error reply *)

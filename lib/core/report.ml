@@ -198,14 +198,14 @@ let phase_bands ~title (r : Runner.result) =
         pf "\n")
       s.Profiler.bands
 
-(* Top-K digest: the slowest measured requests with their three biggest
+(* Top-10 digest: the slowest measured requests with their three biggest
    phases, each with its share of that request's end-to-end latency. *)
-let slowest_requests ~title ?(top = 10) (r : Runner.result) =
+let slowest_requests ~title (r : Runner.result) =
   match r.Runner.prof with
   | None -> ()
   | Some s ->
     pf "\n-- %s --\n" title;
-    let k = min top (Array.length s.Profiler.slowest) in
+    let k = min 10 (Array.length s.Profiler.slowest) in
     for i = 0 to k - 1 do
       let sl = s.Profiler.slowest.(i) in
       let ranked =

@@ -65,8 +65,8 @@ val phase_bands : title:string -> Runner.result -> unit
     latency band (p0–p50, p50–p99, p99–p99.9, >p99.9). No output when
     the run did not profile. *)
 
-val slowest_requests : title:string -> ?top:int -> Runner.result -> unit
-(** Top-K digest (default 10): the slowest measured requests with their
+val slowest_requests : title:string -> Runner.result -> unit
+(** Top-10 digest: the slowest measured requests with their
     three dominant phases and per-phase shares of that request's
     end-to-end latency. No output when the run did not profile. *)
 

@@ -31,7 +31,9 @@ type entry = {
   req : Request.t;
   mutable task : Task.t option;
   detector : Prefetcher.Stride_detector.t;
-  mutable worker : worker option;  (** worker whose QP serves its faults *)
+  mutable worker : int;
+      (** id of the worker whose QPs serve its faults; -1 before its
+          first dispatch *)
   mutable quantum_start : int;
   mutable preempted : bool;
 }
@@ -103,6 +105,9 @@ type t = {
   mutable reclaimer : Reclaimer.t option;
   counts : int array;  (** one slot per {!Counter.t}, by [Counter.index] *)
   fault : Injector.t option;
+  recover : bool;
+      (** fetch timers armed: a completion can be lost, on a faulty
+          fabric or to a node crash *)
   trace : Trace_sink.t;
   trace_on : bool;  (** cached [Trace_sink.enabled trace]: one load+branch
                         per instrumentation site when tracing is off *)
@@ -139,8 +144,6 @@ let emit t kind ~req ~worker ~page =
 let ev ?(req = -1) ?(worker = -1) ?(page = -1) t kind =
   emit t kind ~req ~worker ~page
 
-let worker_id e = match e.worker with Some w -> w.wid | None -> -1
-
 let accountant t = t.acct
 
 (* Time attribution. Like [ev] these probes never schedule events or
@@ -158,7 +161,7 @@ let acct_cpu t ~cpu st = if cpu >= 0 then Acct.switch t.acct ~cpu st
 
 let enter t e phase =
   (match Phase.cpu_state phase with
-  | Some st -> acct_cpu t ~cpu:(worker_id e) st
+  | Some st -> acct_cpu t ~cpu:e.worker st
   | None -> ());
   if t.prof_on then
     match e.req.Request.prof with
@@ -196,8 +199,7 @@ let wait_frame t e page =
   (match t.reclaimer with Some r -> Reclaimer.trigger r | None -> ());
   if Pager.free_frames t.pager <= 0 then begin
     bump t Counter.Frame_stalls;
-    ev t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:(worker_id e)
-      ~page;
+    ev t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:e.worker ~page;
     enter t e Phase.Pf_software;
     Proc.suspend (fun resume -> Pager.wait_frame t.pager resume)
   end
@@ -230,7 +232,7 @@ let enqueue_ready t (w : worker) e =
 (* Yield until [page]'s in-flight fetch completes; the completion pushes
    us on our worker's ready queue and the worker switches back. *)
 let yield_on_inflight t e page =
-  let w = match e.worker with Some w -> w | None -> assert false in
+  let w = t.workers.(e.worker) in
   enter t e Phase.Fetch_wire;
   Pager.add_waiter t.pager page (fun () -> enqueue_ready t w e);
   Task.suspend ()
@@ -380,11 +382,10 @@ let rec post_fetch t s ~req ~blocking =
            timer will surface a Req_error *)
         Cluster.note_dead_read t.cluster
     end;
-    let timeout = t.cfg.Config.fetch_timeout in
-    if timeout > 0 then
+    if t.recover then
       (* exponential backoff: the deadline doubles per repost (capped
          at 64x) so a throttled fabric is not flooded *)
-      arm_fetch_timer t token ~delay:(timeout lsl min n 6)
+      arm_fetch_timer t token ~delay:(t.cfg.Config.fetch_timeout lsl min n 6)
   end
   else fetch_backoff t s ~req ~blocking
 
@@ -494,7 +495,7 @@ let rec ensure_present t e page =
     if Params.hit_touch_cycles > 0 then charge_pf t e Params.hit_touch_cycles
   | Pager.Inflight ->
     bump t Counter.Coalesced;
-    let rid = e.req.Request.id and wid = worker_id e in
+    let rid = e.req.Request.id and wid = e.worker in
     ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
     ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
     if is_busywait t.cfg then spin_on_inflight t e page
@@ -529,7 +530,7 @@ and prepare_fault t e (w : worker) page =
 (* Handle a fault on a Remote page under the configured policy. *)
 and fault t e page =
   bump t Counter.Faults;
-  let rid = e.req.Request.id and wid = worker_id e in
+  let rid = e.req.Request.id and wid = e.worker in
   ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
   let sw =
     Params.fault_sw_cycles
@@ -539,7 +540,7 @@ and fault t e page =
     | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> 0
   in
   charge_pf t e sw;
-  let w = match e.worker with Some w -> w | None -> assert false in
+  let w = t.workers.(e.worker) in
   if not (prepare_fault t e w page) then begin
     (* the page moved on while we slept: this fault was absorbed by
        someone else's fetch (or it is already Present) *)
@@ -610,7 +611,7 @@ let make_ctx t e =
         Sim.now t.sim - e.quantum_start >= Params.preempt_interval_cycles
       then begin
         bump t Counter.Preemptions;
-        ev t Trace_event.Preempt ~req:e.req.Request.id ~worker:(worker_id e);
+        ev t Trace_event.Preempt ~req:e.req.Request.id ~worker:e.worker;
         compute Params.preempt_fire_cycles;
         e.preempted <- true;
         Task.suspend ()
@@ -632,7 +633,7 @@ let send_reply t e =
   enter t e Phase.Tx;
   Proc.wait Params.reply_post_cycles;
   let buffer = e.req.Request.buffer in
-  let rid = e.req.Request.id and wid = worker_id e in
+  let rid = e.req.Request.id and wid = e.worker in
   ev t Trace_event.Tx_submit ~req:rid ~worker:wid;
   match t.cfg.Config.tx_mode with
   | Config.Tx_delegated ->
@@ -675,7 +676,7 @@ let requeue t e =
   Proc.Gate.signal t.dispatch_gate
 
 let step_task t e task =
-  let rid = e.req.Request.id and wid = worker_id e in
+  let rid = e.req.Request.id and wid = e.worker in
   ev t Trace_event.Run_begin ~req:rid ~worker:wid;
   (match Task.run task with
   | Task.Finished ->
@@ -693,7 +694,7 @@ let step_task t e task =
   ev t Trace_event.Run_end ~req:rid ~worker:wid
 
 let run_entry t w e =
-  e.worker <- Some w;
+  e.worker <- w.wid;
   match e.task with
   | Some task ->
     (* preempted unithread re-dispatched: switch back in *)
@@ -803,7 +804,7 @@ let rec worker_loop t (w : worker) =
           in
           match resumed with
           | Some e ->
-            e.worker <- Some w;
+            e.worker <- w.wid;
             w.idle <- false;
             resume_ready t e;
             worker_loop t w
@@ -952,7 +953,7 @@ let receive t ~rx_at req =
             (match t.cfg.Config.prefetch with
             | Config.Stride _ -> Prefetcher.Stride_detector.create ()
             | Config.No_prefetch -> t.nobody.detector);
-          worker = None;
+          worker = -1;
           quantum_start = 0;
           preempted = false;
         }
@@ -1052,6 +1053,13 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       ~rereplicate_gap_cycles:Params.rereplicate_gap_cycles
       ~seed:cfg.Config.seed
   in
+  (* a completion can be lost only on a faulty fabric or to a node
+     crash; a clean run arms no fetch timer *)
+  let recover =
+    Option.is_some fault || (Cluster.config cluster).Cluster.crashes > 0
+  in
+  if recover && cfg.Config.fetch_timeout <= 0 then
+    invalid_arg "System.create: fetch_timeout must be positive";
   let node0 = (Cluster.nodes cluster).(0) in
   let nic = node0.Cluster.nic in
   let reply_link = Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead () in
@@ -1099,7 +1107,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
           ~tx_at:0;
       task = None;
       detector = Prefetcher.Stride_detector.create ();
-      worker = None;
+      worker = -1;
       quantum_start = 0;
       preempted = false;
     }
@@ -1147,6 +1155,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       reclaimer = None;
       counts = Array.make Counter.count 0;
       fault;
+      recover;
       trace;
       trace_on = Trace_sink.enabled trace;
       acct = Acct.create sim ~cpus:(cfg.Config.workers + 1);

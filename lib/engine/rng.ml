@@ -55,14 +55,6 @@ let discrete g weights =
   in
   pick 0 0.
 
-let shuffle g arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 module Zipf = struct
   (* Standard Gray et al. incremental zipfian generator (as used by YCSB). *)
   type sampler = {

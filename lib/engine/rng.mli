@@ -39,9 +39,6 @@ val discrete : t -> float array -> int
 (** [discrete g weights] picks index [i] with probability proportional to
     [weights.(i)]. Requires a non-empty array with positive sum. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 (** Zipfian sampler with precomputed normalization, for skewed key
     popularity experiments. *)
 module Zipf : sig

@@ -1,8 +1,6 @@
 module Config = Adios_core.Config
 module App = Adios_core.App
-module Clock = Adios_engine.Clock
 module Rng = Adios_engine.Rng
-module Injector = Adios_fault.Injector
 module Cluster = Adios_cluster.Cluster
 
 type variant = string * (Config.t -> Config.t)
@@ -97,22 +95,11 @@ let points spec =
         spec.systems)
     spec.apps
 
-let fetch_timeout_us = 50.
-
 let config point =
-  let cfg = snd point.variant (Config.default point.system) in
   {
-    cfg with
+    (snd point.variant (Config.default point.system)) with
     Config.seed = point.point_seed;
     cluster = point.cluster;
-    (* recovery is armed on a faulty fabric (a variant's) or a crashing
-       cluster — a dead node's fetches only resolve through the timeout
-       ladder; clean sweeps stay byte-identical to builds without the
-       injector *)
-    fetch_timeout =
-      (if Injector.enabled cfg.Config.fault || point.cluster.Cluster.crashes > 0
-       then Clock.of_us fetch_timeout_us
-       else 0);
   }
 
 let point_count spec =
@@ -156,13 +143,7 @@ let reduced = [ reduced_array; reduced_memcached; reduced_rocksdb_scan ]
    surface errors. *)
 let cluster_reduced =
   let topo ~nodes ~replication ~crashes =
-    {
-      Cluster.default with
-      Cluster.nodes;
-      replication;
-      crashes;
-      crash_at_us = 1000.;
-    }
+    { Cluster.nodes; replication; crashes; crash_at_us = 1000. }
   in
   make ~name:"cluster-reduced" ~systems:[ Config.Adios ] ~loads:[ 1000. ]
     ~clusters:

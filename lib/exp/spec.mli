@@ -78,10 +78,9 @@ val points : t -> point list
 
 val config : point -> Adios_core.Config.t
 (** The per-point run configuration: the system's default, rewritten by
-    the point's variant, then given the point's seed, cluster and fetch
-    timeout, which a variant therefore cannot change. The timeout is
-    50 us on a faulty fabric (as a variant sets it) or a cluster that
-    crashes a node, and 0 (off) otherwise. *)
+    the point's variant, then given the point's seed and cluster, which
+    a variant therefore cannot change. Whether fetch timers are armed
+    follows from the result ({!Adios_core.Config.fetch_timeout}). *)
 
 val point_count : t -> int
 

@@ -9,7 +9,6 @@ module Rng = Adios_engine.Rng
 type config = {
   drop : float;
   spike : float;
-  spike_sigma : float;
   stall : float;
   stall_cycles : int;
   throttle : float;
@@ -20,7 +19,6 @@ let none =
   {
     drop = 0.;
     spike = 0.;
-    spike_sigma = 1.0;
     stall = 0.;
     stall_cycles = 0;
     throttle = 0.;
@@ -55,10 +53,10 @@ let injected t = t.stats.drops + t.stats.spikes + t.stats.stalls
 
 type verdict = Deliver | Drop | Delay of int
 
-(* The spike multiplier is exp|N(0,sigma)| >= 1, i.e. a lognormal tail
+(* The spike multiplier is exp|N(0,1)| >= 1, i.e. a lognormal tail
    folded onto the slow side; the extra delay is (mult - 1) * base. *)
 let spike_extra t ~base_cycles =
-  let z = abs_float (Rng.normal t.rng ~mean:0. ~std:t.cfg.spike_sigma) in
+  let z = abs_float (Rng.normal t.rng ~mean:0. ~std:1.0) in
   let mult = exp z in
   max 1 (int_of_float ((mult -. 1.) *. float_of_int (max 1 base_cycles)))
 

@@ -16,10 +16,9 @@
 
 type config = {
   drop : float;  (** P(a READ completion is lost on the fabric) *)
-  spike : float;  (** P(a completion is delayed by a lognormal tail) *)
-  spike_sigma : float;
-      (** shape of the spike: the delay is
-          [base_cycles * exp |N(0, spike_sigma)|] *)
+  spike : float;
+      (** P(a completion is delayed by a lognormal tail): the delay is
+          [base_cycles * (exp |N(0, 1)| - 1)] *)
   stall : float;  (** P(a completion opens a stall window on its QP) *)
   stall_cycles : int;  (** length of a QP stall window *)
   throttle : float;

@@ -1,15 +1,16 @@
 module Stride_detector = struct
+  (* fault deltas the majority vote runs over *)
+  let window = 8
+
   type t = {
-    window : int;
     deltas : int array; (* ring of recent fault deltas *)
     mutable len : int;
     mutable head : int;
     mutable last_page : int; (* -1 before the first fault *)
   }
 
-  let create ?(window = 8) () =
+  let create () =
     {
-      window;
       deltas = Array.make window 0;
       len = 0;
       head = 0;
@@ -50,8 +51,8 @@ module Stride_detector = struct
       else begin
         let delta = page - t.last_page in
         t.deltas.(t.head) <- delta;
-        t.head <- (t.head + 1) mod t.window;
-        if t.len < t.window then t.len <- t.len + 1;
+        t.head <- (t.head + 1) mod window;
+        if t.len < window then t.len <- t.len + 1;
         majority t
       end
     in

@@ -11,8 +11,8 @@
 module Stride_detector : sig
   type t
 
-  val create : ?window:int -> unit -> t
-  (** Detector over the last [window] (default 8) fault deltas. *)
+  val create : unit -> t
+  (** Detector over the last 8 fault deltas. *)
 
   val record : t -> int -> int option
   (** [record t page] notes a fault on [page] and returns [Some stride]

@@ -3,21 +3,22 @@ module Proc = Adios_engine.Proc
 type mode = Proactive | Wakeup
 
 type config = {
-  period : Adios_engine.Clock.cycles;
   low_watermark : float;
   high_watermark : float;
-  per_page_cost : Adios_engine.Clock.cycles;
   wakeup_delay : Adios_engine.Clock.cycles;
 }
 
 let default_config =
   {
-    period = Adios_engine.Clock.of_us 2.;
     low_watermark = 0.04;
     high_watermark = 0.06;
-    per_page_cost = 150;
     wakeup_delay = Adios_engine.Clock.of_us 3.;
   }
+
+(* The proactive thread's polling interval, and the CPU cost of one
+   eviction. *)
+let period = Adios_engine.Clock.of_us 2.
+let per_page_cost = 150
 
 type t = {
   sim : Adios_engine.Sim.t;
@@ -59,7 +60,7 @@ let evict_until_high t =
     match Pager.pick_victim t.pager with
     | None -> continue := false
     | Some page ->
-      Proc.wait t.config.per_page_cost;
+      Proc.wait per_page_cost;
       (* Re-check: the page may have been evicted while we slept. *)
       if Pager.state t.pager page = Pager.Present then begin
         let dirty = Pager.evict t.pager page in
@@ -87,7 +88,7 @@ let start ?(trace = Adios_trace.Sink.null) sim pager mode config ~evict_page =
   | Proactive ->
     Proc.spawn sim (fun () ->
         while not t.stopped do
-          Proc.wait config.period;
+          Proc.wait period;
           if low t then evict_until_high t
         done)
   | Wakeup -> ());

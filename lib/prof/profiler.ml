@@ -146,7 +146,10 @@ let rank_of ~n p =
   let r = int_of_float (ceil (p /. 100. *. float_of_int n)) in
   if r < 1 then 1 else if r > n then n else r
 
-let summary ?(top_k = 32) t =
+(* requests in [summary]'s slowest list *)
+let top_k = 32
+
+let summary t =
   let n = t.len in
   let e2es = Array.init n (fun i -> t.samples.(i).e2e) in
   Array.sort Int.compare e2es;

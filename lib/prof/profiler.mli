@@ -75,9 +75,9 @@ type summary = {
   slowest : slow array;  (** top-K requests by e2e, descending *)
 }
 
-val summary : ?top_k:int -> t -> summary
+val summary : t -> summary
 (** Band thresholds are computed over the measured population at call
-    time (default [top_k] 32). Plain data, marshal-safe. *)
+    time; [slowest] holds the top 32. Plain data, marshal-safe. *)
 
 val folded : root:string -> summary -> string list
 (** flamegraph.pl-style folded stacks, one

@@ -281,7 +281,6 @@ let post qp ~opcode ~bytes ~user ~cq =
   end
 
 let fail nic = nic.dead <- true
-let is_dead nic = nic.dead
 let posted nic = nic.posted
 let completed nic = nic.completed
 let read_bytes nic = nic.read_bytes

@@ -96,8 +96,6 @@ val fail : 'a t -> unit
     still advances, so the host recovers through its normal
     timeout/retry path. Irreversible. *)
 
-val is_dead : 'a t -> bool
-
 val register_metrics :
   'a t ->
   Adios_obs.Registry.t ->

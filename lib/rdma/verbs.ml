@@ -1,10 +1,5 @@
 type opcode = Read | Write | Send
 
-let pp_opcode ppf = function
-  | Read -> Format.pp_print_string ppf "READ"
-  | Write -> Format.pp_print_string ppf "WRITE"
-  | Send -> Format.pp_print_string ppf "SEND"
-
 type 'a completion = {
   wr_id : int;
   opcode : opcode;

@@ -8,8 +8,6 @@
 
 type opcode = Read | Write | Send
 
-val pp_opcode : Format.formatter -> opcode -> unit
-
 type 'a completion = {
   wr_id : int;
   opcode : opcode;

@@ -32,5 +32,3 @@ let pp ppf t =
     (t.mean /. float_of_int Adios_engine.Clock.cycles_per_us)
     (us t.p10) (us t.p50) (us t.p90) (us t.p99) (us t.p999) (us t.max)
 
-let pp_row ppf t =
-  Format.fprintf ppf "%.2f\t%.2f\t%.2f" (us t.p50) (us t.p99) (us t.p999)

@@ -18,6 +18,3 @@ val of_histogram : Histogram.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering with microsecond units. *)
-
-val pp_row : Format.formatter -> t -> unit
-(** Tab-separated [p50 p99 p999] in microseconds, for table rows. *)

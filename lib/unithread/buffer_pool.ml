@@ -33,37 +33,49 @@ let bytes_per_buffer l =
   let round_4k v = (v + 4095) / 4096 * 4096 in
   round_4k base + (l.extra_stacks * l.stack_unit)
 
+(* Ids never handed out are [next .. count - 1]; returned ids wait on an
+   int stack that [alloc] pops first. That is the order of one free
+   list holding 0, 1, 2, ... with each freed id pushed on top, without
+   building that list. *)
 type t = {
   layout : layout;
   count : int;
-  free_list : int Stack.t;
+  mutable next : int;
+  mutable returned : int array;
+  mutable nreturned : int;
   allocated : Bytes.t; (* 0 free / 1 in use *)
   mutable in_use : int;
   mutable high_watermark : int;
 }
 
-let create ?(count = 131_072) layout =
-  let free_list = Stack.create () in
-  for i = count - 1 downto 0 do
-    Stack.push i free_list
-  done;
+let create ~count layout =
   {
     layout;
     count;
-    free_list;
+    next = 0;
+    returned = [||];
+    nreturned = 0;
     allocated = Bytes.make count '\000';
     in_use = 0;
     high_watermark = 0;
   }
 
+let take t id =
+  Bytes.set t.allocated id '\001';
+  t.in_use <- t.in_use + 1;
+  if t.in_use > t.high_watermark then t.high_watermark <- t.in_use;
+  Some id
+
 let alloc t =
-  match Stack.pop_opt t.free_list with
-  | None -> None
-  | Some id ->
-    Bytes.set t.allocated id '\001';
-    t.in_use <- t.in_use + 1;
-    if t.in_use > t.high_watermark then t.high_watermark <- t.in_use;
-    Some id
+  if t.nreturned > 0 then begin
+    t.nreturned <- t.nreturned - 1;
+    take t t.returned.(t.nreturned)
+  end
+  else if t.next < t.count then begin
+    t.next <- t.next + 1;
+    take t (t.next - 1)
+  end
+  else None
 
 let free t id =
   if id < 0 || id >= t.count then invalid_arg "Buffer_pool.free: bad id";
@@ -71,7 +83,13 @@ let free t id =
     invalid_arg "Buffer_pool.free: double free";
   Bytes.set t.allocated id '\000';
   t.in_use <- t.in_use - 1;
-  Stack.push id t.free_list
+  if t.nreturned = Array.length t.returned then begin
+    let grown = Array.make (max 64 (2 * t.nreturned)) 0 in
+    Array.blit t.returned 0 grown 0 t.nreturned;
+    t.returned <- grown
+  end;
+  t.returned.(t.nreturned) <- id;
+  t.nreturned <- t.nreturned + 1
 
 let count t = t.count
 let in_use t = t.in_use

@@ -27,11 +27,14 @@ val bytes_per_buffer : layout -> int
 
 type t
 
-val create : ?count:int -> layout -> t
-(** Pool of [count] (default 131,072) buffers. *)
+val create : count:int -> layout -> t
+(** Pool of [count] buffers (the compute node's is
+    [Params.buffer_count], 131,072). Per buffer it allocates one byte,
+    the in-use flag. *)
 
 val alloc : t -> int option
-(** Take a buffer id, or [None] when the pool is exhausted. *)
+(** Take a buffer id, or [None] when the pool is exhausted: the most
+    recently freed id, or else the lowest id never handed out. *)
 
 val free : t -> int -> unit
 (** Return a buffer.

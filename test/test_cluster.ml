@@ -1,9 +1,9 @@
-(* lib/cluster unit tests: config clamping, placement arithmetic,
-   liveness-aware routing, the seeded crash schedule, background
-   re-replication, and the trace checker's cluster rules on synthetic
-   streams. Sim-driven cases build a real cluster over real links and
-   NICs, so the failure path is exercised exactly as the system wires
-   it. *)
+(* lib/cluster unit tests: config clamping, placement arithmetic, the
+   bytes each node registers, liveness-aware routing, the seeded crash
+   schedule, background re-replication, and the trace checker's
+   cluster rules on synthetic streams. Sim-driven cases build a real
+   cluster over real links and NICs, so the failure path is exercised
+   exactly as the system wires it. *)
 
 module Sim = Adios_engine.Sim
 module Clock = Adios_engine.Clock
@@ -21,7 +21,7 @@ let check_bool = check Alcotest.bool
 
 let pages = 64
 
-let make ?trace ?(seed = 7) cfg =
+let make ?trace ?(seed = 7) ?(pages = pages) cfg =
   let sim = Sim.create () in
   let c =
     Cluster.create ?trace sim cfg ~pages ~page_size:4096 ~gbps:100.
@@ -32,7 +32,7 @@ let make ?trace ?(seed = 7) cfg =
 
 let topo ?(nodes = 4) ?(replication = 2) ?(crashes = 0) ?(crash_at_us = 10.) ()
     =
-  { Cluster.default with Cluster.nodes; replication; crashes; crash_at_us }
+  { Cluster.nodes; replication; crashes; crash_at_us }
 
 (* --- config --------------------------------------------------------------- *)
 
@@ -44,15 +44,11 @@ let test_normalize () =
         Cluster.nodes = 0;
         replication = 9;
         crashes = -2;
-        slow_nodes = 5;
-        slow_factor = -1.;
       }
   in
   check_int "nodes clamped up" 1 n.Cluster.nodes;
   check_int "replication clamped to nodes" 1 n.Cluster.replication;
   check_int "crashes clamped" 0 n.Cluster.crashes;
-  check_int "slow_nodes clamped to nodes" 1 n.Cluster.slow_nodes;
-  check (Alcotest.float 0.) "slow_factor clamped" 0. n.Cluster.slow_factor;
   let r =
     Cluster.normalize
       { Cluster.default with Cluster.nodes = 4; replication = 9 }
@@ -65,10 +61,7 @@ let test_enabled () =
   check_bool "extra nodes enable" true
     (Cluster.enabled { Cluster.default with Cluster.nodes = 2 });
   check_bool "crashes enable" true
-    (Cluster.enabled { Cluster.default with Cluster.crashes = 1 });
-  check_bool "slowdowns enable" true
-    (Cluster.enabled
-       { Cluster.default with Cluster.slow_nodes = 1; slow_factor = 0.5 })
+    (Cluster.enabled { Cluster.default with Cluster.crashes = 1 })
 
 (* --- placement ------------------------------------------------------------ *)
 
@@ -84,29 +77,39 @@ let test_striped_placement () =
       (Cluster.replicas c ~page)
   done
 
-let test_hashed_placement () =
-  let _, c = make (topo ()) in
-  let _, c' = make { (topo ()) with Cluster.placement = Cluster.Hashed } in
-  let _, c'' = make { (topo ()) with Cluster.placement = Cluster.Hashed } in
-  let seen = Array.make 4 false in
+(* Each node registers the bytes of the pages it hosts. The reference
+   is the per-page scan [Cluster.create] used to make: build each
+   page's replica list and count the lists that name the node. *)
+let reference_hosted ~nodes ~replication ~pages node =
+  let hosted = ref 0 in
   for page = 0 to pages - 1 do
-    let p = Cluster.primary c' ~page in
-    check_bool "primary in range" true (p >= 0 && p < 4);
-    seen.(p) <- true;
-    check_int "placement is a pure function of the page" p
-      (Cluster.primary c'' ~page);
-    let reps = Cluster.replicas c' ~page in
-    check_int "R distinct replicas" 2
-      (List.length (List.sort_uniq compare reps))
+    let replicas =
+      List.init replication (fun i -> ((page mod nodes) + i) mod nodes)
+    in
+    if List.mem node replicas then incr hosted
   done;
-  check_bool "hashed placement uses every node" true
-    (Array.for_all (fun b -> b) seen);
-  (* hashing must actually decorrelate from striping somewhere *)
-  let differs = ref false in
-  for page = 0 to pages - 1 do
-    if Cluster.primary c' ~page <> Cluster.primary c ~page then differs := true
-  done;
-  check_bool "hashed differs from striped" true !differs
+  !hosted
+
+let prop_hosted_bytes =
+  let gen =
+    QCheck.Gen.(
+      let* nodes = int_range 1 5 in
+      let* replication = int_range 1 nodes in
+      let+ pages = int_range 0 300 in
+      (nodes, replication, pages))
+  in
+  let print (nodes, replication, pages) =
+    Printf.sprintf "nodes=%d R=%d pages=%d" nodes replication pages
+  in
+  QCheck.Test.make ~name:"hosted bytes equal the replica-list scan"
+    ~count:500 (QCheck.make ~print gen)
+    (fun (nodes, replication, pages) ->
+      let _, c = make ~pages (topo ~nodes ~replication ()) in
+      Array.for_all
+        (fun nd ->
+          Adios_rdma.Memnode.registered_bytes nd.Cluster.memnode
+          = 4096 * reference_hosted ~nodes ~replication ~pages nd.Cluster.id)
+        (Cluster.nodes c))
 
 (* --- routing -------------------------------------------------------------- *)
 
@@ -138,9 +141,8 @@ let test_routing_follows_liveness () =
     (route c ~page);
   check Alcotest.(list int) "all-dead write" [] (Cluster.write_targets c ~page)
 
-(* every fault routes its read up to three times: on either placement,
-   healthy or after re-replication rewrote replica lists, a route
-   allocates nothing *)
+(* every fault routes its read up to three times: healthy or after
+   re-replication rewrote replica lists, a route allocates nothing *)
 let test_routing_allocates_nothing () =
   List.iter
     (fun (name, cfg) ->
@@ -167,7 +169,6 @@ let test_routing_allocates_nothing () =
         words)
     [
       ("striped", topo ());
-      ("hashed", { (topo ()) with Cluster.placement = Cluster.Hashed });
       ("re-replicated", topo ~nodes:4 ~replication:2 ~crashes:1 ());
     ]
 
@@ -331,7 +332,7 @@ let () =
       ( "placement",
         [
           Alcotest.test_case "striped" `Quick test_striped_placement;
-          Alcotest.test_case "hashed" `Quick test_hashed_placement;
+          QCheck_alcotest.to_alcotest prop_hosted_bytes;
         ] );
       ( "routing",
         [

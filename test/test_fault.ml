@@ -229,7 +229,6 @@ let crash_cfg sys ~nodes ~replication ~prefetch =
     fetch_timeout = Clock.of_us 50.;
     cluster =
       {
-        Adios_cluster.Cluster.default with
         Adios_cluster.Cluster.nodes;
         replication;
         crashes = 1;

@@ -315,7 +315,6 @@ let test_all_families_rendered () =
       (Config.default Config.Adios) with
       Config.cluster =
         {
-          Cluster.default with
           Cluster.nodes = 3;
           replication = 2;
           crashes = 1;

@@ -61,7 +61,6 @@ let clustered cfg =
     cfg with
     Config.cluster =
       {
-        Cluster.default with
         Cluster.nodes = 3;
         replication = 2;
         crashes = 1;

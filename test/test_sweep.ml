@@ -1,23 +1,25 @@
-(* Golden-tier sweep tests: run the canonical reduced array spec once and
-   hold it against every figure-shape oracle plus the checked-in golden
-   CSV. The same run, repeated through the forked runner and through
-   the domains backend (every checked-in spec), must reproduce the
-   dataset bit-for-bit — the determinism claim the whole golden tier
-   rests on — and every golden spec's engine-event total is pinned on
-   the sequential, forked and domains runs. The steal-reduced spec gets
-   its own golden/oracle suite for the Adios-vs-work-stealing dispatch
-   contrast. A spec's variant axis keeps its place in the point order
-   and cannot move a point's seed, and a two-variant spec gives the same
-   CSV on one process and on forked workers. Every registry app, swept
-   on each backend with its points sharing one dataset image, must give
-   the dataset the same points give one at a time on fresh builds, also
-   where a fork worker runs two silo points on its image. A small spec
-   checks the contract the three backends share (failure naming,
-   progress order), that the fork backend runs a block on at most
-   [jobs] workers and leaves none behind however the sweep ends, and
-   that the sequential backend lets go of each point's testbed.
-   Synthetic datasets then exercise each oracle's failure direction, so
-   a broken oracle (one that never fires) also fails here. *)
+(* Golden-tier sweep tests: run the canonical reduced array spec once
+   and hold it against every figure-shape oracle plus the checked-in
+   golden CSV. The same run, repeated through the forked runner and
+   through the domains backend (every checked-in spec), must reproduce
+   the dataset bit-for-bit — the determinism claim the whole golden
+   tier rests on — and every golden spec's engine-event total is pinned
+   on the sequential, forked and domains runs. The steal-reduced spec
+   gets its own golden/oracle suite for the Adios-vs-work-stealing
+   dispatch contrast. A spec's variant axis keeps its place in the
+   point order and cannot move a point's seed, a variant's fetch
+   timeout reaches its run only on a faulty fabric or a crashing
+   cluster, and a two-variant spec gives the same CSV on one process
+   and on forked workers. Every registry app, swept on each backend
+   with its points sharing one dataset image, must give the dataset the
+   same points give one at a time on fresh builds, also where a fork
+   worker runs two silo points on its image. A small spec checks the
+   contract the three backends share (failure naming, progress order),
+   that the fork backend runs a block on at most [jobs] workers and
+   leaves none behind however the sweep ends, and that the sequential
+   backend lets go of each point's testbed. Synthetic datasets then
+   exercise each oracle's failure direction, so a broken oracle (one
+   that never fires) also fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
@@ -25,6 +27,7 @@ module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
+module Export = Adios_core.Export
 module Clock = Adios_engine.Clock
 module Cluster = Adios_cluster.Cluster
 module Registry = Adios_obs.Registry
@@ -647,34 +650,53 @@ let test_variant_before_seed () =
       check Alcotest.int "the variant's setting" 3 cfg.Config.workers)
     (Spec.points spec)
 
+(* A variant's fetch timeout reaches the run only where a completion
+   can be lost: the system arms fetch timers on a faulty fabric or a
+   cluster that crashes a node, and nowhere else. The seed is pinned
+   on every point, so only the variant and cluster tell them apart. *)
 let test_timeout_arming () =
-  let crash_rows =
-    List.filter
-      (fun (p : Spec.point) ->
-        let armed =
-          (Spec.config p).Config.fetch_timeout = Clock.of_us 50.
-        in
-        check Alcotest.bool
-          (Sweep.point_label p ^ ": armed iff the cluster crashes")
-          (p.Spec.cluster.Cluster.crashes > 0)
-          armed;
-        armed)
-      (Spec.points Spec.cluster_reduced)
-  in
-  check Alcotest.int "cluster-reduced's crash rows" 4 (List.length crash_rows);
-  let faulty c =
+  let timeout us c = { c with Config.fetch_timeout = Clock.of_us us } in
+  let faulty us c =
     let module Injector = Adios_fault.Injector in
-    { c with Config.fault = { Injector.none with Injector.drop = 0.01 } }
+    timeout us
+      { c with Config.fault = { Injector.none with Injector.drop = 0.01 } }
   in
-  check
-    Alcotest.(list int)
-    "clean fabric, a variant's faulty fabric" [ 0; Clock.of_us 50. ]
-    (List.map
-       (fun p -> (Spec.config p).Config.fetch_timeout)
-       (Spec.points
-          (Spec.make ~name:"faulty" ~systems:[ Config.Adios ]
-             ~variants:[ Spec.default_variant; ("faulty", faulty) ]
-             ())))
+  let crashing =
+    { Cluster.nodes = 2; replication = 1; crashes = 1; crash_at_us = 100. }
+  in
+  let spec =
+    Spec.make ~name:"arming" ~systems:[ Config.Adios ]
+      ~variants:
+        [
+          ("10us", timeout 10.);
+          ("50us", timeout 50.);
+          ("faulty 10us", faulty 10.);
+          ("faulty 50us", faulty 50.);
+        ]
+      ~clusters:[ Cluster.default; crashing ] ~loads:[ 600. ] ~requests:300
+      ()
+  in
+  let runs =
+    Array.of_list
+      (List.map
+         (fun (_, r) -> (Export.csv_row r, r.Runner.sim_events))
+         (Sweep.run ~jobs:1
+            ~cfg_tweak:(fun c -> { c with Config.seed = 1 })
+            spec))
+  in
+  (* points run variant-major: the 10 us point at index i, its 50 us
+     twin at i + 2 *)
+  let same = Alcotest.(pair string int) in
+  check same "clean fabric, one node: 10 us = 50 us" runs.(0) runs.(2);
+  List.iter
+    (fun (what, i) ->
+      check Alcotest.bool (what ^ ": 10 us <> 50 us") false
+        (runs.(i) = runs.(i + 2)))
+    [
+      ("clean fabric, crashing cluster", 1);
+      ("faulty fabric, one node", 4);
+      ("faulty fabric, crashing cluster", 5);
+    ]
 
 let test_label_names_variant () =
   let spec =

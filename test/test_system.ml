@@ -343,6 +343,31 @@ let test_rejects_degenerate_runs () =
         (fun () ->
           Runner.run cfg (small_array ()) ~offered_krps:300. ~requests ()))
     [ 0; -5 ];
+  (* where a completion can be lost, a zero deadline would time out
+     every fetch the moment it is posted *)
+  List.iter
+    (fun (name, cfg) ->
+      raises name (fun () ->
+          Runner.run
+            { cfg with Config.fetch_timeout = 0 }
+            (small_array ()) ~offered_krps:300. ~requests:100 ()))
+    [
+      ( "zero timeout, faulty fabric",
+        {
+          cfg with
+          Config.fault =
+            { Adios_fault.Injector.none with Adios_fault.Injector.drop = 0.01 };
+        } );
+      ( "zero timeout, crashing cluster",
+        {
+          cfg with
+          Config.cluster =
+            {
+              Adios_cluster.Cluster.default with
+              Adios_cluster.Cluster.crashes = 1;
+            };
+        } );
+    ];
   let spec_raises name f =
     match f () with
     | (_ : Adios_exp.Spec.t) -> Alcotest.failf "%s: the spec was accepted" name

@@ -188,6 +188,65 @@ let prop_pool_alloc_unique =
       && List.length (List.sort_uniq compare ids) = n
       && Buffer_pool.alloc pool = None)
 
+(* The pool hands out ids in the order of one free list that holds
+   0, 1, 2, ... and takes each freed id back on top. The reference is
+   that list, as a [Stack]. An op is [None] for an alloc, or [Some k]
+   to free the k-th (mod their number) id currently held. *)
+let prop_pool_matches_free_list =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 40)
+        (list_size (int_range 0 300) (opt ~ratio:0.55 (int_range 0 1000))))
+  in
+  let print (count, ops) =
+    Printf.sprintf "count=%d ops=[%s]" count
+      (String.concat "; "
+         (List.map
+            (function None -> "alloc" | Some k -> Printf.sprintf "free %d" k)
+            ops))
+  in
+  QCheck.Test.make ~name:"pool matches the free-list model" ~count:300
+    (QCheck.make ~print gen)
+    (fun (count, ops) ->
+      let pool = Buffer_pool.create ~count Buffer_pool.unithread_layout in
+      let model = Stack.create () in
+      for i = count - 1 downto 0 do
+        Stack.push i model
+      done;
+      let held = ref [] and hwm = ref 0 in
+      List.for_all
+        (fun op ->
+          let same =
+            match (op, !held) with
+            | None, _ ->
+              let got = Buffer_pool.alloc pool in
+              let want = Stack.pop_opt model in
+              Option.iter (fun id -> held := id :: !held) want;
+              got = want
+            | Some _, [] -> true
+            | Some k, ids ->
+              let id = List.nth ids (k mod List.length ids) in
+              Buffer_pool.free pool id;
+              Stack.push id model;
+              held := List.filter (fun h -> h <> id) ids;
+              true
+          in
+          hwm := max !hwm (List.length !held);
+          same
+          && Buffer_pool.in_use pool = List.length !held
+          && Buffer_pool.high_watermark pool = !hwm)
+        ops)
+
+(* The compute node builds a 131,072-buffer pool for every run. *)
+let test_pool_create_allocates_no_free_list () =
+  let before = Gc.minor_words () in
+  let pool = Buffer_pool.create ~count:131_072 Buffer_pool.unithread_layout in
+  let words = Gc.minor_words () -. before in
+  check_int "count" 131_072 (Buffer_pool.count pool);
+  check_bool
+    (Printf.sprintf "%.0f minor words for 131,072 buffers" words)
+    true (words < 100.)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "unithread"
@@ -215,5 +274,8 @@ let () =
           Alcotest.test_case "double free" `Quick test_pool_double_free;
           Alcotest.test_case "footprint" `Quick test_pool_footprint;
           q prop_pool_alloc_unique;
+          q prop_pool_matches_free_list;
+          Alcotest.test_case "create allocates no free list" `Quick
+            test_pool_create_allocates_no_free_list;
         ] );
     ]
