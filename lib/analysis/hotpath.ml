@@ -58,6 +58,19 @@ let manifest =
         ];
       cold = [ "grow_pool"; "heap_grow" ];
     };
+    { file = "lib/engine/proc.ml";
+      (* every idle worker and the dispatcher park on a gate: the effect
+         is made once per gate, and a signal schedules the parked
+         process's own wake-up *)
+      functions = [ "Gate.await"; "Gate.signal" ];
+      cold = [];
+    };
+    { file = "lib/engine/rng.ml";
+      (* every arrival gap, app key and jitter draw; the state is
+         unboxed, so a draw allocates nothing *)
+      functions = [ "bits64"; "int" ];
+      cold = [];
+    };
     { file = "lib/rdma/verbs.ml";
       functions = [ "Cq.push"; "Cq.drain" ];
       cold = [ "Cq.grow" ];
@@ -79,6 +92,13 @@ let manifest =
       functions = [ "serialize_cycles"; "occupy" ];
       cold = [ "nominal_cycles" ];
     };
+    { file = "lib/rdma/raw_eth.ml";
+      (* every request and every reply packet: the send into the ring,
+         the serialization start, and the channel's two events. The
+         ring doubles when full *)
+      functions = [ "send"; "kick"; "serialization_end"; "delivery" ];
+      cold = [ "grow" ];
+    };
     { file = "lib/cluster/cluster.ml";
       (* every fault routes its read up to three times *)
       functions = [ "route_read"; "current_primary" ];
@@ -87,11 +107,13 @@ let manifest =
     { file = "lib/core/system.ml";
       (* every phase and CPU-state transition, with the two switches it
          makes below ([Phase.cpu_state] returns static constants);
-         Algorithm 1's order; and a page fetch's slot, post and CQE.
-         The pool doubles when it runs dry; a full QP's backoff and the
-         fetch timer allocate their closures, and run only when a QP is
-         full or a completion can be lost (a faulty fabric or a
-         crashing cluster) *)
+         Algorithm 1's order; a page fetch's slot, post and CQE; a
+         request's unithread slot at admission, and its reply's TX
+         completion; the Steal wake-ups. The pools double when they run
+         dry, and a buffer's slot is made at its first use; a full QP's
+         backoff and the fetch timer allocate their closures, and run
+         only when a QP is full or a completion can be lost (a faulty
+         fabric or a crashing cluster) *)
       functions =
         [
           "enter";
@@ -101,8 +123,19 @@ let manifest =
           "release_fetch";
           "post_fetch";
           "fetch_cqe";
+          "slot";
+          "reply_sent";
+          "tx_cqe";
+          "wake_idle_siblings";
         ];
-      cold = [ "grow_fetches"; "fetch_backoff"; "arm_fetch_timer" ];
+      cold =
+        [
+          "grow_fetches";
+          "fetch_backoff";
+          "arm_fetch_timer";
+          "grow_slots";
+          "make_slot";
+        ];
     };
     { file = "lib/obs/accountant.ml"; functions = [ "switch" ]; cold = [] };
     { file = "lib/prof/profiler.ml"; functions = [ "switch" ]; cold = [] };

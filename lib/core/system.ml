@@ -27,15 +27,31 @@ module Phase = Adios_prof.Phase
    reply instead of wedging its worker. *)
 exception Fetch_failed of int
 
+(* A unithread slot: one per buffer id, made on the buffer's first use
+   and reset whenever the buffer admits a request (Fig. 4: a request's
+   context lives in its pre-allocated buffer). Everything a request's
+   life needs to call back into is made with the slot — its task, whose
+   body serves [req], the task's [App.ctx], and the reply's TX
+   completion — so admitting, running and replying allocate none of it
+   again. *)
 type entry = {
-  req : Request.t;
-  mutable task : Task.t option;
+  mutable req : Request.t;
+  mutable task : Task.t;  (** serves [req]; rearmed at admission *)
   detector : Prefetcher.Stride_detector.t;
+  mutable started : bool;
+      (** [task] has run: a dispatch switches back in instead of
+          starting it *)
   mutable worker : int;
       (** id of the worker whose QPs serve its faults; -1 before its
           first dispatch *)
   mutable quantum_start : int;
   mutable preempted : bool;
+  tx_cqe : unit -> unit;
+      (** the reply's TX completion event. The request holds its buffer
+          until this has run, so the slot still holds the request. *)
+  mutable tx_resume : unit -> unit;
+      (** a worker spinning on that completion (synchronous TX) *)
+  tx_park : (unit -> unit) -> unit;  (** stores [tx_resume] *)
 }
 
 and worker = {
@@ -46,7 +62,7 @@ and worker = {
   gate : Proc.Gate.t;
   ready : entry Queue.t;
   local : entry Queue.t; (* per-worker queue (partitioned / stealing) *)
-  mutable assigned : entry option;
+  mutable assigned : entry;  (** [nobody] when none *)
   mutable idle : bool;
 }
 
@@ -75,6 +91,11 @@ type fetches = {
   mutable serial : int;  (** attempts posted so far: the token's high bits *)
 }
 
+(* The slots by buffer id; [nobody] marks an id not used yet. It grows
+   with the buffer pool's high-water mark, since the pool hands out the
+   lowest unused id first. *)
+type slots = { mutable by_buffer : entry array }
+
 type t = {
   sim : Sim.t;
   cfg : Config.t;
@@ -92,6 +113,7 @@ type t = {
   dispatch_gate : Proc.Gate.t;
   recycle : int Queue.t;
   buffers : Buffer_pool.t;
+  slots : slots;
   prefetched : Bytes.t; (* per-page flag: resident due to a prefetch *)
   prefetch_stats : Prefetcher.stats;
   mutable rr_cursor : int;
@@ -99,8 +121,9 @@ type t = {
   order : int array;  (** and its output *)
   fetches : fetches;
   nobody : entry;
-      (** the owner of a prefetch: no request waits on it, and its
-          detector stands in for every entry's when prefetching is off *)
+      (** the owner of a prefetch and the empty slot and assignment: no
+          request waits on it, and its detector stands in for every
+          slot's when prefetching is off *)
   rng : Rng.t;
   mutable reclaimer : Reclaimer.t option;
   counts : int array;  (** one slot per {!Counter.t}, by [Counter.index] *)
@@ -214,6 +237,13 @@ let spin_on_inflight t e page =
   Proc.suspend (fun resume -> Pager.add_waiter t.pager page resume);
   enter t e Phase.Pf_software
 
+(* Wake every idle worker but [w]: they may steal what [w] just got. *)
+let wake_idle_siblings t (w : worker) =
+  for i = 0 to Array.length t.workers - 1 do
+    let s = t.workers.(i) in
+    if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate
+  done
+
 (* Make a blocked-then-resumed entry runnable again: push it on its
    worker's ready queue and wake that worker. Under the Steal system
    the ready queues are steal targets, so idle siblings are woken too —
@@ -224,10 +254,7 @@ let enqueue_ready t (w : worker) e =
   enter t e Phase.Steal_wait;
   Queue.push e w.ready;
   Proc.Gate.signal w.gate;
-  if t.cfg.Config.system = Config.Steal then
-    Array.iter
-      (fun s -> if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate)
-      t.workers
+  if t.cfg.Config.system = Config.Steal then wake_idle_siblings t w
 
 (* Yield until [page]'s in-flight fetch completes; the completion pushes
    us on our worker's ready queue and the worker switches back. *)
@@ -627,46 +654,103 @@ let make_ctx t e =
 (* --- reply transmission -------------------------------------------------- *)
 
 let send_reply t e =
-  let reply_bytes = e.req.Request.spec.Request.reply_bytes in
+  let req = e.req in
+  let bytes = req.Request.spec.Request.reply_bytes in
   (* Tx runs to the reply's client RX stamp: it covers the post, the
      wire, and (under Tx_sync_spin) is split below around the CQE spin *)
   enter t e Phase.Tx;
   Proc.wait Params.reply_post_cycles;
-  let buffer = e.req.Request.buffer in
-  let rid = e.req.Request.id and wid = e.worker in
-  ev t Trace_event.Tx_submit ~req:rid ~worker:wid;
+  ev t Trace_event.Tx_submit ~req:req.Request.id ~worker:e.worker;
   match t.cfg.Config.tx_mode with
-  | Config.Tx_delegated ->
-    (* Fig. 6: the TX completion is raised on the dispatcher's CQ; the
-       dispatcher recycles the buffer while the worker moves on. *)
-    Raw_eth.send t.reply_channel ~bytes:reply_bytes
-      ~on_tx_complete:(fun () ->
-        Sim.schedule t.sim ~delay:Params.tx_cqe_latency_cycles (fun () ->
-            ev t Trace_event.Tx_complete ~req:rid;
-            Queue.push buffer t.recycle;
-            Proc.Gate.signal t.dispatch_gate))
-      e.req
+  | Config.Tx_delegated | Config.Tx_deferred ->
+    (* the worker moves on; the slot's [tx_cqe] recycles the buffer *)
+    Raw_eth.send t.reply_channel ~bytes req
   | Config.Tx_sync_spin ->
     (* naive design: the worker busy-waits for the CQE *)
     enter t e Phase.Busy_wait;
-    Proc.suspend (fun resume ->
-        Raw_eth.send t.reply_channel ~bytes:reply_bytes
-          ~on_tx_complete:(fun () ->
-            Sim.schedule t.sim ~delay:Params.tx_cqe_latency_cycles (fun () ->
-                ev t Trace_event.Tx_complete ~req:rid ~worker:wid;
-                resume ()))
-          e.req);
+    Raw_eth.send t.reply_channel ~bytes req;
+    Proc.suspend e.tx_park;
     enter t e Phase.Tx;
-    Buffer_pool.free t.buffers buffer
+    Buffer_pool.free t.buffers req.Request.buffer
+
+(* The reply channel's TX completion: the CQE follows the packet's
+   departure by the CQE latency. The reply's buffer names its slot. *)
+let reply_sent sim slots req =
+  Sim.schedule sim ~delay:Params.tx_cqe_latency_cycles
+    slots.by_buffer.(req.Request.buffer).tx_cqe
+
+(* The CQE of slot [e]'s reply. *)
+let tx_cqe t e =
+  let rid = e.req.Request.id in
+  match t.cfg.Config.tx_mode with
+  | Config.Tx_delegated ->
+    (* Fig. 6: the TX completion is raised on the dispatcher's CQ; the
+       dispatcher recycles the buffer while the worker moves on *)
+    emit t Trace_event.Tx_complete ~req:rid ~worker:(-1) ~page:(-1);
+    (* lint: allow zero-alloc -- the recycle queue's cell, one per reply; Queue cells are the next allocation to go (ROADMAP item 3) *)
+    Queue.push e.req.Request.buffer t.recycle;
+    Proc.Gate.signal t.dispatch_gate
+  | Config.Tx_sync_spin ->
+    emit t Trace_event.Tx_complete ~req:rid ~worker:e.worker ~page:(-1);
+    e.tx_resume ()
   | Config.Tx_deferred ->
     (* run-to-completion baselines reap TX completions lazily, off the
        worker's critical path *)
-    Raw_eth.send t.reply_channel ~bytes:reply_bytes
-      ~on_tx_complete:(fun () ->
-        Sim.schedule t.sim ~delay:Params.tx_cqe_latency_cycles (fun () ->
-            ev t Trace_event.Tx_complete ~req:rid;
-            Buffer_pool.free t.buffers buffer))
-      e.req
+    emit t Trace_event.Tx_complete ~req:rid ~worker:(-1) ~page:(-1);
+    Buffer_pool.free t.buffers e.req.Request.buffer
+
+(* --- unithread slots ------------------------------------------------------ *)
+
+let run_handler t ctx e () =
+  try t.app.App.handle ctx e.req.Request.spec with
+  | Fetch_failed _ -> e.req.Request.errored <- true
+  | App.Bad_request _ -> e.req.Request.errored <- true
+
+let make_slot t =
+  let detector =
+    match t.cfg.Config.prefetch with
+    | Config.Stride _ -> Prefetcher.Stride_detector.create ()
+    | Config.No_prefetch -> t.nobody.detector
+  in
+  let rec e =
+    {
+      req = t.nobody.req;
+      task = t.nobody.task;
+      detector;
+      started = false;
+      worker = -1;
+      quantum_start = 0;
+      preempted = false;
+      tx_cqe = (fun () -> tx_cqe t e);
+      tx_resume = ignore;
+      tx_park = (fun resume -> e.tx_resume <- resume);
+    }
+  in
+  e.task <- Task.create (run_handler t (make_ctx t e) e);
+  e
+
+let grow_slots t buffer =
+  let old = t.slots.by_buffer in
+  let slots = Array.make (max 64 (2 * (buffer + 1))) t.nobody in
+  Array.blit old 0 slots 0 (Array.length old);
+  t.slots.by_buffer <- slots
+
+(* Buffer [buffer]'s slot, made fresh for [req]. *)
+let slot t buffer req =
+  if buffer >= Array.length t.slots.by_buffer then grow_slots t buffer;
+  if t.slots.by_buffer.(buffer) == t.nobody then
+    t.slots.by_buffer.(buffer) <- make_slot t;
+  let e = t.slots.by_buffer.(buffer) in
+  e.req <- req;
+  e.started <- false;
+  e.worker <- -1;
+  e.quantum_start <- 0;
+  e.preempted <- false;
+  Task.rearm e.task;
+  (match t.cfg.Config.prefetch with
+  | Config.Stride _ -> Prefetcher.Stride_detector.reset e.detector
+  | Config.No_prefetch -> ());
+  e
 
 (* --- worker -------------------------------------------------------------- *)
 
@@ -675,10 +759,10 @@ let requeue t e =
   Queue.push e t.pending;
   Proc.Gate.signal t.dispatch_gate
 
-let step_task t e task =
+let step_task t e =
   let rid = e.req.Request.id and wid = e.worker in
   ev t Trace_event.Run_begin ~req:rid ~worker:wid;
-  (match Task.run task with
+  (match Task.run e.task with
   | Task.Finished ->
     (* an errored handler still replies — with an error status — so the
        buffer recycles and request conservation holds under faults *)
@@ -695,14 +779,14 @@ let step_task t e task =
 
 let run_entry t w e =
   e.worker <- w.wid;
-  match e.task with
-  | Some task ->
+  if e.started then begin
     (* preempted unithread re-dispatched: switch back in *)
     enter t e Phase.Ctx_switch;
     Proc.wait Params.ctx_switch_cycles;
     e.quantum_start <- Sim.now t.sim;
-    step_task t e task
-  | None ->
+    step_task t e
+  end
+  else begin
     enter t e Phase.Ctx_switch;
     Proc.wait (Params.unithread_create_cycles + Params.ctx_switch_cycles);
     (match t.cfg.Config.system with
@@ -717,24 +801,16 @@ let run_entry t w e =
       end
     | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> ());
     e.quantum_start <- Sim.now t.sim;
-    let ctx = make_ctx t e in
-    let task =
-      Task.create (fun () ->
-          try t.app.App.handle ctx e.req.Request.spec with
-          | Fetch_failed _ -> e.req.Request.errored <- true
-          | App.Bad_request _ -> e.req.Request.errored <- true)
-    in
-    e.task <- Some task;
-    step_task t e task
+    e.started <- true;
+    step_task t e
+  end
 
 let resume_ready t e =
   (* poll + switch-in is one wait; attribute it wholly to CQ polling
      rather than splitting it (an extra event could shift tie-breaks) *)
   enter t e Phase.Cq_poll;
   Proc.wait (Params.poll_cycles + Params.ctx_switch_cycles);
-  match e.task with
-  | Some task -> step_task t e task
-  | None -> assert false
+  step_task t e
 
 (* Work stealing: take the head of the longest sibling queue that
    [queue] selects (FCFS order within the victim). The scan costs
@@ -766,54 +842,54 @@ let rec worker_loop t (w : worker) =
     resume_ready t e;
     worker_loop t w
   end
+  else if w.assigned != t.nobody then begin
+    let e = w.assigned in
+    w.idle <- false;
+    w.assigned <- t.nobody;
+    run_entry t w e;
+    worker_loop t w
+  end
   else
-    match w.assigned with
+    match Queue.take_opt w.local with
     | Some e ->
       w.idle <- false;
-      w.assigned <- None;
+      ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
       run_entry t w e;
       worker_loop t w
     | None -> (
-      match Queue.take_opt w.local with
+      let stolen =
+        if t.cfg.Config.dispatch = Config.Work_stealing then
+          try_steal t w (fun v -> v.local)
+        else None
+      in
+      match stolen with
       | Some e ->
         w.idle <- false;
         ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
         run_entry t w e;
         worker_loop t w
       | None -> (
-        let stolen =
-          if t.cfg.Config.dispatch = Config.Work_stealing then
-            try_steal t w (fun v -> v.local)
+        (* the Steal system's extra axis: blocked-then-resumed
+           requests from the sibling ready queues, re-homed so their
+           later faults are issued on the thief's QPs and their later
+           resumptions land on the thief *)
+        let resumed =
+          if t.cfg.Config.system = Config.Steal then
+            try_steal t w (fun v -> v.ready)
           else None
         in
-        match stolen with
+        match resumed with
         | Some e ->
+          e.worker <- w.wid;
           w.idle <- false;
-          ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
-          run_entry t w e;
+          resume_ready t e;
           worker_loop t w
-        | None -> (
-          (* the Steal system's extra axis: blocked-then-resumed
-             requests from the sibling ready queues, re-homed so their
-             later faults are issued on the thief's QPs and their later
-             resumptions land on the thief *)
-          let resumed =
-            if t.cfg.Config.system = Config.Steal then
-              try_steal t w (fun v -> v.ready)
-            else None
-          in
-          match resumed with
-          | Some e ->
-            e.worker <- w.wid;
-            w.idle <- false;
-            resume_ready t e;
-            worker_loop t w
-          | None ->
-            w.idle <- true;
-            Proc.Gate.signal t.dispatch_gate;
-            acct_cpu t ~cpu:w.wid Acct.Idle;
-            Proc.Gate.await w.gate;
-            worker_loop t w)))
+        | None ->
+          w.idle <- true;
+          Proc.Gate.signal t.dispatch_gate;
+          acct_cpu t ~cpu:w.wid Acct.Idle;
+          Proc.Gate.await w.gate;
+          worker_loop t w))
 
 (* --- dispatcher ---------------------------------------------------------- *)
 
@@ -855,7 +931,7 @@ let idle_order t =
   for i = 0 to Array.length t.workers - 1 do
     let w = t.workers.(i) in
     t.load.(i) <-
-      (if not (w.idle && Option.is_none w.assigned) then -1
+      (if not (w.idle && w.assigned == t.nobody) then -1
        else if pf_aware then qp_load w
        else 0)
   done;
@@ -865,7 +941,7 @@ let idle_order t =
 let assign t (w : worker) e =
   ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
   t.rr_cursor <- (w.wid + 1) mod Array.length t.workers;
-  w.assigned <- Some e;
+  w.assigned <- e;
   w.idle <- false;
   Proc.Gate.signal w.gate
 
@@ -893,7 +969,7 @@ let rec dispatcher_loop t =
           if
             (not (Queue.is_empty t.pending))
             && w.idle
-            && Option.is_none w.assigned
+            && w.assigned == t.nobody
           then begin
             let e = Queue.pop t.pending in
             Proc.wait Params.dispatch_cycles;
@@ -912,10 +988,7 @@ let rec dispatcher_loop t =
       Queue.push e w.local;
       Proc.Gate.signal w.gate;
       if t.cfg.Config.dispatch = Config.Work_stealing then
-        (* idle siblings may steal this: wake them *)
-        Array.iter
-          (fun s -> if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate)
-          t.workers
+        wake_idle_siblings t w
     done);
   dispatcher_loop t
 
@@ -928,12 +1001,13 @@ let receive t ~rx_at req =
     ev t Trace_event.Req_drop_queue ~req:req.Request.id
   end
   else
-    match Buffer_pool.alloc t.buffers with
-    | None ->
+    let buffer = Buffer_pool.alloc t.buffers in
+    if buffer < 0 then begin
       bump t Counter.Drops_buffer;
       ev t Trace_event.Stall_buffer ~req:req.Request.id;
       ev t Trace_event.Req_drop_buffer ~req:req.Request.id
-    | Some buffer ->
+    end
+    else begin
       req.Request.buffer <- buffer;
       bump t Counter.Admitted;
       ev t Trace_event.Req_enqueue ~req:req.Request.id;
@@ -945,21 +1019,9 @@ let receive t ~rx_at req =
             (Profiler.attach p ~id:req.Request.id ~tx_at:req.Request.tx_at
                ~now:(Sim.now t.sim))
       | None -> ());
-      let e =
-        {
-          req;
-          task = None;
-          detector =
-            (match t.cfg.Config.prefetch with
-            | Config.Stride _ -> Prefetcher.Stride_detector.create ()
-            | Config.No_prefetch -> t.nobody.detector);
-          worker = -1;
-          quantum_start = 0;
-          preempted = false;
-        }
-      in
-      Queue.push e t.pending;
+      Queue.push (slot t buffer req) t.pending;
       Proc.Gate.signal t.dispatch_gate
+    end
 
 (* --- construction -------------------------------------------------------- *)
 
@@ -1062,10 +1124,29 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
     invalid_arg "System.create: fetch_timeout must be positive";
   let node0 = (Cluster.nodes cluster).(0) in
   let nic = node0.Cluster.nic in
+  let nobody =
+    {
+      req =
+        Request.make ~id:(-1)
+          ~spec:{ Request.kind = 0; key = 0; req_bytes = 0; reply_bytes = 0 }
+          ~tx_at:0;
+      task = Task.create ignore;
+      detector = Prefetcher.Stride_detector.create ();
+      started = false;
+      worker = -1;
+      quantum_start = 0;
+      preempted = false;
+      tx_cqe = ignore;
+      tx_resume = ignore;
+      tx_park = ignore;
+    }
+  in
+  let slots = { by_buffer = [||] } in
   let reply_link = Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead () in
   let reply_channel =
     Raw_eth.create sim ~link:reply_link
       ~latency_cycles:Params.eth_latency_cycles
+      ~on_tx_complete:(reply_sent sim slots)
       ~deliver:(fun ~rx_at req ->
         req.Request.done_at <- rx_at;
         on_reply req)
@@ -1089,7 +1170,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
           gate = Proc.Gate.create sim;
           ready = Queue.create ();
           local = Queue.create ();
-          assigned = None;
+          assigned = nobody;
           idle = false;
         })
   in
@@ -1099,19 +1180,6 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       cluster_nodes
   in
   let reclaim_cq = Verbs.Cq.create () in
-  let nobody =
-    {
-      req =
-        Request.make ~id:(-1)
-          ~spec:{ Request.kind = 0; key = 0; req_bytes = 0; reply_bytes = 0 }
-          ~tx_at:0;
-      task = None;
-      detector = Prefetcher.Stride_detector.create ();
-      worker = -1;
-      quantum_start = 0;
-      preempted = false;
-    }
-  in
   let t =
     {
       sim;
@@ -1130,6 +1198,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       recycle = Queue.create ();
       buffers = Buffer_pool.create ~count:cfg.Config.buffer_count
           Buffer_pool.unithread_layout;
+      slots;
       prefetched = Bytes.make app.App.pages '\000';
       prefetch_stats = Prefetcher.make_stats ();
       rr_cursor = 0;

@@ -25,7 +25,12 @@ val suspend : ((unit -> unit) -> unit) -> unit
     twice raises [Failure]. *)
 
 (** Binary wakeup gate: a lost-wakeup-safe "sleep until poked" primitive
-    used by the dispatcher and workers when they go idle. *)
+    used by the dispatcher and workers when they go idle.
+
+    A gate parks its process with an effect value made once per gate,
+    and a signal schedules the parked process's own wake-up, made once
+    per process: a round trip allocates only the continuation the
+    runtime captures. *)
 module Gate : sig
   type t
 
@@ -35,9 +40,12 @@ module Gate : sig
   val await : t -> unit
   (** Block until the gate is signalled; consumes a pending signal
       immediately if one arrived while the process was running. At most
-      one process may wait on a gate at a time. *)
+      one process may wait on a gate at a time.
+      @raise Failure if another process is already waiting on it. *)
 
   val signal : t -> unit
   (** Wake the waiter, or remember the signal if nobody waits yet.
-      Multiple signals before an [await] coalesce into one. *)
+      Multiple signals before an [await] coalesce into one. The waiter
+      resumes through one event scheduled at the current time, like a
+      {!suspend}'s [resume]. *)
 end

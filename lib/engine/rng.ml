@@ -1,19 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state, unboxed: eight bytes read and written with the
+   native-endian primitives, so advancing it allocates nothing. A
+   [mutable state : int64] field would box a fresh int64 on every draw.
+   [bits64] and [mix64] inline into [int], [uniform] and the samplers
+   below, so their int64 intermediates stay in registers too. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split g = { state = bits64 g }
+let[@inline] bits64 g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  mix64 s
+
+let split g = of_state (bits64 g)
 
 let int g n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -23,7 +34,7 @@ let int g n =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
   v mod n
 
-let uniform g =
+let[@inline] uniform g =
   (* 53 random bits into [0, 1) *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
   float_of_int v *. 0x1.0p-53

@@ -8,7 +8,10 @@ type t = {
   dirty : Bytes.t; (* 0/1 *)
   ring : int array; (* capacity slots: page id or -1 *)
   slot_of : int array; (* page -> ring slot or -1 *)
-  mutable free_slots : int list;
+  free_slots : int array;
+      (* stack of empty ring slots, [nfree] deep: slot 0 on top at
+         first, every emptied slot pushed on top *)
+  mutable nfree : int;
   mutable hand : int;
   mutable resident : int;
   mutable inflight : int;
@@ -21,7 +24,6 @@ type t = {
 let create ~pages ~capacity =
   if capacity <= 0 || capacity > pages then
     invalid_arg "Pager.create: capacity out of range";
-  let free_slots = List.init capacity (fun i -> i) in
   {
     pages;
     capacity;
@@ -30,7 +32,8 @@ let create ~pages ~capacity =
     dirty = Bytes.make pages '\000';
     ring = Array.make capacity (-1);
     slot_of = Array.make pages (-1);
-    free_slots;
+    free_slots = Array.init capacity (fun i -> capacity - 1 - i);
+    nfree = capacity;
     hand = 0;
     resident = 0;
     inflight = 0;
@@ -68,13 +71,9 @@ let start_fetch t page =
   t.inflight <- t.inflight + 1
 
 let install t page =
-  let slot =
-    match t.free_slots with
-    | [] -> invalid_arg "Pager: no free slot"
-    | s :: rest ->
-      t.free_slots <- rest;
-      s
-  in
+  if t.nfree = 0 then invalid_arg "Pager: no free slot";
+  t.nfree <- t.nfree - 1;
+  let slot = t.free_slots.(t.nfree) in
   t.ring.(slot) <- page;
   t.slot_of.(page) <- slot;
   Bytes.set t.state page '\002';
@@ -113,21 +112,17 @@ let pick_victim t =
   else begin
     (* Two full sweeps suffice: the first clears referenced bits. *)
     let limit = 2 * t.capacity in
-    let rec scan n =
-      if n >= limit then None
-      else begin
-        let slot = t.hand in
-        t.hand <- (t.hand + 1) mod t.capacity;
-        let page = t.ring.(slot) in
-        if page < 0 then scan (n + 1)
-        else if Bytes.get t.referenced page = '\001' then begin
-          Bytes.set t.referenced page '\000';
-          scan (n + 1)
-        end
-        else Some page
-      end
-    in
-    scan 0
+    let n = ref 0 and victim = ref (-1) in
+    while !victim < 0 && !n < limit do
+      let page = t.ring.(t.hand) in
+      t.hand <- (t.hand + 1) mod t.capacity;
+      incr n;
+      if page >= 0 then
+        if Bytes.get t.referenced page = '\001' then
+          Bytes.set t.referenced page '\000'
+        else victim := page
+    done;
+    if !victim < 0 then None else Some !victim
   end
 
 let evict t page =
@@ -138,7 +133,8 @@ let evict t page =
   let slot = t.slot_of.(page) in
   t.ring.(slot) <- -1;
   t.slot_of.(page) <- -1;
-  t.free_slots <- slot :: t.free_slots;
+  t.free_slots.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
   Bytes.set t.state page '\000';
   Bytes.set t.referenced page '\000';
   let dirty = Bytes.get t.dirty page = '\001' in

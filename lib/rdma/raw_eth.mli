@@ -6,22 +6,30 @@
     hardware RX timestamp (simply the delivery time here). The TX
     completion fires when serialization ends and can be routed anywhere —
     the hook polling delegation uses to raise reply completions on the
-    dispatcher's CQ instead of the worker's. *)
+    dispatcher's CQ instead of the worker's.
+
+    Packets wait in a ring from send to delivery. Serialization ends come
+    in send order and every delivery lands a fixed latency after its
+    serialization end, so the channel serves every packet with the same
+    two events, made once: sending, serializing and delivering a packet
+    allocates nothing once the ring is large enough (it doubles when
+    full). *)
 
 type 'p t
 
 val create :
+  ?on_tx_complete:('p -> unit) ->
   Adios_engine.Sim.t ->
   link:Link.t ->
   latency_cycles:int ->
   deliver:(rx_at:int -> 'p -> unit) ->
   'p t
-(** Channel delivering ['p] packets to [deliver]. *)
+(** Channel delivering ['p] packets to [deliver]. [on_tx_complete]
+    models the TX CQE: it gets each packet's payload when the packet has
+    left the NIC, before its delivery is scheduled (default: nothing). *)
 
-val send :
-  'p t -> bytes:int -> ?on_tx_complete:(unit -> unit) -> 'p -> unit
-(** Queue a packet of [bytes] payload. [on_tx_complete] models the TX
-    CQE and fires when the packet has left the NIC. *)
+val send : 'p t -> bytes:int -> 'p -> unit
+(** Queue a packet of [bytes] payload. *)
 
 val queued : 'p t -> int
 (** Packets waiting for the wire (TX queue depth). *)

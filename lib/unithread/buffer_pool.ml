@@ -64,7 +64,7 @@ let take t id =
   Bytes.set t.allocated id '\001';
   t.in_use <- t.in_use + 1;
   if t.in_use > t.high_watermark then t.high_watermark <- t.in_use;
-  Some id
+  id
 
 let alloc t =
   if t.nreturned > 0 then begin
@@ -75,7 +75,7 @@ let alloc t =
     t.next <- t.next + 1;
     take t (t.next - 1)
   end
-  else None
+  else -1
 
 let free t id =
   if id < 0 || id >= t.count then invalid_arg "Buffer_pool.free: bad id";

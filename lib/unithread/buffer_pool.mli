@@ -32,9 +32,10 @@ val create : count:int -> layout -> t
     [Params.buffer_count], 131,072). Per buffer it allocates one byte,
     the in-use flag. *)
 
-val alloc : t -> int option
-(** Take a buffer id, or [None] when the pool is exhausted: the most
-    recently freed id, or else the lowest id never handed out. *)
+val alloc : t -> int
+(** Take a buffer id, or [-1] when the pool is exhausted: the most
+    recently freed id, or else the lowest id never handed out. An id is
+    an int, not an option, so admitting a request allocates nothing. *)
 
 val free : t -> int -> unit
 (** Return a buffer.

@@ -19,12 +19,20 @@ type outcome =
 
 val create : (unit -> unit) -> t
 (** Task around a request-handler body. The body runs only inside
-    {!run}. *)
+    {!run}. The task's effect handler is made here, once, so running
+    or suspending it builds none. *)
 
 val run : t -> outcome
 (** Start or resume the task; returns at the body's next suspension
     point or completion.
     @raise Invalid_argument if the task already finished or is running. *)
+
+val rearm : t -> unit
+(** Make a finished (or fresh) task fresh again: the next {!run} starts
+    its body from the top, with {!suspensions} back at 0. One task
+    serves every request of a buffer this way, the way Adios reuses a
+    buffer's context and stack.
+    @raise Invalid_argument if the task is running or suspended. *)
 
 val suspend : unit -> unit
 (** Yield from inside a task body back to whoever called {!run}. *)

@@ -284,6 +284,78 @@ let test_gate_no_lost_wakeup sim =
   Sim.run sim;
   check_bool "coalesced" false !woke2
 
+(* A gate takes one waiter: a second process awaiting it while the
+   first is parked is a wiring bug, raised out of the run. *)
+let test_gate_second_waiter_rejected sim =
+  let gate = Proc.Gate.create sim in
+  Proc.spawn sim (fun () -> Proc.Gate.await gate);
+  Proc.spawn sim (fun () -> Proc.Gate.await gate);
+  Alcotest.check_raises "second waiter"
+    (Failure "Gate.await: already has a waiter") (fun () -> Sim.run sim)
+
+(* A gate round trip — park on [await], woken by [signal] — allocates
+   only the continuation the runtime captures: the effect is the gate's
+   own, and the wake-up is the parked process's. The signal comes from
+   one event closure that reschedules itself, so the window counts
+   nothing but the round trips (and the boxed float [Gc.minor_words]
+   returns at its start). *)
+let test_gate_round_trip_allocation sim =
+  let gate = Proc.Gate.create sim in
+  let trips = 10_000 and warmup = 100 in
+  let woken = ref 0 and words = ref 0. in
+  Proc.spawn sim (fun () ->
+      for _ = 1 to trips + warmup do
+        Proc.Gate.await gate;
+        incr woken
+      done);
+  let signals = ref 0 in
+  let rec tick () =
+    if !signals = warmup then words := Gc.minor_words ();
+    if !signals = warmup + trips then words := Gc.minor_words () -. !words;
+    if !signals < warmup + trips then begin
+      incr signals;
+      Proc.Gate.signal gate;
+      Sim.schedule sim ~delay:1 tick
+    end
+  in
+  Sim.schedule sim ~delay:1 tick;
+  Sim.run sim;
+  check_int "every signal woke the waiter" (trips + warmup) !woken;
+  let per_trip = !words /. float_of_int trips in
+  check_bool
+    (Printf.sprintf "%.3f words per gate round trip, at most 3" per_trip)
+    true (per_trip <= 3.001)
+
+(* A suspension's resume stays dead once used, even after the process
+   has since parked on a gate and been woken from it. *)
+let test_stale_resume_after_gate sim =
+  let resumer = ref None and gate = Proc.Gate.create sim in
+  let stage = ref 0 in
+  Proc.spawn sim (fun () ->
+      Proc.suspend (fun resume -> resumer := Some resume);
+      stage := 1;
+      Proc.Gate.await gate;
+      stage := 2;
+      Proc.Gate.await gate;
+      stage := 3);
+  Sim.run sim;
+  let resume =
+    match !resumer with Some r -> r | None -> Alcotest.fail "no resumer"
+  in
+  resume ();
+  Sim.run sim;
+  check_int "resumed, parked on the gate" 1 !stage;
+  Proc.Gate.signal gate;
+  Sim.run sim;
+  check_int "woken by the gate, parked again" 2 !stage;
+  Alcotest.check_raises "stale resume"
+    (Failure "Proc.suspend: double resume") resume;
+  Sim.run sim;
+  check_int "the stale resume did not wake it" 2 !stage;
+  Proc.Gate.signal gate;
+  Sim.run sim;
+  check_int "the gate still does" 3 !stage
+
 (* --- rng -------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -353,6 +425,20 @@ let test_zipf_theta_zero_uniform () =
   let mx = Array.fold_left max 0 counts and mn = Array.fold_left min max_int counts in
   check_bool "roughly uniform" true (float_of_int mx /. float_of_int mn < 2.)
 
+(* The generator's outputs, pinned: every seeded run draws from it, so
+   a change to how its state is kept must not move one bit. *)
+let test_rng_pinned () =
+  let g = Rng.create 42 in
+  check (Alcotest.list Alcotest.int64) "bits64"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ]
+    (List.init 3 (fun _ -> Rng.bits64 g));
+  check (Alcotest.list Alcotest.int) "int"
+    [ 2; 492; 1345; 1514; 615; 4766 ]
+    (List.init 6 (fun i -> Rng.int g ((i * 1000) + 7)));
+  check (Alcotest.list Alcotest.string) "exponential"
+    [ "0x1.bf1f27cd9fbf4p+4"; "0x1.2129a5e50f8c2p+7"; "0x1.b2b0b966f5599p+7" ]
+    (List.init 3 (fun _ -> Printf.sprintf "%h" (Rng.exponential g ~mean:100.)))
+
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int respects bound" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -414,6 +500,9 @@ let () =
           sim_case "stale resume" test_proc_stale_resume_rejected;
           sim_case "gate" test_gate;
           sim_case "gate no lost wakeup" test_gate_no_lost_wakeup;
+          sim_case "gate second waiter" test_gate_second_waiter_rejected;
+          sim_case "gate round trip allocation" test_gate_round_trip_allocation;
+          sim_case "stale resume after gate wake" test_stale_resume_after_gate;
         ] );
       ( "rng",
         [
@@ -427,6 +516,7 @@ let () =
           Alcotest.test_case "zipf theta=0" `Quick
             test_zipf_theta_zero_uniform;
           Alcotest.test_case "split diverges" `Quick test_split_diverges;
+          Alcotest.test_case "pinned outputs" `Quick test_rng_pinned;
           q prop_rng_int_bounds;
         ] );
       ("properties", [ q prop_run_until_split_equivalent ]);

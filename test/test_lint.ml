@@ -448,11 +448,16 @@ let test_typed_source_must_type () =
 
 (* --- repository self-check --------------------------------------------- *)
 
+(* The nearest ancestor holding a [dune-project] that is not dune's
+   copy of the tree under [_build] (the tests run in
+   [_build/default/test], and [_build/default] has one too). No [.git]
+   is needed, so an exported tree ([git archive]) tests the same. *)
 let repo_root () =
+  let in_build d =
+    List.mem "_build" (String.split_on_char '/' d)
+  in
   let rec up d =
-    if
-      Sys.file_exists (Filename.concat d "dune-project")
-      && Sys.file_exists (Filename.concat d ".git")
+    if Sys.file_exists (Filename.concat d "dune-project") && not (in_build d)
     then Some d
     else
       let parent = Filename.dirname d in

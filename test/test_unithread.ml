@@ -44,6 +44,35 @@ let test_task_rerun_rejected () =
     (Invalid_argument "Task.run: already finished") (fun () ->
       ignore (Task.run t))
 
+(* One task serves every request of a buffer: rearming a finished task
+   starts its body from the top again, with its count of suspensions
+   back at 0. *)
+let test_task_rearm () =
+  let runs = ref 0 in
+  let t =
+    Task.create (fun () ->
+        incr runs;
+        Task.suspend ())
+  in
+  check_bool "suspended" true (Task.run t = Task.Suspended);
+  check_bool "finished" true (Task.run t = Task.Finished);
+  Task.rearm t;
+  check_bool "fresh again" true (Task.state t = `Fresh);
+  check_int "suspensions reset" 0 (Task.suspensions t);
+  check_bool "suspended again" true (Task.run t = Task.Suspended);
+  check_bool "finished again" true (Task.run t = Task.Finished);
+  check_int "the body ran twice" 2 !runs;
+  check_int "one suspension this run" 1 (Task.suspensions t)
+
+(* A suspended task still holds its request's continuation: rearming it
+   would drop that request mid-flight. *)
+let test_task_rearm_suspended_rejected () =
+  let t = Task.create (fun () -> Task.suspend ()) in
+  ignore (Task.run t);
+  Alcotest.check_raises "suspended" (Invalid_argument "Task.rearm: suspended")
+    (fun () -> Task.rearm t);
+  check_bool "still suspended" true (Task.state t = `Suspended)
+
 let test_task_result_value () =
   (* tasks deliver results through captured state *)
   let result = ref 0 in
@@ -148,24 +177,23 @@ let test_layouts () =
 let test_pool_alloc_free () =
   let pool = Buffer_pool.create ~count:3 Buffer_pool.unithread_layout in
   let a = Buffer_pool.alloc pool and b = Buffer_pool.alloc pool in
-  check_bool "alloc" true (a <> None && b <> None && a <> b);
+  check_bool "alloc" true (a >= 0 && b >= 0 && a <> b);
   check_int "in use" 2 (Buffer_pool.in_use pool);
   let c = Buffer_pool.alloc pool in
-  check_bool "third" true (c <> None);
-  check_bool "exhausted" true (Buffer_pool.alloc pool = None);
-  (match a with Some id -> Buffer_pool.free pool id | None -> ());
-  check_bool "after free" true (Buffer_pool.alloc pool <> None);
+  check_bool "third" true (c >= 0);
+  check_int "exhausted" (-1) (Buffer_pool.alloc pool);
+  Buffer_pool.free pool a;
+  check_int "after free" a (Buffer_pool.alloc pool);
   check_int "hwm" 3 (Buffer_pool.high_watermark pool)
 
 let test_pool_double_free () =
   let pool = Buffer_pool.create ~count:2 Buffer_pool.unithread_layout in
-  match Buffer_pool.alloc pool with
-  | None -> Alcotest.fail "alloc failed"
-  | Some id ->
-    Buffer_pool.free pool id;
-    Alcotest.check_raises "double free"
-      (Invalid_argument "Buffer_pool.free: double free") (fun () ->
-        Buffer_pool.free pool id)
+  let id = Buffer_pool.alloc pool in
+  check_bool "allocated" true (id >= 0);
+  Buffer_pool.free pool id;
+  Alcotest.check_raises "double free"
+    (Invalid_argument "Buffer_pool.free: double free") (fun () ->
+      Buffer_pool.free pool id)
 
 let test_pool_footprint () =
   let u = Buffer_pool.create ~count:131_072 Buffer_pool.unithread_layout in
@@ -183,10 +211,9 @@ let prop_pool_alloc_unique =
     (fun n ->
       let pool = Buffer_pool.create ~count:n Buffer_pool.unithread_layout in
       let ids = List.init n (fun _ -> Buffer_pool.alloc pool) in
-      let ids = List.filter_map Fun.id ids in
-      List.length ids = n
+      List.for_all (fun id -> id >= 0) ids
       && List.length (List.sort_uniq compare ids) = n
-      && Buffer_pool.alloc pool = None)
+      && Buffer_pool.alloc pool = -1)
 
 (* The pool hands out ids in the order of one free list that holds
    0, 1, 2, ... and takes each freed id back on top. The reference is
@@ -220,8 +247,8 @@ let prop_pool_matches_free_list =
             match (op, !held) with
             | None, _ ->
               let got = Buffer_pool.alloc pool in
-              let want = Stack.pop_opt model in
-              Option.iter (fun id -> held := id :: !held) want;
+              let want = Option.value (Stack.pop_opt model) ~default:(-1) in
+              if want >= 0 then held := want :: !held;
               got = want
             | Some _, [] -> true
             | Some k, ids ->
@@ -257,6 +284,9 @@ let () =
             test_task_run_to_completion;
           Alcotest.test_case "suspend/resume" `Quick test_task_suspend_resume;
           Alcotest.test_case "rerun rejected" `Quick test_task_rerun_rejected;
+          Alcotest.test_case "rearm reruns the body" `Quick test_task_rearm;
+          Alcotest.test_case "rearm while suspended rejected" `Quick
+            test_task_rearm_suspended_rejected;
           Alcotest.test_case "captured state" `Quick test_task_result_value;
           Alcotest.test_case "inside proc" `Quick test_task_inside_proc;
           Alcotest.test_case "many interleaved" `Quick
