@@ -893,11 +893,15 @@ let rec worker_loop t (w : worker) =
 
 (* --- dispatcher ---------------------------------------------------------- *)
 
-(* Algorithm 1's sort key of candidate worker [w] among [n]. *)
+(* Algorithm 1's sort key of candidate worker [w] among [n]: for
+   round-robin, [w]'s distance past the cursor, wrapped by a compare
+   since both lie in [0, n). *)
 let dispatch_key policy ~rr_cursor ~load ~n w =
   match policy with
   | Config.Pf_aware -> load.(w)
-  | Config.Round_robin -> (w - rr_cursor + n) mod n
+  | Config.Round_robin ->
+    let d = w - rr_cursor in
+    if d < 0 then d + n else d
   | Config.Partitioned | Config.Work_stealing ->
     (* these policies never consult the idle order *)
     0
@@ -938,9 +942,13 @@ let idle_order t =
   dispatch_order t.cfg.Config.dispatch ~rr_cursor:t.rr_cursor ~load:t.load
     ~order:t.order
 
+(* The worker after [wid], round-robin. *)
+let next_worker t wid =
+  if wid + 1 = Array.length t.workers then 0 else wid + 1
+
 let assign t (w : worker) e =
   ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
-  t.rr_cursor <- (w.wid + 1) mod Array.length t.workers;
+  t.rr_cursor <- next_worker t w.wid;
   w.assigned <- e;
   w.idle <- false;
   Proc.Gate.signal w.gate
@@ -984,7 +992,7 @@ let rec dispatcher_loop t =
       let e = Queue.pop t.pending in
       Proc.wait Params.dispatch_cycles;
       let w = t.workers.(t.rr_cursor) in
-      t.rr_cursor <- (t.rr_cursor + 1) mod Array.length t.workers;
+      t.rr_cursor <- next_worker t t.rr_cursor;
       Queue.push e w.local;
       Proc.Gate.signal w.gate;
       if t.cfg.Config.dispatch = Config.Work_stealing then

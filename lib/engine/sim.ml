@@ -9,18 +9,18 @@
 
    - a timer wheel of [wheel_size] one-cycle slots for events within
      [wheel_size] cycles of now — the dense short-horizon traffic (NIC
-     serialization, CQE latency, software costs, fetch timeouts,
-     sampler ticks). Insert is O(1); the next occupied slot is found
-     through a 32-bit occupancy bitmap and cached in [wh_floor].
-     Because every pending wheel time lies in [now, now + wheel_size),
-     a slot holds cells of exactly one timestamp, and FIFO append
-     equals seq order — which is what keeps replay byte-identical with
-     the old single-heap scheduler.
+     serialization, CQE latency, software costs, sampler ticks). Insert
+     is O(1); the next occupied slot is found through a 32-bit
+     occupancy bitmap and cached in [wh_floor]. Because every pending
+     wheel time lies in [now, now + wheel_size), a slot holds cells of
+     exactly one timestamp, and FIFO append equals seq order — which is
+     what keeps replay byte-identical with the old single-heap
+     scheduler, whatever the wheel's size.
 
    - a flat binary heap of cell indices for the sparse far events
-     (multi-rotation timeout ladders, rare jitter). Keys are mirrored
-     into parallel [h_time]/[h_seq] arrays so sift compares never
-     chase the pool.
+     (fetch timeouts, load-generator gaps at low load, rare jitter).
+     Keys are mirrored into parallel [h_time]/[h_seq] arrays so sift
+     compares never chase the pool.
 
    Cancellation ([timer_at]/[cancel]) is O(1): the token packs the cell
    index with the cell's allocation generation; cancelling marks the
@@ -28,8 +28,13 @@
    the head. A cancelled timer never runs and never counts as a
    processed event. *)
 
-let wheel_bits = 16
-let wheel_size = 1 lsl wheel_bits (* 65536 cycles = 32.8 us horizon *)
+(* 2^14 slots: the slot and tail arrays take 256 KB and the bitmap
+   4 KB, small enough to stay in cache, where 2^16 slots (1 MB) made
+   an append's tail load miss. The golden specs keep 8-78 events
+   pending on average, and 0.12% of array-fault's schedules fall past
+   the horizon into the heap (DESIGN.md §8). *)
+let wheel_bits = 14
+let wheel_size = 1 lsl wheel_bits (* 16384 cycles = 8.2 us horizon *)
 let wheel_mask = wheel_size - 1
 let word_count = wheel_size lsr 5 (* 32 occupancy bits per bitmap word *)
 

@@ -6,13 +6,14 @@
     Cooperative "processes" that do block are layered on top in {!Proc}.
 
     Internally events live in a pool of flat parallel arrays indexed by a
-    single-rotation timer wheel (dense short-horizon timers: NIC
-    serialization, completion latency, software costs, fetch timeouts)
-    plus a far-event heap (multi-rotation delays). The two heads are
-    merged by [(time, seq)], which reproduces the exact pop order of the
-    original single-heap scheduler — the differential suite in
-    [test_engine_diff] checks this against [test/heap_reference.ml].
-    Steady-state scheduling performs no GC allocation. *)
+    single-rotation timer wheel of 2^14 cycles (8.2 us: NIC
+    serialization, completion latency, software costs) plus a far-event
+    heap for anything later (fetch timeouts, long load-generator gaps).
+    The two heads are merged by [(time, seq)], which reproduces the
+    exact pop order of the original single-heap scheduler — the
+    differential suite in [test_engine_diff] checks this against
+    [test/heap_reference.ml]. Steady-state scheduling performs no GC
+    allocation. *)
 
 type t
 (** A simulation instance. *)

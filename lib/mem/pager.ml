@@ -115,7 +115,8 @@ let pick_victim t =
     let n = ref 0 and victim = ref (-1) in
     while !victim < 0 && !n < limit do
       let page = t.ring.(t.hand) in
-      t.hand <- (t.hand + 1) mod t.capacity;
+      let next = t.hand + 1 in
+      t.hand <- (if next = t.capacity then 0 else next);
       incr n;
       if page >= 0 then
         if Bytes.get t.referenced page = '\001' then

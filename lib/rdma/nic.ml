@@ -1,14 +1,17 @@
-(* A QP keeps its outstanding work requests in a ring of [depth] slots:
-   sequence [s] lives in slot [s mod depth]. Sequences are handed out in
-   posting order and retired in posting order, so the outstanding ones
-   are always the contiguous range [deliver_seq, next_seq), at most
-   [depth] long, and no two share a slot. Inside that range,
-   [deliver_seq, serve_seq) have left the QP for an engine (in service,
-   on the wire, or parked) and [serve_seq, next_seq) still wait for
-   one. *)
+(* A QP keeps its outstanding work requests in a ring whose capacity is
+   [depth] rounded up to a power of two: sequence [s] lives in slot
+   [s land mask], so no work request pays an integer division.
+   Admission still refuses at [depth], so the ring's spare slots are
+   never all used. Sequences are handed out in posting order and
+   retired in posting order, so the outstanding ones are always the
+   contiguous range [deliver_seq, next_seq), at most [depth] long, and
+   no two share a slot. Inside that range, [deliver_seq, serve_seq)
+   have left the QP for an engine (in service, on the wire, or parked)
+   and [serve_seq, next_seq) still wait for one. *)
 type 'a qp = {
   qp_id : int;
   depth : int;
+  mask : int; (* ring capacity - 1 *)
   mutable next_seq : int; (* next posting sequence to hand out *)
   mutable serve_seq : int; (* oldest WR no engine has taken yet *)
   mutable deliver_seq : int; (* next sequence allowed to complete *)
@@ -101,10 +104,10 @@ let deliver qp slot =
    predecessor parks, and the predecessor's delivery releases every
    parked successor behind it. *)
 let arrive qp slot =
-  if slot = qp.deliver_seq mod qp.depth then begin
+  if slot = qp.deliver_seq land qp.mask then begin
     deliver qp slot;
-    while Bytes.get qp.parked (qp.deliver_seq mod qp.depth) = '\001' do
-      let next = qp.deliver_seq mod qp.depth in
+    while Bytes.get qp.parked (qp.deliver_seq land qp.mask) = '\001' do
+      let next = qp.deliver_seq land qp.mask in
       Bytes.set qp.parked next '\000';
       deliver qp next
     done
@@ -113,18 +116,20 @@ let arrive qp slot =
 
 (* The next QP (round-robin from the engine cursor) whose head WR
    travels in this engine's direction, as an index into [qps]; -1 if
-   none. *)
+   none. The cursor and [i] both lie in [0, n), so one compare wraps
+   their sum. *)
 let rec next_qp nic engine i =
   let n = Array.length nic.qps in
   if i = n then -1
   else begin
-    let q = (engine.cursor + i) mod n in
+    let q = engine.cursor + i in
+    let q = if q >= n then q - n else q in
     let qp = nic.qps.(q) in
     if
       qp.serve_seq < qp.next_seq
-      && direction_of qp.opcode.(qp.serve_seq mod qp.depth) = engine.dir
+      && direction_of qp.opcode.(qp.serve_seq land qp.mask) = engine.dir
     then begin
-      engine.cursor <- (q + 1) mod n;
+      engine.cursor <- (if q + 1 = n then 0 else q + 1);
       q
     end
     else next_qp nic engine (i + 1)
@@ -137,7 +142,7 @@ let serve nic engine =
     let q = next_qp nic engine 0 in
     if q >= 0 then begin
       let qp = nic.qps.(q) in
-      let slot = qp.serve_seq mod qp.depth in
+      let slot = qp.serve_seq land qp.mask in
       qp.serve_seq <- qp.serve_seq + 1;
       engine.busy <- true;
       engine.serving <- q;
@@ -226,12 +231,21 @@ let create ?(trace = Adios_trace.Sink.null) ?fault ?(wr_id_base = 0) sim
   nic.tx.finish <- (fun () -> finish_service nic nic.tx);
   nic
 
+(* The smallest power of two at or above [n] (1 for [n <= 1]). *)
+let ring_capacity n =
+  let c = ref 1 in
+  while !c < n do
+    c := 2 * !c
+  done;
+  !c
+
 let create_qp nic ~depth =
-  let slots = max 0 depth in
+  let slots = ring_capacity depth in
   let qp =
     {
       qp_id = Array.length nic.qps;
       depth;
+      mask = slots - 1;
       next_seq = 0;
       serve_seq = 0;
       deliver_seq = 0;
@@ -253,8 +267,8 @@ let create_qp nic ~depth =
 
 (* The payload rings need a value to start from: the first post's. *)
 let size_payloads qp user cq =
-  qp.user <- Array.make qp.depth user;
-  qp.cq <- Array.make qp.depth cq
+  qp.user <- Array.make (qp.mask + 1) user;
+  qp.cq <- Array.make (qp.mask + 1) cq
 
 let post qp ~opcode ~bytes ~user ~cq =
   let nic = qp.nic in
@@ -268,7 +282,7 @@ let post qp ~opcode ~bytes ~user ~cq =
         ~ts:(Adios_engine.Sim.now nic.sim)
         ~kind:Adios_trace.Event.Wqe_post ~req:Adios_trace.Event.none
         ~worker:qp.qp_id ~page:nic.next_wr_id;
-    let slot = qp.next_seq mod qp.depth in
+    let slot = qp.next_seq land qp.mask in
     qp.next_seq <- qp.next_seq + 1;
     qp.wr_id.(slot) <- nic.next_wr_id;
     qp.opcode.(slot) <- opcode;

@@ -19,14 +19,15 @@
     must recover via its own timeout.
 
     The datapath allocates nothing beyond the completion records
-    themselves. A QP keeps its outstanding WRs in a ring of [depth]
-    slots (sequence [s] in slot [s mod depth]; the outstanding
-    sequences are always one contiguous range at most [depth] long).
-    Each engine serves its current WR through one service-end event
-    made with the NIC, and each ring slot owns one delivery event made
-    with the QP. A WR that finishes ahead of a predecessor sets its
-    slot's parked flag and is delivered, in sequence order, when the
-    predecessor lands. *)
+    themselves. A QP keeps its outstanding WRs in a ring whose
+    capacity is [depth] rounded up to a power of two, so sequence [s]
+    sits in slot [s land (capacity - 1)] without a division per WR.
+    Admission still refuses at [depth], so the outstanding sequences
+    are always one contiguous range at most [depth] long. Each engine
+    serves its current WR through one service-end event made with the
+    NIC, and each ring slot owns one delivery event made with the QP. A
+    WR that finishes ahead of a predecessor sets its slot's parked flag
+    and is delivered, in sequence order, when the predecessor lands. *)
 
 type 'a t
 type 'a qp

@@ -15,10 +15,34 @@ type t = {
 let create () =
   { counts = Array.make 256 0; total = 0; min_v = max_int; max_v = 0; sum = 0 }
 
-(* Highest set bit position of v (v > 0). *)
+(* [log2_byte.[b]]: highest set bit position of the byte [b] (0 for 0
+   and 1). *)
+let log2_byte =
+  Bytes.init 256 (fun b ->
+      let p = ref 0 in
+      while b lsr (!p + 1) <> 0 do
+        incr p
+      done;
+      Char.chr !p)
+
+(* Highest set bit position of v (v > 0) in O(1): three halvings bring
+   any 63-bit int below 2^8, and a byte table finishes. Local refs
+   compile to registers, so nothing is allocated. *)
 let log2_floor v =
-  let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
-  go v 0
+  let v = ref v and p = ref 0 in
+  if !v lsr 32 <> 0 then begin
+    v := !v lsr 32;
+    p := 32
+  end;
+  if !v lsr 16 <> 0 then begin
+    v := !v lsr 16;
+    p := !p + 16
+  end;
+  if !v lsr 8 <> 0 then begin
+    v := !v lsr 8;
+    p := !p + 8
+  end;
+  !p + Char.code (Bytes.unsafe_get log2_byte !v)
 
 let index_of v =
   if v < sub_count then v

@@ -3,7 +3,9 @@
     Values are non-negative integers (cycles). Buckets below 64 are exact;
     above that each power-of-two range is split into 64 sub-buckets, so
     any reported quantile is within ~1.6% relative error of the exact
-    sample quantile. Recording is O(1) and allocation-free after warmup. *)
+    sample quantile. Recording is O(1) and allocation-free after warmup:
+    a value's bucket comes from its highest set bit, found by three
+    halvings and a byte table rather than a loop over its bits. *)
 
 type t
 

@@ -114,7 +114,9 @@ type cmd =
   | Sched of int  (** log event at now + d; duplicate/zero delays common *)
   | Sched_abs of int  (** absolute target, frequently in the past (clamp) *)
   | Timer of int  (** cancellable log event at now + d *)
-  | Far_timer of int  (** beyond the wheel horizon: far-heap path *)
+  | Far_timer of int
+      (** 10,000-400,000 cycles: on both sides of the wheel's 2^14-cycle
+          horizon, so some land in the wheel and some in the far heap *)
   | Cancel of int  (** cancel the (k mod tokens)-th timer created so far *)
 
 let cmd_print = function
@@ -131,7 +133,7 @@ let cmd_gen =
         (4, map (fun d -> Sched d) (int_range 0 40));
         (2, map (fun t -> Sched_abs t) (int_range 0 400));
         (3, map (fun d -> Timer d) (int_range 0 60));
-        (1, map (fun d -> Far_timer d) (int_range 66_000 400_000));
+        (1, map (fun d -> Far_timer d) (int_range 10_000 400_000));
         (3, map (fun k -> Cancel k) (int_range 0 50));
       ])
 
@@ -256,17 +258,17 @@ let prop_sim_matches_reference_no_cancel =
               [
                 (4, map (fun d -> Sched d) (int_range 0 40));
                 (2, map (fun t -> Sched_abs t) (int_range 0 400));
-                (1, map (fun d -> Sched d) (int_range 66_000 400_000));
+                (1, map (fun d -> Sched d) (int_range 10_000 400_000));
               ])))
     (fun program ->
       interpret (new_engine ()) program = interpret (ref_engine ()) program)
 
 (* --- far-event heap vs reference ------------------------------------------ *)
 
-(* [Sim]'s far-event heap on its own: every push lands more than one
-   wheel rotation (65536 cycles) past [now], so no event enters the
-   wheel, and each [Sim.step] must fire exactly the entry the reference
-   heap pops, same-time entries in push order. *)
+(* [Sim]'s far-event heap on its own: every push lands at least 66,000
+   cycles past [now], beyond the wheel's 2^14-cycle (16,384) horizon,
+   so no event enters the wheel, and each [Sim.step] must fire exactly
+   the entry the reference heap pops, same-time entries in push order. *)
 type far_op = Push of int | Step
 
 let far_op_print = function

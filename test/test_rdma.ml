@@ -70,20 +70,30 @@ let test_nic_read_completion_timing () =
   check_int "completed counter" 1 (Nic.completed nic);
   check_int "read bytes" 4096 (Nic.read_bytes nic)
 
+(* Admission refuses at [depth], not at the ring's power-of-two
+   capacity: depths 3 and 5 sit in rings of 4 and 8 slots. *)
 let test_nic_qp_depth_enforced () =
-  let sim = Sim.create () in
-  let nic, _, _ = make_nic sim in
-  let qp = Nic.create_qp nic ~depth:2 in
-  let cq = Verbs.Cq.create () in
-  let post () =
-    Nic.post qp ~opcode:Verbs.Read ~bytes:64 ~cq ~user:(fun () -> ())
-  in
-  check_bool "1" true (post ());
-  check_bool "2" true (post ());
-  check_bool "3 rejected" false (post ());
-  Sim.run sim;
-  ignore (Verbs.Cq.poll cq ~max:10);
-  check_bool "accepted after drain" true (post ())
+  List.iter
+    (fun depth ->
+      let sim = Sim.create () in
+      let nic, _, _ = make_nic sim in
+      let qp = Nic.create_qp nic ~depth in
+      let cq = Verbs.Cq.create () in
+      let post () =
+        Nic.post qp ~opcode:Verbs.Read ~bytes:64 ~cq ~user:(fun () -> ())
+      in
+      for i = 1 to depth do
+        check_bool (Printf.sprintf "depth %d: post %d" depth i) true (post ())
+      done;
+      check_bool
+        (Printf.sprintf "depth %d: post %d rejected" depth (depth + 1))
+        false (post ());
+      Sim.run sim;
+      ignore (Verbs.Cq.poll cq ~max:10);
+      check_bool
+        (Printf.sprintf "depth %d: accepted after drain" depth)
+        true (post ()))
+    [ 2; 3; 5 ]
 
 let test_nic_per_qp_fifo () =
   let sim = Sim.create () in
@@ -336,16 +346,17 @@ let test_memnode_throttle_clamp () =
 
 let prop_conservation =
   (* every accepted WR produces exactly one completion or one loss, and a
-     QP's CQEs arrive in posting order. Depths of 1-4 wrap each ring
-     many times; the injector's spikes and stalls, and WRITEs that
-     serialize beside a READ of the same QP, make WRs finish out of
+     QP's CQEs arrive in posting order. Depths of 1-9 wrap each ring
+     many times, and at 3, 5-7 and 9 the ring's power-of-two capacity
+     exceeds the depth; the injector's spikes and stalls, and WRITEs
+     that serialize beside a READ of the same QP, make WRs finish out of
      order and take the parked path *)
   let gen =
     QCheck.Gen.(
       quad
         (list_size (int_range 1 60)
            (triple (int_range 0 3) (int_range 1 8192) (int_range 0 20_000)))
-        (array_size (return 4) (int_range 1 4))
+        (array_size (return 4) (int_range 1 9))
         (int_range 0 1000) bool)
   in
   let print (posts, depths, seed, faulty) =

@@ -173,6 +173,58 @@ let test_hist_count_le_boundaries () =
   check_int "le 128 includes its whole bucket" 6 (Histogram.count_le h 128);
   check_int "le max" 6 (Histogram.count_le h 1_000_000)
 
+(* The bucket a value lands in, computed as the histogram did when it
+   found the highest set bit one bit per step: the reference for the
+   O(1) search. Returns the bucket's midpoint, which is what [cdf]
+   reports for it. *)
+let reference_bucket_value v =
+  let sub_bits = 6 in
+  let sub_count = 1 lsl sub_bits in
+  let rec log2_floor v acc =
+    if v <= 1 then acc else log2_floor (v lsr 1) (acc + 1)
+  in
+  if v < sub_count then v
+  else begin
+    let p = log2_floor v 0 in
+    let i =
+      (sub_count * (p - sub_bits + 1)) + ((v lsr (p - sub_bits)) - sub_count)
+    in
+    let p = (i / sub_count) - 1 + sub_bits in
+    let width = 1 lsl (p - sub_bits) in
+    (1 lsl p) + ((i mod sub_count) * width) + (width / 2)
+  end
+
+(* Every value below 2^17, each power of two up to 2^61 with its
+   neighbours, and 10,000 random values below 2^62 whose bit length is
+   drawn uniformly (so each of the three halvings is taken and skipped
+   many times): a one-sample histogram's [cdf] names the reference
+   bucket. *)
+let test_hist_bucket_matches_reference () =
+  let check_value v =
+    let h = Histogram.create () in
+    Histogram.record h v;
+    match Histogram.cdf h () with
+    | [ (b, 1.) ] ->
+      if b <> reference_bucket_value v then
+        Alcotest.failf "value %d: bucket %d, reference %d" v b
+          (reference_bucket_value v)
+    | _ -> Alcotest.failf "value %d: not one bucket" v
+  in
+  for v = 0 to 1 lsl 17 do
+    check_value v
+  done;
+  for k = 0 to 61 do
+    check_value ((1 lsl k) - 1);
+    check_value (1 lsl k);
+    check_value ((1 lsl k) + 1)
+  done;
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 10_000 do
+    let bits = Random.State.int rng 62 in
+    let hi = 1 lsl bits in
+    check_value (hi lor Random.State.full_int rng hi)
+  done
+
 let test_integrator () =
   let sim = Sim.create () in
   let i = Integrator.create sim in
@@ -213,6 +265,8 @@ let () =
           Alcotest.test_case "clear" `Quick test_hist_clear;
           Alcotest.test_case "record allocation-free" `Quick
             test_hist_record_no_alloc;
+          Alcotest.test_case "bucket = per-bit reference" `Quick
+            test_hist_bucket_matches_reference;
           q prop_hist_percentile_tracks_exact;
           q prop_hist_mean_exact;
         ] );
