@@ -426,12 +426,11 @@ let lint_source ?(event_kinds = []) ~path ~source () =
   |> List.sort compare_findings
 
 (* Typed per-file entry point for tests: type [source] in-process (so
-   fixtures can carry local stub modules for [Sim]/[Clock] and need no
-   cmt) and run the typed rules on the result. [manifest] defaults to
-   the real one; fixtures pass a small manifest naming their own
-   functions. Suppressions and staleness work exactly as in
+   fixtures can carry local stub modules for [Sim]/[Clock] and their own
+   [@zero_alloc]/[@cold] marks, and need no cmt) and run the typed rules
+   on the result. Suppressions and staleness work exactly as in
    [lint_source]. *)
-let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
+let lint_typed_source ~path ~source () =
   let sups = scan_suppressions ~path source in
   let raw =
     match Typed.type_source ~path ~source with
@@ -443,11 +442,7 @@ let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
         } ]
     | Ok str ->
       let za =
-        match List.find_opt (fun e -> String.equal e.Hotpath.file path) manifest
-        with
-        | Some entry ->
-          Typed_rules.zero_alloc ~entry ~str ~resolve_unit:(fun _ -> None)
-        | None -> []
+        Typed_rules.zero_alloc ~file:path ~str ~resolve_unit:(fun _ -> None)
       in
       let cu =
         if List.mem path cycle_units_exempt then []
@@ -462,42 +457,6 @@ let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
   |> List.sort compare_findings
 
 (* --- typed layer orchestration -------------------------------------------- *)
-
-(* A manifest entry whose file is not among [sources] certifies
-   nothing: report it against its line in the manifest instead of
-   skipping it, so a moved or deleted hot-path file cannot drop its
-   zero-alloc certification without a word. *)
-let check_manifest_files ~manifest ~sources =
-  let manifest_path = "lib/analysis/hotpath.ml" in
-  let line_of_entry file =
-    match List.assoc_opt manifest_path sources with
-    | None -> 1
-    | Some src ->
-      (* the first line holding the path as a string literal *)
-      let rec find n = function
-        | [] -> 1
-        | l :: rest ->
-          if List.mem file (String.split_on_char '"' l) then n
-          else find (n + 1) rest
-      in
-      find 1 (String.split_on_char '\n' src)
-  in
-  List.filter_map
-    (fun (e : Hotpath.entry) ->
-      if List.mem_assoc e.file sources then None
-      else
-        Some
-          { file = manifest_path;
-            line = line_of_entry e.file;
-            rule = "zero-alloc";
-            msg =
-              Printf.sprintf
-                "manifest entry for %s names a file that is not in the \
-                 linted tree, so none of its functions is checked; move \
-                 the entry with the file or delete it"
-                e.file;
-          })
-    manifest
 
 (* Run the typedtree rules over every file a cmt loads for. Returns the
    findings plus the files whose cmt actually loaded, so staleness
@@ -545,25 +504,19 @@ let typed_pass ~build_dir sources =
   in
   let zero_alloc =
     List.concat_map
-      (fun (entry : Hotpath.entry) ->
-        match List.assoc_opt entry.file loaded with
-        | None ->
-          (* no cmt: already a cmt-drift finding; no file at all:
-             check_manifest_files reports it *)
-          []
-        | Some str ->
-          let home = Typed.cmt_dir index ~path:entry.file in
-          (* descent stays within the entry's own library: a unit is
-             resolvable iff dune put its cmt in the same .objs dir *)
-          let resolve_unit modname =
-            match (Typed.find_unit index ~modname, home) with
-            | Some info, Some h
-              when String.equal (Filename.dirname info.Typed.cmt_path) h ->
-              Some (view ~file:info.Typed.src info.Typed.structure)
-            | _ -> None
-          in
-          Typed_rules.zero_alloc ~entry ~str ~resolve_unit)
-      Hotpath.manifest
+      (fun (path, str) ->
+        let home = Typed.cmt_dir index ~path in
+        (* descent stays within the unit's own library: a unit is
+           resolvable iff dune put its cmt in the same .objs dir *)
+        let resolve_unit modname =
+          match (Typed.find_unit index ~modname, home) with
+          | Some info, Some h
+            when String.equal (Filename.dirname info.Typed.cmt_path) h ->
+            Some (view ~file:info.Typed.src info.Typed.structure)
+          | _ -> None
+        in
+        Typed_rules.zero_alloc ~file:path ~str ~resolve_unit)
+      loaded
   in
   let cycle_units =
     List.concat_map
@@ -572,9 +525,7 @@ let typed_pass ~build_dir sources =
         else Typed_rules.cycle_units ~path ~str)
       loaded
   in
-  ( !drift
-    @ check_manifest_files ~manifest:Hotpath.manifest ~sources
-    @ zero_alloc @ cycle_units,
+  ( !drift @ zero_alloc @ cycle_units,
     List.map fst loaded )
 
 (* --- whole-repo driver ---------------------------------------------------- *)

@@ -1,11 +1,12 @@
 (** adios-lint: domain-specific static analysis enforcing this repo's
     determinism boundary, exhaustive matches over [Event.kind] and a
     few hygiene rules — plus a typedtree-backed layer
-    ([zero-alloc], [cycle-units], [cmt-drift]) that loads the [.cmt]
-    artifacts dune leaves under [_build] (see {!Typed} and
-    {!Typed_rules}). The syntactic rules need no build; the typed rules
-    need [dune build @check] first. See lint.ml's header comment for
-    the rule catalogue and DESIGN.md for why each invariant is
+    ([zero-alloc] over the functions marked [[@zero_alloc]],
+    [cycle-units], [cmt-drift]) that loads the [.cmt] artifacts dune
+    leaves under [_build] (see {!Typed} and {!Typed_rules}). The
+    syntactic rules need no build; the typed rules need
+    [dune build @check] first. See lint.ml's header comment for the
+    rule catalogue and DESIGN.md for why each invariant is
     machine-enforced. *)
 
 type finding = Finding.t = {
@@ -31,27 +32,13 @@ val lint_source :
     on (default: rule disabled). Suppression comments in [source] are
     honoured. *)
 
-val check_manifest_files :
-  manifest:Hotpath.entry list -> sources:(string * string) list -> finding list
-(** [zero-alloc] findings for [manifest] entries whose file is not among
-    the [(path, source)] pairs: each is reported against the line of
-    lib/analysis/hotpath.ml that names the file (line 1 if that source
-    is absent). The typed pass of {!run} applies it to
-    {!Hotpath.manifest}, so moving or deleting a hot-path file without
-    its entry is a finding rather than a silently dropped check. *)
-
-val lint_typed_source :
-  ?manifest:Hotpath.entry list ->
-  path:string ->
-  source:string ->
-  unit ->
-  finding list
+val lint_typed_source : path:string -> source:string -> unit -> finding list
 (** Type [source] in-process (no cmt needed: fixtures carry local stub
     modules for [Sim]/[Clock]) and run the typed rules on it:
-    [zero-alloc] if [path] has a [manifest] entry (default: the real
-    {!Hotpath.manifest}), and [cycle-units] unless [path] is exempt.
-    Suppressions and the [stale-suppression] check are honoured. A
-    source that fails to type is a [parse-error] finding. *)
+    [zero-alloc] over the functions [source] marks [[@zero_alloc]], and
+    [cycle-units] unless [path] is exempt. Suppressions and the
+    [stale-suppression] check are honoured. A source that fails to type
+    is a [parse-error] finding. *)
 
 val run :
   ?typed:bool -> ?build_dir:string -> root:string -> unit -> int * finding list

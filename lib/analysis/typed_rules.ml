@@ -2,14 +2,15 @@
    [Typed] loads (or over fixtures typed in-process) and enforce the
    two conventions the syntactic layer cannot see:
 
-   - [zero-alloc]: the manifest functions in [Hotpath] must not
-     allocate. The walk flags every allocating construct the compiler
-     cannot erase — closures, boxed constructors, tuples, records,
-     array/list literals, known-allocating stdlib calls, partial
-     applications, boxed float results — and descends one level into
-     same-library callees so a hot function cannot outsource its
+   - [zero-alloc]: a function marked [let[@zero_alloc] f ...] must
+     not allocate. The walk flags every allocating construct the
+     compiler cannot erase — closures, boxed constructors, tuples,
+     records, array/list literals, known-allocating stdlib calls,
+     partial applications, boxed float results — and descends one level
+     into same-library callees so a hot function cannot outsource its
      allocation to a helper. Error paths ([raise]/[failwith]/[assert])
-     and the manifest's [cold] callees are exempt.
+     and callees marked [let[@cold] g ...] (slow paths that allocate by
+     design) are exempt. The compiler ignores both attributes.
 
    - [cycle-units]: time flows through this codebase in two unit
      systems — microsecond floats at the configuration surface
@@ -53,7 +54,18 @@ let path_parts p =
 
 (* --- toplevel bindings of a unit ----------------------------------------- *)
 
-type binding = { dotted : string; ident : Ident.t; expr : expression }
+type binding = {
+  dotted : string;
+  ident : Ident.t;
+  expr : expression;
+  hot : bool;  (** marked [@zero_alloc] *)
+  cold : bool;  (** marked [@cold] *)
+}
+
+let has_attribute name (attrs : Parsetree.attributes) =
+  List.exists
+    (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
+    attrs
 
 let structure_bindings str =
   let acc = ref [] in
@@ -67,8 +79,12 @@ let structure_bindings str =
               match vb.vb_pat.pat_desc with
               | Tpat_var (id, _) ->
                 acc :=
-                  { dotted = prefix ^ Ident.name id; ident = id;
-                    expr = vb.vb_expr }
+                  { dotted = prefix ^ Ident.name id;
+                    ident = id;
+                    expr = vb.vb_expr;
+                    hot = has_attribute "zero_alloc" vb.vb_attributes;
+                    cold = has_attribute "cold" vb.vb_attributes;
+                  }
                   :: !acc
               | _ -> ())
             vbs
@@ -257,11 +273,12 @@ type unit_view = {
   uv_bindings : binding list;
 }
 
-(* [resolve_unit modname] returns the same-library unit compiled from
-   [modname], if the index has it; [lookup_unit] below additionally
-   tries dune's [Lib__Mod] mangling so paths that go through the
-   generated alias module ([Adios_rdma.Verbs.Cq.push]) resolve too. *)
-let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
+(* Walk every [@zero_alloc] binding of the unit [str], compiled from
+   [file]. [resolve_unit modname] returns the same-library unit compiled
+   from [modname], if the index has it; [descend] also tries dune's
+   [Lib__Mod] mangling, so paths that go through the generated alias
+   module ([Adios_rdma.Verbs.Cq.push]) resolve too. *)
+let zero_alloc ~file ~(str : structure)
     ~(resolve_unit : string -> unit_view option) : Finding.t list =
   let findings = ref [] in
   let add ~file ~line msg =
@@ -269,7 +286,7 @@ let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
   in
   let bindings = structure_bindings str in
   let walked = Hashtbl.create 16 in
-  (* Walk one function body; [origin] names the manifest function the
+  (* Walk one function body; [origin] names the marked function the
      walk started from, [file] is where [e] lives. *)
   let rec walk ~file ~origin ~local_bindings ~depth e =
     let expr it e =
@@ -281,8 +298,7 @@ let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
             else Printf.sprintf "reached from %s" origin
           in
           add ~file ~line:(line_of e.exp_loc)
-            (Printf.sprintf "%s %s, on the zero-alloc manifest (%s)" reason
-               where "lib/analysis/hotpath.ml")
+            (Printf.sprintf "%s %s, a [@zero_alloc] path" reason where)
         | None -> ());
         (match e.exp_desc with
         | Texp_apply (f, _) when depth = 0 -> (
@@ -297,8 +313,8 @@ let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
     it.expr it e
   and descend ~file ~origin ~local_bindings p =
     (* One level into project callees, so a hot function cannot hide an
-       allocation inside a helper. Cold-listed callees and functions
-       with their own manifest line are skipped. *)
+       allocation inside a helper. Marked callees are skipped: a hot one
+       is walked on its own, a cold one allocates by design. *)
     let target =
       match p with
       | Path.Pident id -> (
@@ -330,20 +346,8 @@ let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
     match target with
     | None -> ()
     | Some (tfile, tbindings, b) ->
-      let covered_by_manifest =
-        match Hotpath.entry_for tfile with
-        | Some e -> List.mem b.dotted e.Hotpath.functions
-        | None -> false
-      in
-      let cold =
-        List.mem b.dotted entry.Hotpath.cold
-        || List.mem (path_name p) entry.Hotpath.cold
-      in
       let key = tfile ^ ":" ^ b.dotted in
-      if
-        (not covered_by_manifest) && (not cold)
-        && not (Hashtbl.mem walked key)
-      then begin
+      if (not b.hot) && (not b.cold) && not (Hashtbl.mem walked key) then begin
         Hashtbl.replace walked key ();
         List.iter
           (walk ~file:tfile
@@ -353,21 +357,12 @@ let zero_alloc ~(entry : Hotpath.entry) ~(str : structure)
       end
   in
   List.iter
-    (fun name ->
-      match find_by_dotted bindings name with
-      | None ->
-        add ~file:entry.Hotpath.file ~line:1
-          (Printf.sprintf
-             "manifest names %s but the file defines no such toplevel \
-              function; update lib/analysis/hotpath.ml"
-             name)
-      | Some b ->
-        Hashtbl.replace walked (entry.Hotpath.file ^ ":" ^ name) ();
+    (fun b ->
+      if b.hot then
         List.iter
-          (walk ~file:entry.Hotpath.file ~origin:name
-             ~local_bindings:bindings ~depth:0)
+          (walk ~file ~origin:b.dotted ~local_bindings:bindings ~depth:0)
           (function_bodies b.expr))
-    entry.Hotpath.functions;
+    bindings;
   List.rev !findings
 
 (* --- cycle-units ----------------------------------------------------------- *)

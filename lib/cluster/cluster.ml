@@ -196,14 +196,14 @@ let rec first_alive t ~p i =
 
 (* With every replica dead the read still goes to the list's head, and
    the timeout surfaces it. *)
-let route_read t ~page =
+let[@zero_alloc] route_read t ~page =
   if overridden t ~page then
     match Hashtbl.find t.override page with
     | head :: _ as reps -> first_alive_of t head reps
     | [] -> 0
   else first_alive t ~p:(primary t ~page) 0
 
-let current_primary t ~page =
+let[@zero_alloc] current_primary t ~page =
   if overridden t ~page then
     match Hashtbl.find t.override page with head :: _ -> head | [] -> 0
   else primary t ~page

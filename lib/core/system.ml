@@ -157,9 +157,9 @@ let faults_injected t =
 (* Single tracing entry point: one branch and no allocation when the
    sink is off — the cached [trace_on] flag skips even the [Sim.now]
    read and the cross-module [emit] call. [ev] is [emit] with the
-   fields optional; the zero-alloc manifest functions call [emit],
-   since the typed lint counts the [Some] an optional argument is
-   wrapped in as an allocation. *)
+   fields optional; [@zero_alloc] functions call [emit], since the
+   typed lint counts the [Some] an optional argument is wrapped in as
+   an allocation. *)
 let emit t kind ~req ~worker ~page =
   if t.trace_on then
     Trace_sink.emit t.trace ~ts:(Sim.now t.sim) ~kind ~req ~worker ~page
@@ -176,13 +176,14 @@ let accountant t = t.acct
    wait need no probe (zero cycles would accrue).
 
    [enter] moves a request to [phase] and, when the phase runs on a CPU
-   ([Phase.cpu_state]), its worker to the matching accountant state, so
-   the two accounts cannot disagree about who was doing what.
+   ([Phase.cpu_state], whose [Some]s are static constants), its worker
+   to the matching accountant state, so the two accounts cannot
+   disagree about who was doing what.
    [acct_cpu] is left for the switches no request is part of: idle and
    dispatch work. *)
 let acct_cpu t ~cpu st = if cpu >= 0 then Acct.switch t.acct ~cpu st
 
-let enter t e phase =
+let[@zero_alloc] enter t e phase =
   (match Phase.cpu_state phase with
   | Some st -> acct_cpu t ~cpu:e.worker st
   | None -> ());
@@ -238,7 +239,7 @@ let spin_on_inflight t e page =
   enter t e Phase.Pf_software
 
 (* Wake every idle worker but [w]: they may steal what [w] just got. *)
-let wake_idle_siblings t (w : worker) =
+let[@zero_alloc] wake_idle_siblings t (w : worker) =
   for i = 0 to Array.length t.workers - 1 do
     let s = t.workers.(i) in
     if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate
@@ -248,10 +249,11 @@ let wake_idle_siblings t (w : worker) =
    worker's ready queue and wake that worker. Under the Steal system
    the ready queues are steal targets, so idle siblings are woken too —
    one of them may grab the entry before the (busy) owner gets to it. *)
-let enqueue_ready t (w : worker) e =
+let[@zero_alloc] enqueue_ready t (w : worker) e =
   (* fetch wire time ends here; from the CQE until a worker (owner or
      thief) polls the entry back in, the request waits in a ready queue *)
   enter t e Phase.Steal_wait;
+  (* lint: allow zero-alloc -- the ready queue's cell, one per resumed fault; Queue cells are the next allocation to go (ROADMAP item 3) *)
   Queue.push e w.ready;
   Proc.Gate.signal w.gate;
   if t.cfg.Config.system = Config.Steal then wake_idle_siblings t w
@@ -286,7 +288,7 @@ let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 
 (* Double the pool. The new slots' hooks are made here, once. *)
-let grow_fetches t =
+let[@cold] grow_fetches t =
   let f = t.fetches in
   let cap = Array.length f.page in
   let ncap = max 64 (2 * cap) in
@@ -312,7 +314,7 @@ let grow_fetches t =
     f.nfree <- f.nfree + 1
   done
 
-let acquire_fetch t ~page (w : worker) ~owner ~budget =
+let[@zero_alloc] acquire_fetch t ~page (w : worker) ~owner ~budget =
   let f = t.fetches in
   if f.nfree = 0 then grow_fetches t;
   f.nfree <- f.nfree - 1;
@@ -326,7 +328,7 @@ let acquire_fetch t ~page (w : worker) ~owner ~budget =
   f.outcome.(s) <- Pending;
   s
 
-let release_fetch t s =
+let[@zero_alloc] release_fetch t s =
   let f = t.fetches in
   f.live.(s) <- -1;
   f.owner.(s) <- t.nobody;
@@ -366,7 +368,7 @@ let settle t s outcome =
   else if is_busywait t.cfg then f.wake.(s) ()
   else enqueue_ready t t.workers.(f.home.(s)) e
 
-let fetch_cqe t token =
+let[@zero_alloc] fetch_cqe t token =
   let f = t.fetches in
   let s = token land slot_mask in
   if f.live.(s) = token then begin
@@ -382,8 +384,11 @@ let fetch_cqe t token =
 (* Post slot [s]'s current attempt; its trace events name request [req]
    (a prefetch's names the request whose fault triggered it). A full QP
    backs off and reposts: in place when [blocking] (the first attempt,
-   which runs on the worker), from a timer otherwise. *)
-let rec post_fetch t s ~req ~blocking =
+   which runs on the worker), from a timer otherwise. The backoff and
+   the arming of a fetch timer allocate closures; they run only when a
+   QP is full or a completion can be lost (a faulty fabric or a crashing
+   cluster), so they are cold. *)
+let[@zero_alloc] rec post_fetch t s ~req ~blocking =
   let f = t.fetches in
   let page = f.page.(s) and n = f.attempt.(s) and bytes = t.app.App.page_size in
   let w = t.workers.(f.home.(s)) in
@@ -416,7 +421,7 @@ let rec post_fetch t s ~req ~blocking =
   end
   else fetch_backoff t s ~req ~blocking
 
-and fetch_backoff t s ~req ~blocking =
+and[@cold] fetch_backoff t s ~req ~blocking =
   bump t Counter.Qp_stalls;
   ev t Trace_event.Stall_qp ~req ~worker:t.fetches.home.(s)
     ~page:t.fetches.page.(s);
@@ -430,13 +435,17 @@ and fetch_backoff t s ~req ~blocking =
     Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
         post_fetch t s ~req ~blocking:false)
 
-and arm_fetch_timer t token ~delay =
+and[@cold] arm_fetch_timer t token ~delay =
   Sim.schedule t.sim ~delay (fun () -> fetch_timer t token)
 
 (* The attempt behind [token] outlived its deadline: repost within the
    budget, else abandon the fetch. The page reverts to Remote and its
-   waiters refetch it themselves. *)
-and fetch_timer t token =
+   waiters refetch it themselves. The timer runs only where a completion
+   can be lost, so its two trace calls stay out of line: inlined, they
+   grew this function by 840 bytes and moved the hot code linked after
+   it, and perfbench's array-fault, which never fires a timer, ran 5.7%
+   slower (8 of 8 pairs, 2-vCPU Xeon VM). *)
+and[@zero_alloc] fetch_timer t token =
   let f = t.fetches in
   let s = token land slot_mask in
   if f.live.(s) = token then begin
@@ -444,7 +453,7 @@ and fetch_timer t token =
     let req = owner_id t s and worker = f.home.(s) and page = f.page.(s) in
     let n = f.attempt.(s) in
     bump t Counter.Fetch_timeouts;
-    ev t Trace_event.Fetch_timeout ~req ~worker ~page;
+    (emit [@inlined never]) t Trace_event.Fetch_timeout ~req ~worker ~page;
     if n >= f.budget.(s) then begin
       Pager.abort_fetch t.pager page;
       wake_waiters t page;
@@ -455,7 +464,7 @@ and fetch_timer t token =
       bump t Counter.Fetch_retries;
       let hwm = Counter.index Counter.Retries_hwm in
       t.counts.(hwm) <- max t.counts.(hwm) (n + 1);
-      ev t Trace_event.Fetch_retry ~req ~worker ~page;
+      (emit [@inlined never]) t Trace_event.Fetch_retry ~req ~worker ~page;
       (* a parked owner now waits out the repost; a busy-waiting one
          stays in [Busy_wait] through it, since its CPU never stops
          spinning *)
@@ -675,12 +684,12 @@ let send_reply t e =
 
 (* The reply channel's TX completion: the CQE follows the packet's
    departure by the CQE latency. The reply's buffer names its slot. *)
-let reply_sent sim slots req =
+let[@zero_alloc] reply_sent sim slots req =
   Sim.schedule sim ~delay:Params.tx_cqe_latency_cycles
     slots.by_buffer.(req.Request.buffer).tx_cqe
 
 (* The CQE of slot [e]'s reply. *)
-let tx_cqe t e =
+let[@zero_alloc] tx_cqe t e =
   let rid = e.req.Request.id in
   match t.cfg.Config.tx_mode with
   | Config.Tx_delegated ->
@@ -706,7 +715,9 @@ let run_handler t ctx e () =
   | Fetch_failed _ -> e.req.Request.errored <- true
   | App.Bad_request _ -> e.req.Request.errored <- true
 
-let make_slot t =
+(* A buffer id's slot, made at the id's first use and reset for every
+   request that holds the buffer after. *)
+let[@cold] make_slot t =
   let detector =
     match t.cfg.Config.prefetch with
     | Config.Stride _ -> Prefetcher.Stride_detector.create ()
@@ -729,14 +740,14 @@ let make_slot t =
   e.task <- Task.create (run_handler t (make_ctx t e) e);
   e
 
-let grow_slots t buffer =
+let[@cold] grow_slots t buffer =
   let old = t.slots.by_buffer in
   let slots = Array.make (max 64 (2 * (buffer + 1))) t.nobody in
   Array.blit old 0 slots 0 (Array.length old);
   t.slots.by_buffer <- slots
 
 (* Buffer [buffer]'s slot, made fresh for [req]. *)
-let slot t buffer req =
+let[@zero_alloc] slot t buffer req =
   if buffer >= Array.length t.slots.by_buffer then grow_slots t buffer;
   if t.slots.by_buffer.(buffer) == t.nobody then
     t.slots.by_buffer.(buffer) <- make_slot t;
@@ -908,7 +919,7 @@ let dispatch_key policy ~rr_cursor ~load ~n w =
 
 (* Stable insertion sort, candidates visited in id order: each goes
    behind every earlier one whose key is not larger. *)
-let dispatch_order policy ~rr_cursor ~load ~order =
+let[@zero_alloc] dispatch_order policy ~rr_cursor ~load ~order =
   let n = Array.length load in
   let len = ref 0 in
   for w = 0 to n - 1 do
@@ -930,7 +941,7 @@ let dispatch_order policy ~rr_cursor ~load ~order =
 (* Algorithm 1: the idle, unassigned workers in [t.order], by
    outstanding page-fetch count; round-robin rotates from the cursor
    instead. Returns how many there are. *)
-let idle_order t =
+let[@zero_alloc] idle_order t =
   let pf_aware = t.cfg.Config.dispatch = Config.Pf_aware in
   for i = 0 to Array.length t.workers - 1 do
     let w = t.workers.(i) in

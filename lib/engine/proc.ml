@@ -104,7 +104,7 @@ module Gate = struct
     let waiter = { waiting = false; wakeup = ignore } in
     { pending = false; waiter; park = Park waiter }
 
-  let await t =
+  let[@zero_alloc] await t =
     if t.pending then t.pending <- false
     else begin
       if t.waiter.waiting then failwith "Gate.await: already has a waiter";
@@ -113,7 +113,7 @@ module Gate = struct
 
   (* The parked process's [wakeup] schedules its [wake] at once: the
      same single event a suspension's [resume] schedules. *)
-  let signal t =
+  let[@zero_alloc] signal t =
     let w = t.waiter in
     if w.waiting then begin
       w.waiting <- false;

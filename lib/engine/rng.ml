@@ -19,14 +19,14 @@ let of_state s =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let[@inline] bits64 g =
+let[@inline][@zero_alloc] bits64 g =
   let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
   Bytes.set_int64_ne g 0 s;
   mix64 s
 
 let split g = of_state (bits64 g)
 
-let int g n =
+let[@zero_alloc] int g n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* rejection-free for our purposes: 62 random bits mod n (62, not 63,
      so Int64.to_int cannot produce a negative OCaml int); the modulo

@@ -117,7 +117,7 @@ let now sim = sim.now
 
 (* --- cell pool ---------------------------------------------------------- *)
 
-let grow_pool sim =
+let[@cold] grow_pool sim =
   let cap = sim.cap in
   let ncap = if cap = 0 then 256 else cap * 2 in
   if ncap > max_cells then failwith "Sim: event pool exceeds 2^25 cells";
@@ -147,7 +147,7 @@ let grow_pool sim =
   sim.free_head <- cap;
   sim.cap <- ncap
 
-let alloc_cell sim ~time act =
+let[@zero_alloc] alloc_cell sim ~time act =
   if sim.free_head < 0 then grow_pool sim;
   let c = sim.free_head in
   sim.free_head <- Array.unsafe_get sim.c_next c;
@@ -158,7 +158,7 @@ let alloc_cell sim ~time act =
   Array.unsafe_set sim.c_next c (-1);
   c
 
-let free_cell sim c =
+let[@zero_alloc] free_cell sim c =
   Array.unsafe_set sim.c_act c noop;
   (* a live (never-cancelled) cell already has its dead byte clear *)
   Bytes.unsafe_set sim.c_dead c '\000';
@@ -166,11 +166,11 @@ let free_cell sim c =
   Array.unsafe_set sim.c_next c sim.free_head;
   sim.free_head <- c
 
-let cell_dead sim c = Bytes.unsafe_get sim.c_dead c <> '\000'
+let[@zero_alloc] cell_dead sim c = Bytes.unsafe_get sim.c_dead c <> '\000'
 
 (* --- far-event heap ----------------------------------------------------- *)
 
-let heap_grow sim =
+let[@cold] heap_grow sim =
   let cap = Array.length sim.h_time in
   let ncap = if cap = 0 then 64 else cap * 2 in
   let h_time = Array.make ncap 0 in
@@ -183,7 +183,7 @@ let heap_grow sim =
   sim.h_seq <- h_seq;
   sim.h_cell <- h_cell
 
-let heap_push sim ~time ~seq c =
+let[@zero_alloc] heap_push sim ~time ~seq c =
   if sim.h_len = Array.length sim.h_time then heap_grow sim;
   let ht = sim.h_time and hs = sim.h_seq and hc = sim.h_cell in
   let i = ref sim.h_len in
@@ -205,7 +205,7 @@ let heap_push sim ~time ~seq c =
   sim.h_len <- sim.h_len + 1
 
 (* Remove the heap root and return its cell; caller checked h_len > 0. *)
-let heap_pop_top sim =
+let[@zero_alloc] heap_pop_top sim =
   let ht = sim.h_time and hs = sim.h_seq and hc = sim.h_cell in
   let top = Array.unsafe_get hc 0 in
   let len = sim.h_len - 1 in
@@ -248,7 +248,7 @@ let heap_pop_top sim =
 
 (* Earliest live heap time ([max_int] when drained), purging cancelled
    cells that surface at the root. *)
-let rec heap_top sim =
+let[@zero_alloc] rec heap_top sim =
   if sim.h_len = 0 then max_int
   else begin
     let c = Array.unsafe_get sim.h_cell 0 in
@@ -262,7 +262,7 @@ let rec heap_top sim =
 
 (* --- timer wheel --------------------------------------------------------- *)
 
-let wheel_add sim t c =
+let[@zero_alloc] wheel_add sim t c =
   let s = t land wheel_mask in
   let tail = Array.unsafe_get sim.tails s in
   if tail < 0 then begin
@@ -277,7 +277,7 @@ let wheel_add sim t c =
   sim.wh_cells <- sim.wh_cells + 1
 
 (* Unlink and return the head cell of slot [s]; caller checked non-empty. *)
-let wheel_unlink_head sim s =
+let[@zero_alloc] wheel_unlink_head sim s =
   let c = Array.unsafe_get sim.slots s in
   let n = Array.unsafe_get sim.c_next c in
   Array.unsafe_set sim.slots s n;
@@ -295,7 +295,7 @@ let wheel_unlink_head sim s =
    recursive function: a local [let rec] capturing [sim] is a closure
    allocation on the hottest path in the engine (the zero-alloc lint
    rule walks this body). *)
-let wheel_scan sim p0 =
+let[@zero_alloc] wheel_scan sim p0 =
   let w0 = p0 lsr 5 in
   let bits = Array.unsafe_get sim.bitmap w0 lsr (p0 land 31) in
   if bits <> 0 then (p0 + ctz32 bits) land wheel_mask
@@ -313,7 +313,7 @@ let wheel_scan sim p0 =
 (* Earliest live wheel time ([max_int] when drained), purging cancelled
    cells at slot heads. Caches the found slot in [wh_slot] and tightens
    [wh_floor] so the bitmap scan restarts where it left off. *)
-let rec wheel_peek sim =
+let[@zero_alloc] rec wheel_peek sim =
   if sim.wh_cells = 0 then max_int
   else begin
     let base = if sim.wh_floor > sim.now then sim.wh_floor else sim.now in
@@ -345,14 +345,14 @@ let rec wheel_peek sim =
 
 (* --- scheduling ---------------------------------------------------------- *)
 
-let add_event sim t f =
+let[@zero_alloc] add_event sim t f =
   let c = alloc_cell sim ~time:t f in
   if t - sim.now < wheel_size then wheel_add sim t c
   else heap_push sim ~time:t ~seq:(Array.unsafe_get sim.c_seq c) c;
   sim.live <- sim.live + 1;
   c
 
-let schedule_at sim t f =
+let[@zero_alloc] schedule_at sim t f =
   let t =
     if t < sim.now then begin
       sim.clamped <- sim.clamped + 1;
@@ -362,13 +362,13 @@ let schedule_at sim t f =
   in
   ignore (add_event sim t f)
 
-let schedule sim ~delay f = schedule_at sim (sim.now + delay) f
+let[@zero_alloc] schedule sim ~delay f = schedule_at sim (sim.now + delay) f
 
 (* --- cancellable timers --------------------------------------------------- *)
 
 type timer = int
 
-let timer_at sim t f =
+let[@zero_alloc] timer_at sim t f =
   let t =
     if t < sim.now then begin
       sim.clamped <- sim.clamped + 1;
@@ -379,13 +379,13 @@ let timer_at sim t f =
   let c = add_event sim t f in
   (Array.unsafe_get sim.c_gen c lsl idx_bits) lor c
 
-let timer_after sim ~delay f = timer_at sim (sim.now + delay) f
+let[@zero_alloc] timer_after sim ~delay f = timer_at sim (sim.now + delay) f
 
-let timer_pending sim token =
+let[@zero_alloc] timer_pending sim token =
   let c = token land (max_cells - 1) in
   c < sim.cap && sim.c_gen.(c) = token asr idx_bits && not (cell_dead sim c)
 
-let cancel sim token =
+let[@zero_alloc] cancel sim token =
   let c = token land (max_cells - 1) in
   if c < sim.cap && sim.c_gen.(c) = token asr idx_bits && not (cell_dead sim c)
   then begin
@@ -395,7 +395,7 @@ let cancel sim token =
 
 (* --- execution ------------------------------------------------------------ *)
 
-let step sim =
+let[@zero_alloc] step sim =
   let wt = wheel_peek sim in
   let ht = heap_top sim in
   if wt = max_int && ht = max_int then false
@@ -421,9 +421,9 @@ let step sim =
     true
   end
 
-let run sim = while step sim do () done
+let[@zero_alloc] run sim = while step sim do () done
 
-let run_until sim limit =
+let[@zero_alloc] run_until sim limit =
   let continue = ref true in
   while !continue do
     let wt = wheel_peek sim in

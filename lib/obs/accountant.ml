@@ -59,7 +59,7 @@ let create sim ~cpus =
 
 let cpus t = Array.length t.slots
 
-let switch t ~cpu state =
+let[@zero_alloc] switch t ~cpu state =
   let c = t.slots.(cpu) in
   if c.state <> state then begin
     let now = Adios_engine.Sim.now t.sim in

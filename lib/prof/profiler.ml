@@ -78,7 +78,7 @@ let attach t ~id ~tx_at ~now =
   r.entered_at <- now;
   r
 
-let switch r ~now p =
+let[@zero_alloc] switch r ~now p =
   if (not r.closed) && Phase.index p <> Phase.index r.phase then begin
     let i = Phase.index r.phase in
     r.cycles.(i) <- r.cycles.(i) + (now - r.entered_at);

@@ -30,14 +30,14 @@ let create sim ~gbps ?(wire_overhead = 0.27) () =
 
 let set_perturb t f = t.perturb <- f
 
-let nominal_cycles t ~bytes =
+let[@cold] nominal_cycles t ~bytes =
   let wire = float_of_int bytes *. (1. +. t.wire_overhead) in
   max 1 (int_of_float (ceil (wire /. t.bytes_per_cycle)))
 
 (* A link carries a handful of payload sizes (pages one way, pages or
    replies the other), so the float arithmetic runs once per change of
    size, not once per message. *)
-let serialize_cycles t ~bytes =
+let[@zero_alloc] serialize_cycles t ~bytes =
   if bytes <> t.memo_bytes then begin
     t.memo_cycles <- nominal_cycles t ~bytes;
     t.memo_bytes <- bytes
@@ -45,7 +45,7 @@ let serialize_cycles t ~bytes =
   let base = t.memo_cycles in
   match t.perturb with None -> base | Some f -> base + max 0 (f base)
 
-let occupy t ~cycles ~bytes =
+let[@zero_alloc] occupy t ~cycles ~bytes =
   t.bytes <- t.bytes + bytes;
   Adios_stats.Integrator.set t.busy 1;
   Adios_engine.Sim.schedule t.sim ~delay:cycles t.reset

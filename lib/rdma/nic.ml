@@ -66,7 +66,7 @@ let direction_of = function Verbs.Read -> Rx | Verbs.Write | Verbs.Send -> Tx
 (* Retire the oldest outstanding WR, in slot [slot]: push its CQE, or
    swallow a lost one. The sequence advances before the push, so a CQE
    handler that posts on this QP finds the slot free. *)
-let deliver qp slot =
+let[@zero_alloc] deliver qp slot =
   let nic = qp.nic in
   qp.deliver_seq <- qp.deliver_seq + 1;
   if Bytes.get qp.lost slot = '\001' then begin
@@ -103,7 +103,7 @@ let deliver qp slot =
    delivered in posting order: a WR that finishes ahead of a
    predecessor parks, and the predecessor's delivery releases every
    parked successor behind it. *)
-let arrive qp slot =
+let[@zero_alloc] arrive qp slot =
   if slot = qp.deliver_seq land qp.mask then begin
     deliver qp slot;
     while Bytes.get qp.parked (qp.deliver_seq land qp.mask) = '\001' do
@@ -118,7 +118,7 @@ let arrive qp slot =
    travels in this engine's direction, as an index into [qps]; -1 if
    none. The cursor and [i] both lie in [0, n), so one compare wraps
    their sum. *)
-let rec next_qp nic engine i =
+let[@zero_alloc] rec next_qp nic engine i =
   let n = Array.length nic.qps in
   if i = n then -1
   else begin
@@ -137,7 +137,7 @@ let rec next_qp nic engine i =
 
 (* Start serializing the next WR, if the engine is free and one is
    waiting. *)
-let serve nic engine =
+let[@zero_alloc] serve nic engine =
   if not engine.busy then begin
     let q = next_qp nic engine 0 in
     if q >= 0 then begin
@@ -157,8 +157,9 @@ let serve nic engine =
   end
 
 (* The fault fabric's verdict on the completion of the WR in [slot], as
-   extra delivery cycles, or -1 if the completion is lost. *)
-let fault_delay nic inj qp slot =
+   extra delivery cycles, or -1 if the completion is lost. Only a NIC
+   with an injector asks for it. *)
+let[@cold] fault_delay nic inj qp slot =
   match
     Adios_fault.Injector.on_completion inj
       ~now:(Adios_engine.Sim.now nic.sim)
@@ -171,7 +172,7 @@ let fault_delay nic inj qp slot =
 
 (* The service-end event: free the engine, decide the completion's fate
    and schedule its delivery. *)
-let finish_service nic engine =
+let[@zero_alloc] finish_service nic engine =
   let qp = nic.qps.(engine.serving) and slot = engine.slot in
   engine.busy <- false;
   (* the pop may have exposed a head WR travelling the other way: the
@@ -266,11 +267,11 @@ let create_qp nic ~depth =
   qp
 
 (* The payload rings need a value to start from: the first post's. *)
-let size_payloads qp user cq =
+let[@cold] size_payloads qp user cq =
   qp.user <- Array.make (qp.mask + 1) user;
   qp.cq <- Array.make (qp.mask + 1) cq
 
-let post qp ~opcode ~bytes ~user ~cq =
+let[@zero_alloc] post qp ~opcode ~bytes ~user ~cq =
   let nic = qp.nic in
   if outstanding qp >= qp.depth then false
   else begin

@@ -30,7 +30,7 @@ type 'p t = {
 (* The ring's capacity is a power of two, so a position is masked. *)
 let first_capacity = 16
 
-let kick t =
+let[@zero_alloc] kick t =
   if (not t.busy) && t.out < t.len then begin
     let i = (t.head + t.out) land (Array.length t.bytes - 1) in
     t.out <- t.out + 1;
@@ -43,7 +43,7 @@ let kick t =
 
 (* The newest started packet has left the NIC: raise its TX completion,
    schedule its delivery, and start the next one. *)
-let serialization_end t =
+let[@zero_alloc] serialization_end t =
   let i = (t.head + t.out - 1) land (Array.length t.bytes - 1) in
   t.busy <- false;
   t.sent <- t.sent + 1;
@@ -51,7 +51,7 @@ let serialization_end t =
   Sim.schedule t.sim ~delay:t.latency t.arrive;
   kick t
 
-let delivery t =
+let[@zero_alloc] delivery t =
   let i = t.head in
   t.head <- (i + 1) land (Array.length t.bytes - 1);
   t.len <- t.len - 1;
@@ -83,7 +83,7 @@ let create ?(on_tx_complete = ignore) sim ~link ~latency_cycles ~deliver =
 
 (* A full ring doubles, unrolled to start at position 0; the first send
    sizes it from its payload. *)
-let grow t payload =
+let[@cold] grow t payload =
   let cap = Array.length t.bytes in
   let ncap = if cap = 0 then first_capacity else 2 * cap in
   let bytes = Array.make ncap 0 and payloads = Array.make ncap payload in
@@ -96,7 +96,7 @@ let grow t payload =
   t.payload <- payloads;
   t.head <- 0
 
-let send t ~bytes payload =
+let[@zero_alloc] send t ~bytes payload =
   if t.len = Array.length t.bytes then grow t payload;
   let i = (t.head + t.len) land (Array.length t.bytes - 1) in
   t.bytes.(i) <- bytes;

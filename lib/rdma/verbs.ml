@@ -25,7 +25,7 @@ module Cq = struct
 
   (* Double the ring, unrolling the wrap; [c] seeds the fresh slots so no
      dummy completion is needed. *)
-  let grow t c =
+  let[@cold] grow t c =
     let cap = Array.length t.buf in
     let ncap = if cap = 0 then 16 else cap * 2 in
     let buf = Array.make ncap c in
@@ -35,14 +35,14 @@ module Cq = struct
     t.buf <- buf;
     t.head <- 0
 
-  let push t c =
+  let[@zero_alloc] push t c =
     if t.len = Array.length t.buf then grow t c;
     let mask = Array.length t.buf - 1 in
     Array.unsafe_set t.buf ((t.head + t.len) land mask) c;
     t.len <- t.len + 1;
     match t.notify with None -> () | Some f -> f ()
 
-  let drain t f =
+  let[@zero_alloc] drain t f =
     (* [f] may post work that completes synchronously back into this CQ
        (and even grow the ring); re-reading [len] and the ring each
        iteration keeps such entries in the pass. *)

@@ -62,7 +62,9 @@ let value_of i =
     let width = 1 lsl (p - sub_bits) in
     (1 lsl p) + (sub * width) + (width / 2)
 
-let ensure t i =
+(* Room for bucket [i]: the array grows only on a new magnitude, so
+   the copy is amortised away. *)
+let[@cold] ensure t i =
   let n = Array.length t.counts in
   if i >= n then begin
     let n' = max (i + 1) (n * 2) in
@@ -71,7 +73,7 @@ let ensure t i =
     t.counts <- counts
   end
 
-let record_n t v n =
+let[@zero_alloc] record_n t v n =
   if n > 0 then begin
     let v = if v < 0 then 0 else v in
     let i = index_of v in
@@ -83,7 +85,7 @@ let record_n t v n =
     t.sum <- t.sum + (v * n)
   end
 
-let record t v = record_n t v 1
+let[@zero_alloc] record t v = record_n t v 1
 
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.min_v

@@ -244,137 +244,101 @@ let test_stale_suppression_inactive_rule () =
 
 (* --- typed rules: zero-alloc ------------------------------------------- *)
 
-let tlint ?manifest ~path source =
-  Lint.lint_typed_source ?manifest ~path ~source ()
-
-let manifest_of ~file ?(cold = []) functions =
-  [ { Adios_analysis.Hotpath.file; functions; cold } ]
+let tlint ~path source = Lint.lint_typed_source ~path ~source ()
 
 let test_zero_alloc_fires () =
-  (* the planted fixture: an allocation inside a manifest function must
+  (* the planted fixture: an allocation inside a marked function must
      produce exactly the expected finding *)
   let fs =
-    tlint
-      ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-      ~path:"lib/engine/sim.ml" "let schedule q x = ignore q; Some x"
+    tlint ~path:"lib/engine/sim.ml"
+      "let[@zero_alloc] schedule q x = ignore q; Some x"
   in
   check_int "exactly one finding" 1 (List.length fs);
   let f = List.hd fs in
   check_string "rule" "zero-alloc" f.Lint.rule;
-  check_bool "names the constructor" true (contains_sub f.Lint.msg "Some")
+  check_bool "names the constructor" true (contains_sub f.Lint.msg "Some");
+  check_clean "an unmarked function is not walked"
+    (tlint ~path:"lib/engine/sim.ml" "let schedule q x = ignore q; Some x")
 
 let test_zero_alloc_clean () =
   check_clean "integer arithmetic and mutation are free"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-       ~path:"lib/engine/sim.ml"
-       "let r = ref 0\nlet schedule q d = ignore q; r := !r + d; !r land 31")
+    (tlint ~path:"lib/engine/sim.ml"
+       "let r = ref 0\n\
+        let[@zero_alloc] schedule q d = ignore q; r := !r + d; !r land 31")
 
 let test_zero_alloc_descent () =
   (* one level into a same-unit helper: the hot function cannot
      outsource its allocation *)
-  let src = "let helper x = [ x ]\nlet schedule q = helper q" in
+  let hot = "let[@zero_alloc] schedule q = helper q" in
   check_fires "allocation in a direct callee is found" "zero-alloc"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-       ~path:"lib/engine/sim.ml" src);
-  check_clean "cold-listed callees are exempt (slow paths allocate by design)"
-    (tlint
-       ~manifest:
-         (manifest_of ~file:"lib/engine/sim.ml" ~cold:[ "helper" ]
-            [ "schedule" ])
-       ~path:"lib/engine/sim.ml" src)
+    (tlint ~path:"lib/engine/sim.ml" ("let helper x = [ x ]\n" ^ hot));
+  check_clean "callees marked cold are exempt (slow paths allocate by design)"
+    (tlint ~path:"lib/engine/sim.ml" ("let[@cold] helper x = [ x ]\n" ^ hot))
 
 let test_zero_alloc_error_path () =
   check_clean "error paths may allocate their exception"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-       ~path:"lib/engine/sim.ml"
-       "let schedule q d =\n\
+    (tlint ~path:"lib/engine/sim.ml"
+       "let[@zero_alloc] schedule q d =\n\
        \  if d < 0 then invalid_arg (string_of_int d);\n\
        \  q + d")
 
-let test_zero_alloc_manifest_drift () =
-  check_fires "a manifest entry naming a vanished function is a finding"
-    "zero-alloc"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "gone" ])
-       ~path:"lib/engine/sim.ml" "let schedule q = q")
+(* Marks where the tree puts them: inside a submodule (Verbs.Cq.push),
+   and on the bindings of a recursive chain (System.post_fetch and its
+   backoff, which is cold). *)
+let test_zero_alloc_submodule () =
+  let fs =
+    tlint ~path:"lib/rdma/verbs.ml"
+      "module Cq = struct\n\
+      \  let[@zero_alloc] push t x = ignore t; Some x\n\
+       end"
+  in
+  check_int "exactly one finding" 1 (List.length fs);
+  check_bool "names the dotted function" true
+    (contains_sub (List.hd fs).Lint.msg "Cq.push")
 
-(* A work-stealing deque's idiom: atomic accesses routed through a
-   [yield_hook] test seam (a dereference applied as a function), unsafe
-   array slots, and CAS. None of it allocates, so the typed rule must
-   stay quiet on exactly this shape. *)
-let test_zero_alloc_deque_idiom () =
-  check_clean "the deque's hook-wrapped atomic idiom is allocation-free"
-    (tlint
-       ~manifest:
-         (manifest_of ~file:"lib/engine/deque.ml" [ "push"; "steal_into" ])
-       ~path:"lib/engine/deque.ml"
+let test_zero_alloc_rec_chain () =
+  let chain backoff =
+    "let[@zero_alloc] rec post q n = if q > n then backoff q n else q\n"
+    ^ backoff ^ " q n = ignore [ n ]; post (q - 1) n"
+  in
+  let fs = tlint ~path:"lib/core/system.ml" (chain "and backoff") in
+  check_int "the allocation in the chain's callee fires" 1 (List.length fs);
+  check_int "on the callee's line" 2 (List.hd fs).Lint.line;
+  check_clean "and[@cold] exempts it"
+    (tlint ~path:"lib/core/system.ml" (chain "and[@cold] backoff"))
+
+(* A closure read out of a ref or an array and applied at once is a full
+   application, not a partial one: the callee's arity comes from its
+   declared type ('a array -> int -> 'a), not from the instantiated one.
+   [Sim.step]'s action and [System.settle]'s wake-up are read this way. *)
+let test_zero_alloc_stored_closure () =
+  check_clean "applying a stored closure does not allocate"
+    (tlint ~path:"lib/engine/x.ml"
        "let yield_hook : (unit -> unit) ref = ref ignore\n\
         let aget a = !yield_hook (); Atomic.get a\n\
         let acas a old v = !yield_hook (); Atomic.compare_and_set a old v\n\
-        let push buf top x =\n\
+        let[@zero_alloc] push buf top x =\n\
        \  let tp = aget top in\n\
        \  Array.unsafe_set buf (tp land 7) x;\n\
        \  tp < 8\n\
-        let steal_into buf top cell =\n\
+        let[@zero_alloc] steal_into buf top cell =\n\
        \  let tp = aget top in\n\
        \  let x = Array.unsafe_get buf (tp land 7) in\n\
        \  if acas top tp (tp + 1) then begin cell := x; true end\n\
-       \  else false")
-
-let test_zero_alloc_deque_boxed_steal () =
-  (* the regression such an entry exists to catch: a steal that boxes
-     its result allocates an option per stolen task *)
-  check_fires "a steal returning an option is a finding" "zero-alloc"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/deque.ml" [ "steal_into" ])
-       ~path:"lib/engine/deque.ml"
-       "let steal_into buf tp = Some (Array.unsafe_get buf (tp land 7))")
-
-let test_zero_alloc_dangling_entry () =
-  (* a hot-path file moved or deleted without its manifest entry: the
-     entry certifies nothing, and saying so is the finding *)
-  let sources =
-    [
-      ("lib/analysis/hotpath.ml",
-       "let manifest =\n  [ { file = \"lib/engine/gone.ml\"; functions = [] } ]");
-      ("lib/engine/sim.ml", "let schedule q = q");
-    ]
-  in
-  match
-    Lint.check_manifest_files
-      ~manifest:(manifest_of ~file:"lib/engine/gone.ml" [ "push" ])
-      ~sources
-  with
-  | [ f ] ->
-    check_string "rule" "zero-alloc" f.Lint.rule;
-    check_string "reported on the manifest" "lib/analysis/hotpath.ml"
-      f.Lint.file;
-    check_int "at the entry's line" 2 f.Lint.line;
-    check_bool "names the missing file" true
-      (contains_sub f.Lint.msg "lib/engine/gone.ml");
-    check_clean "an entry for a present file is fine"
-      (Lint.check_manifest_files
-         ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-         ~sources)
-  | fs ->
-    Alcotest.failf "expected one finding, got %d" (List.length fs)
+       \  else false\n\
+        let[@zero_alloc] fire (hooks : (unit -> unit) array) i = hooks.(i) ()")
 
 let test_zero_alloc_suppressible () =
   let src =
     Printf.sprintf
-      "let schedule q x =\n\
+      "let[@zero_alloc] schedule q x =\n\
       \  ignore q;\n\
       \  (* %s zero-alloc -- fixture: documented payload *)\n\
       \  Some x"
       allow
   in
   check_clean "a reasoned suppression silences the typed rule"
-    (tlint
-       ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "schedule" ])
-       ~path:"lib/engine/sim.ml" src)
+    (tlint ~path:"lib/engine/sim.ml" src)
 
 (* --- typed rules: cycle-units ------------------------------------------ *)
 
@@ -540,15 +504,13 @@ let () =
           Alcotest.test_case "one-level descent" `Quick test_zero_alloc_descent;
           Alcotest.test_case "error paths exempt" `Quick
             test_zero_alloc_error_path;
-          Alcotest.test_case "manifest drift" `Quick
-            test_zero_alloc_manifest_drift;
           Alcotest.test_case "suppressible" `Quick test_zero_alloc_suppressible;
-          Alcotest.test_case "deque atomic idiom" `Quick
-            test_zero_alloc_deque_idiom;
-          Alcotest.test_case "deque boxed steal" `Quick
-            test_zero_alloc_deque_boxed_steal;
-          Alcotest.test_case "dangling manifest entry" `Quick
-            test_zero_alloc_dangling_entry;
+          Alcotest.test_case "closure read from a ref or array" `Quick
+            test_zero_alloc_stored_closure;
+          Alcotest.test_case "mark in a submodule" `Quick
+            test_zero_alloc_submodule;
+          Alcotest.test_case "mark in a recursive chain" `Quick
+            test_zero_alloc_rec_chain;
         ] );
       ( "cycle-units",
         [
