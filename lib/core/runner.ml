@@ -1,5 +1,4 @@
 module Sim = Adios_engine.Sim
-module Proc = Adios_engine.Proc
 module Clock = Adios_engine.Clock
 module Rng = Adios_engine.Rng
 module Raw_eth = Adios_rdma.Raw_eth
@@ -126,14 +125,15 @@ let run cfg app ~offered_krps ~requests ?image ?trace ?metrics ?snapshot
         reg
     in
     Registry.attach_timeline reg snap;
-    (* a plain process: it shifts spawn sequence numbers but emits no
-       events into the datapath, so a snapshot only adds rows to its
-       CSV (which is why sweeps run without one) *)
-    Proc.spawn sim (fun () ->
-        while true do
-          Proc.wait sample_period;
-          Timeline.sample snap ~ts:(Sim.now sim)
-        done)
+    (* a plain actor: its events shift sequence numbers but touch
+       nothing in the datapath, so a snapshot only adds rows to its CSV
+       (which is why sweeps run without one) *)
+    let rec sample () =
+      Timeline.sample snap ~ts:(Sim.now sim);
+      Sim.schedule sim ~delay:sample_period sample
+    in
+    Sim.schedule sim ~delay:0 (fun () ->
+        Sim.schedule sim ~delay:sample_period sample)
   | None -> ());
   let client_link =
     Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead
@@ -152,19 +152,24 @@ let run cfg app ~offered_krps ~requests ?image ?trace ?metrics ?snapshot
   let mean_gap =
     float_of_int Clock.cycles_per_sec /. (offered_krps *. 1000.)
   in
-  Proc.spawn sim (fun () ->
-      for i = 1 to requests do
-        Proc.wait
-          (int_of_float (Rng.exponential loadgen_rng ~mean:mean_gap));
-        if i = warmup + 1 then begin
-          window_start := Sim.now sim;
-          fetch_snapshot := Cluster.total_rx_bytes (System.cluster system);
-          drops_at_start := System.drops system
-        end;
-        let spec = app.App.gen loadgen_rng in
-        let req = Request.make ~id:i ~spec ~tx_at:(Sim.now sim) in
-        Raw_eth.send to_compute ~bytes:spec.Request.req_bytes req
-      done);
+  (* The load generator: one first event, then one per arrival, each
+     drawing the gap to the next after sending its own request. *)
+  let gap () = int_of_float (Rng.exponential loadgen_rng ~mean:mean_gap) in
+  let sent = ref 0 in
+  let rec arrive () =
+    incr sent;
+    let i = !sent in
+    if i = warmup + 1 then begin
+      window_start := Sim.now sim;
+      fetch_snapshot := Cluster.total_rx_bytes (System.cluster system);
+      drops_at_start := System.drops system
+    end;
+    let spec = app.App.gen loadgen_rng in
+    let req = Request.make ~id:i ~spec ~tx_at:(Sim.now sim) in
+    Raw_eth.send to_compute ~bytes:spec.Request.req_bytes req;
+    if i < requests then Sim.schedule sim ~delay:(gap ()) arrive
+  in
+  Sim.schedule sim ~delay:0 (fun () -> Sim.schedule sim ~delay:(gap ()) arrive);
   let horizon = Clock.of_sec 30. in
   let finished () = !replies + System.drops system >= requests in
   while (not (finished ())) && Sim.now sim < horizon && Sim.step sim do

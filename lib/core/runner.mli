@@ -109,8 +109,8 @@ val run :
     [run] returns (e.g. through {!Adios_obs.Openmetrics.render}).
     [snapshot], if given, gets every scalar metric as a series and is
     sampled every [sample_period] cycles (default 5 us), the first row
-    one period into the run. The sampling process, spawned only for a
-    snapshot, emits no datapath events, so a snapshot only adds rows.
+    one period into the run. The sampler, started only for a snapshot,
+    emits no datapath events, so a snapshot only adds rows.
     For fetch-link use per tick, take the per-tick delta of
     [adios_nic_read_bytes_total] and scale it as [rdma_util] scales
     bytes (wire overhead over the link rate).

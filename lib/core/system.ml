@@ -1,5 +1,6 @@
 module Sim = Adios_engine.Sim
 module Proc = Adios_engine.Proc
+module Gate = Adios_engine.Gate
 module Rng = Adios_engine.Rng
 module Verbs = Adios_rdma.Verbs
 module Nic = Adios_rdma.Nic
@@ -27,6 +28,24 @@ module Phase = Adios_prof.Phase
    reply instead of wedging its worker. *)
 exception Fetch_failed of int
 
+(* The dispatcher and the workers are event-driven actors, not
+   fibers: only a request's unithread runs on one. Each wait of an
+   actor's loop is one [Sim.schedule] of a closure made once with the
+   actor (a worker's [step], the dispatcher's [advance]), after it
+   records where its loop picks up when that event fires (a worker's
+   [at], the dispatcher's [stage]). A gate wake-up, and for a worker a
+   synchronous TX's completion, schedule the same closure at delay 0. *)
+type stage =
+  | Idle  (** woken at its gate: back to the top of the loop *)
+  | Polled  (** a ready entry polled and switched in: run it *)
+  | Switched  (** a dispatched entry switched in: start its quantum *)
+  | Created  (** a new unithread created and switched in *)
+  | Kernel_entered  (** Hermit's per-request kernel path paid *)
+  | Stole_local  (** the scan for a local queue to steal from paid *)
+  | Stole_ready  (** the scan for a ready queue to steal from paid *)
+  | Reply_posted  (** the reply's post paid *)
+  | Tx_completed  (** the synchronous reply's TX completion arrived *)
+
 (* A unithread slot: one per buffer id, made on the buffer's first use
    and reset whenever the buffer admits a request (Fig. 4: a request's
    context lives in its pre-allocated buffer). Everything a request's
@@ -49,9 +68,6 @@ type entry = {
   tx_cqe : unit -> unit;
       (** the reply's TX completion event. The request holds its buffer
           until this has run, so the slot still holds the request. *)
-  mutable tx_resume : unit -> unit;
-      (** a worker spinning on that completion (synchronous TX) *)
-  tx_park : (unit -> unit) -> unit;  (** stores [tx_resume] *)
 }
 
 and worker = {
@@ -59,11 +75,36 @@ and worker = {
   qps : int Nic.qp array;
       (** one QP per memory node; each WR carries a fetch token *)
   fetch_cq : int Verbs.Cq.t;
-  gate : Proc.Gate.t;
+  gate : Gate.t;
   ready : entry Queue.t;
   local : entry Queue.t; (* per-worker queue (partitioned / stealing) *)
   mutable assigned : entry;  (** [nobody] when none *)
   mutable idle : bool;
+  mutable at : stage;
+  mutable current : entry;
+      (** the entry being switched in, run or replied for *)
+  mutable victim : int;  (** the worker a steal scan picked *)
+  mutable step : unit -> unit;  (** resumes the loop at [at] *)
+  mutable returned : Task.outcome -> unit;
+      (** the host of [current]'s task: the loop after it returns *)
+}
+
+(* Where the dispatcher's loop picks up; [dispatcher] holds what it
+   carries across a wait. *)
+type dispatch_stage =
+  | Woken  (** woken at its gate *)
+  | Recycled  (** a delegated TX completion's recycle cost paid *)
+  | Assigned  (** Algorithm 1's per-request dispatch cost paid *)
+  | Sprayed  (** d-FCFS's per-request dispatch cost paid *)
+
+type dispatcher = {
+  mutable stage : dispatch_stage;
+  mutable buffer : int;  (** being recycled *)
+  mutable entry : entry;  (** being dispatched *)
+  mutable target : int;  (** to this worker, under Algorithm 1 *)
+  mutable cursor : int;  (** the next position of [order] to try *)
+  mutable candidates : int;  (** positions [idle_order] filled *)
+  mutable advance : unit -> unit;  (** resumes the loop at [stage] *)
 }
 
 type outcome = Pending | Fetched | Failed
@@ -110,7 +151,8 @@ type t = {
   reply_channel : Request.t Raw_eth.t;
   workers : worker array;
   pending : entry Queue.t;
-  dispatch_gate : Proc.Gate.t;
+  dispatch_gate : Gate.t;
+  disp : dispatcher;
   recycle : int Queue.t;
   buffers : Buffer_pool.t;
   slots : slots;
@@ -242,7 +284,7 @@ let spin_on_inflight t e page =
 let[@zero_alloc] wake_idle_siblings t (w : worker) =
   for i = 0 to Array.length t.workers - 1 do
     let s = t.workers.(i) in
-    if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate
+    if s.idle && s.wid <> w.wid then Gate.signal s.gate
   done
 
 (* Make a blocked-then-resumed entry runnable again: push it on its
@@ -255,7 +297,7 @@ let[@zero_alloc] enqueue_ready t (w : worker) e =
   enter t e Phase.Steal_wait;
   (* lint: allow zero-alloc -- the ready queue's cell, one per resumed fault; Queue cells are the next allocation to go (ROADMAP item 3) *)
   Queue.push e w.ready;
-  Proc.Gate.signal w.gate;
+  Gate.signal w.gate;
   if t.cfg.Config.system = Config.Steal then wake_idle_siblings t w
 
 (* Yield until [page]'s in-flight fetch completes; the completion pushes
@@ -662,26 +704,6 @@ let make_ctx t e =
 
 (* --- reply transmission -------------------------------------------------- *)
 
-let send_reply t e =
-  let req = e.req in
-  let bytes = req.Request.spec.Request.reply_bytes in
-  (* Tx runs to the reply's client RX stamp: it covers the post, the
-     wire, and (under Tx_sync_spin) is split below around the CQE spin *)
-  enter t e Phase.Tx;
-  Proc.wait Params.reply_post_cycles;
-  ev t Trace_event.Tx_submit ~req:req.Request.id ~worker:e.worker;
-  match t.cfg.Config.tx_mode with
-  | Config.Tx_delegated | Config.Tx_deferred ->
-    (* the worker moves on; the slot's [tx_cqe] recycles the buffer *)
-    Raw_eth.send t.reply_channel ~bytes req
-  | Config.Tx_sync_spin ->
-    (* naive design: the worker busy-waits for the CQE *)
-    enter t e Phase.Busy_wait;
-    Raw_eth.send t.reply_channel ~bytes req;
-    Proc.suspend e.tx_park;
-    enter t e Phase.Tx;
-    Buffer_pool.free t.buffers req.Request.buffer
-
 (* The reply channel's TX completion: the CQE follows the packet's
    departure by the CQE latency. The reply's buffer names its slot. *)
 let[@zero_alloc] reply_sent sim slots req =
@@ -698,10 +720,12 @@ let[@zero_alloc] tx_cqe t e =
     emit t Trace_event.Tx_complete ~req:rid ~worker:(-1) ~page:(-1);
     (* lint: allow zero-alloc -- the recycle queue's cell, one per reply; Queue cells are the next allocation to go (ROADMAP item 3) *)
     Queue.push e.req.Request.buffer t.recycle;
-    Proc.Gate.signal t.dispatch_gate
+    Gate.signal t.dispatch_gate
   | Config.Tx_sync_spin ->
+    (* the worker that sent the reply spins on this CQE, parked at
+       [Tx_completed]: several can spin at once, each on its own *)
     emit t Trace_event.Tx_complete ~req:rid ~worker:e.worker ~page:(-1);
-    e.tx_resume ()
+    Sim.schedule t.sim ~delay:0 t.workers.(e.worker).step
   | Config.Tx_deferred ->
     (* run-to-completion baselines reap TX completions lazily, off the
        worker's critical path *)
@@ -733,11 +757,9 @@ let[@cold] make_slot t =
       quantum_start = 0;
       preempted = false;
       tx_cqe = (fun () -> tx_cqe t e);
-      tx_resume = ignore;
-      tx_park = (fun resume -> e.tx_resume <- resume);
     }
   in
-  e.task <- Task.create (run_handler t (make_ctx t e) e);
+  e.task <- Task.create t.sim (run_handler t (make_ctx t e) e);
   e
 
 let[@cold] grow_slots t buffer =
@@ -765,142 +787,199 @@ let[@zero_alloc] slot t buffer req =
 
 (* --- worker -------------------------------------------------------------- *)
 
+(* Park the worker's loop for [delay] cycles; it picks up at [stage]. *)
+let[@zero_alloc] pause t (w : worker) stage delay =
+  w.at <- stage;
+  Sim.schedule t.sim ~delay w.step
+
 let requeue t e =
   enter t e Phase.Queue;
+  (* lint: allow zero-alloc -- the central queue's cell, one per preemption; Queue cells are the next allocation to go (ROADMAP item 3) *)
   Queue.push e t.pending;
-  Proc.Gate.signal t.dispatch_gate
+  Gate.signal t.dispatch_gate
 
-let step_task t e =
-  let rid = e.req.Request.id and wid = e.worker in
-  ev t Trace_event.Run_begin ~req:rid ~worker:wid;
-  (match Task.run e.task with
-  | Task.Finished ->
-    (* an errored handler still replies — with an error status — so the
-       buffer recycles and request conservation holds under faults *)
-    if e.req.Request.errored then bump t Counter.Errored
-    else bump t Counter.Handled;
-    send_reply t e
-  | Task.Suspended ->
-    if e.preempted then begin
-      e.preempted <- false;
-      requeue t e
-    end
-    (* else: fault yield; the fetch completion re-enqueues the entry *));
-  ev t Trace_event.Run_end ~req:rid ~worker:wid
+(* The sibling queue a steal at [stage] takes from. *)
+let steal_queue stage (v : worker) =
+  match stage with Stole_ready -> v.ready | _ -> v.local
 
-let run_entry t w e =
-  e.worker <- w.wid;
-  if e.started then begin
-    (* preempted unithread re-dispatched: switch back in *)
-    enter t e Phase.Ctx_switch;
-    Proc.wait Params.ctx_switch_cycles;
-    e.quantum_start <- Sim.now t.sim;
-    step_task t e
-  end
-  else begin
-    enter t e Phase.Ctx_switch;
-    Proc.wait (Params.unithread_create_cycles + Params.ctx_switch_cycles);
-    (match t.cfg.Config.system with
-    | Config.Hermit ->
-      enter t e Phase.App_compute;
-      Proc.wait Params.hermit_request_extra_cycles;
-      if Rng.uniform t.rng < Params.hermit_jitter_probability then begin
-        let span =
-          Params.hermit_jitter_max_cycles - Params.hermit_jitter_min_cycles
-        in
-        Proc.wait (Params.hermit_jitter_min_cycles + Rng.int t.rng span)
-      end
-    | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> ());
-    e.quantum_start <- Sim.now t.sim;
-    e.started <- true;
-    step_task t e
-  end
-
-let resume_ready t e =
-  (* poll + switch-in is one wait; attribute it wholly to CQ polling
-     rather than splitting it (an extra event could shift tie-breaks) *)
-  enter t e Phase.Cq_poll;
-  Proc.wait (Params.poll_cycles + Params.ctx_switch_cycles);
-  step_task t e
-
-(* Work stealing: take the head of the longest sibling queue that
-   [queue] selects (FCFS order within the victim). The scan costs
-   cycles, and the victim may drain its own queue during that wait (the
-   take re-checks). *)
-let try_steal t (w : worker) queue =
-  let victim = ref None and best = ref 0 in
-  Array.iter
-    (fun v ->
-      let len = Queue.length (queue v) in
-      if v.wid <> w.wid && len > !best then begin
-        victim := Some v;
-        best := len
-      end)
-    t.workers;
-  match !victim with
-  | Some v ->
-    acct_cpu t ~cpu:w.wid Acct.Dispatch;
-    Proc.wait Params.steal_cycles;
-    let taken = Queue.take_opt (queue v) in
-    if Option.is_some taken then bump t Counter.Steals;
-    taken
-  | None -> None
-
-let rec worker_loop t (w : worker) =
+(* The loop a worker runs between its events: take the next entry, pay
+   the switch, run the entry's unithread, reply, repeat. Each function
+   below ends by pausing the worker, handing it to a unithread, parking
+   it at its gate, or calling the next one. *)
+let[@zero_alloc] rec worker_loop t (w : worker) =
   if not (Queue.is_empty w.ready) then begin
     w.idle <- false;
-    let e = Queue.pop w.ready in
-    resume_ready t e;
-    worker_loop t w
+    resume_ready t w (Queue.pop w.ready)
   end
   else if w.assigned != t.nobody then begin
     let e = w.assigned in
     w.idle <- false;
     w.assigned <- t.nobody;
-    run_entry t w e;
-    worker_loop t w
+    run_entry t w e
   end
+  else if not (Queue.is_empty w.local) then begin
+    let e = Queue.pop w.local in
+    w.idle <- false;
+    emit t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid ~page:(-1);
+    run_entry t w e
+  end
+  else if t.cfg.Config.dispatch = Config.Work_stealing then
+    try_steal t w Stole_local
+  else steal_resumed t w
+
+(* The Steal system's extra axis: blocked-then-resumed requests from
+   the sibling ready queues, re-homed so their later faults are issued
+   on the thief's QPs and their later resumptions land on the thief. *)
+and[@zero_alloc] steal_resumed t w =
+  if t.cfg.Config.system = Config.Steal then try_steal t w Stole_ready
+  else go_idle t w
+
+and[@zero_alloc] go_idle t w =
+  w.idle <- true;
+  Gate.signal t.dispatch_gate;
+  acct_cpu t ~cpu:w.wid Acct.Idle;
+  w.at <- Idle;
+  Gate.await w.gate w.step
+
+(* Work stealing: take the head of the longest sibling queue of the
+   kind [stage] names (FCFS order within the victim), once the scan's
+   cost is paid; the victim may drain it meanwhile. *)
+and[@zero_alloc] try_steal t w stage =
+  let victim = ref (-1) and best = ref 0 in
+  for i = 0 to Array.length t.workers - 1 do
+    let v = t.workers.(i) in
+    let len = Queue.length (steal_queue stage v) in
+    if v.wid <> w.wid && len > !best then begin
+      victim := i;
+      best := len
+    end
+  done;
+  if !victim < 0 then steal_failed t w stage
+  else begin
+    acct_cpu t ~cpu:w.wid Acct.Dispatch;
+    w.victim <- !victim;
+    pause t w stage Params.steal_cycles
+  end
+
+and[@zero_alloc] stolen t w stage =
+  let q = steal_queue stage t.workers.(w.victim) in
+  if Queue.is_empty q then steal_failed t w stage
+  else begin
+    let e = Queue.pop q in
+    bump t Counter.Steals;
+    w.idle <- false;
+    match stage with
+    | Stole_ready ->
+      e.worker <- w.wid;
+      resume_ready t w e
+    | _ ->
+      emit t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid
+        ~page:(-1);
+      run_entry t w e
+  end
+
+(* Nothing stolen from the local queues: try the ready ones next. *)
+and[@zero_alloc] steal_failed t w stage =
+  match stage with Stole_ready -> go_idle t w | _ -> steal_resumed t w
+
+(* poll + switch-in is one wait; attribute it wholly to CQ polling
+   rather than splitting it (an extra event could shift tie-breaks) *)
+and[@zero_alloc] resume_ready t w e =
+  enter t e Phase.Cq_poll;
+  w.current <- e;
+  pause t w Polled (Params.poll_cycles + Params.ctx_switch_cycles)
+
+(* A preempted unithread re-dispatched switches back in; a new one is
+   created first. *)
+and[@zero_alloc] run_entry t w e =
+  e.worker <- w.wid;
+  w.current <- e;
+  enter t e Phase.Ctx_switch;
+  if e.started then pause t w Switched Params.ctx_switch_cycles
   else
-    match Queue.take_opt w.local with
-    | Some e ->
-      w.idle <- false;
-      ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
-      run_entry t w e;
-      worker_loop t w
-    | None -> (
-      let stolen =
-        if t.cfg.Config.dispatch = Config.Work_stealing then
-          try_steal t w (fun v -> v.local)
-        else None
+    pause t w Created
+      (Params.unithread_create_cycles + Params.ctx_switch_cycles)
+
+and[@zero_alloc] start_quantum t w e =
+  e.quantum_start <- Sim.now t.sim;
+  e.started <- true;
+  run_task t w e
+
+and[@zero_alloc] run_task t w e =
+  emit t Trace_event.Run_begin ~req:e.req.Request.id ~worker:e.worker
+    ~page:(-1);
+  Task.run e.task w.returned
+
+(* [current]'s unithread finished or yielded. *)
+and[@zero_alloc] task_returned t w outcome =
+  let e = w.current in
+  match outcome with
+  | Task.Finished ->
+    (* an errored handler still replies — with an error status — so the
+       buffer recycles and request conservation holds under faults *)
+    if e.req.Request.errored then bump t Counter.Errored
+    else bump t Counter.Handled;
+    (* Tx runs to the reply's client RX stamp: it covers the post, the
+       wire, and (under Tx_sync_spin) is split around the CQE spin *)
+    enter t e Phase.Tx;
+    pause t w Reply_posted Params.reply_post_cycles
+  | Task.Suspended ->
+    if e.preempted then begin
+      e.preempted <- false;
+      requeue t e
+    end;
+    (* else: fault yield; the fetch completion re-enqueues the entry *)
+    run_end t w e
+
+and[@zero_alloc] reply_posted t w e =
+  let req = e.req in
+  let bytes = req.Request.spec.Request.reply_bytes in
+  emit t Trace_event.Tx_submit ~req:req.Request.id ~worker:e.worker ~page:(-1);
+  match t.cfg.Config.tx_mode with
+  | Config.Tx_delegated | Config.Tx_deferred ->
+    (* the worker moves on; the slot's [tx_cqe] recycles the buffer *)
+    Raw_eth.send t.reply_channel ~bytes req;
+    run_end t w e
+  | Config.Tx_sync_spin ->
+    (* naive design: the worker busy-waits for the CQE, which
+       schedules its [step] *)
+    enter t e Phase.Busy_wait;
+    Raw_eth.send t.reply_channel ~bytes req;
+    w.at <- Tx_completed
+
+and[@zero_alloc] run_end t w e =
+  emit t Trace_event.Run_end ~req:e.req.Request.id ~worker:e.worker
+    ~page:(-1);
+  worker_loop t w
+
+let[@zero_alloc] worker_step t w =
+  let e = w.current in
+  match w.at with
+  | Idle -> worker_loop t w
+  | Polled -> run_task t w e
+  | Switched -> start_quantum t w e
+  | Created -> (
+    match t.cfg.Config.system with
+    | Config.Hermit ->
+      enter t e Phase.App_compute;
+      pause t w Kernel_entered Params.hermit_request_extra_cycles
+    | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal ->
+      start_quantum t w e)
+  | Kernel_entered ->
+    (* lint: allow zero-alloc -- [Rng.uniform] is inlined, so its float stays unboxed *)
+    if Rng.uniform t.rng < Params.hermit_jitter_probability then begin
+      let span =
+        Params.hermit_jitter_max_cycles - Params.hermit_jitter_min_cycles
       in
-      match stolen with
-      | Some e ->
-        w.idle <- false;
-        ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
-        run_entry t w e;
-        worker_loop t w
-      | None -> (
-        (* the Steal system's extra axis: blocked-then-resumed
-           requests from the sibling ready queues, re-homed so their
-           later faults are issued on the thief's QPs and their later
-           resumptions land on the thief *)
-        let resumed =
-          if t.cfg.Config.system = Config.Steal then
-            try_steal t w (fun v -> v.ready)
-          else None
-        in
-        match resumed with
-        | Some e ->
-          e.worker <- w.wid;
-          w.idle <- false;
-          resume_ready t e;
-          worker_loop t w
-        | None ->
-          w.idle <- true;
-          Proc.Gate.signal t.dispatch_gate;
-          acct_cpu t ~cpu:w.wid Acct.Idle;
-          Proc.Gate.await w.gate;
-          worker_loop t w))
+      pause t w Switched (Params.hermit_jitter_min_cycles + Rng.int t.rng span)
+    end
+    else start_quantum t w e
+  | (Stole_local | Stole_ready) as stage -> stolen t w stage
+  | Reply_posted -> reply_posted t w e
+  | Tx_completed ->
+    enter t e Phase.Tx;
+    Buffer_pool.free t.buffers e.req.Request.buffer;
+    run_end t w e
 
 (* --- dispatcher ---------------------------------------------------------- *)
 
@@ -957,59 +1036,98 @@ let[@zero_alloc] idle_order t =
 let next_worker t wid =
   if wid + 1 = Array.length t.workers then 0 else wid + 1
 
-let assign t (w : worker) e =
-  ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
+let[@zero_alloc] assign t (w : worker) e =
+  emit t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid ~page:(-1);
   t.rr_cursor <- next_worker t w.wid;
   w.assigned <- e;
   w.idle <- false;
-  Proc.Gate.signal w.gate
+  Gate.signal w.gate
 
-let rec dispatcher_loop t =
-  let dcpu = Array.length t.workers in
-  acct_cpu t ~cpu:dcpu Acct.Idle;
-  Proc.Gate.await t.dispatch_gate;
-  acct_cpu t ~cpu:dcpu Acct.Dispatch;
-  (* recycle delegated TX completions first: batched, cheap *)
-  while not (Queue.is_empty t.recycle) do
-    let buffer = Queue.pop t.recycle in
-    Proc.wait Params.recycle_cycles;
-    Buffer_pool.free t.buffers buffer
+(* The dispatcher's loop: park at its gate; once woken, recycle the
+   delegated TX completions (batched, cheap), then dispatch. *)
+let[@zero_alloc] rec dispatcher_loop t =
+  acct_cpu t ~cpu:(Array.length t.workers) Acct.Idle;
+  t.disp.stage <- Woken;
+  Gate.await t.dispatch_gate t.disp.advance
+
+and[@zero_alloc] recycle t =
+  let d = t.disp in
+  if Queue.is_empty t.recycle then
+    match t.cfg.Config.dispatch with
+    | Config.Pf_aware | Config.Round_robin -> dispatch_round t
+    | Config.Partitioned | Config.Work_stealing -> spray t
+  else begin
+    d.buffer <- Queue.pop t.recycle;
+    d.stage <- Recycled;
+    Sim.schedule t.sim ~delay:Params.recycle_cycles d.advance
+  end
+
+(* Single queue: dispatch to idle workers (Algorithm 1 or RR), round
+   after round while requests wait and some worker is a candidate. *)
+and[@zero_alloc] dispatch_round t =
+  if Queue.is_empty t.pending then dispatcher_loop t
+  else begin
+    let candidates = idle_order t in
+    if candidates = 0 then dispatcher_loop t
+    else begin
+      t.disp.candidates <- candidates;
+      t.disp.cursor <- 0;
+      dispatch_next t
+    end
+  end
+
+(* The round's next candidate still idle and unassigned gets the head
+   request, after the dispatch cost. *)
+and[@zero_alloc] dispatch_next t =
+  let d = t.disp in
+  let posted = ref false in
+  while (not !posted) && d.cursor < d.candidates do
+    let w = t.workers.(t.order.(d.cursor)) in
+    d.cursor <- d.cursor + 1;
+    if
+      (not (Queue.is_empty t.pending)) && w.idle && w.assigned == t.nobody
+    then begin
+      posted := true;
+      d.entry <- Queue.pop t.pending;
+      d.target <- w.wid;
+      d.stage <- Assigned;
+      Sim.schedule t.sim ~delay:Params.dispatch_cycles d.advance
+    end
   done;
-  (match t.cfg.Config.dispatch with
-  | Config.Pf_aware | Config.Round_robin ->
-    (* single queue: dispatch to idle workers (Algorithm 1 or RR) *)
-    let progress = ref true in
-    while !progress && not (Queue.is_empty t.pending) do
-      let candidates = idle_order t in
-      if candidates = 0 then progress := false
-      else
-        for i = 0 to candidates - 1 do
-          let w = t.workers.(t.order.(i)) in
-          if
-            (not (Queue.is_empty t.pending))
-            && w.idle
-            && w.assigned == t.nobody
-          then begin
-            let e = Queue.pop t.pending in
-            Proc.wait Params.dispatch_cycles;
-            assign t w e
-          end
-        done
-    done
-  | Config.Partitioned | Config.Work_stealing ->
-    (* d-FCFS: spray arrivals over per-worker queues with no regard for
-       their occupancy; rebalancing, if any, is the workers' problem *)
-    while not (Queue.is_empty t.pending) do
-      let e = Queue.pop t.pending in
-      Proc.wait Params.dispatch_cycles;
-      let w = t.workers.(t.rr_cursor) in
-      t.rr_cursor <- next_worker t t.rr_cursor;
-      Queue.push e w.local;
-      Proc.Gate.signal w.gate;
-      if t.cfg.Config.dispatch = Config.Work_stealing then
-        wake_idle_siblings t w
-    done);
-  dispatcher_loop t
+  if not !posted then dispatch_round t
+
+(* d-FCFS: spray arrivals over per-worker queues with no regard for
+   their occupancy; rebalancing, if any, is the workers' problem. *)
+and[@zero_alloc] spray t =
+  let d = t.disp in
+  if Queue.is_empty t.pending then dispatcher_loop t
+  else begin
+    d.entry <- Queue.pop t.pending;
+    d.stage <- Sprayed;
+    Sim.schedule t.sim ~delay:Params.dispatch_cycles d.advance
+  end
+
+let[@zero_alloc] dispatcher_step t =
+  let d = t.disp in
+  match d.stage with
+  | Woken ->
+    acct_cpu t ~cpu:(Array.length t.workers) Acct.Dispatch;
+    recycle t
+  | Recycled ->
+    Buffer_pool.free t.buffers d.buffer;
+    recycle t
+  | Assigned ->
+    assign t t.workers.(d.target) d.entry;
+    dispatch_next t
+  | Sprayed ->
+    let w = t.workers.(t.rr_cursor) in
+    t.rr_cursor <- next_worker t t.rr_cursor;
+    (* lint: allow zero-alloc -- the local queue's cell, one per arrival under d-FCFS; Queue cells are the next allocation to go (ROADMAP item 3) *)
+    Queue.push d.entry w.local;
+    Gate.signal w.gate;
+    if t.cfg.Config.dispatch = Config.Work_stealing then
+      wake_idle_siblings t w;
+    spray t
 
 (* --- admission ----------------------------------------------------------- *)
 
@@ -1039,7 +1157,7 @@ let receive t ~rx_at req =
                ~now:(Sim.now t.sim))
       | None -> ());
       Queue.push (slot t buffer req) t.pending;
-      Proc.Gate.signal t.dispatch_gate
+      Gate.signal t.dispatch_gate
     end
 
 (* --- construction -------------------------------------------------------- *)
@@ -1070,22 +1188,34 @@ let prefill_pages t =
     Pager.prefill t.pager (Hashtbl.fold (fun p () acc -> p :: acc) chosen [])
   end
 
-(* Post one write-back WRITE, waiting out a full QP on the reclaimer.
-   The WR carries the page, which the reclaim CQ's drain traces. *)
-let rec post_writeback t ~node ~page =
+(* Post one write-back WRITE, waiting out a full QP on the reclaimer,
+   then go on with [k]. The WR carries the page, which the reclaim CQ's
+   drain traces. *)
+let rec post_writeback t ~node ~page k =
   let actor = Trace_event.reclaimer_actor in
   if
     Nic.post t.reclaim_qps.(node) ~opcode:Verbs.Write
       ~bytes:t.app.App.page_size ~cq:t.reclaim_cq ~user:page
-  then ev t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page
+  then begin
+    ev t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page;
+    k ()
+  end
   else begin
     bump t Counter.Writeback_stalls;
     ev t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
-    Proc.wait Params.qp_retry_cycles;
-    post_writeback t ~node ~page
+    Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
+        post_writeback t ~node ~page k)
   end
 
-let evict_page t ~page ~dirty =
+(* Write [page] back to each of [nodes] in turn, then go on with [k]. *)
+let rec write_back t ~page nodes k =
+  match nodes with
+  | [] -> k ()
+  | node :: rest ->
+    Memnode.record_write (node_memnode t node) ~bytes:t.app.App.page_size;
+    post_writeback t ~node ~page (fun () -> write_back t ~page rest k)
+
+let evict_page t ~page ~dirty k =
   drop_prefetched t page;
   if dirty then begin
     (* write the page back to every alive replica before dropping it *)
@@ -1093,15 +1223,11 @@ let evict_page t ~page ~dirty =
     | [] ->
       (* every replica is dead; the copy is gone until re-replication
          (or forever under R = 1) — count it, don't wedge the reclaimer *)
-      Cluster.note_lost_write t.cluster
-    | targets ->
-      List.iter
-        (fun node ->
-          Memnode.record_write (node_memnode t node)
-            ~bytes:t.app.App.page_size;
-          post_writeback t ~node ~page)
-        targets
+      Cluster.note_lost_write t.cluster;
+      k ()
+    | targets -> write_back t ~page targets k
   end
+  else k ()
 
 let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
   if
@@ -1149,15 +1275,13 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
         Request.make ~id:(-1)
           ~spec:{ Request.kind = 0; key = 0; req_bytes = 0; reply_bytes = 0 }
           ~tx_at:0;
-      task = Task.create ignore;
+      task = Task.create sim ignore;
       detector = Prefetcher.Stride_detector.create ();
       started = false;
       worker = -1;
       quantum_start = 0;
       preempted = false;
       tx_cqe = ignore;
-      tx_resume = ignore;
-      tx_park = ignore;
     }
   in
   let slots = { by_buffer = [||] } in
@@ -1186,11 +1310,16 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
           wid;
           qps;
           fetch_cq = Verbs.Cq.create ();
-          gate = Proc.Gate.create sim;
+          gate = Gate.create sim;
           ready = Queue.create ();
           local = Queue.create ();
           assigned = nobody;
           idle = false;
+          at = Idle;
+          current = nobody;
+          victim = 0;
+          step = ignore;
+          returned = ignore;
         })
   in
   let reclaim_qps =
@@ -1213,7 +1342,17 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       reply_channel;
       workers;
       pending = Queue.create ();
-      dispatch_gate = Proc.Gate.create sim;
+      dispatch_gate = Gate.create sim;
+      disp =
+        {
+          stage = Woken;
+          buffer = 0;
+          entry = nobody;
+          target = 0;
+          cursor = 0;
+          candidates = 0;
+          advance = ignore;
+        };
       recycle = Queue.create ();
       buffers = Buffer_pool.create ~count:cfg.Config.buffer_count
           Buffer_pool.unithread_layout;
@@ -1271,11 +1410,18 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
   let reclaimer =
     Reclaimer.start ~trace sim pager cfg.Config.reclaim
       cfg.Config.reclaim_config
-      ~evict_page:(fun ~page ~dirty -> evict_page t ~page ~dirty)
+      ~evict_page:(fun ~page ~dirty k -> evict_page t ~page ~dirty k)
   in
   t.reclaimer <- Some reclaimer;
-  Proc.spawn sim (fun () -> dispatcher_loop t);
-  Array.iter (fun w -> Proc.spawn sim (fun () -> worker_loop t w)) workers;
+  (* each actor's loop starts from one event at the current time *)
+  t.disp.advance <- (fun () -> dispatcher_step t);
+  Sim.schedule sim ~delay:0 (fun () -> dispatcher_loop t);
+  Array.iter
+    (fun w ->
+      w.step <- (fun () -> worker_step t w);
+      w.returned <- (fun outcome -> task_returned t w outcome);
+      Sim.schedule sim ~delay:0 (fun () -> worker_loop t w))
+    workers;
   (* arm the node crash/slowdown schedules last: a default cluster
      schedules nothing here, preserving byte-identical replay *)
   Cluster.start cluster;

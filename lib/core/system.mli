@@ -36,8 +36,9 @@ val create :
   t
 (** Build the node around [arena], the app's dataset as the caller
     built it (the app's handles must point into it): pager warmed to
-    steady state, NICs and links, buffer pool, reclaimer, dispatcher
-    and worker processes. [on_reply] fires at the load generator when a
+    steady state, NICs and links, buffer pool, reclaimer, and the
+    dispatcher and workers, each an event-driven actor whose loop
+    starts from one event at time 0. [on_reply] fires at the load generator when a
     reply packet lands (its hardware RX timestamp is [Request.done_at]).
 
     @raise Invalid_argument if [arena] is not [app]'s size.

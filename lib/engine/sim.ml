@@ -11,11 +11,13 @@
      [wheel_size] cycles of now — the dense short-horizon traffic (NIC
      serialization, CQE latency, software costs, sampler ticks). Insert
      is O(1); the next occupied slot is found through a 32-bit
-     occupancy bitmap and cached in [wh_floor]. Because every pending
-     wheel time lies in [now, now + wheel_size), a slot holds cells of
-     exactly one timestamp, and FIFO append equals seq order — which is
-     what keeps replay byte-identical with the old single-heap
-     scheduler, whatever the wheel's size.
+     occupancy bitmap, one bit per slot, and a summary with one bit per
+     non-empty bitmap word, so a scan costs at most 16 + 1 summary
+     loads past the first word; the time found is cached in [wh_floor].
+     Because every pending wheel time lies in [now, now + wheel_size),
+     a slot holds cells of exactly one timestamp, and FIFO append
+     equals seq order — which is what keeps replay byte-identical with
+     the old single-heap scheduler, whatever the wheel's size.
 
    - a flat binary heap of cell indices for the sparse far events
      (fetch timeouts, load-generator gaps at low load, rare jitter).
@@ -37,6 +39,7 @@ let wheel_bits = 14
 let wheel_size = 1 lsl wheel_bits (* 16384 cycles = 8.2 us horizon *)
 let wheel_mask = wheel_size - 1
 let word_count = wheel_size lsr 5 (* 32 occupancy bits per bitmap word *)
+let summary_count = word_count lsr 5 (* 32 bitmap words per summary word *)
 
 (* Pool cells are addressed by [idx_bits]-bit indices inside timer
    tokens; the rest of the word holds the generation. *)
@@ -81,6 +84,7 @@ type t = {
   slots : int array; (* head cell per slot, -1 = empty *)
   tails : int array; (* tail cell per slot, for FIFO append *)
   bitmap : int array; (* slot occupancy, 32 slots per word *)
+  summary : int array; (* bitmap words that are non-zero, 32 per word *)
   mutable wh_cells : int; (* cells linked into the wheel (incl. dead) *)
   mutable wh_floor : int; (* lower bound on the earliest wheel time *)
   mutable wh_slot : int; (* slot found by the last successful peek *)
@@ -108,6 +112,7 @@ let create () =
     slots = Array.make wheel_size (-1);
     tails = Array.make wheel_size (-1);
     bitmap = Array.make word_count 0;
+    summary = Array.make summary_count 0;
     wh_cells = 0;
     wh_floor = 0;
     wh_slot = 0;
@@ -117,7 +122,9 @@ let now sim = sim.now
 
 (* --- cell pool ---------------------------------------------------------- *)
 
-let[@cold] grow_pool sim =
+(* Out of line, like [heap_grow]: [schedule] is inlined at its call
+   sites, and this slow path went with it into every one. *)
+let[@cold][@inline never] grow_pool sim =
   let cap = sim.cap in
   let ncap = if cap = 0 then 256 else cap * 2 in
   if ncap > max_cells then failwith "Sim: event pool exceeds 2^25 cells";
@@ -170,7 +177,7 @@ let[@zero_alloc] cell_dead sim c = Bytes.unsafe_get sim.c_dead c <> '\000'
 
 (* --- far-event heap ----------------------------------------------------- *)
 
-let[@cold] heap_grow sim =
+let[@cold][@inline never] heap_grow sim =
   let cap = Array.length sim.h_time in
   let ncap = if cap = 0 then 64 else cap * 2 in
   let h_time = Array.make ncap 0 in
@@ -269,7 +276,10 @@ let[@zero_alloc] wheel_add sim t c =
     Array.unsafe_set sim.slots s c;
     let w = s lsr 5 in
     Array.unsafe_set sim.bitmap w
-      (Array.unsafe_get sim.bitmap w lor (1 lsl (s land 31)))
+      (Array.unsafe_get sim.bitmap w lor (1 lsl (s land 31)));
+    let u = w lsr 5 in
+    Array.unsafe_set sim.summary u
+      (Array.unsafe_get sim.summary u lor (1 lsl (w land 31)))
   end
   else Array.unsafe_set sim.c_next tail c;
   Array.unsafe_set sim.tails s c;
@@ -284,30 +294,55 @@ let[@zero_alloc] wheel_unlink_head sim s =
   if n < 0 then begin
     Array.unsafe_set sim.tails s (-1);
     let w = s lsr 5 in
-    Array.unsafe_set sim.bitmap w
-      (Array.unsafe_get sim.bitmap w land lnot (1 lsl (s land 31)))
+    let b = Array.unsafe_get sim.bitmap w land lnot (1 lsl (s land 31)) in
+    Array.unsafe_set sim.bitmap w b;
+    if b = 0 then begin
+      let u = w lsr 5 in
+      Array.unsafe_set sim.summary u
+        (Array.unsafe_get sim.summary u land lnot (1 lsl (w land 31)))
+    end
   end;
   sim.wh_cells <- sim.wh_cells - 1;
   c
 
+(* The summary disagrees with the bitmap: a maintenance bug, never a
+   state a run can reach. *)
+let[@cold] summary_broken () = failwith "Sim: wheel summary out of step"
+
 (* First occupied slot at circular distance >= 0 from [p0]; the caller
-   guarantees at least one bit is set. A while loop rather than an inner
-   recursive function: a local [let rec] capturing [sim] is a closure
-   allocation on the hottest path in the engine (the zero-alloc lint
-   rule walks this body). *)
+   guarantees at least one bit is set. The rest of [p0]'s word is one
+   load; past it, the summary names the next non-empty word: the rest
+   of the summary word holding [p0]'s successor, then at most 16 whole
+   summary words (the last wraps back to the bits before it), then
+   that bitmap word. Loops rather than an inner recursive function: a
+   local [let rec] capturing [sim] is a closure allocation on the
+   hottest path in the engine (the zero-alloc lint rule walks this
+   body). *)
 let[@zero_alloc] wheel_scan sim p0 =
   let w0 = p0 lsr 5 in
   let bits = Array.unsafe_get sim.bitmap w0 lsr (p0 land 31) in
   if bits <> 0 then (p0 + ctz32 bits) land wheel_mask
   else begin
-    let k = ref 1 in
-    let found = ref (-1) in
-    while !found < 0 do
-      let w = (w0 + !k) land (word_count - 1) in
-      let b = Array.unsafe_get sim.bitmap w in
-      if b <> 0 then found := (w lsl 5) + ctz32 b else incr k
-    done;
-    !found
+    let w1 = (w0 + 1) land (word_count - 1) in
+    let u1 = w1 lsr 5 in
+    let sbits = Array.unsafe_get sim.summary u1 lsr (w1 land 31) in
+    let w =
+      if sbits <> 0 then w1 + ctz32 sbits
+      else begin
+        let k = ref 1 in
+        let found = ref (-1) in
+        while !found < 0 && !k <= summary_count do
+          let u = (u1 + !k) land (summary_count - 1) in
+          let b = Array.unsafe_get sim.summary u in
+          if b <> 0 then found := (u lsl 5) + ctz32 b else incr k
+        done;
+        !found
+      end
+    in
+    if w < 0 then summary_broken ();
+    let b = Array.unsafe_get sim.bitmap w in
+    if b = 0 then summary_broken ();
+    (w lsl 5) + ctz32 b
   end
 
 (* Earliest live wheel time ([max_int] when drained), purging cancelled

@@ -3,7 +3,8 @@
     The simulator owns a virtual clock (in {!Clock.cycles}) and a pending
     event set. Every state change in the modelled system happens inside an
     event callback; callbacks may schedule further events but never block.
-    Cooperative "processes" that do block are layered on top in {!Proc}.
+    Request handlers, which do block, run on unithread fibers that
+    handle {!Proc}'s effects by scheduling their own wake-ups.
 
     Internally events live in a pool of flat parallel arrays indexed by a
     single-rotation timer wheel of 2^14 cycles (8.2 us: NIC

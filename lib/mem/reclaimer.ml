@@ -1,4 +1,4 @@
-module Proc = Adios_engine.Proc
+module Sim = Adios_engine.Sim
 
 type mode = Proactive | Wakeup
 
@@ -20,16 +20,23 @@ let default_config =
 let period = Adios_engine.Clock.of_us 2.
 let per_page_cost = 150
 
+(* The reclaimer is an event-driven actor: each wait of its loop is
+   one [Sim.schedule] of a continuation made once with it. *)
 type t = {
-  sim : Adios_engine.Sim.t;
+  sim : Sim.t;
   pager : Pager.t;
   mode : mode;
   config : config;
-  evict_page : page:int -> dirty:bool -> unit;
+  evict_page : page:int -> dirty:bool -> (unit -> unit) -> unit;
   mutable evictions : int;
   mutable running : bool; (* eviction loop active (wakeup mode) *)
   mutable stopped : bool;
   trace : Adios_trace.Sink.t;
+  mutable victim : int;  (* the page whose eviction cost is being paid *)
+  mutable evict : unit -> unit;  (* that cost paid: evict [victim] *)
+  mutable next : unit -> unit;  (* an eviction done: pick the next *)
+  mutable tick : unit -> unit;
+      (* a proactive poll, or a wake-up's delay, ran out *)
 }
 
 let free_fraction t =
@@ -51,24 +58,41 @@ let emit t kind =
     ~kind ~req:Adios_trace.Event.reclaimer_actor
     ~worker:Adios_trace.Event.reclaimer_actor ~page:Adios_trace.Event.none
 
-(* Evict until the high watermark is restored; runs in process context
-   and charges per-page CPU cost. *)
+(* Evict until the high watermark is restored, charging the per-page
+   CPU cost before each eviction; then the proactive loop polls again,
+   or a wake-up ends. *)
+let rec evict_next t =
+  let victim = if below_high t then Pager.pick_victim t.pager else None in
+  match victim with
+  | Some page ->
+    t.victim <- page;
+    Sim.schedule t.sim ~delay:per_page_cost t.evict
+  | None -> (
+    emit t Adios_trace.Event.Reclaim_end;
+    match t.mode with
+    | Proactive -> poll t
+    | Wakeup -> t.running <- false)
+
+and poll t = if not t.stopped then Sim.schedule t.sim ~delay:period t.tick
+
+let evict t =
+  let page = t.victim in
+  (* Re-check: the page may have been evicted while we slept. *)
+  if Pager.state t.pager page = Pager.Present then begin
+    let dirty = Pager.evict t.pager page in
+    t.evictions <- t.evictions + 1;
+    t.evict_page ~page ~dirty t.next
+  end
+  else evict_next t
+
 let evict_until_high t =
   emit t Adios_trace.Event.Reclaim_begin;
-  let continue = ref true in
-  while !continue && below_high t do
-    match Pager.pick_victim t.pager with
-    | None -> continue := false
-    | Some page ->
-      Proc.wait per_page_cost;
-      (* Re-check: the page may have been evicted while we slept. *)
-      if Pager.state t.pager page = Pager.Present then begin
-        let dirty = Pager.evict t.pager page in
-        t.evictions <- t.evictions + 1;
-        t.evict_page ~page ~dirty
-      end
-  done;
-  emit t Adios_trace.Event.Reclaim_end
+  evict_next t
+
+let tick t =
+  match t.mode with
+  | Proactive -> if low t then evict_until_high t else poll t
+  | Wakeup -> evict_until_high t
 
 let start ?(trace = Adios_trace.Sink.null) sim pager mode config ~evict_page =
   let t =
@@ -82,15 +106,17 @@ let start ?(trace = Adios_trace.Sink.null) sim pager mode config ~evict_page =
       running = false;
       stopped = false;
       trace;
+      victim = 0;
+      evict = ignore;
+      next = ignore;
+      tick = ignore;
     }
   in
+  t.evict <- (fun () -> evict t);
+  t.next <- (fun () -> evict_next t);
+  t.tick <- (fun () -> tick t);
   (match mode with
-  | Proactive ->
-    Proc.spawn sim (fun () ->
-        while not t.stopped do
-          Proc.wait period;
-          if low t then evict_until_high t
-        done)
+  | Proactive -> Sim.schedule sim ~delay:0 (fun () -> poll t)
   | Wakeup -> ());
   t
 
@@ -100,10 +126,8 @@ let trigger t =
   | Wakeup ->
     if (not t.running) && not t.stopped then begin
       t.running <- true;
-      Proc.spawn t.sim (fun () ->
-          Proc.wait t.config.wakeup_delay;
-          evict_until_high t;
-          t.running <- false)
+      Sim.schedule t.sim ~delay:0 (fun () ->
+          Sim.schedule t.sim ~delay:t.config.wakeup_delay t.tick)
     end
 
 let evictions t = t.evictions

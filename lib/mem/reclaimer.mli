@@ -29,11 +29,16 @@ val start :
   Pager.t ->
   mode ->
   config ->
-  evict_page:(page:int -> dirty:bool -> unit) ->
+  evict_page:(page:int -> dirty:bool -> (unit -> unit) -> unit) ->
   t
-(** Launch the reclaimer. [evict_page] runs after each eviction so the
-    runtime can post the RDMA WRITE-back of dirty pages. [trace]
-    receives a [Reclaim_begin]/[Reclaim_end] span per eviction batch. *)
+(** Launch the reclaimer. It is an event-driven actor, not a process:
+    each wait of its loop (the proactive poll, the wake-up delay, the
+    per-page cost) is one scheduled event. [evict_page ~page ~dirty k]
+    runs after each eviction so the runtime can post the RDMA
+    WRITE-back of dirty pages; it calls [k] when the reclaimer may go
+    on, at once or, when it had to wait out a full QP, from a later
+    event. [trace] receives a [Reclaim_begin]/[Reclaim_end] span per
+    eviction batch. *)
 
 val trigger : t -> unit
 (** Memory-pressure nudge from the fault path; no-op in proactive mode
@@ -43,7 +48,8 @@ val evictions : t -> int
 (** Pages evicted so far. *)
 
 val stop : t -> unit
-(** Terminate the reclaimer process (end of experiment). *)
+(** End of experiment: a proactive reclaimer schedules no further
+    poll, and a trigger starts no further wakeup batch. *)
 
 val register_metrics :
   t -> Adios_obs.Registry.t -> labels:(string * string) list -> unit

@@ -1,6 +1,7 @@
 module Clock = Adios_engine.Clock
 module Sim = Adios_engine.Sim
 module Proc = Adios_engine.Proc
+module Gate = Adios_engine.Gate
 module Rng = Adios_engine.Rng
 
 let check = Alcotest.check
@@ -185,13 +186,16 @@ let test_far_then_wheel_chain sim =
 
 (* --- proc ------------------------------------------------------------- *)
 
+(* [Proc]'s effects, handled by the unithread [Hosted.spawn] runs them
+   on. *)
+
 let test_proc_wait sim =
   let trace = ref [] in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       trace := ("p1", Sim.now sim) :: !trace;
       Proc.wait 100;
       trace := ("p1", Sim.now sim) :: !trace);
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       Proc.wait 50;
       trace := ("p2", Sim.now sim) :: !trace);
   Sim.run sim;
@@ -204,7 +208,7 @@ let test_proc_wait sim =
 let test_proc_suspend_resume sim =
   let resumer = ref None in
   let stages = ref [] in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       stages := "before" :: !stages;
       Proc.suspend (fun resume -> resumer := Some resume);
       stages := "after" :: !stages);
@@ -217,7 +221,7 @@ let test_proc_suspend_resume sim =
 
 let test_proc_double_resume_rejected sim =
   let resumer = ref None in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       Proc.suspend (fun resume -> resumer := Some resume));
   Sim.run sim;
   (match !resumer with Some r -> r () | None -> Alcotest.fail "no resumer");
@@ -229,14 +233,14 @@ let test_proc_double_resume_rejected sim =
   | None -> Alcotest.fail "no resumer"
 
 (* A resume kept from a suspension that was already resumed stays dead
-   after the process parks again: calling it raises and leaves the
-   process parked, and the live resume still wakes it. *)
+   after the fiber parks again: calling it raises and leaves the fiber
+   parked, and the live resume still wakes it. *)
 let test_proc_stale_resume_rejected sim =
   let resumers = ref [] and woke = ref 0 in
   let park () =
     Proc.suspend (fun resume -> resumers := resume :: !resumers)
   in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       park ();
       incr woke;
       park ();
@@ -255,66 +259,81 @@ let test_proc_stale_resume_rejected sim =
   Sim.run sim;
   check_int "the live resume did" 2 !woke
 
+(* --- gate ------------------------------------------------------------- *)
+
 let test_gate sim =
   let woke = ref (-1) in
-  let gate = Proc.Gate.create sim in
-  Proc.spawn sim (fun () ->
-      Proc.Gate.await gate;
-      woke := Sim.now sim);
-  Sim.schedule sim ~delay:70 (fun () -> Proc.Gate.signal gate);
+  let gate = Gate.create sim in
+  Gate.await gate (fun () -> woke := Sim.now sim);
+  Sim.schedule sim ~delay:70 (fun () -> Gate.signal gate);
   Sim.run sim;
   check_int "woken" 70 !woke
 
+(* A signal before the await is remembered, and the await consumes it
+   at once: the continuation runs inside [await], from no event. *)
 let test_gate_no_lost_wakeup sim =
-  let gate = Proc.Gate.create sim in
-  (* signal before any await: the gate must remember it *)
-  Proc.Gate.signal gate;
-  Proc.Gate.signal gate;
+  let gate = Gate.create sim in
+  Gate.signal gate;
+  Gate.signal gate;
+  check_int "a signal with no waiter schedules nothing" 0 (Sim.pending sim);
   let woke = ref false in
-  Proc.spawn sim (fun () ->
-      Proc.Gate.await gate;
-      woke := true);
-  Sim.run sim;
-  check_bool "pending signal consumed" true !woke;
-  (* the two signals coalesced: a second await must block *)
+  Gate.await gate (fun () -> woke := true);
+  check_bool "pending signal consumed inside await" true !woke;
+  check_int "no event" 0 (Sim.pending sim);
+  (* the two signals coalesced: a second await must wait *)
   let woke2 = ref false in
-  Proc.spawn sim (fun () ->
-      Proc.Gate.await gate;
-      woke2 := true);
+  Gate.await gate (fun () -> woke2 := true);
   Sim.run sim;
-  check_bool "coalesced" false !woke2
+  check_bool "coalesced" false !woke2;
+  check_int "nothing ran" 0 (Sim.events_processed sim)
 
-(* A gate takes one waiter: a second process awaiting it while the
-   first is parked is a wiring bug, raised out of the run. *)
+(* A signal to a parked continuation schedules it once, at the current
+   time, behind what was already scheduled for that time. *)
+let test_gate_wake_is_one_event sim =
+  let gate = Gate.create sim in
+  let log = ref [] in
+  Gate.await gate (fun () -> log := ("woken", Sim.now sim) :: !log);
+  Sim.schedule sim ~delay:30 (fun () ->
+      Sim.schedule sim ~delay:0 (fun () -> log := ("before", Sim.now sim) :: !log);
+      Gate.signal gate;
+      check_int "one more event" 2 (Sim.pending sim);
+      Gate.signal gate);
+  Sim.run sim;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "order" [ ("before", 30); ("woken", 30) ] (List.rev !log);
+  check_int "two events after the first: no more" 3 (Sim.events_processed sim)
+
+(* A gate takes one waiter: a second continuation awaiting it while the
+   first is parked is a wiring bug. *)
 let test_gate_second_waiter_rejected sim =
-  let gate = Proc.Gate.create sim in
-  Proc.spawn sim (fun () -> Proc.Gate.await gate);
-  Proc.spawn sim (fun () -> Proc.Gate.await gate);
+  let gate = Gate.create sim in
+  Gate.await gate ignore;
   Alcotest.check_raises "second waiter"
-    (Failure "Gate.await: already has a waiter") (fun () -> Sim.run sim)
+    (Failure "Gate.await: already has a waiter") (fun () ->
+      Gate.await gate ignore)
 
 (* A gate round trip — park on [await], woken by [signal] — allocates
-   only the continuation the runtime captures: the effect is the gate's
-   own, and the wake-up is the parked process's. The signal comes from
-   one event closure that reschedules itself, so the window counts
-   nothing but the round trips (and the boxed float [Gc.minor_words]
-   returns at its start). *)
-let test_gate_round_trip_allocation sim =
-  let gate = Proc.Gate.create sim in
+   nothing: the continuation is the actor's own closure, and the wake
+   is one pool cell. The signal comes from one event closure that
+   reschedules itself, so the window counts nothing but the round trips
+   (and the boxed float [Gc.minor_words] returns at its start). *)
+let test_gate_round_trip_allocates_nothing sim =
+  let gate = Gate.create sim in
   let trips = 10_000 and warmup = 100 in
   let woken = ref 0 and words = ref 0. in
-  Proc.spawn sim (fun () ->
-      for _ = 1 to trips + warmup do
-        Proc.Gate.await gate;
-        incr woken
-      done);
+  let rec actor () =
+    incr woken;
+    Gate.await gate actor
+  in
+  Gate.await gate actor;
   let signals = ref 0 in
   let rec tick () =
     if !signals = warmup then words := Gc.minor_words ();
     if !signals = warmup + trips then words := Gc.minor_words () -. !words;
     if !signals < warmup + trips then begin
       incr signals;
-      Proc.Gate.signal gate;
+      Gate.signal gate;
       Sim.schedule sim ~delay:1 tick
     end
   in
@@ -323,20 +342,21 @@ let test_gate_round_trip_allocation sim =
   check_int "every signal woke the waiter" (trips + warmup) !woken;
   let per_trip = !words /. float_of_int trips in
   check_bool
-    (Printf.sprintf "%.3f words per gate round trip, at most 3" per_trip)
-    true (per_trip <= 3.001)
+    (Printf.sprintf "%.3f words per gate round trip, at most 0.01" per_trip)
+    true (per_trip <= 0.01)
 
-(* A suspension's resume stays dead once used, even after the process
-   has since parked on a gate and been woken from it. *)
+(* A suspension's resume stays dead once used, even after the fiber has
+   since parked on a gate and been woken from it. *)
 let test_stale_resume_after_gate sim =
-  let resumer = ref None and gate = Proc.Gate.create sim in
+  let resumer = ref None and gate = Gate.create sim in
   let stage = ref 0 in
-  Proc.spawn sim (fun () ->
+  let await_gate () = Proc.suspend (fun resume -> Gate.await gate resume) in
+  Hosted.spawn sim (fun () ->
       Proc.suspend (fun resume -> resumer := Some resume);
       stage := 1;
-      Proc.Gate.await gate;
+      await_gate ();
       stage := 2;
-      Proc.Gate.await gate;
+      await_gate ();
       stage := 3);
   Sim.run sim;
   let resume =
@@ -345,14 +365,14 @@ let test_stale_resume_after_gate sim =
   resume ();
   Sim.run sim;
   check_int "resumed, parked on the gate" 1 !stage;
-  Proc.Gate.signal gate;
+  Gate.signal gate;
   Sim.run sim;
   check_int "woken by the gate, parked again" 2 !stage;
   Alcotest.check_raises "stale resume"
     (Failure "Proc.suspend: double resume") resume;
   Sim.run sim;
   check_int "the stale resume did not wake it" 2 !stage;
-  Proc.Gate.signal gate;
+  Gate.signal gate;
   Sim.run sim;
   check_int "the gate still does" 3 !stage
 
@@ -500,8 +520,10 @@ let () =
           sim_case "stale resume" test_proc_stale_resume_rejected;
           sim_case "gate" test_gate;
           sim_case "gate no lost wakeup" test_gate_no_lost_wakeup;
+          sim_case "gate wake is one event" test_gate_wake_is_one_event;
           sim_case "gate second waiter" test_gate_second_waiter_rejected;
-          sim_case "gate round trip allocation" test_gate_round_trip_allocation;
+          sim_case "gate round trip allocates nothing"
+            test_gate_round_trip_allocates_nothing;
           sim_case "stale resume after gate wake" test_stale_resume_after_gate;
         ] );
       ( "rng",

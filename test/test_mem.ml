@@ -211,7 +211,9 @@ let test_reclaimer_proactive () =
   let evicted = ref 0 in
   let r =
     Reclaimer.start sim p Reclaimer.Proactive Reclaimer.default_config
-      ~evict_page:(fun ~page:_ ~dirty:_ -> incr evicted)
+      ~evict_page:(fun ~page:_ ~dirty:_ k ->
+        incr evicted;
+        k ())
   in
   Sim.run_until sim (Adios_engine.Clock.of_us 50.);
   Reclaimer.stop r;
@@ -225,7 +227,7 @@ let test_reclaimer_wakeup () =
   Pager.prefill p (List.init 50 (fun i -> i));
   let r =
     Reclaimer.start sim p Reclaimer.Wakeup Reclaimer.default_config
-      ~evict_page:(fun ~page:_ ~dirty:_ -> ())
+      ~evict_page:(fun ~page:_ ~dirty:_ k -> k ())
   in
   (* without a trigger nothing happens *)
   Sim.run_until sim (Adios_engine.Clock.of_us 20.);
@@ -242,14 +244,40 @@ let test_reclaimer_wakeup_delay () =
   let first_evict = ref (-1) in
   let r =
     Reclaimer.start sim p Reclaimer.Wakeup Reclaimer.default_config
-      ~evict_page:(fun ~page:_ ~dirty:_ ->
-        if !first_evict < 0 then first_evict := Sim.now sim)
+      ~evict_page:(fun ~page:_ ~dirty:_ k ->
+        if !first_evict < 0 then first_evict := Sim.now sim;
+        k ())
   in
   Reclaimer.trigger r;
   Sim.run_until sim (Adios_engine.Clock.of_us 100.);
   Reclaimer.stop r;
   check_bool "scheduling delay respected" true
     (!first_evict >= Reclaimer.default_config.Reclaimer.wakeup_delay)
+
+(* [evict_page]'s continuation is the reclaimer's next step: a write-back
+   that has to wait holds the next eviction back until it calls it. *)
+let test_reclaimer_waits_for_evict_page () =
+  let sim = Sim.create () in
+  let p = Pager.create ~pages:100 ~capacity:50 in
+  Pager.prefill p (List.init 50 (fun i -> i));
+  let times = ref [] in
+  let r =
+    Reclaimer.start sim p Reclaimer.Proactive Reclaimer.default_config
+      ~evict_page:(fun ~page:_ ~dirty:_ k ->
+        times := Sim.now sim :: !times;
+        Sim.schedule sim ~delay:1000 k)
+  in
+  Sim.run_until sim (Adios_engine.Clock.of_us 20.);
+  Reclaimer.stop r;
+  let times = List.rev !times in
+  check_bool "several evictions" true (List.length times >= 3);
+  ignore
+    (List.fold_left
+       (fun prev t ->
+         check_int "next eviction: the write-back, then the page cost"
+           (prev + 1000 + 150) t;
+         t)
+       (List.hd times) (List.tl times))
 
 let test_reclaimer_dirty_callback () =
   let sim = Sim.create () in
@@ -259,7 +287,9 @@ let test_reclaimer_dirty_callback () =
   let dirty_seen = ref 0 in
   let r =
     Reclaimer.start sim p Reclaimer.Proactive Reclaimer.default_config
-      ~evict_page:(fun ~page:_ ~dirty -> if dirty then incr dirty_seen)
+      ~evict_page:(fun ~page:_ ~dirty k ->
+        if dirty then incr dirty_seen;
+        k ())
   in
   (* evict everything by clearing reference bits through repeated sweeps *)
   Sim.run_until sim (Adios_engine.Clock.of_us 200.);
@@ -280,7 +310,7 @@ let test_proc_blocking_on_frames () =
   let p = Pager.create ~pages:10 ~capacity:1 in
   Pager.prefill p [ 9 ];
   let got_frame = ref (-1) in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       if Pager.free_frames p = 0 then
         Proc.suspend (fun resume -> Pager.wait_frame p resume);
       got_frame := Sim.now sim);
@@ -324,6 +354,8 @@ let () =
           Alcotest.test_case "wakeup delay" `Quick test_reclaimer_wakeup_delay;
           Alcotest.test_case "dirty callback" `Quick
             test_reclaimer_dirty_callback;
+          Alcotest.test_case "waits for evict_page" `Quick
+            test_reclaimer_waits_for_evict_page;
           Alcotest.test_case "frame blocking" `Quick
             test_proc_blocking_on_frames;
         ] );

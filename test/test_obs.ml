@@ -103,7 +103,7 @@ let cycles_in snap ~cpu st = snap.Acct.cycles.(cpu).(Acct.state_index st)
 let test_accountant_partition () =
   let sim = Sim.create () in
   let acct = Acct.create sim ~cpus:2 in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       Acct.switch acct ~cpu:0 Acct.App_compute;
       Proc.wait 100;
       Acct.switch acct ~cpu:0 Acct.Tx;
@@ -144,7 +144,7 @@ let episode_hist acct st =
 let test_accountant_noop_switch () =
   let sim = Sim.create () in
   let acct = Acct.create sim ~cpus:1 in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       Acct.switch acct ~cpu:0 Acct.App_compute;
       Proc.wait 40;
       (* switching to the current state must not close the episode *)
@@ -161,7 +161,7 @@ let test_accountant_noop_switch () =
 let test_merged_episodes () =
   let sim = Sim.create () in
   let acct = Acct.create sim ~cpus:2 in
-  Proc.spawn sim (fun () ->
+  Hosted.spawn sim (fun () ->
       Acct.switch acct ~cpu:0 Acct.App_compute;
       Acct.switch acct ~cpu:1 Acct.App_compute;
       Proc.wait 30;

@@ -450,6 +450,39 @@ let slot_expected =
       36135 );
   ]
 
+(* The write-back path: no golden evicts a dirty page, so pin one that
+   does. SETs dirty memcached's pages, and at 10% local memory with
+   2-deep QPs the reclaim QP fills, so the reclaimer waits out full QPs
+   between WRITEs. Adios runs the proactive reclaimer, DiLOS the wakeup
+   one (and spins on its synchronous TX). Rows and event counts were
+   recorded when every loop still ran on an effect-handler process. *)
+let writeback_cases =
+  [
+    ( Config.Adios,
+      Adios_mem.Reclaimer.Proactive,
+      "Adios,memcached-128B,304.8,304.8,0.0000,12.352,17.536,28.288,52.992,12.540,0.2534,3994,20,3990,0,7,10,3726,0,0,0,0,0,0,0,0,0,0,0,2000,2000,2000,0,13,2000,0.0129,0.0419,0.0000,0.0030,0.0019,0.0000,0.0015,0.9387,0,0,0",
+      83792 );
+    ( Config.Dilos,
+      Adios_mem.Reclaimer.Wakeup,
+      "DiLOS,memcached-128B,304.8,304.8,0.0000,13.248,20.352,33.536,60.672,14.058,0.2519,3970,25,3966,0,0,1091,11035,0,0,0,0,0,0,0,0,0,0,0,2000,2000,2000,0,14,2000,0.0129,0.0852,0.3549,0.0000,0.0019,0.0000,0.0015,0.5436,0,0,0",
+      78192 );
+  ]
+
+let test_writeback_stalls () =
+  List.iter
+    (fun (sys, reclaim, row, events) ->
+      let cfg =
+        { (Config.default sys) with Config.local_ratio = 0.1; qp_depth = 2; reclaim }
+      in
+      let app = Adios_apps.Memcached.app ~keys:20_000 ~set_fraction:0.5 () in
+      let r = Runner.run cfg app ~offered_krps:300. ~requests:2000 () in
+      let name = Config.system_name sys in
+      check_bool (name ^ ": write-backs stalled") true
+        (r.Runner.writeback_stalls > 0);
+      check Alcotest.string (name ^ " row") row (Adios_core.Export.csv_row r);
+      check_int (name ^ " sim_events") events r.Runner.sim_events)
+    writeback_cases
+
 let test_slot_reuse () =
   List.iter2
     (fun (name, cfg, app, load, requests) (row, events) ->
@@ -502,6 +535,7 @@ let () =
           Alcotest.test_case "degenerate runs rejected" `Quick
             test_rejects_degenerate_runs;
           Alcotest.test_case "slot reuse" `Quick test_slot_reuse;
+          Alcotest.test_case "write-back stalls" `Quick test_writeback_stalls;
         ] );
       ("dispatch", [ QCheck_alcotest.to_alcotest prop_dispatch_order ]);
       ( "breakdown",

@@ -10,11 +10,21 @@ let check_bool = check Alcotest.bool
 
 (* --- task --------------------------------------------------------------- *)
 
+(* A task whose waits would run on a simulator of its own. *)
+let create body = Task.create (Sim.create ()) body
+
+(* Run a task whose body does not block: its outcome arrives before
+   [Task.run] returns. *)
+let run t =
+  let got = ref None in
+  Task.run t (fun o -> got := Some o);
+  match !got with Some o -> o | None -> Alcotest.fail "the task blocked"
+
 let test_task_run_to_completion () =
   let ran = ref false in
-  let t = Task.create (fun () -> ran := true) in
+  let t = create (fun () -> ran := true) in
   check_bool "fresh" true (Task.state t = `Fresh);
-  check_bool "finished" true (Task.run t = Task.Finished);
+  check_bool "finished" true (run t = Task.Finished);
   check_bool "ran" true !ran;
   check_bool "state" true (Task.state t = `Finished);
   check_int "no suspensions" 0 (Task.suspensions t)
@@ -22,27 +32,27 @@ let test_task_run_to_completion () =
 let test_task_suspend_resume () =
   let stages = ref [] in
   let t =
-    Task.create (fun () ->
+    create (fun () ->
         stages := "a" :: !stages;
         Task.suspend ();
         stages := "b" :: !stages;
         Task.suspend ();
         stages := "c" :: !stages)
   in
-  check_bool "s1" true (Task.run t = Task.Suspended);
+  check_bool "s1" true (run t = Task.Suspended);
   check_bool "suspended" true (Task.state t = `Suspended);
-  check_bool "s2" true (Task.run t = Task.Suspended);
-  check_bool "fin" true (Task.run t = Task.Finished);
+  check_bool "s2" true (run t = Task.Suspended);
+  check_bool "fin" true (run t = Task.Finished);
   check (Alcotest.list Alcotest.string) "stages" [ "a"; "b"; "c" ]
     (List.rev !stages);
   check_int "suspensions" 2 (Task.suspensions t)
 
 let test_task_rerun_rejected () =
-  let t = Task.create (fun () -> ()) in
-  ignore (Task.run t);
+  let t = create (fun () -> ()) in
+  ignore (run t);
   Alcotest.check_raises "finished"
     (Invalid_argument "Task.run: already finished") (fun () ->
-      ignore (Task.run t))
+      ignore (run t))
 
 (* One task serves every request of a buffer: rearming a finished task
    starts its body from the top again, with its count of suspensions
@@ -50,25 +60,25 @@ let test_task_rerun_rejected () =
 let test_task_rearm () =
   let runs = ref 0 in
   let t =
-    Task.create (fun () ->
+    create (fun () ->
         incr runs;
         Task.suspend ())
   in
-  check_bool "suspended" true (Task.run t = Task.Suspended);
-  check_bool "finished" true (Task.run t = Task.Finished);
+  check_bool "suspended" true (run t = Task.Suspended);
+  check_bool "finished" true (run t = Task.Finished);
   Task.rearm t;
   check_bool "fresh again" true (Task.state t = `Fresh);
   check_int "suspensions reset" 0 (Task.suspensions t);
-  check_bool "suspended again" true (Task.run t = Task.Suspended);
-  check_bool "finished again" true (Task.run t = Task.Finished);
+  check_bool "suspended again" true (run t = Task.Suspended);
+  check_bool "finished again" true (run t = Task.Finished);
   check_int "the body ran twice" 2 !runs;
   check_int "one suspension this run" 1 (Task.suspensions t)
 
 (* A suspended task still holds its request's continuation: rearming it
    would drop that request mid-flight. *)
 let test_task_rearm_suspended_rejected () =
-  let t = Task.create (fun () -> Task.suspend ()) in
-  ignore (Task.run t);
+  let t = create (fun () -> Task.suspend ()) in
+  ignore (run t);
   Alcotest.check_raises "suspended" (Invalid_argument "Task.rearm: suspended")
     (fun () -> Task.rearm t);
   check_bool "still suspended" true (Task.state t = `Suspended)
@@ -77,65 +87,125 @@ let test_task_result_value () =
   (* tasks deliver results through captured state *)
   let result = ref 0 in
   let t =
-    Task.create (fun () ->
+    create (fun () ->
         result := 21;
         Task.suspend ();
         result := !result * 2)
   in
-  ignore (Task.run t);
+  ignore (run t);
   check_int "partial" 21 !result;
-  ignore (Task.run t);
+  ignore (run t);
   check_int "final" 42 !result
 
-let test_task_inside_proc () =
-  (* a task's Proc.wait must block the hosting worker process, and the
-     task must resume inside that process after a suspension *)
+(* A hosted unithread's [Proc.wait] blocks its host's chain only: the
+   task parks itself and schedules its own wake-up, the event that ran
+   it ends, and other events run meanwhile. The outcome reaches the host
+   from the event the task finished or yielded in, at the right cycle,
+   and a later [Task.run] from a plain event resumes it in place. *)
+let test_task_wait_blocks_only_its_host () =
   let sim = Sim.create () in
   let trace = ref [] in
-  let resume_cb = ref None in
+  let log what = trace := (what, Sim.now sim) :: !trace in
   let t =
-    Task.create (fun () ->
+    Task.create sim (fun () ->
         Proc.wait 100;
-        trace := ("compute-done", Sim.now sim) :: !trace;
+        log "compute-done";
         Task.suspend ();
         Proc.wait 50;
-        trace := ("after-resume", Sim.now sim) :: !trace)
+        log "after-resume")
   in
-  Proc.spawn sim (fun () ->
-      (match Task.run t with
-      | Task.Suspended -> ()
-      | Task.Finished -> Alcotest.fail "early finish");
-      trace := ("worker-free", Sim.now sim) :: !trace;
-      (* park until the external event resumes us *)
-      Proc.suspend (fun r -> resume_cb := Some r);
-      match Task.run t with
-      | Task.Finished -> trace := ("finished", Sim.now sim) :: !trace
-      | Task.Suspended -> Alcotest.fail "unexpected suspension");
-  Sim.schedule sim ~delay:1000 (fun () ->
-      match !resume_cb with Some r -> r () | None -> Alcotest.fail "no cb");
+  let host = function
+    | Task.Suspended -> log "host: suspended"
+    | Task.Finished -> log "host: finished"
+  in
+  Sim.schedule sim ~delay:0 (fun () ->
+      Task.run t host;
+      log "run returned");
+  Sim.schedule sim ~delay:60 (fun () -> log "other chain");
+  Sim.schedule sim ~delay:1000 (fun () -> Task.run t host);
   Sim.run sim;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "trace"
     [
+      ("run returned", 0);
+      ("other chain", 60);
       ("compute-done", 100);
-      ("worker-free", 100);
+      ("host: suspended", 100);
       ("after-resume", 1050);
-      ("finished", 1050);
+      ("host: finished", 1050);
     ]
-    (List.rev !trace)
+    (List.rev !trace);
+  check_bool "finished" true (Task.state t = `Finished)
+
+(* A [Proc.suspend] inside a hosted task: the task is running (blocked)
+   until resumed, a second run is refused meanwhile, and calling the
+   same resume twice raises without waking it again. *)
+let test_task_double_resume_rejected () =
+  let sim = Sim.create () in
+  let resumer = ref None and woke = ref 0 in
+  let t =
+    Task.create sim (fun () ->
+        Proc.suspend (fun resume -> resumer := Some resume);
+        incr woke)
+  in
+  let outcome = ref None in
+  Sim.schedule sim ~delay:0 (fun () -> Task.run t (fun o -> outcome := Some o));
+  Sim.run sim;
+  check_bool "blocked in the suspension" true (Task.state t = `Running);
+  Alcotest.check_raises "no second run while blocked"
+    (Invalid_argument "Task.run: already running") (fun () ->
+      Task.run t ignore);
+  let resume =
+    match !resumer with Some r -> r | None -> Alcotest.fail "no resumer"
+  in
+  resume ();
+  Sim.run sim;
+  check_int "woken once" 1 !woke;
+  check_bool "finished" true (!outcome = Some Task.Finished);
+  Alcotest.check_raises "double resume"
+    (Failure "Proc.suspend: double resume") resume;
+  Sim.run sim;
+  check_int "still woken once" 1 !woke
+
+(* A wait round trip allocates only its [Wait] effect (two words) and
+   the continuation the runtime hands the handler (three, in OCaml
+   5.1): five words, pinned. The task's handler
+   and wake-up were made with the task, and the wake is one pool cell
+   of the engine. The window opens and closes inside the body, after a
+   warm-up, so it counts the round trips alone (and the boxed float
+   [Gc.minor_words] returns at its start). *)
+let test_task_wait_round_trip_allocation () =
+  let sim = Sim.create () in
+  let trips = 10_000 and warmup = 100 in
+  let words = ref 0. in
+  let t =
+    Task.create sim (fun () ->
+        for i = 1 to warmup + trips do
+          if i = warmup + 1 then words := Gc.minor_words ();
+          Proc.wait 1
+        done;
+        words := Gc.minor_words () -. !words)
+  in
+  Sim.schedule sim ~delay:0 (fun () -> Task.run t ignore);
+  Sim.run sim;
+  check_int "every wait took a cycle" (warmup + trips) (Sim.now sim);
+  let per_trip = !words /. float_of_int trips in
+  check (Alcotest.float 0.01)
+    (Printf.sprintf "%.3f words per wait round trip" per_trip)
+    5. per_trip
 
 let test_many_tasks_interleaved () =
   let n = 100 in
   let tasks =
     Array.init n (fun i ->
-        Task.create (fun () ->
+        create (fun () ->
             Task.suspend ();
             ignore i))
   in
-  Array.iter (fun t -> ignore (Task.run t)) tasks;
+  Array.iter (fun t -> ignore (run t)) tasks;
   Array.iter (fun t -> check_bool "susp" true (Task.state t = `Suspended)) tasks;
-  Array.iter (fun t -> ignore (Task.run t)) tasks;
+  Array.iter (fun t -> ignore (run t)) tasks;
   Array.iter (fun t -> check_bool "fin" true (Task.state t = `Finished)) tasks
 
 (* --- context ------------------------------------------------------------- *)
@@ -288,7 +358,12 @@ let () =
           Alcotest.test_case "rearm while suspended rejected" `Quick
             test_task_rearm_suspended_rejected;
           Alcotest.test_case "captured state" `Quick test_task_result_value;
-          Alcotest.test_case "inside proc" `Quick test_task_inside_proc;
+          Alcotest.test_case "wait blocks only its host" `Quick
+            test_task_wait_blocks_only_its_host;
+          Alcotest.test_case "double resume" `Quick
+            test_task_double_resume_rejected;
+          Alcotest.test_case "wait round trip allocation" `Quick
+            test_task_wait_round_trip_allocation;
           Alcotest.test_case "many interleaved" `Quick
             test_many_tasks_interleaved;
         ] );
