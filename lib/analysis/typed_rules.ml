@@ -10,7 +10,9 @@
      into same-library callees so a hot function cannot outsource its
      allocation to a helper. Error paths ([raise]/[failwith]/[assert])
      and callees marked [let[@cold] g ...] (slow paths that allocate by
-     design) are exempt. The compiler ignores both attributes.
+     design) are exempt. The compiler ignores both attributes, so a
+     [@cold] binding must also carry [@inline never]: without it the
+     optimised build copies the slow path into its hot callers.
 
    - [cycle-units]: time flows through this codebase in two unit
      systems — microsecond floats at the configuration surface
@@ -60,11 +62,28 @@ type binding = {
   expr : expression;
   hot : bool;  (** marked [@zero_alloc] *)
   cold : bool;  (** marked [@cold] *)
+  inline_never : bool;  (** marked [@inline never] *)
+  line : int;
 }
 
 let has_attribute name (attrs : Parsetree.attributes) =
   List.exists
     (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
+    attrs
+
+(* [@inline never] (or [@ocaml.inline never]) *)
+let has_inline_never (attrs : Parsetree.attributes) =
+  List.exists
+    (fun (a : Parsetree.attribute) ->
+      (String.equal a.attr_name.txt "inline"
+      || String.equal a.attr_name.txt "ocaml.inline")
+      &&
+      match a.attr_payload with
+      | Parsetree.PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
+        match e.pexp_desc with
+        | Pexp_ident { txt = Longident.Lident "never"; _ } -> true
+        | _ -> false)
+      | _ -> false)
     attrs
 
 let structure_bindings str =
@@ -84,6 +103,8 @@ let structure_bindings str =
                     expr = vb.vb_expr;
                     hot = has_attribute "zero_alloc" vb.vb_attributes;
                     cold = has_attribute "cold" vb.vb_attributes;
+                    inline_never = has_inline_never vb.vb_attributes;
+                    line = line_of vb.vb_loc;
                   }
                   :: !acc
               | _ -> ())
@@ -361,7 +382,14 @@ let zero_alloc ~file ~(str : structure)
       if b.hot then
         List.iter
           (walk ~file ~origin:b.dotted ~local_bindings:bindings ~depth:0)
-          (function_bodies b.expr))
+          (function_bodies b.expr);
+      if b.cold && not b.inline_never then
+        add ~file ~line:b.line
+          (Printf.sprintf
+             "%s is marked [@cold] without [@inline never]: the compiler \
+              ignores [@cold], so the slow path is inlined into its hot \
+              callers"
+             b.dotted))
     bindings;
   List.rev !findings
 

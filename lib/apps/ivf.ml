@@ -84,22 +84,13 @@ type query_source = { centroids : Bytes.t array; qp : params }
 let query_source t view =
   let centroids =
     Array.init t.p.nlist (fun c ->
-        Bytes.of_string (View.read_string view (centroid_addr t c) t.p.dim))
+        View.read_blob view (centroid_addr t c) t.p.dim)
   in
   { centroids; qp = t.p }
 
 let query qs rng =
   let c = Rng.int rng qs.qp.nlist in
   (gen_vector qs.qp rng ~centroid:qs.centroids.(c), c)
-
-let distance p q view addr =
-  let s = View.read_string view addr p.dim in
-  let acc = ref 0 in
-  for j = 0 to p.dim - 1 do
-    let d = Char.code (Bytes.get q j) - Char.code s.[j] in
-    acc := !acc + (d * d)
-  done;
-  !acc
 
 (* insertion-sorted top-k list (k is small) *)
 let topk_add k lst entry =
@@ -119,7 +110,9 @@ let scan_list t view ~tick ~k ~q ~list acc =
   for slot = 0 to count - 1 do
     let addr = t.list_base.(list) + (slot * entry_bytes p) in
     let id = Int64.to_int (View.read_u64 view addr) in
-    let d = distance p q view (addr + 8) in
+    (* [q] is [dim] bytes long: the vector's computed bytes, read where
+       they lie *)
+    let d = View.sq_distance view (addr + 8) q in
     (* touch the padded tail so the paging traffic matches the full
        stored vector (BIGANN's 128 bytes) *)
     if p.pad > 0 then
@@ -137,18 +130,25 @@ let scan_list t view ~tick ~k ~q ~list acc =
 let nearest_centroids t view ~q =
   let p = t.p in
   let scored =
-    Array.init p.nlist (fun c -> (distance p q view (centroid_addr t c), c))
+    Array.init p.nlist (fun c ->
+        (View.sq_distance view (centroid_addr t c) q, c))
   in
   Array.sort compare scored;
   Array.to_list (Array.sub scored 0 p.nprobe) |> List.map snd
 
+let check_query t q =
+  if Bytes.length q <> t.p.dim then
+    invalid_arg "Ivf: a query vector is dim bytes long"
+
 let search t view ?(tick = fun _ -> ()) ~k q =
+  check_query t q;
   let probes = nearest_centroids t view ~q in
   List.fold_left
     (fun acc list -> scan_list t view ~tick ~k ~q ~list acc)
     [] probes
 
 let brute_force t view ~k q =
+  check_query t q;
   let p = t.p in
   let acc = ref [] in
   for list = 0 to p.nlist - 1 do

@@ -56,10 +56,13 @@ val search :
   (int * int) list
 (** [search t view ~k q] returns up to [k] [(distance, vector id)] pairs,
     nearest first, scanning [nprobe] inverted lists. [tick n] fires after
-    every scanned batch of [n] vectors (CPU-charge hook). *)
+    every scanned batch of [n] vectors (CPU-charge hook). Each stored
+    vector is read where it lies.
+    @raise Invalid_argument unless [q] is [dim] bytes long *)
 
 val brute_force : t -> Adios_mem.View.t -> k:int -> bytes -> (int * int) list
-(** Exact scan over all vectors, for recall measurement. *)
+(** Exact scan over all vectors, for recall measurement.
+    @raise Invalid_argument unless the query is [dim] bytes long *)
 
 val list_of_vector : t -> int -> int
 (** The inverted list a vector id belongs to. *)

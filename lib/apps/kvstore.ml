@@ -25,33 +25,30 @@ let pages_needed ~keys ~key_bytes ~value_bytes =
 (* FNV-1a over the key string (63-bit fold of the 64-bit constants). *)
 let hash s =
   let h = ref 0x2bf29ce484222325 in
-  String.iter
-    (fun ch ->
-      h := !h lxor Char.code ch;
-      h := !h * 0x100000001b3 land max_int)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+         land max_int
+  done;
   !h
 
 let key_string t i =
-  let base = Printf.sprintf "key-%012d" i in
-  let pad = t.key_bytes - String.length base in
-  if pad <= 0 then String.sub base 0 t.key_bytes
-  else base ^ String.make pad 'k'
+  Label.make ~prefix:"key-" ~suffix:"" ~fill:'k' ~len:t.key_bytes i
 
 let value_string t i =
-  let base = Printf.sprintf "value-%012d-" i in
-  let fill = t.value_bytes - String.length base in
-  if fill <= 0 then String.sub base 0 t.value_bytes
-  else base ^ String.make fill (Char.chr (Char.code 'a' + (i mod 26)))
+  Label.make ~prefix:"value-" ~suffix:"-"
+    ~fill:(Char.chr (Char.code 'a' + (i mod 26)))
+    ~len:t.value_bytes i
 
 (* Entry layout: [key_len:u32][key][val_len:u32][value] *)
+let value_len_addr t entry = entry + 4 + t.key_bytes
+let value_addr t entry = entry + 8 + t.key_bytes
+
 let write_entry t view addr key value =
   View.write_u64 view addr (Int64.of_int (String.length key));
   View.write_string view (addr + 4) key;
-  View.write_u64 view
-    (addr + 4 + t.key_bytes)
+  View.write_u64 view (value_len_addr t addr)
     (Int64.of_int (String.length value));
-  View.write_string view (addr + 8 + t.key_bytes) value
+  View.write_string view (value_addr t addr) value
 
 (* bucket slot [i] holds entry address + 1, or 0 when empty *)
 let bucket_addr t i = t.bucket_base + (i * 8)
@@ -74,58 +71,38 @@ let insert t view key value =
 
 let read_len view addr = Int64.to_int (View.read_u64 view addr) land 0xffffffff
 
-let entry_key t view addr =
-  let len = min (read_len view addr) t.key_bytes in
-  View.read_string view (addr + 4) len
-
-let entry_value t view addr =
-  let len = min (read_len view (addr + 4 + t.key_bytes)) t.value_bytes in
-  View.read_string view (addr + 8 + t.key_bytes) len
+let key_is t view entry key =
+  let len = min (read_len view entry) t.key_bytes in
+  View.equal_string view (entry + 4) len key
 
 let get t view key =
   let mask = t.buckets - 1 in
   let rec probe i n =
-    if n > t.buckets then None
+    if n > t.buckets then -1
     else begin
-      let slot = bucket_addr t (i land mask) in
-      let v = View.read_int view slot in
-      if v = 0 then None
-      else begin
-        let addr = v - 1 in
-        if String.equal (entry_key t view addr) key then
-          Some (entry_value t view addr)
-        else probe (i + 1) (n + 1)
-      end
+      let v = View.read_int view (bucket_addr t (i land mask)) in
+      if v = 0 then -1
+      else if key_is t view (v - 1) key then v - 1
+      else probe (i + 1) (n + 1)
     end
   in
   probe (hash key) 0
 
+let read_value t view entry =
+  let len = min (read_len view (value_len_addr t entry)) t.value_bytes in
+  View.touch_range view ~addr:(value_addr t entry) ~len ~write:false;
+  len
+
 let put t view key value =
-  let mask = t.buckets - 1 in
-  let rec probe i n =
-    if n > t.buckets then false
-    else begin
-      let slot = bucket_addr t (i land mask) in
-      let v = View.read_int view slot in
-      if v = 0 then false
-      else begin
-        let addr = v - 1 in
-        if String.equal (entry_key t view addr) key then begin
-          let cap = read_len view (addr + 4 + t.key_bytes) in
-          if String.length value > cap then false
-          else begin
-            View.write_u64 view
-              (addr + 4 + t.key_bytes)
-              (Int64.of_int (String.length value));
-            View.write_string view (addr + 8 + t.key_bytes) value;
-            true
-          end
-        end
-        else probe (i + 1) (n + 1)
-      end
-    end
-  in
-  probe (hash key) 0
+  let entry = get t view key in
+  if entry < 0 || String.length value > read_len view (value_len_addr t entry)
+  then false
+  else begin
+    View.write_u64 view (value_len_addr t entry)
+      (Int64.of_int (String.length value));
+    View.write_string view (value_addr t entry) value;
+    true
+  end
 
 let create view ~keys ~key_bytes ~value_bytes =
   let buckets = pow2_at_least (2 * keys) 1024 in

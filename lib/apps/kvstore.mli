@@ -25,8 +25,22 @@ val pages_needed : keys:int -> key_bytes:int -> value_bytes:int -> int
 val key_string : t -> int -> string
 (** The canonical key for index [i] (fixed [key_bytes] length). *)
 
-val get : t -> Adios_mem.View.t -> string -> string option
-(** Probe the table through the given (possibly faulting) view. *)
+val value_string : t -> int -> string
+(** The value the build stores under key [i] (fixed [value_bytes]
+    length). *)
+
+val get : t -> Adios_mem.View.t -> string -> int
+(** Probe the table through the given (possibly faulting) view,
+    comparing each stored key where it lies: the address of the key's
+    entry, or [-1] when the key is absent. *)
+
+val read_value : t -> Adios_mem.View.t -> int -> int
+(** [read_value t view entry] reads the entry's value as a GET does,
+    touching its length word and its bytes, and returns its length. The
+    bytes stay in the arena, at [value_addr t entry]. *)
+
+val value_addr : t -> int -> int
+(** Where an entry's value bytes start. *)
 
 val put : t -> Adios_mem.View.t -> string -> string -> bool
 (** Overwrite an existing key's value in place; [false] if absent or the

@@ -52,6 +52,8 @@ let app ?keys ?(value_bytes = 128) ?(zipf_theta = 0.) ?(set_fraction = 0.) () =
         reply_bytes = 32 + value_bytes;
       }
   in
+  (* every SET stores the same bytes *)
+  let fresh = String.make value_bytes 'u' in
   let handle (ctx : App.ctx) (spec : Request.spec) =
     let store = App.require "memcached store" !store in
     ctx.App.compute parse_cycles;
@@ -61,20 +63,20 @@ let app ?keys ?(value_bytes = 128) ?(zipf_theta = 0.) ?(set_fraction = 0.) () =
     ctx.App.checkpoint ();
     let key = Kvstore.key_string store spec.Request.key in
     if spec.Request.kind = kind_set then begin
-      let fresh = String.make value_bytes 'u' in
       ctx.App.compute
         (int_of_float (copy_cycles_per_byte *. float_of_int value_bytes));
       if not (Kvstore.put store ctx.App.view key fresh) then
         App.bad_request "memcached: SET on missing key %d" spec.Request.key
     end
     else
-      match Kvstore.get store ctx.App.view key with
-      | None -> App.bad_request "memcached: key %d vanished" spec.Request.key
-      | Some value ->
-        ctx.App.compute compare_cycles;
-        ctx.App.compute
-          (int_of_float
-             (copy_cycles_per_byte *. float_of_int (String.length value)))
+      let entry = Kvstore.get store ctx.App.view key in
+      if entry < 0 then
+        App.bad_request "memcached: key %d vanished" spec.Request.key;
+      (* the value is read where it lies; its copy into the reply is
+         charged in cycles *)
+      let len = Kvstore.read_value store ctx.App.view entry in
+      ctx.App.compute compare_cycles;
+      ctx.App.compute (int_of_float (copy_cycles_per_byte *. float_of_int len))
   in
   {
     App.name = Printf.sprintf "memcached-%dB" value_bytes;

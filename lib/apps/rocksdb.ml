@@ -41,21 +41,24 @@ let app ?keys ?(value_bytes = 1024) ?(scan_fraction = 0.01)
   let copy_cost bytes = int_of_float (copy_cycles_per_byte *. float_of_int bytes) in
   let handle (ctx : App.ctx) (spec : Request.spec) =
     let store = App.require "rocksdb store" !store in
+    (* values are read where they lie; copying one into the reply is
+       charged in cycles *)
+    let value_copy = copy_cost (Scanstore.value_bytes store) in
     ctx.App.compute parse_cycles;
     if spec.Request.kind = kind_get then begin
       (* straight-line GET: the probe is before the paged read *)
       ctx.App.checkpoint ();
       ctx.App.compute seek_cycles;
-      match Scanstore.get store ctx.App.view spec.Request.key with
-      | None -> App.bad_request "rocksdb: missing key %d" spec.Request.key
-      | Some v -> ctx.App.compute (copy_cost (String.length v))
+      if Scanstore.get store ctx.App.view spec.Request.key < 0 then
+        App.bad_request "rocksdb: missing key %d" spec.Request.key;
+      ctx.App.compute value_copy
     end
     else begin
       ctx.App.compute seek_cycles;
       let visited =
         Scanstore.scan store ctx.App.view
-          ~on_row:(fun _key value ->
-            ctx.App.compute (next_cycles + copy_cost (String.length value));
+          ~on_row:(fun _key _value ->
+            ctx.App.compute (next_cycles + value_copy);
             ctx.App.checkpoint ())
           spec.Request.key scan_length
       in

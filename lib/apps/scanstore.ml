@@ -24,10 +24,9 @@ let pages_needed ~keys ~value_bytes =
   (index_bytes + (keys * slot_bytes) + 4096 + 4095) / 4096
 
 let expected_value t key =
-  let base = Printf.sprintf "row-%012d-" key in
-  let fill = t.value_bytes - String.length base in
-  if fill <= 0 then String.sub base 0 t.value_bytes
-  else base ^ String.make fill (Char.chr (Char.code 'a' + (key mod 26)))
+  Label.make ~prefix:"row-" ~suffix:"-"
+    ~fill:(Char.chr (Char.code 'a' + (key mod 26)))
+    ~len:t.value_bytes key
 
 let slot_addr t i = t.data_base + (i * t.slot_bytes)
 
@@ -55,17 +54,26 @@ let create view ~keys ~value_bytes =
   t
 
 let keys t = t.keys
+let value_bytes t = t.value_bytes
+
+(* A value is read where it lies: its range is touched, and the caller
+   charges the copy in cycles. *)
+let read_value t view addr =
+  View.touch_range view ~addr ~len:t.value_bytes ~write:false
 
 let get t view key =
-  if key < 0 || key >= t.keys then None
+  if key < 0 || key >= t.keys then -1
   else begin
     let ptr = View.read_int view (index_addr t key) in
-    if ptr = 0 then None
+    if ptr = 0 then -1
     else begin
       let addr = ptr - 1 in
       let stored = Int64.to_int (View.read_u64 view addr) in
-      if stored <> key then None
-      else Some (View.read_string view (addr + 8) t.value_bytes)
+      if stored <> key then -1
+      else begin
+        read_value t view (addr + 8);
+        addr + 8
+      end
     end
   end
 
@@ -75,8 +83,8 @@ let scan t view ?(on_row = fun _ _ -> ()) start n =
     else begin
       let addr = slot_addr t i in
       let key = Int64.to_int (View.read_u64 view addr) in
-      let value = View.read_string view (addr + 8) t.value_bytes in
-      on_row key value;
+      read_value t view (addr + 8);
+      on_row key (addr + 8);
       go (i + 1) (visited + 1)
     end
   in

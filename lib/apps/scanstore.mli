@@ -19,13 +19,20 @@ val pages_needed : keys:int -> value_bytes:int -> int
 
 val keys : t -> int
 
-val get : t -> Adios_mem.View.t -> int -> string option
-(** Point lookup by key through the (possibly faulting) view. *)
+val value_bytes : t -> int
+(** Every value's length. *)
+
+val get : t -> Adios_mem.View.t -> int -> int
+(** Point lookup by key through the (possibly faulting) view. It touches
+    the found value's bytes, as a read of them would, and returns their
+    address ([value_bytes] long), or [-1] when the key is absent. *)
 
 val scan :
-  t -> Adios_mem.View.t -> ?on_row:(int -> string -> unit) -> int -> int -> int
+  t -> Adios_mem.View.t -> ?on_row:(int -> int -> unit) -> int -> int -> int
 (** [scan t view start n] visits up to [n] records from key [start] in
-    key order, returning the count visited. [on_row] sees each record. *)
+    key order, returning the count visited. Each record's value is
+    touched like a {!get}'s, then [on_row key addr] sees the record's
+    key and its value's address. *)
 
 val expected_value : t -> int -> string
 (** Canonical value for a key, for correctness checks. *)

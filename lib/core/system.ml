@@ -167,7 +167,7 @@ type t = {
           request waits on it, and its detector stands in for every
           slot's when prefetching is off *)
   rng : Rng.t;
-  mutable reclaimer : Reclaimer.t option;
+  reclaimer : Reclaimer.t;
   counts : int array;  (** one slot per {!Counter.t}, by [Counter.index] *)
   fault : Injector.t option;
   recover : bool;
@@ -234,8 +234,7 @@ let[@zero_alloc] enter t e phase =
     | Some r -> Profiler.switch r ~now:(Sim.now t.sim) phase
     | None -> ()
 
-let reclaimer t =
-  match t.reclaimer with Some r -> r | None -> assert false
+let reclaimer t = t.reclaimer
 
 let buffers t = t.buffers
 let cluster t = t.cluster
@@ -262,7 +261,7 @@ let is_busywait cfg =
 
 (* Ensure a frame is available, stalling on memory pressure. *)
 let wait_frame t e page =
-  (match t.reclaimer with Some r -> Reclaimer.trigger r | None -> ());
+  Reclaimer.trigger t.reclaimer;
   if Pager.free_frames t.pager <= 0 then begin
     bump t Counter.Frame_stalls;
     ev t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:e.worker ~page;
@@ -330,7 +329,7 @@ let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 
 (* Double the pool. The new slots' hooks are made here, once. *)
-let[@cold] grow_fetches t =
+let[@cold][@inline never] grow_fetches t =
   let f = t.fetches in
   let cap = Array.length f.page in
   let ncap = max 64 (2 * cap) in
@@ -463,7 +462,7 @@ let[@zero_alloc] rec post_fetch t s ~req ~blocking =
   end
   else fetch_backoff t s ~req ~blocking
 
-and[@cold] fetch_backoff t s ~req ~blocking =
+and[@cold][@inline never] fetch_backoff t s ~req ~blocking =
   bump t Counter.Qp_stalls;
   ev t Trace_event.Stall_qp ~req ~worker:t.fetches.home.(s)
     ~page:t.fetches.page.(s);
@@ -477,7 +476,7 @@ and[@cold] fetch_backoff t s ~req ~blocking =
     Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
         post_fetch t s ~req ~blocking:false)
 
-and[@cold] arm_fetch_timer t token ~delay =
+and[@cold][@inline never] arm_fetch_timer t token ~delay =
   Sim.schedule t.sim ~delay (fun () -> fetch_timer t token)
 
 (* The attempt behind [token] outlived its deadline: repost within the
@@ -741,7 +740,7 @@ let run_handler t ctx e () =
 
 (* A buffer id's slot, made at the id's first use and reset for every
    request that holds the buffer after. *)
-let[@cold] make_slot t =
+let[@cold][@inline never] make_slot t =
   let detector =
     match t.cfg.Config.prefetch with
     | Config.Stride _ -> Prefetcher.Stride_detector.create ()
@@ -762,7 +761,7 @@ let[@cold] make_slot t =
   e.task <- Task.create t.sim (run_handler t (make_ctx t e) e);
   e
 
-let[@cold] grow_slots t buffer =
+let[@cold][@inline never] grow_slots t buffer =
   let old = t.slots.by_buffer in
   let slots = Array.make (max 64 (2 * (buffer + 1))) t.nobody in
   Array.blit old 0 slots 0 (Array.length old);
@@ -1328,6 +1327,17 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       cluster_nodes
   in
   let reclaim_cq = Verbs.Cq.create () in
+  (* The reclaimer's eviction hook needs [t]: it goes through [evict],
+     set once [t] exists, and only the reclaimer's own events, all
+     after [create] returns, call it. Nothing below schedules an event
+     before the dispatcher's and the workers' first ones, so the first
+     poll keeps its place in the event order. *)
+  let evict = ref (fun ~page:_ ~dirty:_ k -> k ()) in
+  let reclaimer =
+    Reclaimer.start ~trace sim pager cfg.Config.reclaim
+      cfg.Config.reclaim_config
+      ~evict_page:(fun ~page ~dirty k -> !evict ~page ~dirty k)
+  in
   let t =
     {
       sim;
@@ -1379,7 +1389,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
         };
       nobody;
       rng;
-      reclaimer = None;
+      reclaimer;
       counts = Array.make Counter.count 0;
       fault;
       recover;
@@ -1407,12 +1417,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
   Verbs.Cq.set_notify reclaim_cq (fun () ->
       Verbs.Cq.drain reclaim_cq on_writeback);
   prefill_pages t;
-  let reclaimer =
-    Reclaimer.start ~trace sim pager cfg.Config.reclaim
-      cfg.Config.reclaim_config
-      ~evict_page:(fun ~page ~dirty k -> evict_page t ~page ~dirty k)
-  in
-  t.reclaimer <- Some reclaimer;
+  evict := (fun ~page ~dirty k -> evict_page t ~page ~dirty k);
   (* each actor's loop starts from one event at the current time *)
   t.disp.advance <- (fun () -> dispatcher_step t);
   Sim.schedule sim ~delay:0 (fun () -> dispatcher_loop t);
@@ -1462,9 +1467,7 @@ let register_metrics t reg ~labels =
   if not (Cluster.enabled t.cfg.Config.cluster) then
     Nic.register_metrics t.nic reg ~labels;
   Pager.register_metrics t.pager reg ~labels;
-  (match t.reclaimer with
-  | Some r -> Reclaimer.register_metrics r reg ~labels
-  | None -> ());
+  Reclaimer.register_metrics t.reclaimer reg ~labels;
   Acct.register_metrics t.acct reg ~labels;
   (* cluster series only when the topology is non-trivial, so the
      single-node metrics export stays byte-identical *)

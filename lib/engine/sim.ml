@@ -307,7 +307,8 @@ let[@zero_alloc] wheel_unlink_head sim s =
 
 (* The summary disagrees with the bitmap: a maintenance bug, never a
    state a run can reach. *)
-let[@cold] summary_broken () = failwith "Sim: wheel summary out of step"
+let[@cold][@inline never] summary_broken () =
+  failwith "Sim: wheel summary out of step"
 
 (* First occupied slot at circular distance >= 0 from [p0]; the caller
    guarantees at least one bit is set. The rest of [p0]'s word is one

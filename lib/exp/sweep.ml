@@ -150,7 +150,12 @@ let results b =
       | Some (Done r) -> (p, r) :: from (i + 1)
       | Some (Failed msg) ->
         failwith (Printf.sprintf "sweep point %s: %s" (point_label p) msg)
-      | None -> assert false (* only points after a failure go unrun *)
+      | None ->
+        (* only points after a failure go unrun, and [from] raised on
+           that failure before reaching them *)
+        failwith
+          (Printf.sprintf "sweep point %s: never ran, and no earlier point \
+                           failed" (point_label p))
   in
   from 0
 

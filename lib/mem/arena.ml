@@ -77,4 +77,32 @@ let blit_string t addr s =
   note t addr (String.length s);
   Bytes.blit_string s 0 t.data addr (String.length s)
 
-let read_string t addr len = Bytes.sub_string t.data addr len
+let in_range t addr len =
+  addr >= 0 && len >= 0 && addr + len <= Bytes.length t.data
+
+let equal_string t addr len s =
+  if not (in_range t addr len) then
+    invalid_arg "Arena.equal_string: range outside the arena";
+  len = String.length s
+  &&
+  let i = ref 0 in
+  while
+    !i < len && Bytes.unsafe_get t.data (addr + !i) = String.unsafe_get s !i
+  do
+    incr i
+  done;
+  !i = len
+
+let sq_distance t addr q =
+  let n = Bytes.length q in
+  if not (in_range t addr n) then
+    invalid_arg "Arena.sq_distance: range outside the arena";
+  let acc = ref 0 in
+  for j = 0 to n - 1 do
+    let d =
+      Char.code (Bytes.unsafe_get q j)
+      - Char.code (Bytes.unsafe_get t.data (addr + j))
+    in
+    acc := !acc + (d * d)
+  done;
+  !acc

@@ -56,4 +56,14 @@ val write_blob : t -> int -> bytes -> unit
 val blit_string : t -> int -> string -> unit
 (** Write a string at [addr]. *)
 
-val read_string : t -> int -> int -> string
+val equal_string : t -> int -> int -> string -> bool
+(** [equal_string t addr len s]: the [len] bytes at [addr] are [s]
+    ([false] when [len] is not [String.length s]). Compares in place:
+    nothing is copied.
+    @raise Invalid_argument when the range is outside the arena *)
+
+val sq_distance : t -> int -> bytes -> int
+(** [sq_distance t addr q]: the squared Euclidean distance between [q]
+    and the [Bytes.length q] bytes at [addr], each byte an unsigned
+    component, computed in place.
+    @raise Invalid_argument when the range is outside the arena *)

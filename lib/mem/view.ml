@@ -21,13 +21,17 @@ let read_int t addr =
   t.touch ~addr ~len:8 ~write:false;
   Arena.get_int t.arena addr
 
-let read_string t addr len =
-  t.touch ~addr ~len ~write:false;
-  Arena.read_string t.arena addr len
-
 let read_blob t addr len =
   t.touch ~addr ~len ~write:false;
   Arena.read_blob t.arena addr len
+
+let equal_string t addr len s =
+  t.touch ~addr ~len ~write:false;
+  Arena.equal_string t.arena addr len s
+
+let sq_distance t addr q =
+  t.touch ~addr ~len:(Bytes.length q) ~write:false;
+  Arena.sq_distance t.arena addr q
 
 let write_u8 t addr v =
   t.touch ~addr ~len:1 ~write:true;

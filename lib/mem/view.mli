@@ -26,8 +26,21 @@ val touch_range : t -> addr:int -> len:int -> write:bool -> unit
 val read_u8 : t -> int -> int
 val read_u64 : t -> int -> int64
 val read_int : t -> int -> int
-val read_string : t -> int -> int -> string
+
 val read_blob : t -> int -> int -> bytes
+(** A copy of the bytes, for snapshots taken outside the clock. A
+    request reads in place, with the functions below, and charges its
+    copies in cycles. *)
+
+val equal_string : t -> int -> int -> string -> bool
+(** [equal_string t addr len s] touches [len] bytes at [addr], as a
+    read of them would, and tells whether they are [s] (never when
+    [len <> String.length s]), comparing them where they lie. *)
+
+val sq_distance : t -> int -> bytes -> int
+(** [sq_distance t addr q] touches the [Bytes.length q] bytes at [addr]
+    and returns their squared Euclidean distance to [q], each byte an
+    unsigned component, read where they lie. *)
 
 val write_u8 : t -> int -> int -> unit
 val write_u64 : t -> int -> int64 -> unit

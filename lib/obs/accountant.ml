@@ -42,7 +42,14 @@ type cpu = {
   episodes : Histogram.t array; (* closed episode lengths per state *)
 }
 
-type t = { sim : Adios_engine.Sim.t; created_at : int; slots : cpu array }
+type t = {
+  sim : Adios_engine.Sim.t;
+  created_at : int;
+  slots : cpu array;
+  mutable recording : bool;
+      (* episodes go into [episodes]: only the metrics export reads
+         them, so they are kept from [register_metrics] on *)
+}
 
 let create sim ~cpus =
   if cpus <= 0 then invalid_arg "Accountant.create: cpus must be positive";
@@ -55,7 +62,7 @@ let create sim ~cpus =
       episodes = Array.init state_count (fun _ -> Histogram.create ());
     }
   in
-  { sim; created_at = now; slots = Array.init cpus slot }
+  { sim; created_at = now; slots = Array.init cpus slot; recording = false }
 
 let cpus t = Array.length t.slots
 
@@ -65,7 +72,7 @@ let[@zero_alloc] switch t ~cpu state =
     let now = Adios_engine.Sim.now t.sim in
     let elapsed = now - c.entered_at in
     let i = state_index c.state in
-    if elapsed > 0 then Histogram.record c.episodes.(i) elapsed;
+    if elapsed > 0 && t.recording then Histogram.record c.episodes.(i) elapsed;
     c.closed.(i) <- c.closed.(i) + elapsed;
     c.state <- state;
     c.entered_at <- now
@@ -111,7 +118,20 @@ let cpu_label t cpu =
   (* the last slot is the dispatcher by the convention in the mli *)
   if cpu = Array.length t.slots - 1 then "dispatcher" else string_of_int cpu
 
+(* A switch that closes a non-empty episode moves [entered_at] past
+   [created_at] for good: a CPU still in [Idle] since [created_at] has
+   closed none. *)
+let switched t =
+  Array.exists
+    (fun c -> c.state <> Idle || c.entered_at <> t.created_at)
+    t.slots
+
 let register_metrics t reg ~labels =
+  if switched t then
+    invalid_arg
+      "Accountant.register_metrics: register before the first switch, or \
+       the episode histograms miss what came before";
+  t.recording <- true;
   Array.iteri
     (fun cpu c ->
       List.iter

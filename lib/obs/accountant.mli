@@ -6,8 +6,9 @@
     measures exactly that. Each simulated CPU (the workers, plus one
     slot for the dispatcher) is at every instant in exactly one
     {!state}; {!switch} moves it, and the elapsed span is added to the
-    cycles of the state it just left and recorded as an episode length
-    in that state's HDR histogram.
+    cycles of the state it just left and, once {!register_metrics} has
+    exported them, recorded as an episode length in that state's HDR
+    histogram.
 
     Because the state function is total and piecewise-constant, the
     per-CPU integrals partition the run: for every CPU the state cycles
@@ -54,8 +55,9 @@ val cpus : t -> int
 val switch : t -> cpu:int -> state -> unit
 (** Move [cpu] to a new state at the current simulated time. The span
     since the previous switch accrues to the state being left and, when
-    non-empty, is recorded as one episode of that state. Switching to
-    the current state is a no-op (episodes are not split). *)
+    non-empty and the histograms are registered, is recorded as one
+    episode of that state. Switching to the current state is a no-op
+    (episodes are not split). *)
 
 val current : t -> cpu:int -> state
 
@@ -86,4 +88,8 @@ val register_metrics :
     ([adios_cpu_state_cycles_total{cpu=...,state=...}]) and the
     per-state episode histograms merged across CPUs
     ([adios_cpu_state_episode_cycles{state=...}]). The worker slots are
-    labelled by index, the last slot ["dispatcher"]. *)
+    labelled by index, the last slot ["dispatcher"]. Episodes are
+    recorded from here on: nothing else reads them, so an accountant no
+    registry exports records none.
+    @raise Invalid_argument when a switch has already closed an episode
+    or left a CPU outside [Idle] *)

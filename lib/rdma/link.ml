@@ -30,7 +30,7 @@ let create sim ~gbps ?(wire_overhead = 0.27) () =
 
 let set_perturb t f = t.perturb <- f
 
-let[@cold] nominal_cycles t ~bytes =
+let[@cold][@inline never] nominal_cycles t ~bytes =
   let wire = float_of_int bytes *. (1. +. t.wire_overhead) in
   max 1 (int_of_float (ceil (wire /. t.bytes_per_cycle)))
 

@@ -159,7 +159,7 @@ let[@zero_alloc] serve nic engine =
 (* The fault fabric's verdict on the completion of the WR in [slot], as
    extra delivery cycles, or -1 if the completion is lost. Only a NIC
    with an injector asks for it. *)
-let[@cold] fault_delay nic inj qp slot =
+let[@cold][@inline never] fault_delay nic inj qp slot =
   match
     Adios_fault.Injector.on_completion inj
       ~now:(Adios_engine.Sim.now nic.sim)
@@ -267,7 +267,7 @@ let create_qp nic ~depth =
   qp
 
 (* The payload rings need a value to start from: the first post's. *)
-let[@cold] size_payloads qp user cq =
+let[@cold][@inline never] size_payloads qp user cq =
   qp.user <- Array.make (qp.mask + 1) user;
   qp.cq <- Array.make (qp.mask + 1) cq
 

@@ -83,7 +83,7 @@ let create ?(on_tx_complete = ignore) sim ~link ~latency_cycles ~deliver =
 
 (* A full ring doubles, unrolled to start at position 0; the first send
    sizes it from its payload. *)
-let[@cold] grow t payload =
+let[@cold][@inline never] grow t payload =
   let cap = Array.length t.bytes in
   let ncap = if cap = 0 then first_capacity else 2 * cap in
   let bytes = Array.make ncap 0 and payloads = Array.make ncap payload in

@@ -25,7 +25,7 @@ module Cq = struct
 
   (* Double the ring, unrolling the wrap; [c] seeds the fresh slots so no
      dummy completion is needed. *)
-  let[@cold] grow t c =
+  let[@cold][@inline never] grow t c =
     let cap = Array.length t.buf in
     let ncap = if cap = 0 then 16 else cap * 2 in
     let buf = Array.make ncap c in

@@ -64,7 +64,7 @@ let value_of i =
 
 (* Room for bucket [i]: the array grows only on a new magnitude, so
    the copy is amortised away. *)
-let[@cold] ensure t i =
+let[@cold][@inline never] ensure t i =
   let n = Array.length t.counts in
   if i >= n then begin
     let n' = max (i + 1) (n * 2) in

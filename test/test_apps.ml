@@ -15,6 +15,15 @@ let direct_view ~pages = View.direct (Arena.create ~pages ~page_size:4096)
 
 (* --- kvstore -------------------------------------------------------------- *)
 
+(* The value stored under [key], read through the view where it lies,
+   or [None] when the key is absent. *)
+let kv_value kv v key =
+  let entry = Kvstore.get kv v key in
+  if entry < 0 then None
+  else
+    let len = Kvstore.read_value kv v entry in
+    Some (Bytes.to_string (View.read_blob v (Kvstore.value_addr kv entry) len))
+
 let test_kvstore_get () =
   let keys = 500 in
   let pages = Kvstore.pages_needed ~keys ~key_bytes:50 ~value_bytes:128 in
@@ -22,14 +31,14 @@ let test_kvstore_get () =
   let kv = Kvstore.create v ~keys ~key_bytes:50 ~value_bytes:128 in
   check_int "keys" keys (Kvstore.keys kv);
   for i = 0 to keys - 1 do
-    match Kvstore.get kv v (Kvstore.key_string kv i) with
-    | None -> Alcotest.failf "missing key %d" i
-    | Some value ->
-      check_int "value size" 128 (String.length value);
-      check_bool "value tagged" true
-        (String.length value > 6 && String.sub value 0 6 = "value-")
+    let entry = Kvstore.get kv v (Kvstore.key_string kv i) in
+    if entry < 0 then Alcotest.failf "missing key %d" i;
+    check_int "value size" 128 (Kvstore.read_value kv v entry);
+    check_bool "the stored value, in place" true
+      (View.equal_string v (Kvstore.value_addr kv entry) 128
+         (Kvstore.value_string kv i))
   done;
-  check_bool "absent key" true (Kvstore.get kv v "nonexistent-key" = None)
+  check_int "absent key" (-1) (Kvstore.get kv v "nonexistent-key")
 
 let test_kvstore_put () =
   let keys = 100 in
@@ -39,7 +48,7 @@ let test_kvstore_put () =
   let k = Kvstore.key_string kv 7 in
   check_bool "put" true (Kvstore.put kv v k "short");
   check (Alcotest.option Alcotest.string) "updated" (Some "short")
-    (Kvstore.get kv v k);
+    (kv_value kv v k);
   check_bool "too long rejected" false
     (Kvstore.put kv v k (String.make 100 'x'));
   check_bool "absent rejected" false (Kvstore.put kv v "missing" "v")
@@ -53,7 +62,9 @@ let prop_kvstore_matches_hashtbl =
       let kv = Kvstore.create v ~keys ~key_bytes:20 ~value_bytes:32 in
       let ok = ref true in
       for i = 0 to keys - 1 do
-        if Kvstore.get kv v (Kvstore.key_string kv i) = None then ok := false
+        if kv_value kv v (Kvstore.key_string kv i)
+           <> Some (Kvstore.value_string kv i)
+        then ok := false
       done;
       !ok)
 
@@ -66,13 +77,14 @@ let test_scanstore_get () =
   let st = Scanstore.create v ~keys ~value_bytes:100 in
   check_int "keys" keys (Scanstore.keys st);
   for k = 0 to keys - 1 do
-    match Scanstore.get st v k with
-    | None -> Alcotest.failf "missing %d" k
-    | Some value ->
-      check (Alcotest.string) "expected" (Scanstore.expected_value st k) value
+    let addr = Scanstore.get st v k in
+    if addr < 0 then Alcotest.failf "missing %d" k;
+    check_bool "expected" true
+      (View.equal_string v addr (Scanstore.value_bytes st)
+         (Scanstore.expected_value st k))
   done;
-  check_bool "oob low" true (Scanstore.get st v (-1) = None);
-  check_bool "oob high" true (Scanstore.get st v keys = None)
+  check_int "oob low" (-1) (Scanstore.get st v (-1));
+  check_int "oob high" (-1) (Scanstore.get st v keys)
 
 let test_scanstore_scan () =
   let keys = 300 in
@@ -88,11 +100,64 @@ let test_scanstore_scan () =
   (* truncated at the end of the store *)
   let n = Scanstore.scan st v 295 100 in
   check_int "truncated" 5 n;
-  let n = Scanstore.scan st v ~on_row:(fun k v' ->
-      check (Alcotest.string) "row value" (Scanstore.expected_value st k) v')
+  let n = Scanstore.scan st v ~on_row:(fun k addr ->
+      check_bool "row value" true
+        (View.equal_string v addr 64 (Scanstore.expected_value st k)))
       0 3
   in
   check_int "values checked" 3 n
+
+(* --- record labels ---------------------------------------------------------- *)
+
+(* What the stores wrote with Printf: [base] cut to [len] bytes or padded
+   to it with [fill]. *)
+let printf_label base ~fill ~len =
+  let pad = len - String.length base in
+  if pad <= 0 then String.sub base 0 len else base ^ String.make pad fill
+
+let letter i = Char.chr (Char.code 'a' + (i mod 26))
+
+(* Stores of one key and one value for each width: the labels only
+   depend on the store's key and value lengths. *)
+let label_stores =
+  List.map
+    (fun (key_bytes, value_bytes) ->
+      let pages = Kvstore.pages_needed ~keys:1 ~key_bytes ~value_bytes in
+      let kv =
+        Kvstore.create (direct_view ~pages) ~keys:1 ~key_bytes ~value_bytes
+      in
+      let pages = Scanstore.pages_needed ~keys:1 ~value_bytes in
+      let st = Scanstore.create (direct_view ~pages) ~keys:1 ~value_bytes in
+      (key_bytes, value_bytes, kv, st))
+    [ (50, 128); (50, 1024); (16, 19); (10, 7); (1, 1) ]
+
+let labels_match i =
+  List.for_all
+    (fun (key_bytes, value_bytes, kv, st) ->
+      String.equal (Kvstore.key_string kv i)
+        (printf_label (Printf.sprintf "key-%012d" i) ~fill:'k' ~len:key_bytes)
+      && String.equal (Kvstore.value_string kv i)
+           (printf_label (Printf.sprintf "value-%012d-" i) ~fill:(letter i)
+              ~len:value_bytes)
+      && String.equal (Scanstore.expected_value st i)
+           (printf_label (Printf.sprintf "row-%012d-" i) ~fill:(letter i)
+              ~len:value_bytes))
+    label_stores
+
+let test_labels_edges () =
+  let rec powers p acc =
+    if p > 1_000_000_000_000 then acc else powers (p * 10) (p :: acc)
+  in
+  let around = List.concat_map (fun p -> [ p - 1; p; p + 1 ]) (powers 1 []) in
+  List.iter
+    (fun i ->
+      if not (labels_match i) then Alcotest.failf "label of %d differs" i)
+    ([ 0; 9; 10; 999_999_999_999; -1; -10; max_int; min_int ] @ around)
+
+let prop_labels_match_printf =
+  QCheck.Test.make ~name:"labels match Printf" ~count:500
+    QCheck.(int_range 0 2_000_000_000_000)
+    labels_match
 
 (* --- btree ------------------------------------------------------------------- *)
 
@@ -200,7 +265,7 @@ let prop_kvstore_updates_match_hashtbl =
       let kv = Kvstore.create v ~keys ~key_bytes:20 ~value_bytes:32 in
       let reference = Hashtbl.create 64 in
       for i = 0 to keys - 1 do
-        match Kvstore.get kv v (Kvstore.key_string kv i) with
+        match kv_value kv v (Kvstore.key_string kv i) with
         | Some value -> Hashtbl.replace reference i value
         | None -> ()
       done;
@@ -212,7 +277,7 @@ let prop_kvstore_updates_match_hashtbl =
         ops;
       Hashtbl.fold
         (fun k value acc ->
-          acc && Kvstore.get kv v (Kvstore.key_string kv k) = Some value)
+          acc && kv_value kv v (Kvstore.key_string kv k) = Some value)
         reference true)
 
 let prop_scan_matches_slice =
@@ -360,7 +425,12 @@ let test_ivf_search_sorted () =
   let results = Ivf.search t v ~k:10 q in
   check_int "k results" 10 (List.length results);
   let dists = List.map fst results in
-  check_bool "sorted" true (List.sort compare dists = dists)
+  check_bool "sorted" true (List.sort compare dists = dists);
+  (* a vector is read in place over the query's length *)
+  check_bool "a query of another length is refused" true
+    (match Ivf.search t v ~k:10 (Bytes.cat q q) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_ivf_recall () =
   let t, v, _ = small_ivf () in
@@ -407,6 +477,97 @@ let test_ivf_tick_counts_vectors () =
   let expected = p.Ivf.nprobe * (p.Ivf.vectors / p.Ivf.nlist) in
   check_int "all probed vectors scanned" expected !scanned
 
+(* --- request touch logs ----------------------------------------------------- *)
+
+module App = Adios_core.App
+module Request = Adios_core.Request
+module Registry = Adios_apps.Registry
+
+let spec kind key = { Request.kind; key; req_bytes = 0; reply_bytes = 0 }
+
+(* Every registry app's handler, run on its built image through a view
+   that logs each touch as (addr, len, write), over [requests] generated
+   requests and then the hand-made [extra] ones, with [compute] and
+   [checkpoint] doing nothing. Returns the touch count, the count of
+   [Bad_request] outcomes, and a digest of the touches and the
+   outcomes (each message included), in order. *)
+let touch_log name ~requests ~extra =
+  let app =
+    match Registry.find name with
+    | Some make -> make ()
+    | None -> Alcotest.failf "no app %s" name
+  in
+  (* the previous app's image is garbage by now: free it before this
+     one is built, so the run holds one image at a time *)
+  Gc.full_major ();
+  let image = App.build_image app in
+  let state = ref "" and log = Buffer.create 65536 in
+  let touches = ref 0 and bad = ref 0 in
+  let flush () =
+    state := Digest.string (!state ^ Buffer.contents log);
+    Buffer.clear log
+  in
+  let touch ~addr ~len ~write =
+    incr touches;
+    Buffer.add_string log (string_of_int addr);
+    Buffer.add_char log ' ';
+    Buffer.add_string log (string_of_int len);
+    Buffer.add_char log (if write then 'w' else 'r');
+    if Buffer.length log >= 65536 then flush ()
+  in
+  let ctx =
+    {
+      App.view = View.make image.App.arena ~touch;
+      compute = ignore;
+      checkpoint = ignore;
+      rng = Rng.create 1;
+    }
+  in
+  let run s =
+    match app.App.handle ctx s with
+    | () -> Buffer.add_string log "ok\n"
+    | exception App.Bad_request msg ->
+      incr bad;
+      Buffer.add_string log ("bad " ^ msg ^ "\n")
+  in
+  let gen = Rng.create 2 in
+  for _ = 1 to requests do
+    run (app.App.gen gen)
+  done;
+  List.iter run extra;
+  flush ();
+  (!touches, !bad, Digest.to_hex !state)
+
+(* Recorded before the apps read in place: a change to the bytes a
+   request touches, their order or a request's outcome shows here, also
+   for the apps and mixes no golden runs (faiss, memcached-1024,
+   RocksDB's GET-heavy default). The extra requests hit a present key
+   through SET, absent keys (a negative one and one of 13 digits), a
+   truncated and an empty SCAN, and an unknown TPC-C kind. *)
+let touch_log_pins =
+  let tera = 1_000_000_000_000 in
+  let kv = [ spec 1 5; spec 0 5; spec 0 (-1); spec 0 tera; spec 1 tera ] in
+  let rdb = [ spec 0 (-1); spec 0 tera; spec 1 tera; spec 1 65_020 ] in
+  [
+    ("array", 2000, [], (2000, 0, "4de58893664eb3ec88309fdb3c74805c"));
+    ("memcached", 2000, kv, (11007, 3, "fc12459ecffac91bd27b7ed01eea9603"));
+    ("memcached-1024", 2000, kv, (12504, 3, "3caabd824727a7bad91938d9809773c3"));
+    ("rocksdb", 2000, rdb, (8772, 3, "cd91da439636182528dbe91abb9d6d3b"));
+    ("rocksdb-scan", 500, rdb, (22002, 3, "fb568e14e1ec507ce7483061c87c78e6"));
+    ("silo", 500, [ spec 7 0 ], (64110, 1, "2465e41bd2246ca9b5cef55eff637edc"));
+    ("faiss", 20, [], (190048, 0, "66f6976ad2b64b1f674eaabc6a55e2ca"));
+  ]
+
+let test_touch_logs () =
+  check
+    Alcotest.(list (pair string (triple int int string)))
+    "touch logs"
+    (List.map (fun (name, _, _, pin) -> (name, pin)) touch_log_pins)
+    (List.map
+       (fun (name, requests, extra, _) ->
+         (name, touch_log name ~requests ~extra))
+       touch_log_pins)
+
 let () =
   Alcotest.run "apps"
     [
@@ -423,6 +584,13 @@ let () =
           Alcotest.test_case "scan" `Quick test_scanstore_scan;
           QCheck_alcotest.to_alcotest prop_scan_matches_slice;
         ] );
+      ( "labels",
+        [
+          Alcotest.test_case "edges" `Quick test_labels_edges;
+          QCheck_alcotest.to_alcotest prop_labels_match_printf;
+        ] );
+      ( "requests",
+        [ Alcotest.test_case "touch logs pinned" `Quick test_touch_logs ] );
       ( "btree",
         [
           Alcotest.test_case "basic" `Quick test_btree_basic;

@@ -273,7 +273,8 @@ let test_zero_alloc_descent () =
   check_fires "allocation in a direct callee is found" "zero-alloc"
     (tlint ~path:"lib/engine/sim.ml" ("let helper x = [ x ]\n" ^ hot));
   check_clean "callees marked cold are exempt (slow paths allocate by design)"
-    (tlint ~path:"lib/engine/sim.ml" ("let[@cold] helper x = [ x ]\n" ^ hot))
+    (tlint ~path:"lib/engine/sim.ml"
+       ("let[@cold][@inline never] helper x = [ x ]\n" ^ hot))
 
 let test_zero_alloc_error_path () =
   check_clean "error paths may allocate their exception"
@@ -305,7 +306,33 @@ let test_zero_alloc_rec_chain () =
   check_int "the allocation in the chain's callee fires" 1 (List.length fs);
   check_int "on the callee's line" 2 (List.hd fs).Lint.line;
   check_clean "and[@cold] exempts it"
-    (tlint ~path:"lib/core/system.ml" (chain "and[@cold] backoff"))
+    (tlint ~path:"lib/core/system.ml"
+       (chain "and[@cold][@inline never] backoff"))
+
+(* OCaml ignores [@cold]: only [@inline never] keeps a slow path out of
+   the hot callers the optimised build would inline it into. *)
+let test_cold_inline_never () =
+  let fs =
+    tlint ~path:"lib/engine/sim.ml" "let x = 1\nlet[@cold] grow t = [ t ]"
+  in
+  check_int "exactly one finding" 1 (List.length fs);
+  let f = List.hd fs in
+  check_string "rule" "zero-alloc" f.Lint.rule;
+  check_int "on the binding's line" 2 f.Lint.line;
+  check_bool "names the function" true (contains_sub f.Lint.msg "grow");
+  check_fires "in a recursive chain too" "zero-alloc"
+    (tlint ~path:"lib/core/system.ml"
+       "let rec post q = if q > 0 then backoff q else q\n\
+        and[@cold] backoff q = post (q - 1)");
+  check_clean "[@inline never] satisfies it"
+    (tlint ~path:"lib/engine/sim.ml"
+       "let[@cold][@inline never] grow t = [ t ]");
+  check_clean "so does [@ocaml.inline never]"
+    (tlint ~path:"lib/engine/sim.ml"
+       "let[@cold][@ocaml.inline never] grow t = [ t ]");
+  check_fires "[@inline always] does not" "zero-alloc"
+    (tlint ~path:"lib/engine/sim.ml"
+       "let[@cold][@inline always] grow t = [ t ]")
 
 (* A closure read out of a ref or an array and applied at once is a full
    application, not a partial one: the callee's arity comes from its
@@ -509,6 +536,8 @@ let () =
             test_zero_alloc_stored_closure;
           Alcotest.test_case "mark in a submodule" `Quick
             test_zero_alloc_submodule;
+          Alcotest.test_case "cold needs inline never" `Quick
+            test_cold_inline_never;
           Alcotest.test_case "mark in a recursive chain" `Quick
             test_zero_alloc_rec_chain;
         ] );

@@ -22,7 +22,9 @@ let test_arena_rw () =
   Arena.set_int a 300 123456789;
   check_int "int" 123456789 (Arena.get_int a 300);
   Arena.blit_string a 400 "hello";
-  check (Alcotest.string) "string" "hello" (Arena.read_string a 400 5);
+  check_bool "string" true (Arena.equal_string a 400 5 "hello");
+  check_bool "a different string" false (Arena.equal_string a 400 5 "help!");
+  check_bool "a different length" false (Arena.equal_string a 400 4 "hello");
   Arena.write_blob a 500 (Bytes.of_string "blob");
   check (Alcotest.string) "blob" "blob"
     (Bytes.to_string (Arena.read_blob a 500 4));
@@ -30,7 +32,7 @@ let test_arena_rw () =
   check_int "page_of_addr same page" 0 (Arena.page_of_addr a 4095)
 
 let digest a =
-  Digest.to_hex (Digest.string (Arena.read_string a 0 (Arena.size_bytes a)))
+  Digest.to_hex (Digest.bytes (Arena.read_blob a 0 (Arena.size_bytes a)))
 
 (* The undo journal behind shared dataset images: every write function
    is journaled, including a write that straddles two pages, one of
@@ -190,11 +192,38 @@ let test_view_touch () =
   View.touch_range v ~addr:100 ~len:50 ~write:false;
   check_int "explicit touch" 3 (List.length !touches)
 
+(* The in-place reads touch the range a copying read would, once, then
+   read the bytes where they lie. *)
+let test_view_in_place () =
+  let a = Arena.create ~pages:2 ~page_size:4096 in
+  Arena.blit_string a 4090 "straddle";
+  Arena.blit_string a 200 "\003\000\255";
+  let touches = ref [] in
+  let v =
+    View.make a ~touch:(fun ~addr ~len ~write ->
+        touches := (addr, len, write) :: !touches)
+  in
+  check_bool "equal across a page boundary" true
+    (View.equal_string v 4090 8 "straddle");
+  check_bool "a stored byte differs" false (View.equal_string v 4090 8 "straddlE");
+  check_bool "a length differs" false (View.equal_string v 4090 7 "straddle");
+  check_int "squared distance" ((3 * 3) + (2 * 2) + (5 * 5))
+    (View.sq_distance v 200 (Bytes.of_string "\000\002\250"));
+  check
+    Alcotest.(list (triple int int bool))
+    "one read touch per call, over the range read"
+    [ (4090, 8, false); (4090, 8, false); (4090, 7, false); (200, 3, false) ]
+    (List.rev !touches);
+  check_bool "a range past the arena is refused" true
+    (match View.equal_string v 8190 8 "straddle" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_view_direct () =
   let a = Arena.create ~pages:1 ~page_size:4096 in
   let v = View.direct a in
   View.write_string v 0 "direct";
-  check (Alcotest.string) "roundtrip" "direct" (View.read_string v 0 6);
+  check_bool "roundtrip" true (View.equal_string v 0 6 "direct");
   View.write_u8 v 10 7;
   check_int "u8" 7 (View.read_u8 v 10);
   View.write_int v 16 99;
@@ -346,6 +375,7 @@ let () =
         [
           Alcotest.test_case "touch hook" `Quick test_view_touch;
           Alcotest.test_case "direct" `Quick test_view_direct;
+          Alcotest.test_case "in-place reads" `Quick test_view_in_place;
         ] );
       ( "reclaimer",
         [

@@ -121,8 +121,10 @@ let test_accountant_partition () =
         (Array.fold_left ( + ) 0 row))
     s.Acct.cycles
 
-(* The live episode histogram the accountant exports for [st], merged
-   across its CPUs. *)
+(* Register [acct]'s metrics and return a reader of the live episode
+   histogram it exports for [st], merged across its CPUs. The
+   accountant records episodes only once registered, so this runs
+   before the simulation. *)
 let episode_hist acct st =
   let reg = Registry.create () in
   Acct.register_metrics acct reg ~labels:[];
@@ -134,16 +136,17 @@ let episode_hist acct st =
         | Registry.Histogram read
           when m.Registry.name = "adios_cpu_state_episode_cycles"
                && m.Registry.labels = labels ->
-          Some (read ())
+          Some read
         | _ -> None)
       (Registry.metrics reg)
   with
-  | Some h -> h
+  | Some read -> read
   | None -> Alcotest.fail "no episode histogram registered"
 
 let test_accountant_noop_switch () =
   let sim = Sim.create () in
   let acct = Acct.create sim ~cpus:1 in
+  let eps = episode_hist acct Acct.App_compute in
   Hosted.spawn sim (fun () ->
       Acct.switch acct ~cpu:0 Acct.App_compute;
       Proc.wait 40;
@@ -153,7 +156,7 @@ let test_accountant_noop_switch () =
       Acct.switch acct ~cpu:0 Acct.Idle);
   Sim.run sim;
   let s = Acct.snapshot acct in
-  let eps = episode_hist acct Acct.App_compute in
+  let eps = eps () in
   check_int "one unsplit episode" 1 (Histogram.count eps);
   check_int "full length" 100 (Histogram.max_value eps);
   check_int "cycles unaffected" 100 (cycles_in s ~cpu:0 Acct.App_compute)
@@ -161,6 +164,7 @@ let test_accountant_noop_switch () =
 let test_merged_episodes () =
   let sim = Sim.create () in
   let acct = Acct.create sim ~cpus:2 in
+  let merged = episode_hist acct Acct.App_compute in
   Hosted.spawn sim (fun () ->
       Acct.switch acct ~cpu:0 Acct.App_compute;
       Acct.switch acct ~cpu:1 Acct.App_compute;
@@ -169,10 +173,25 @@ let test_merged_episodes () =
       Proc.wait 70;
       Acct.switch acct ~cpu:0 Acct.Idle);
   Sim.run sim;
-  let merged = episode_hist acct Acct.App_compute in
+  let merged = merged () in
   check_int "episodes from both cpus" 2 (Histogram.count merged);
   check_int "lengths preserved: min" 30 (Histogram.min_value merged);
   check_int "lengths preserved: max" 100 (Histogram.max_value merged)
+
+(* Episodes closed before registration were never recorded, so a late
+   registration is refused rather than exporting a partial histogram. *)
+let test_register_after_switch () =
+  let sim = Sim.create () in
+  let acct = Acct.create sim ~cpus:2 in
+  Hosted.spawn sim (fun () ->
+      Acct.switch acct ~cpu:1 Acct.Dispatch;
+      Proc.wait 10;
+      Acct.switch acct ~cpu:1 Acct.Idle);
+  Sim.run sim;
+  check_bool "refused" true
+    (match Acct.register_metrics acct (Registry.create ()) ~labels:[] with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let small_array () = Adios_apps.Array_bench.app ~pages:2048 ()
 
@@ -417,6 +436,8 @@ let () =
           Alcotest.test_case "partition" `Quick test_accountant_partition;
           Alcotest.test_case "no-op switch" `Quick test_accountant_noop_switch;
           Alcotest.test_case "episode merge" `Quick test_merged_episodes;
+          Alcotest.test_case "register before the first switch" `Quick
+            test_register_after_switch;
           QCheck_alcotest.to_alcotest prop_conservation;
         ] );
       ( "tables",
