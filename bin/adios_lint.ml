@@ -1,14 +1,13 @@
 (* adios-lint CLI: walk lib/ and bin/, print findings, gate on them.
 
-     dune exec bin/adios_lint.exe                # syntactic + typed rules
-     dune exec bin/adios_lint.exe -- --no-typed  # syntax only, no build needed
+     dune build @check && dune exec bin/adios_lint.exe
      dune exec bin/adios_lint.exe -- --root DIR --build-dir DIR/_build/default
      dune exec bin/adios_lint.exe -- --format github   # CI annotations
 
-   The typed rules (zero-alloc, cycle-units, cmt-drift) read the .cmt
-   artifacts under --build-dir (default ROOT/_build/default); run
-   `dune build @check` first or every file reports cmt-drift. Exit
-   status 0 when clean, 1 when any finding (or a bad root). The plain
+   Every rule reads the typedtrees in the .cmt artifacts under
+   --build-dir (default ROOT/_build/default); run `dune build @check`
+   first or every file reports cmt-drift. Exit status 0 when clean, 1
+   when any finding (or a bad root), 2 on a usage error. The plain
    output format is one finding per line: file:line: [rule] message;
    --format github emits workflow-command annotations that GitHub
    renders inline on the PR diff. See README.md ("Static analysis")
@@ -18,8 +17,8 @@ module Lint = Adios_analysis.Lint
 
 let usage () =
   prerr_endline
-    "usage: adios_lint [--root DIR] [--rules] [--typed|--no-typed]\n\
-    \                  [--build-dir DIR] [--format plain|github]";
+    "usage: adios_lint [--root DIR] [--rules] [--build-dir DIR]\n\
+    \                  [--format plain|github]";
   exit 2
 
 (* GitHub workflow commands terminate on newline and treat % as an
@@ -43,7 +42,6 @@ let print_github (f : Lint.finding) =
 let () =
   let root = ref "." in
   let list_rules = ref false in
-  let typed = ref true in
   let build_dir = ref None in
   let format = ref `Plain in
   let rec parse = function
@@ -54,12 +52,6 @@ let () =
     | [ "--root" ] -> usage ()
     | "--rules" :: rest ->
       list_rules := true;
-      parse rest
-    | "--typed" :: rest ->
-      typed := true;
-      parse rest
-    | "--no-typed" :: rest ->
-      typed := false;
       parse rest
     | "--build-dir" :: dir :: rest ->
       build_dir := Some dir;
@@ -88,9 +80,7 @@ let () =
       !root;
     exit 1
   end;
-  let files, findings =
-    Lint.run ~typed:!typed ?build_dir:!build_dir ~root:!root ()
-  in
+  let files, findings = Lint.run ?build_dir:!build_dir ~root:!root () in
   List.iter
     (fun f ->
       match !format with

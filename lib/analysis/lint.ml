@@ -6,13 +6,12 @@
    on conventions that the type checker does not enforce: all
    randomness flows through [Adios_engine.Rng], and every match over
    [Event.kind] names its constructors so a new event kind is a compile
-   error wherever it is not handled. This pass walks the parsetrees of
-   every [.ml] under [lib/] and [bin/] (syntax only, via compiler-libs;
-   no typing environment needed) and turns each convention into a
-   machine check; the typed rules ({!Typed_rules}) add a second layer
-   over the [.cmt] artifacts.
+   error wherever it is not handled. This pass loads the typedtree of
+   every [.ml] under [lib/] and [bin/] from the [.cmt] artifacts dune
+   leaves under [_build] ({!Typed}) and turns each convention into a
+   machine check ({!Typed_rules}).
 
-   Per-file rules (scoped by path):
+   Rules (scoped by path):
    - [determinism]    [Random.*], [Unix.gettimeofday], [Sys.time] and
                       [Hashtbl.hash] forbidden outside
                       [lib/engine/{rng,clock}.ml].
@@ -20,25 +19,31 @@
                       [Trace.Event.kind].
    - [poly-compare]   polymorphic [=]/[<>]/[compare] on syntactically
                       structural values (options, lists, tuples,
-                      records, arrays) in [lib/{core,rdma,mem}].
+                      records, arrays), or [compare] passed as a
+                      function, in [lib/{core,rdma,mem}].
    - [float-equal]    [=]/[<>] against a float literal.
    - [no-abort]       [failwith] / [assert false] in [lib/apps]: request
                       handlers must surface failures through
                       [App.Bad_request] -> [Request.errored].
-   - [unused-shadow]  a binding immediately shadowed by a same-name
-                      rebinding that does not use it.
+   - [zero-alloc]     no allocation in a [[@zero_alloc]] function.
+   - [cycle-units]    no [*_us] microsecond value in a [Clock.cycles]
+                      position, outside [lib/engine/clock.ml].
+   - [cmt-drift]      every scanned file has a current [.cmt].
+
+   A name is the standard library's only where it resolves there, so a
+   local [compare] or [Random] module is not flagged. A dead binding is
+   no rule of this pass: warning 26 makes it a build error under the
+   root [dune]'s flags, and only [_]-prefixed names, which declare
+   themselves unused, escape it.
 
    Suppressions: an allow-comment naming the rule (syntax in
    README.md, "Static analysis") on the finding's line or the line
    above silences that rule there; a trailing reason is mandatory
    ([suppress-reason] fires otherwise).
 
-   Only syntactic matching is available at this layer, so the rules are
-   heuristics tuned to this codebase's idioms; they aim for zero false
-   positives on the tree as committed, with the escape hatch above for
-   justified exceptions. *)
-
-open Parsetree
+   [poly-compare] still judges an operand structural by its syntax, so
+   the rules aim for zero false positives on the tree as committed,
+   with the escape hatch above for justified exceptions. *)
 
 type finding = Finding.t = {
   file : string;
@@ -47,26 +52,25 @@ type finding = Finding.t = {
   msg : string;
 }
 
-(* Per-file syntactic rules, listed separately so the stale-suppression
-   check knows which rules were live on a given run ([lint_source] runs
-   only these; [run ~typed:true] adds the typed rules). *)
-let syntactic_rules =
+(* The rules that run over one unit's typedtree, listed so the
+   stale-suppression check knows which rules were live on a file: none
+   where its cmt did not load. *)
+let unit_rules =
   [
     "determinism";
     "event-wildcard";
     "poly-compare";
     "float-equal";
     "no-abort";
-    "unused-shadow";
+    "zero-alloc";
+    "cycle-units";
   ]
-
-let typed_rules = [ "zero-alloc"; "cycle-units"; "cmt-drift" ]
 
 (* Meta rules report on the lint apparatus itself and are never
    suppressible (and never considered stale). *)
 let meta_rules = [ "suppress-reason"; "stale-suppression"; "parse-error" ]
 
-let rule_names = syntactic_rules @ typed_rules @ meta_rules
+let rule_names = unit_rules @ [ "cmt-drift" ] @ meta_rules
 
 let to_string f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.msg
 
@@ -77,231 +81,6 @@ let compare_findings a b =
     | 0 -> String.compare a.rule b.rule
     | c -> c)
   | c -> c
-
-(* --- parsing helpers ---------------------------------------------------- *)
-
-let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
-
-let parse_impl ~path source =
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf path;
-  Parse.implementation lexbuf
-
-let parse_error_finding ~path exn =
-  let line =
-    match exn with
-    | Syntaxerr.Error e -> line_of (Syntaxerr.location_of_error e)
-    | _ -> 1
-  in
-  { file = path; line; rule = "parse-error"; msg = "file does not parse" }
-
-let flatten lid = try Longident.flatten lid with _ -> []
-
-let last_of lid =
-  match List.rev (flatten lid) with [] -> None | x :: _ -> Some x
-
-(* --- small AST queries -------------------------------------------------- *)
-
-(* Constructor names appearing anywhere in one pattern. *)
-let pattern_constructors p =
-  let acc = ref [] in
-  let pat it q =
-    (match q.ppat_desc with
-    | Ppat_construct ({ txt; _ }, _) -> (
-      match last_of txt with Some n -> acc := n :: !acc | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.pat it q
-  in
-  let it = { Ast_iterator.default_iterator with pat } in
-  it.pat it p;
-  !acc
-
-let expr_mentions name e =
-  let found = ref false in
-  let expr it x =
-    (match x.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident n; _ } when String.equal n name ->
-      found := true
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it x
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.expr it e;
-  !found
-
-(* Constructor names of the variant type [type_name]. *)
-let variant_constructors ~type_name str =
-  let acc = ref [] in
-  let type_declaration it td =
-    (if String.equal td.ptype_name.txt type_name then
-       match td.ptype_kind with
-       | Ptype_variant cds ->
-         List.iter (fun cd -> acc := cd.pcd_name.txt :: !acc) cds
-       | _ -> ());
-    Ast_iterator.default_iterator.type_declaration it td
-  in
-  let it = { Ast_iterator.default_iterator with type_declaration } in
-  it.structure it str;
-  List.rev !acc
-
-(* --- per-file rules ------------------------------------------------------ *)
-
-let forbidden_determinism lid =
-  match flatten lid with
-  | "Random" :: _ :: _ | "Stdlib" :: "Random" :: _ ->
-    Some
-      "Random.* breaks seeded replay; thread an Adios_engine.Rng.t from the \
-       config seed instead"
-  | [ "Unix"; "gettimeofday" ] | [ "Stdlib"; "Unix"; "gettimeofday" ] ->
-    Some "wall-clock time breaks replay; use Sim.now / Adios_engine.Clock"
-  | [ "Sys"; "time" ] | [ "Stdlib"; "Sys"; "time" ] ->
-    Some "process time breaks replay; use Sim.now / Adios_engine.Clock"
-  | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ]
-  | [ "Stdlib"; "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] ->
-    Some
-      "polymorphic Hashtbl.hash is not a stable function of the logical \
-       value; derive an explicit integer key"
-  | _ -> None
-
-let determinism_exempt = [ "lib/engine/rng.ml"; "lib/engine/clock.ml" ]
-
-(* clock.ml implements the unit conversions themselves: its whole job
-   is mixing [*_us] floats with cycle counts, so the taint pass would
-   flag every line of it. *)
-let cycle_units_exempt = [ "lib/engine/clock.ml" ]
-
-let lint_structure ~path ~event_kinds str =
-  let findings = ref [] in
-  let add loc rule msg =
-    findings := { file = path; line = line_of loc; rule; msg } :: !findings
-  in
-  let det_scope = not (List.mem path determinism_exempt) in
-  let apps_scope = String.starts_with ~prefix:"lib/apps/" path in
-  let poly_scope =
-    List.exists
-      (fun p -> String.starts_with ~prefix:p path)
-      [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
-  in
-  let is_float_const e =
-    match e.pexp_desc with
-    | Pexp_constant (Pconst_float _) -> true
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Longident.Lident ("~-." | "~+."); _ }; _ },
-          [ (_, { pexp_desc = Pexp_constant (Pconst_float _); _ }) ] ) ->
-      true
-    | _ -> false
-  in
-  let structural e =
-    match e.pexp_desc with
-    | Pexp_construct ({ txt; _ }, _) -> (
-      match last_of txt with
-      | Some ("None" | "Some" | "::" | "[]") -> true
-      | _ -> false)
-    | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
-    | _ -> false
-  in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } when det_scope -> (
-      match forbidden_determinism txt with
-      | Some msg -> add loc "determinism" msg
-      | None -> ())
-    | _ -> ());
-    (match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident "failwith"; loc } when apps_scope ->
-      add loc "no-abort"
-        "failwith on a request-serving path aborts the simulation; raise \
-         App.Bad_request (App.bad_request) so the reply carries \
-         Request.errored"
-    | Pexp_assert
-        { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None);
-          pexp_loc;
-          _ }
-      when apps_scope ->
-      add pexp_loc "no-abort"
-        "assert false on a request-serving path aborts the simulation; raise \
-         App.Bad_request (App.require for missing state) so the reply \
-         carries Request.errored"
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); _ }; _ },
-          [ (_, a); (_, b) ] ) ->
-      if is_float_const a || is_float_const b then
-        add e.pexp_loc "float-equal"
-          (Printf.sprintf
-             "(%s) against a float literal is an exact-bit comparison; test \
-              against an epsilon or restructure the condition"
-             op);
-      if poly_scope && (structural a || structural b) then
-        add e.pexp_loc "poly-compare"
-          (Printf.sprintf
-             "polymorphic (%s) on a structural value; use Option.is_none / \
-              Option.is_some, a match, or a type-specific equal"
-             op)
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Longident.Lident "compare"; _ }; _ },
-          [ (_, a); (_, b) ] )
-      when poly_scope && (structural a || structural b) ->
-      add e.pexp_loc "poly-compare"
-        "polymorphic compare on a structural value; use a type-specific \
-         comparator"
-    | Pexp_apply (_, args) when poly_scope ->
-      List.iter
-        (fun (_, arg) ->
-          match arg.pexp_desc with
-          | Pexp_ident
-              { txt =
-                  ( Longident.Lident "compare"
-                  | Longident.Ldot (Longident.Lident "Stdlib", "compare") );
-                loc } ->
-            add loc "poly-compare"
-              "polymorphic compare passed as a function; pass a \
-               type-specific comparator"
-          | _ -> ())
-        args
-    | Pexp_let
-        ( Asttypes.Nonrecursive,
-          [ { pvb_pat = { ppat_desc = Ppat_var { txt = x; _ }; _ }; pvb_loc; _ } ],
-          body ) -> (
-      match body.pexp_desc with
-      | Pexp_let
-          ( Asttypes.Nonrecursive,
-            [ { pvb_pat = { ppat_desc = Ppat_var { txt = y; _ }; _ };
-                pvb_expr = e2;
-                _ } ],
-            _ )
-        when String.equal x y && not (expr_mentions x e2) ->
-        add pvb_loc "unused-shadow"
-          (Printf.sprintf
-             "binding of %s is dead: immediately shadowed by a rebinding \
-              that does not use it"
-             x)
-      | _ -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let cases it cs =
-    (match event_kinds with
-    | [] -> ()
-    | kinds ->
-      let names =
-        List.concat_map (fun c -> pattern_constructors c.pc_lhs) cs
-      in
-      if List.exists (fun n -> List.mem n kinds) names then
-        List.iter
-          (fun c ->
-            match c.pc_lhs.ppat_desc with
-            | Ppat_any | Ppat_var _ ->
-              add c.pc_lhs.ppat_loc "event-wildcard"
-                "wildcard case in a match over Trace.Event.kind: list the \
-                 constructors so a new event kind is a compile error, not a \
-                 silently untraced event"
-            | _ -> ())
-          cs);
-    Ast_iterator.default_iterator.cases it cs
-  in
-  let it = { Ast_iterator.default_iterator with expr; cases } in
-  it.structure it str;
-  !findings
 
 (* --- suppressions -------------------------------------------------------- *)
 
@@ -381,8 +160,8 @@ let apply_suppressions (sups, sup_finds) findings =
 (* A suppression that no longer matches a finding is debt: the code it
    excused was fixed or moved, and the comment now silently licenses a
    future regression on that line. Only rules that were actually live
-   on this run count — a [zero-alloc] suppression is not stale just
-   because the typed pass was skipped. *)
+   on this file count — a [zero-alloc] suppression is not stale just
+   because the file's cmt did not load. *)
 let stale_suppressions ~path ~active (sups, _) raw =
   List.concat_map
     (fun (ln, rules) ->
@@ -411,57 +190,47 @@ let stale_suppressions ~path ~active (sups, _) raw =
         rules)
     sups
 
-(* --- per-file entry points ----------------------------------------------- *)
+(* --- per-unit rules ------------------------------------------------------- *)
 
-let lint_raw ~event_kinds ~path ~source =
-  match parse_impl ~path source with
-  | exception exn -> [ parse_error_finding ~path exn ]
-  | str -> lint_structure ~path ~event_kinds str
+(* clock.ml implements the unit conversions themselves: its whole job
+   is mixing [*_us] floats with cycle counts, so the taint pass would
+   flag every line of it. *)
+let cycle_units_exempt = [ "lib/engine/clock.ml" ]
 
-let lint_source ?(event_kinds = []) ~path ~source () =
+let lint_unit ~path ~str ~resolve_unit =
+  Typed_rules.conventions ~path ~str
+  @ Typed_rules.zero_alloc ~file:path ~str ~resolve_unit
+  @
+  if List.mem path cycle_units_exempt then []
+  else Typed_rules.cycle_units ~path ~str
+
+(* Per-file entry point for tests: type [source] in-process (so
+   fixtures can carry local stub modules for [Sim]/[Clock]/[Event] and
+   their own [@zero_alloc]/[@cold] marks, and need no cmt) and run every
+   per-unit rule on the result. A source that does not type ran no rule,
+   so none of its suppressions is stale. *)
+let lint_source ~path ~source () =
   let sups = scan_suppressions ~path source in
-  let raw = lint_raw ~event_kinds ~path ~source in
-  apply_suppressions sups
-    (raw @ stale_suppressions ~path ~active:syntactic_rules sups raw)
-  |> List.sort compare_findings
-
-(* Typed per-file entry point for tests: type [source] in-process (so
-   fixtures can carry local stub modules for [Sim]/[Clock] and their own
-   [@zero_alloc]/[@cold] marks, and need no cmt) and run the typed rules
-   on the result. Suppressions and staleness work exactly as in
-   [lint_source]. *)
-let lint_typed_source ~path ~source () =
-  let sups = scan_suppressions ~path source in
-  let raw =
+  let raw, active =
     match Typed.type_source ~path ~source with
     | Error msg ->
-      [ { file = path;
-          line = 1;
-          rule = "parse-error";
-          msg = "file does not type: " ^ msg;
-        } ]
-    | Ok str ->
-      let za =
-        Typed_rules.zero_alloc ~file:path ~str ~resolve_unit:(fun _ -> None)
-      in
-      let cu =
-        if List.mem path cycle_units_exempt then []
-        else Typed_rules.cycle_units ~path ~str
-      in
-      za @ cu
+      ( [ { file = path;
+            line = 1;
+            rule = "parse-error";
+            msg = "file does not type: " ^ msg;
+          } ],
+        [] )
+    | Ok str -> (lint_unit ~path ~str ~resolve_unit:(fun _ -> None), unit_rules)
   in
-  apply_suppressions sups
-    (raw
-    @ stale_suppressions ~path ~active:[ "zero-alloc"; "cycle-units" ] sups raw
-    )
+  apply_suppressions sups (raw @ stale_suppressions ~path ~active sups raw)
   |> List.sort compare_findings
 
-(* --- typed layer orchestration -------------------------------------------- *)
+(* --- whole-repo pass ------------------------------------------------------ *)
 
-(* Run the typedtree rules over every file a cmt loads for. Returns the
+(* Run the per-unit rules over every file a cmt loads for. Returns the
    findings plus the files whose cmt actually loaded, so staleness
-   knows where the typed rules were live. *)
-let typed_pass ~build_dir sources =
+   knows where the rules were live. *)
+let unit_pass ~build_dir sources =
   let index = Typed.load_index ~build_dir in
   let drift = ref [] and loaded = ref [] in
   List.iter
@@ -474,8 +243,7 @@ let typed_pass ~build_dir sources =
       | Typed.No_build_dir ->
         fail
           (Printf.sprintf
-             "no build directory at %s; run dune build @check before the \
-              typed pass (or pass --no-typed)"
+             "no build directory at %s; run dune build @check before the lint"
              build_dir)
       | Typed.No_cmt ->
         fail
@@ -502,7 +270,7 @@ let typed_pass ~build_dir sources =
       Hashtbl.replace views file v;
       v
   in
-  let zero_alloc =
+  let per_unit =
     List.concat_map
       (fun (path, str) ->
         let home = Typed.cmt_dir index ~path in
@@ -515,18 +283,10 @@ let typed_pass ~build_dir sources =
             Some (view ~file:info.Typed.src info.Typed.structure)
           | _ -> None
         in
-        Typed_rules.zero_alloc ~file:path ~str ~resolve_unit)
+        lint_unit ~path ~str ~resolve_unit)
       loaded
   in
-  let cycle_units =
-    List.concat_map
-      (fun (path, str) ->
-        if List.mem path cycle_units_exempt then []
-        else Typed_rules.cycle_units ~path ~str)
-      loaded
-  in
-  ( !drift @ zero_alloc @ cycle_units,
-    List.map fst loaded )
+  (!drift @ per_unit, List.map fst loaded)
 
 (* --- whole-repo driver ---------------------------------------------------- *)
 
@@ -555,7 +315,7 @@ let collect_files root =
 let default_build_dir root =
   Filename.concat root (Filename.concat "_build" "default")
 
-let run ?(typed = true) ?build_dir ~root () =
+let run ?build_dir ~root () =
   let build_dir =
     match build_dir with Some d -> d | None -> default_build_dir root
   in
@@ -563,35 +323,16 @@ let run ?(typed = true) ?build_dir ~root () =
   let sources =
     List.map (fun f -> (f, read_file (Filename.concat root f))) files
   in
-  let event_kinds =
-    match List.assoc_opt "lib/trace/event.ml" sources with
-    | None -> []
-    | Some src -> (
-      match parse_impl ~path:"lib/trace/event.ml" src with
-      | exception _ -> []
-      | str -> variant_constructors ~type_name:"kind" str)
-  in
-  let per_file =
-    List.concat_map
-      (fun (path, source) -> lint_raw ~event_kinds ~path ~source)
-      sources
-  in
-  let typed_findings, typed_loaded =
-    if typed then typed_pass ~build_dir sources else ([], [])
-  in
-  let raw = per_file @ typed_findings in
+  let raw, loaded = unit_pass ~build_dir sources in
   let final =
     List.concat_map
       (fun (path, source) ->
         let sups = scan_suppressions ~path source in
+        (* a [zero-alloc] finding lands in the file of the callee its
+           descent reached, so group findings by file, not by unit *)
         let mine = List.filter (fun f -> String.equal f.file path) raw in
         let active =
-          syntactic_rules
-          @ (if typed then [ "cmt-drift" ] else [])
-          @
-          if typed && List.mem path typed_loaded then
-            [ "zero-alloc"; "cycle-units" ]
-          else []
+          "cmt-drift" :: (if List.mem path loaded then unit_rules else [])
         in
         apply_suppressions sups
           (mine @ stale_suppressions ~path ~active sups mine))

@@ -107,15 +107,18 @@ let cmt_dir index ~path =
 
 (* --- in-process typing, for test fixtures --------------------------------
 
-   Lint tests hand the typed rules small self-contained sources (with
-   local stub modules standing in for [Sim]/[Clock]), so no cmt and no
-   cross-unit cmi resolution is needed: initialise the compiler's load
-   path once and run the type checker directly. *)
+   Lint tests hand the rules small self-contained sources (with local
+   stub modules standing in for [Sim]/[Clock]/[Event]), so no cmt and
+   no project cmi is needed: initialise the compiler's load path once,
+   with the standard library and [unix] (whose [gettimeofday] the
+   [determinism] rule names), and run the type checker directly. This
+   is the linter's only parser. *)
 
 let typing_initialised = ref false
 
 let type_source ~path ~source =
   if not !typing_initialised then begin
+    Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
     Compmisc.init_path ();
     typing_initialised := true
   end;

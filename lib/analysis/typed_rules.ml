@@ -1,6 +1,16 @@
 (* Typedtree-backed project rules. These run over the [.cmt] artifacts
-   [Typed] loads (or over fixtures typed in-process) and enforce the
-   two conventions the syntactic layer cannot see:
+   [Typed] loads (or over fixtures typed in-process), so each rule knows
+   which definition a name resolves to and which type a constructor
+   builds.
+
+   - [conventions]: the per-file rules [determinism], [event-wildcard],
+     [poly-compare], [float-equal] and [no-abort] (catalogue and scopes
+     in lint.ml's header). A name counts only when it resolves to the
+     library's own definition: [int] under [let open Random] is
+     [Random.int], and a module-local [compare] is not Stdlib's. A case
+     list is over [Event.kind] when one of its patterns holds a
+     constructor whose result type is that type, whatever the
+     constructor's name.
 
    - [zero-alloc]: a function marked [let[@zero_alloc] f ...] must
      not allocate. The walk flags every allocating construct the
@@ -53,6 +63,182 @@ let path_parts p =
     | _ -> None
   in
   go p []
+
+(* A value's path from the compilation unit that defines it, with the
+   [Stdlib] prefix folded away: [Random.int], [Stdlib.Random.int] and
+   [int] under [let open Random] all give ["Random"; "int"], and
+   [Unix.gettimeofday] gives ["Unix"; "gettimeofday"]. [None] for a
+   path that starts at a local definition ([module Random = struct ...
+   end], [let compare = ...]). *)
+let library_path p =
+  match path_parts p with
+  | Some ("Stdlib", tail) -> Some tail
+  | Some (unit, tail) -> Some (unit :: tail)
+  | None -> None
+
+let library_ident e =
+  match e.exp_desc with Texp_ident (p, _, _) -> library_path p | _ -> None
+
+(* --- conventions ---------------------------------------------------------- *)
+
+let determinism_message = function
+  | "Random" :: _ :: _ ->
+    Some
+      "Random.* breaks seeded replay; thread an Adios_engine.Rng.t from the \
+       config seed instead"
+  | [ "Unix"; "gettimeofday" ] ->
+    Some "wall-clock time breaks replay; use Sim.now / Adios_engine.Clock"
+  | [ "Sys"; "time" ] ->
+    Some "process time breaks replay; use Sim.now / Adios_engine.Clock"
+  | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] ->
+    Some
+      "polymorphic Hashtbl.hash is not a stable function of the logical \
+       value; derive an explicit integer key"
+  | _ -> None
+
+let determinism_exempt = [ "lib/engine/rng.ml"; "lib/engine/clock.ml" ]
+
+(* [Event.kind] seen from anywhere: [Adios_trace.Event.kind] from other
+   units, a fixture's [Event.kind] stub, or plain [kind] inside
+   event.ml itself. Context's own [kind] is not it. *)
+let is_event_kind ~file ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> (
+    String.equal (Path.last p) "kind"
+    &&
+    match p with
+    | Path.Pdot (q, _) ->
+      let m = Path.last q in
+      String.equal m "Event" || String.ends_with ~suffix:"__Event" m
+    | Path.Pident _ -> String.equal file "lib/trace/event.ml"
+    | _ -> false)
+  | _ -> false
+
+let builds_event_kind ~file p =
+  let found = ref false in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun it q ->
+    (match q.pat_desc with
+    | Tpat_construct (_, cd, _, _) when is_event_kind ~file cd.Types.cstr_res
+      ->
+      found := true
+    | _ -> ());
+    Tast_iterator.default_iterator.pat it q
+  in
+  let it = { Tast_iterator.default_iterator with pat } in
+  it.pat it p;
+  !found
+
+let rec is_catch_all : type k. k general_pattern -> bool =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_any | Tpat_var _ -> true
+  | Tpat_value v -> is_catch_all (v :> pattern)
+  | _ -> false
+
+(* The parser folds [-0.5] and [-. 0.5] into the literal. *)
+let is_float_literal e =
+  match e.exp_desc with
+  | Texp_constant (Asttypes.Const_float _) -> true
+  | _ -> false
+
+(* Structural by its syntax: the value's type alone would flag every
+   comparison of two options, which this rule leaves to review. *)
+let is_structural e =
+  match e.exp_desc with
+  | Texp_construct (_, cd, _) -> (
+    match cd.Types.cstr_name with
+    | "None" | "Some" | "::" | "[]" -> true
+    | _ -> false)
+  | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
+  | _ -> false
+
+let conventions ~path ~(str : structure) : Finding.t list =
+  let findings = ref [] in
+  let add (loc : Location.t) rule msg =
+    findings := { Finding.file = path; line = line_of loc; rule; msg } :: !findings
+  in
+  let det_scope = not (List.mem path determinism_exempt) in
+  let apps_scope = String.starts_with ~prefix:"lib/apps/" path in
+  let poly_scope =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p path)
+      [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
+  in
+  let cases : type k. k case list -> unit =
+   fun cs ->
+    if List.exists (fun c -> builds_event_kind ~file:path c.c_lhs) cs then
+      List.iter
+        (fun c ->
+          if is_catch_all c.c_lhs then
+            add c.c_lhs.pat_loc "event-wildcard"
+              "wildcard case in a match over Trace.Event.kind: list the \
+               constructors so a new event kind is a compile error, not a \
+               silently untraced event")
+        cs
+  in
+  let expr it e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> (
+      match library_path p with
+      | Some [ "failwith" ] when apps_scope ->
+        add e.exp_loc "no-abort"
+          "failwith on a request-serving path aborts the simulation; raise \
+           App.Bad_request (App.bad_request) so the reply carries \
+           Request.errored"
+      | Some parts when det_scope -> (
+        match determinism_message parts with
+        | Some msg -> add e.exp_loc "determinism" msg
+        | None -> ())
+      | _ -> ())
+    | Texp_assert ({ exp_desc = Texp_construct (_, cd, []); _ }, _)
+      when apps_scope && String.equal cd.Types.cstr_name "false" ->
+      add e.exp_loc "no-abort"
+        "assert false on a request-serving path aborts the simulation; raise \
+         App.Bad_request (App.require for missing state) so the reply \
+         carries Request.errored"
+    | Texp_apply (f, args) -> (
+      match (library_ident f, args) with
+      | Some [ (("=" | "<>") as op) ], [ (_, Some a); (_, Some b) ] ->
+        if is_float_literal a || is_float_literal b then
+          add e.exp_loc "float-equal"
+            (Printf.sprintf
+               "(%s) against a float literal is an exact-bit comparison; \
+                test against an epsilon or restructure the condition"
+               op);
+        if poly_scope && (is_structural a || is_structural b) then
+          add e.exp_loc "poly-compare"
+            (Printf.sprintf
+               "polymorphic (%s) on a structural value; use Option.is_none / \
+                Option.is_some, a match, or a type-specific equal"
+               op)
+      | Some [ "compare" ], [ (_, Some a); (_, Some b) ]
+        when poly_scope && (is_structural a || is_structural b) ->
+        add e.exp_loc "poly-compare"
+          "polymorphic compare on a structural value; use a type-specific \
+           comparator"
+      | _ when poly_scope ->
+        List.iter
+          (fun (_, arg) ->
+            match arg with
+            | Some a -> (
+              match library_ident a with
+              | Some [ "compare" ] ->
+                add a.exp_loc "poly-compare"
+                  "polymorphic compare passed as a function; pass a \
+                   type-specific comparator"
+              | _ -> ())
+            | None -> ())
+          args
+      | _ -> ())
+    | Texp_function { cases = cs; _ } -> cases cs
+    | Texp_match (_, cs, _) -> cases cs
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str;
+  List.rev !findings
 
 (* --- toplevel bindings of a unit ----------------------------------------- *)
 

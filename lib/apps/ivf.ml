@@ -92,14 +92,24 @@ let query qs rng =
   let c = Rng.int rng qs.qp.nlist in
   (gen_vector qs.qp rng ~centroid:qs.centroids.(c), c)
 
-(* insertion-sorted top-k list (k is small) *)
-let topk_add k lst entry =
-  let rec ins = function
-    | [] -> [ entry ]
-    | x :: rest -> if fst entry < fst x then entry :: x :: rest else x :: ins rest
-  in
-  let l = ins lst in
-  if List.length l > k then List.filteri (fun i _ -> i < k) l else l
+let rec last_distance = function
+  | [ (d, _) ] -> d
+  | _ :: rest -> last_distance rest
+  | [] -> max_int
+
+(* insertion-sorted top-k list (k is small). Most scanned vectors
+   cannot enter a full list, and those leave it as it is, allocating
+   nothing. *)
+let topk_add k lst d id =
+  if List.compare_length_with lst k = 0 && d >= last_distance lst then lst
+  else
+    let rec ins = function
+      | [] -> [ (d, id) ]
+      | ((d', _) as x) :: rest ->
+        if d < d' then (d, id) :: x :: rest else x :: ins rest
+    in
+    let l = ins lst in
+    if List.length l > k then List.filteri (fun i _ -> i < k) l else l
 
 let scan_list t view ~tick ~k ~q ~list acc =
   let p = t.p in
@@ -117,7 +127,7 @@ let scan_list t view ~tick ~k ~q ~list acc =
        stored vector (BIGANN's 128 bytes) *)
     if p.pad > 0 then
       View.touch_range view ~addr:(addr + 8 + p.dim) ~len:p.pad ~write:false;
-    acc := topk_add k !acc (d, id);
+    acc := topk_add k !acc d id;
     incr since_tick;
     if !since_tick >= batch then begin
       tick !since_tick;

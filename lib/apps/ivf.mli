@@ -47,6 +47,12 @@ val query : query_source -> Adios_engine.Rng.t -> bytes * int
 (** A query vector drawn near a random centroid; also returns that
     centroid's id (the query's true cluster, for recall tests). *)
 
+val topk_add : int -> (int * int) list -> int -> int -> (int * int) list
+(** [topk_add k top d id] inserts [(d, id)] into [top], at most [k]
+    [(distance, id)] pairs sorted nearest first, after every entry at
+    distance [d], and keeps the first [k]. A full [top] that [d] cannot
+    enter comes back as it is, with nothing allocated. *)
+
 val search :
   t ->
   Adios_mem.View.t ->

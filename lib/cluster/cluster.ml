@@ -13,10 +13,11 @@ type config = {
   nodes : int;
   replication : int;
   crashes : int;
-  crash_at_us : float;
+  crash_at : Clock.cycles;
 }
 
-let default = { nodes = 1; replication = 1; crashes = 0; crash_at_us = 1000. }
+let default =
+  { nodes = 1; replication = 1; crashes = 0; crash_at = Clock.of_us 1000. }
 
 let normalize c =
   let nodes = max 1 c.nodes in
@@ -354,7 +355,7 @@ let crash_one t =
 let start t =
   for i = 0 to t.cfg.crashes - 1 do
     Sim.schedule t.sim
-      ~delay:(Clock.of_us (t.cfg.crash_at_us *. float_of_int (i + 1)))
+      ~delay:(t.cfg.crash_at * (i + 1))
       (fun () -> crash_one t)
   done
 

@@ -30,8 +30,9 @@ module Nic = Adios_rdma.Nic
 type config = {
   nodes : int;  (** memory nodes (clamped to >= 1) *)
   replication : int;  (** copies per page (clamped to [1, nodes]) *)
-  crashes : int;  (** nodes to kill, one per [crash_at_us] period *)
-  crash_at_us : float;  (** first crash time; the i-th at [(i+1) * this] *)
+  crashes : int;  (** nodes to kill, one per [crash_at] period *)
+  crash_at : Adios_engine.Clock.cycles;
+      (** first crash time; the i-th at [(i+1) * this] *)
 }
 
 val default : config

@@ -6,8 +6,7 @@ let recycle_cycles = 30
 let steal_cycles = 180
 let poll_cycles = 40
 let unithread_create_cycles = 60
-let ctx_switch_cycles = 40
-let ucontext_switch_cycles = 191
+let ctx_switch_cycles = Adios_unithread.Context.(switch_cycles Unithread)
 let reply_post_cycles = 80
 let fault_sw_cycles = 800
 let map_page_cycles = 300
@@ -52,7 +51,8 @@ let pp_table ppf () =
      eth: latency=%.2fus tx_cqe=%.2fus@,\
      admission: queue=%d buffers=%d@]"
     workers dispatch_cycles recycle_cycles poll_cycles
-    unithread_create_cycles ctx_switch_cycles ucontext_switch_cycles
+    unithread_create_cycles ctx_switch_cycles
+    Adios_unithread.Context.(switch_cycles Ucontext)
     reply_post_cycles fault_sw_cycles map_page_cycles hit_touch_cycles
     (us hermit_fault_extra_cycles)
     (us hermit_request_extra_cycles)

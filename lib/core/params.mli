@@ -29,10 +29,8 @@ val unithread_create_cycles : int
 (** Building a unithread in its pre-allocated buffer. *)
 
 val ctx_switch_cycles : int
-(** One unithread context switch (Table 1). *)
-
-val ucontext_switch_cycles : int
-(** One ucontext_t switch (Table 1, used by the Shinjuku-style model). *)
+(** One unithread context switch (Table 1): [Context.switch_cycles
+    Unithread]. *)
 
 val reply_post_cycles : int
 (** Posting the reply send WR. *)

@@ -1,6 +1,7 @@
 module Config = Adios_core.Config
 module App = Adios_core.App
 module Rng = Adios_engine.Rng
+module Clock = Adios_engine.Clock
 module Cluster = Adios_cluster.Cluster
 
 type variant = string * (Config.t -> Config.t)
@@ -143,7 +144,7 @@ let reduced = [ reduced_array; reduced_memcached; reduced_rocksdb_scan ]
    surface errors. *)
 let cluster_reduced =
   let topo ~nodes ~replication ~crashes =
-    { Cluster.nodes; replication; crashes; crash_at_us = 1000. }
+    { Cluster.nodes; replication; crashes; crash_at = Clock.of_us 1000. }
   in
   make ~name:"cluster-reduced" ~systems:[ Config.Adios ] ~loads:[ 1000. ]
     ~clusters:

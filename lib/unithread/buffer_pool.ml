@@ -8,21 +8,23 @@ type layout = {
 }
 
 let unithread_layout =
+  let ctx_bytes = Context.context_bytes Context.Unithread in
   {
     name = "unithread (universal stack)";
     mtu = 1500;
-    ctx_bytes = 80;
-    stack_bytes = 4096 - 1500 - 80;
+    ctx_bytes;
+    stack_bytes = 4096 - 1500 - ctx_bytes;
     extra_stacks = 0;
     stack_unit = 0;
   }
 
 let shinjuku_layout =
+  let ctx_bytes = Context.context_bytes Context.Ucontext in
   {
     name = "shinjuku (ucontext + 2 stacks)";
     mtu = 1500;
-    ctx_bytes = 968;
-    stack_bytes = 4096 - 1500 - 968;
+    ctx_bytes;
+    stack_bytes = 4096 - 1500 - ctx_bytes;
     extra_stacks = 2;
     stack_unit = 4096;
   }
@@ -77,17 +79,20 @@ let alloc t =
   end
   else -1
 
+(* Doubling the returned-id stack is rare, so keep it out of [free]'s
+   inlined copies: [dispatcher_step] frees a buffer per reply. *)
+let[@cold][@inline never] grow_returned t =
+  let grown = Array.make (max 64 (2 * t.nreturned)) 0 in
+  Array.blit t.returned 0 grown 0 t.nreturned;
+  t.returned <- grown
+
 let free t id =
   if id < 0 || id >= t.count then invalid_arg "Buffer_pool.free: bad id";
   if Bytes.get t.allocated id = '\000' then
     invalid_arg "Buffer_pool.free: double free";
   Bytes.set t.allocated id '\000';
   t.in_use <- t.in_use - 1;
-  if t.nreturned = Array.length t.returned then begin
-    let grown = Array.make (max 64 (2 * t.nreturned)) 0 in
-    Array.blit t.returned 0 grown 0 t.nreturned;
-    t.returned <- grown
-  end;
+  if t.nreturned = Array.length t.returned then grow_returned t;
   t.returned.(t.nreturned) <- id;
   t.nreturned <- t.nreturned + 1
 

@@ -417,6 +417,33 @@ let small_ivf () =
   let t = Ivf.create v p ~seed:42 in
   (t, v, p)
 
+(* Reference top-k: insert after equal distances, then truncate. *)
+let topk_add_reference k lst entry =
+  let rec ins = function
+    | [] -> [ entry ]
+    | x :: rest -> if fst entry < fst x then entry :: x :: rest else x :: ins rest
+  in
+  let l = ins lst in
+  if List.length l > k then List.filteri (fun i _ -> i < k) l else l
+
+(* Distances drawn from 0..9 so most streams tie; ids are positions, so
+   a tie broken the other way shows. *)
+let prop_topk_matches_reference =
+  QCheck.Test.make ~name:"topk_add matches insert-then-truncate" ~count:500
+    QCheck.(pair (int_range 0 6) (list_of_size (Gen.int_range 0 60) (int_range 0 9)))
+    (fun (k, stream) ->
+      let top, reference, _ =
+        List.fold_left
+          (fun (top, reference, id) d ->
+            let top = Ivf.topk_add k top d id in
+            let reference = topk_add_reference k reference (d, id) in
+            if top <> reference then
+              QCheck.Test.fail_reportf "k=%d: differs after id %d" k id;
+            (top, reference, id + 1))
+          ([], [], 0) stream
+      in
+      top = reference)
+
 let test_ivf_search_sorted () =
   let t, v, _ = small_ivf () in
   let qs = Ivf.query_source t v in
@@ -616,6 +643,7 @@ let () =
       ( "ivf",
         [
           Alcotest.test_case "search sorted" `Quick test_ivf_search_sorted;
+          QCheck_alcotest.to_alcotest prop_topk_matches_reference;
           Alcotest.test_case "recall" `Quick test_ivf_recall;
           Alcotest.test_case "cluster structure" `Quick
             test_ivf_true_list_probed;

@@ -30,9 +30,9 @@ let make ?trace ?(seed = 7) ?(pages = pages) cfg =
   in
   (sim, c)
 
-let topo ?(nodes = 4) ?(replication = 2) ?(crashes = 0) ?(crash_at_us = 10.) ()
-    =
-  { Cluster.nodes; replication; crashes; crash_at_us }
+let topo ?(nodes = 4) ?(replication = 2) ?(crashes = 0)
+    ?(crash_at = Clock.of_us 10.) () =
+  { Cluster.nodes; replication; crashes; crash_at }
 
 (* --- config --------------------------------------------------------------- *)
 

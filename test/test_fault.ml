@@ -232,7 +232,7 @@ let crash_cfg sys ~nodes ~replication ~prefetch =
         Adios_cluster.Cluster.nodes;
         replication;
         crashes = 1;
-        crash_at_us = 500.;
+        crash_at = Clock.of_us 500.;
       };
   }
 

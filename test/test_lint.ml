@@ -1,6 +1,7 @@
 (* adios-lint tests: one positive and one negative fixture per rule,
-   the suppression grammar, and a self-check that the repository as
-   committed lints clean (the same gate CI enforces). *)
+   each typed in-process, the suppression grammar, and a self-check
+   that the repository as committed lints clean (the same gate CI
+   enforces). *)
 
 module Lint = Adios_analysis.Lint
 
@@ -9,7 +10,7 @@ let check_bool = check Alcotest.bool
 let check_int = check Alcotest.int
 let check_string = check Alcotest.string
 
-let lint ?event_kinds ~path source = Lint.lint_source ?event_kinds ~path ~source ()
+let lint ~path source = Lint.lint_source ~path ~source ()
 
 let rules_of fs = List.map (fun f -> f.Lint.rule) fs
 let fires rule fs = List.mem rule (rules_of fs)
@@ -33,7 +34,6 @@ let test_rule_names () =
       "poly-compare";
       "float-equal";
       "no-abort";
-      "unused-shadow";
       "zero-alloc";
       "cycle-units";
       "cmt-drift";
@@ -64,9 +64,19 @@ let test_determinism () =
       "Hashtbl.seeded_hash 1 42";
     ];
   check_clean "bin is in scope but Rng calls are fine"
-    (lint ~path:"bin/adios_sim.ml" "let f rng = Adios_engine.Rng.int rng 5");
+    (lint ~path:"bin/adios_sim.ml"
+       "module Rng = struct let int _ n = n end\nlet f rng = Rng.int rng 5");
   check_fires "bin is in scope" "determinism"
     (lint ~path:"bin/adios_sim.ml" "let f () = Random.int 5")
+
+(* A name counts where it resolves: [int] under [let open Random] is
+   [Random.int], and a local [Random] is not Stdlib's. *)
+let test_determinism_open () =
+  check_fires "let open Random" "determinism"
+    (lint ~path:"lib/core/foo.ml" "let f () = let open Random in int 5");
+  check_clean "a local module named Random is not Stdlib's"
+    (lint ~path:"lib/core/foo.ml"
+       "module Random = struct let int n = n end\nlet f () = Random.int 5")
 
 let test_determinism_exempt () =
   check_clean "rng.ml may seed itself"
@@ -76,25 +86,31 @@ let test_determinism_exempt () =
 
 (* --- event-wildcard ---------------------------------------------------- *)
 
-let kinds = [ "Alpha"; "Beta"; "Gamma" ]
+let event_stub =
+  "module Event = struct type kind = Dispatch | Run_begin | Run_end end\n"
 
 let test_event_wildcard () =
   check_fires "catch-all over kind constructors" "event-wildcard"
-    (lint ~event_kinds:kinds ~path:"lib/trace/x.ml"
-       "let f = function Alpha -> 1 | _ -> 0");
+    (lint ~path:"lib/trace/x.ml"
+       (event_stub ^ "let f = function Event.Dispatch -> 1 | _ -> 0"));
   check_fires "variable catch-all too" "event-wildcard"
-    (lint ~event_kinds:kinds ~path:"lib/trace/x.ml"
-       "let f k = match k with Beta -> 1 | other -> ignore other; 0")
+    (lint ~path:"lib/trace/x.ml"
+       (event_stub
+      ^ "let f k = match k with Event.Run_begin -> 1 | other -> ignore other; 0"
+       ))
 
 let test_event_wildcard_negative () =
   check_clean "exhaustive match is fine"
-    (lint ~event_kinds:kinds ~path:"lib/trace/x.ml"
-       "let f = function Alpha -> 1 | Beta -> 2 | Gamma -> 3");
+    (lint ~path:"lib/trace/x.ml"
+       (event_stub
+      ^ "let f = function Event.Dispatch -> 1 | Run_begin -> 2 | Run_end -> 3"
+       ));
   check_clean "wildcards over other types are fine"
-    (lint ~event_kinds:kinds ~path:"lib/trace/x.ml"
-       "let f = function Some x -> x | _ -> 0");
-  check_clean "rule disabled without the kind list"
-    (lint ~path:"lib/trace/x.ml" "let f = function Alpha -> 1 | _ -> 0")
+    (lint ~path:"lib/trace/x.ml" "let f = function Some x -> x | _ -> 0");
+  (* the constructor's type decides, not its name *)
+  check_clean "a local variant sharing a kind's constructor name is fine"
+    (lint ~path:"lib/core/x.ml"
+       "type stage = Dispatch | Idle\nlet f = function Dispatch -> 1 | _ -> 0")
 
 (* --- poly-compare ------------------------------------------------------ *)
 
@@ -106,13 +122,19 @@ let test_poly_compare () =
   check_fires "compare on a list" "poly-compare"
     (lint ~path:"lib/mem/x.ml" "let f a = compare a [ 1; 2 ]");
   check_fires "compare passed as a function" "poly-compare"
-    (lint ~path:"lib/core/x.ml" "let f xs = List.sort compare xs")
+    (lint ~path:"lib/core/x.ml" "let f xs = List.sort compare xs");
+  check_fires "Stdlib.compare passed as a function" "poly-compare"
+    (lint ~path:"lib/core/x.ml" "let f xs = List.sort Stdlib.compare xs")
 
 let test_poly_compare_scope () =
   check_clean "apps are out of scope"
     (lint ~path:"lib/apps/x.ml" "let f a = a = None");
   check_clean "scalar comparisons are fine"
-    (lint ~path:"lib/core/x.ml" "let f a b = a = b")
+    (lint ~path:"lib/core/x.ml" "let f a b = a = b");
+  check_clean "a module-local compare is not Stdlib's"
+    (lint ~path:"lib/core/x.ml"
+       "let compare (a : int) b = Int.compare a b\n\
+        let f xs = List.sort compare xs")
 
 (* --- float-equal ------------------------------------------------------- *)
 
@@ -137,18 +159,6 @@ let test_no_abort_scope () =
     (lint ~path:"lib/core/foo.ml" "let f () = failwith \"x\"");
   check_clean "ordinary asserts are fine in apps"
     (lint ~path:"lib/apps/foo.ml" "let f x = assert (x > 0)")
-
-(* --- unused-shadow ----------------------------------------------------- *)
-
-let test_unused_shadow () =
-  check_fires "dead immediately-shadowed binding" "unused-shadow"
-    (lint ~path:"lib/trace/x.ml"
-       "let f () = let parts = [] in let parts = [ 1 ] in parts");
-  check_clean "rebinding that uses the old value is fine"
-    (lint ~path:"lib/trace/x.ml"
-       "let f () = let parts = [] in let parts = 1 :: parts in parts");
-  check_clean "distinct names are fine"
-    (lint ~path:"lib/trace/x.ml" "let f () = let a = [] in let b = [ 1 ] in (a, b)")
 
 (* --- parse-error ------------------------------------------------------- *)
 
@@ -233,24 +243,22 @@ let test_stale_suppression () =
     (fires "stale-suppression" (lint ~path:"lib/apps/foo.ml" live))
 
 let test_stale_suppression_inactive_rule () =
-  (* a zero-alloc suppression is typed-layer business: a syntax-only run
-     must not call it stale just because the typed pass was skipped *)
+  (* a source that does not type ran no rule, so its suppressions are
+     not stale: the parse-error is the one finding *)
   let src =
-    Printf.sprintf "let f () = 1 (* %s zero-alloc -- typed-layer fixture *)"
-      allow
+    Printf.sprintf "let f x = x + 1.0 (* %s no-abort -- fixture *)" allow
   in
-  check_bool "typed rules are not active on a syntactic run" false
-    (fires "stale-suppression" (lint ~path:"lib/core/x.ml" src))
+  check (Alcotest.list Alcotest.string) "only the parse error"
+    [ "parse-error" ]
+    (rules_of (lint ~path:"lib/apps/foo.ml" src))
 
-(* --- typed rules: zero-alloc ------------------------------------------- *)
-
-let tlint ~path source = Lint.lint_typed_source ~path ~source ()
+(* --- zero-alloc -------------------------------------------------------- *)
 
 let test_zero_alloc_fires () =
   (* the planted fixture: an allocation inside a marked function must
      produce exactly the expected finding *)
   let fs =
-    tlint ~path:"lib/engine/sim.ml"
+    lint ~path:"lib/engine/sim.ml"
       "let[@zero_alloc] schedule q x = ignore q; Some x"
   in
   check_int "exactly one finding" 1 (List.length fs);
@@ -258,11 +266,11 @@ let test_zero_alloc_fires () =
   check_string "rule" "zero-alloc" f.Lint.rule;
   check_bool "names the constructor" true (contains_sub f.Lint.msg "Some");
   check_clean "an unmarked function is not walked"
-    (tlint ~path:"lib/engine/sim.ml" "let schedule q x = ignore q; Some x")
+    (lint ~path:"lib/engine/sim.ml" "let schedule q x = ignore q; Some x")
 
 let test_zero_alloc_clean () =
   check_clean "integer arithmetic and mutation are free"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        "let r = ref 0\n\
         let[@zero_alloc] schedule q d = ignore q; r := !r + d; !r land 31")
 
@@ -271,14 +279,14 @@ let test_zero_alloc_descent () =
      outsource its allocation *)
   let hot = "let[@zero_alloc] schedule q = helper q" in
   check_fires "allocation in a direct callee is found" "zero-alloc"
-    (tlint ~path:"lib/engine/sim.ml" ("let helper x = [ x ]\n" ^ hot));
+    (lint ~path:"lib/engine/sim.ml" ("let helper x = [ x ]\n" ^ hot));
   check_clean "callees marked cold are exempt (slow paths allocate by design)"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        ("let[@cold][@inline never] helper x = [ x ]\n" ^ hot))
 
 let test_zero_alloc_error_path () =
   check_clean "error paths may allocate their exception"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        "let[@zero_alloc] schedule q d =\n\
        \  if d < 0 then invalid_arg (string_of_int d);\n\
        \  q + d")
@@ -288,7 +296,7 @@ let test_zero_alloc_error_path () =
    backoff, which is cold). *)
 let test_zero_alloc_submodule () =
   let fs =
-    tlint ~path:"lib/rdma/verbs.ml"
+    lint ~path:"lib/rdma/verbs.ml"
       "module Cq = struct\n\
       \  let[@zero_alloc] push t x = ignore t; Some x\n\
        end"
@@ -302,18 +310,18 @@ let test_zero_alloc_rec_chain () =
     "let[@zero_alloc] rec post q n = if q > n then backoff q n else q\n"
     ^ backoff ^ " q n = ignore [ n ]; post (q - 1) n"
   in
-  let fs = tlint ~path:"lib/core/system.ml" (chain "and backoff") in
+  let fs = lint ~path:"lib/core/system.ml" (chain "and backoff") in
   check_int "the allocation in the chain's callee fires" 1 (List.length fs);
   check_int "on the callee's line" 2 (List.hd fs).Lint.line;
   check_clean "and[@cold] exempts it"
-    (tlint ~path:"lib/core/system.ml"
+    (lint ~path:"lib/core/system.ml"
        (chain "and[@cold][@inline never] backoff"))
 
 (* OCaml ignores [@cold]: only [@inline never] keeps a slow path out of
    the hot callers the optimised build would inline it into. *)
 let test_cold_inline_never () =
   let fs =
-    tlint ~path:"lib/engine/sim.ml" "let x = 1\nlet[@cold] grow t = [ t ]"
+    lint ~path:"lib/engine/sim.ml" "let x = 1\nlet[@cold] grow t = [ t ]"
   in
   check_int "exactly one finding" 1 (List.length fs);
   let f = List.hd fs in
@@ -321,17 +329,17 @@ let test_cold_inline_never () =
   check_int "on the binding's line" 2 f.Lint.line;
   check_bool "names the function" true (contains_sub f.Lint.msg "grow");
   check_fires "in a recursive chain too" "zero-alloc"
-    (tlint ~path:"lib/core/system.ml"
+    (lint ~path:"lib/core/system.ml"
        "let rec post q = if q > 0 then backoff q else q\n\
         and[@cold] backoff q = post (q - 1)");
   check_clean "[@inline never] satisfies it"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        "let[@cold][@inline never] grow t = [ t ]");
   check_clean "so does [@ocaml.inline never]"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        "let[@cold][@ocaml.inline never] grow t = [ t ]");
   check_fires "[@inline always] does not" "zero-alloc"
-    (tlint ~path:"lib/engine/sim.ml"
+    (lint ~path:"lib/engine/sim.ml"
        "let[@cold][@inline always] grow t = [ t ]")
 
 (* A closure read out of a ref or an array and applied at once is a full
@@ -340,7 +348,7 @@ let test_cold_inline_never () =
    [Sim.step]'s action and [System.settle]'s wake-up are read this way. *)
 let test_zero_alloc_stored_closure () =
   check_clean "applying a stored closure does not allocate"
-    (tlint ~path:"lib/engine/x.ml"
+    (lint ~path:"lib/engine/x.ml"
        "let yield_hook : (unit -> unit) ref = ref ignore\n\
         let aget a = !yield_hook (); Atomic.get a\n\
         let acas a old v = !yield_hook (); Atomic.compare_and_set a old v\n\
@@ -365,9 +373,9 @@ let test_zero_alloc_suppressible () =
       allow
   in
   check_clean "a reasoned suppression silences the typed rule"
-    (tlint ~path:"lib/engine/sim.ml" src)
+    (lint ~path:"lib/engine/sim.ml" src)
 
-(* --- typed rules: cycle-units ------------------------------------------ *)
+(* --- cycle-units ------------------------------------------------------- *)
 
 let sim_stub =
   "module Sim = struct\n\
@@ -379,7 +387,7 @@ let test_cycle_units_sink () =
   (* the planted fixture: a raw *_us float reaching Sim.schedule_at must
      produce exactly the expected finding *)
   let fs =
-    tlint ~path:"lib/core/x.ml"
+    lint ~path:"lib/core/x.ml"
       (sim_stub
      ^ "let bad sim t_us = Sim.schedule_at sim (int_of_float t_us) (fun () -> \
         ())")
@@ -393,12 +401,12 @@ let test_cycle_units_sink () =
 let test_cycle_units_literal () =
   check_fires "a float literal funnelled into a cycles position"
     "cycle-units"
-    (tlint ~path:"lib/core/x.ml"
+    (lint ~path:"lib/core/x.ml"
        (sim_stub ^ "let bad sim = Sim.schedule_at sim (int_of_float 5.0) (fun () -> ())"))
 
 let test_cycle_units_label () =
   check_fires "~delay is a cycles position everywhere" "cycle-units"
-    (tlint ~path:"lib/core/x.ml"
+    (lint ~path:"lib/core/x.ml"
        (sim_stub
       ^ "let bad sim t_us = Sim.schedule sim ~delay:(int_of_float t_us) (fun \
          () -> ())"))
@@ -411,12 +419,12 @@ let test_cycle_units_sanitized () =
      end\n"
   in
   check_clean "Clock.of_us launders microseconds"
-    (tlint ~path:"lib/core/x.ml"
+    (lint ~path:"lib/core/x.ml"
        (clock_stub ^ sim_stub
       ^ "let good sim t_us = Sim.schedule_at sim (Clock.of_us t_us) (fun () -> \
          ())"));
   check_clean "a toplevel alias of the sanitizer works too (params.ml's c)"
-    (tlint ~path:"lib/core/x.ml"
+    (lint ~path:"lib/core/x.ml"
        (clock_stub ^ sim_stub ^ "let c = Clock.of_us\n"
       ^ "let good sim t_us = Sim.schedule_at sim (c t_us) (fun () -> ())"))
 
@@ -426,16 +434,16 @@ let test_cycle_units_mixing () =
      let bad (c : Clock.cycles) x_us = c + int_of_float x_us"
   in
   check_fires "arithmetic mixing cycles with *_us" "cycle-units"
-    (tlint ~path:"lib/core/x.ml" src);
+    (lint ~path:"lib/core/x.ml" src);
   check_clean "cycles-only arithmetic is fine"
-    (tlint ~path:"lib/core/x.ml"
+    (lint ~path:"lib/core/x.ml"
        "module Clock = struct type cycles = int end\n\
         let good (c : Clock.cycles) (d : Clock.cycles) = c + d")
 
 let test_typed_source_must_type () =
   check_fires "a fixture that does not type is a finding, not a crash"
     "parse-error"
-    (tlint ~path:"lib/core/x.ml" "let f x = x + 1.0")
+    (lint ~path:"lib/core/x.ml" "let f x = x + 1.0")
 
 (* --- repository self-check --------------------------------------------- *)
 
@@ -471,15 +479,40 @@ let test_cmt_drift_loud () =
   match repo_root () with
   | None -> Alcotest.fail "repository root not found from cwd"
   | Some root ->
-    (* a typed run against a build dir that does not exist must complain
-       per file, not silently degrade to the syntactic subset *)
+    (* a run against a build dir that does not exist must complain per
+       file, not silently skip the rules *)
     let _, findings =
       Lint.run ~root ~build_dir:(Filename.concat root "_no_such_build") ()
     in
     check_fires "missing build dir reports cmt-drift" "cmt-drift" findings;
-    let _, syntactic = Lint.run ~root ~typed:false () in
-    check_bool "and --no-typed opts out of it" false
-      (fires "cmt-drift" syntactic)
+    check_bool "and no rule ran, so no suppression is stale" false
+      (fires "stale-suppression" findings)
+
+(* An immediately shadowed, unused binding is warning 26, which the
+   root dune's flags make a build error; the lint has no rule for it. *)
+let test_unused_shadow () =
+  match repo_root () with
+  | None -> Alcotest.fail "repository root not found from cwd"
+  | Some root ->
+    let words =
+      In_channel.with_open_bin (Filename.concat root "dune")
+        In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.concat_map (String.split_on_char ' ')
+      |> List.filter (fun w -> not (String.equal w ""))
+    in
+    let rec spec = function
+      | "-w" :: s :: _ -> s
+      | _ :: rest -> spec rest
+      | [] -> Alcotest.fail "the root dune sets no -w"
+    in
+    let saved = Warnings.backup () in
+    Fun.protect
+      ~finally:(fun () -> Warnings.restore saved)
+      (fun () ->
+        ignore (Warnings.parse_options false (spec words));
+        check_bool "warning 26 is an error" true
+          (Warnings.is_error (Warnings.Unused_var "parts")))
 
 let () =
   Alcotest.run "lint"
@@ -493,6 +526,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "forbidden calls" `Quick test_determinism;
+          Alcotest.test_case "through an open" `Quick test_determinism_open;
           Alcotest.test_case "boundary exemptions" `Quick test_determinism_exempt;
         ] );
       ( "event-wildcard",

@@ -337,7 +337,7 @@ let test_all_families_rendered () =
           Cluster.nodes = 3;
           replication = 2;
           crashes = 1;
-          crash_at_us = 500.;
+          crash_at = Adios_engine.Clock.of_us 500.;
         };
     }
   in

@@ -64,7 +64,7 @@ let clustered cfg =
         Cluster.nodes = 3;
         replication = 2;
         crashes = 1;
-        crash_at_us = 2000.;
+        crash_at = Clock.of_us 2000.;
       };
     fetch_timeout = Clock.of_us 50.;
     fetch_retries = 3;

@@ -662,7 +662,7 @@ let test_timeout_arming () =
       { c with Config.fault = { Injector.none with Injector.drop = 0.01 } }
   in
   let crashing =
-    { Cluster.nodes = 2; replication = 1; crashes = 1; crash_at_us = 100. }
+    { Cluster.nodes = 2; replication = 1; crashes = 1; crash_at = Clock.of_us 100. }
   in
   let spec =
     Spec.make ~name:"arming" ~systems:[ Config.Adios ]
