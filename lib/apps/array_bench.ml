@@ -7,8 +7,6 @@ let value_of_index i =
   (* a cheap bijective scramble so replies are checkable *)
   Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L
 
-let expected_value = value_of_index
-
 (* CPU budget per request, calibrated so a local hit costs the paper's
    ~1.7 Kcycles end to end (incl. unithread creation, dispatch, reply). *)
 let parse_cycles = 600

@@ -11,6 +11,3 @@ val app : ?pages:int -> ?page_size:int -> unit -> Adios_core.App.t
     [page_size] bytes (default 16,384 x 4 KB, i.e. a 64 MB array
     standing in for the paper's 40 GB at the same 20% local ratio).
     A 2 MB [page_size] models huge-page faulting (ablation A7). *)
-
-val expected_value : int -> int64
-(** The value stored at a given index — lets tests check replies. *)

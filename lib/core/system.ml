@@ -50,8 +50,8 @@ type stage =
    and reset whenever the buffer admits a request (Fig. 4: a request's
    context lives in its pre-allocated buffer). Everything a request's
    life needs to call back into is made with the slot — its task, whose
-   body serves [req], the task's [App.ctx], and the reply's TX
-   completion — so admitting, running and replying allocate none of it
+   body serves [req], the task's [App.ctx] and its wake-up — so
+   admitting, running, faulting and replying allocate none of it
    again. *)
 type entry = {
   mutable req : Request.t;
@@ -65,9 +65,12 @@ type entry = {
           first dispatch *)
   mutable quantum_start : int;
   mutable preempted : bool;
-  tx_cqe : unit -> unit;
-      (** the reply's TX completion event. The request holds its buffer
-          until this has run, so the slot still holds the request. *)
+  wake : unit -> unit;
+      (** the slot's one event callback: it ends the unithread's page
+          or frame wait ([settle] and the pager's page and frame
+          waiters call it), and once the handler has finished it is the
+          reply's TX completion. The request holds its buffer until
+          that has run, so the slot still holds the request. *)
 }
 
 and worker = {
@@ -87,6 +90,10 @@ and worker = {
   mutable step : unit -> unit;  (** resumes the loop at [at] *)
   mutable returned : Task.outcome -> unit;
       (** the host of [current]'s task: the loop after it returns *)
+  park : (unit -> unit) -> unit;
+      (** the [Proc.suspend] hook of a unithread that blocks this CPU
+          in a page or frame wait: keeps the wait's one-shot [resume] *)
+  mutable resume : unit -> unit;
 }
 
 (* Where the dispatcher's loop picks up; [dispatcher] holds what it
@@ -111,24 +118,24 @@ type outcome = Pending | Fetched | Failed
 
 (* Every page READ that is posted or waiting to post holds one slot of
    this pool: the simulator's counterpart of the paper's pre-allocated
-   per-request memory. Slot [s]'s fields sit at index [s] of the
-   parallel arrays, which double when the pool runs out of free slots
-   (so never bind one across a blocking wait). *)
-type fetches = {
-  mutable page : int array;
-  mutable home : int array;  (** the worker whose QPs carry every attempt *)
-  mutable owner : entry array;
-      (** the parked faulting entry; [nobody] for a prefetch *)
-  mutable budget : int array;  (** reposts allowed after a timeout *)
-  mutable live : int array;
+   per-request memory. *)
+type fetch = {
+  index : int;  (** the slot's place in [pool]: its tokens' low bits *)
+  mutable next_free : int;  (** the free list's next slot; -1: none *)
+  mutable page : int;
+  mutable home : int;  (** the worker whose QPs carry every attempt *)
+  mutable owner : entry;
+      (** the waiting faulting entry; [nobody] for a prefetch *)
+  mutable budget : int;  (** reposts allowed after a timeout *)
+  mutable live : int;
       (** token of the attempt whose CQE or timer acts; -1: none *)
-  mutable attempt : int array;
-  mutable outcome : outcome array;
-  mutable wake : (unit -> unit) array;  (** a busy-waiting owner's resume *)
-  mutable park : ((unit -> unit) -> unit) array;
-      (** slot [s]'s suspend hook, storing the resume in [wake.(s)] *)
-  mutable free : int array;  (** stack of free slots, [nfree] deep *)
-  mutable nfree : int;
+  mutable attempt : int;
+  mutable outcome : outcome;
+}
+
+type fetches = {
+  mutable pool : fetch array;  (** doubles when no slot is free *)
+  mutable free : int;  (** the first free slot; -1: none *)
   mutable serial : int;  (** attempts posted so far: the token's high bits *)
 }
 
@@ -198,20 +205,18 @@ let faults_injected t =
 
 (* Single tracing entry point: one branch and no allocation when the
    sink is off — the cached [trace_on] flag skips even the [Sim.now]
-   read and the cross-module [emit] call. [ev] is [emit] with the
-   fields optional; [@zero_alloc] functions call [emit], since the
-   typed lint counts the [Some] an optional argument is wrapped in as
-   an allocation. *)
+   read and the cross-module [emit] call. That call stays out of line:
+   inlined at each site, the sink's ring write grew [fault] from 11 to
+   17 KB of code. A field the event does not name is
+   [Trace_event.none]. *)
 let emit t kind ~req ~worker ~page =
   if t.trace_on then
-    Trace_sink.emit t.trace ~ts:(Sim.now t.sim) ~kind ~req ~worker ~page
-
-let ev ?(req = -1) ?(worker = -1) ?(page = -1) t kind =
-  emit t kind ~req ~worker ~page
+    (Trace_sink.emit [@inlined never]) t.trace ~ts:(Sim.now t.sim) ~kind ~req
+      ~worker ~page
 
 let accountant t = t.acct
 
-(* Time attribution. Like [ev] these probes never schedule events or
+(* Time attribution. Like [emit] these probes never schedule events or
    touch the RNG: they read [Sim.now] and mutate arrays, so neither the
    accountant nor the profiler can perturb the run. Each blocking site
    below enters its phase *before* it waits; sites with no intervening
@@ -259,25 +264,22 @@ let is_busywait cfg =
 
 (* --- page-fault handling ------------------------------------------------ *)
 
-(* Ensure a frame is available, stalling on memory pressure. *)
+(* Ensure a frame is available, stalling on memory pressure. The stall
+   blocks the CPU on every system. *)
 let wait_frame t e page =
   Reclaimer.trigger t.reclaimer;
   if Pager.free_frames t.pager <= 0 then begin
     bump t Counter.Frame_stalls;
-    ev t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:e.worker ~page;
+    emit t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:e.worker
+      ~page;
     enter t e Phase.Pf_software;
-    Proc.suspend (fun resume -> Pager.wait_frame t.pager resume)
+    Pager.wait_frame t.pager e.wake;
+    Proc.suspend t.workers.(e.worker).park
   end
 
 let charge_pf t e cycles =
   enter t e Phase.Pf_software;
   Proc.wait cycles
-
-(* Busy-wait until [page]'s in-flight fetch completes. *)
-let spin_on_inflight t e page =
-  enter t e Phase.Busy_wait;
-  Proc.suspend (fun resume -> Pager.add_waiter t.pager page resume);
-  enter t e Phase.Pf_software
 
 (* Wake every idle worker but [w]: they may steal what [w] just got. *)
 let[@zero_alloc] wake_idle_siblings t (w : worker) =
@@ -286,34 +288,14 @@ let[@zero_alloc] wake_idle_siblings t (w : worker) =
     if s.idle && s.wid <> w.wid then Gate.signal s.gate
   done
 
-(* Make a blocked-then-resumed entry runnable again: push it on its
-   worker's ready queue and wake that worker. Under the Steal system
-   the ready queues are steal targets, so idle siblings are woken too —
-   one of them may grab the entry before the (busy) owner gets to it. *)
-let[@zero_alloc] enqueue_ready t (w : worker) e =
-  (* fetch wire time ends here; from the CQE until a worker (owner or
-     thief) polls the entry back in, the request waits in a ready queue *)
-  enter t e Phase.Steal_wait;
-  (* lint: allow zero-alloc -- the ready queue's cell, one per resumed fault; Queue cells are the next allocation to go (ROADMAP item 3) *)
-  Queue.push e w.ready;
-  Gate.signal w.gate;
-  if t.cfg.Config.system = Config.Steal then wake_idle_siblings t w
-
-(* Yield until [page]'s in-flight fetch completes; the completion pushes
-   us on our worker's ready queue and the worker switches back. *)
-let yield_on_inflight t e page =
-  let w = t.workers.(e.worker) in
-  enter t e Phase.Fetch_wire;
-  Pager.add_waiter t.pager page (fun () -> enqueue_ready t w e);
-  Task.suspend ()
-
 (* --- page fetches --------------------------------------------------------- *)
 
 (* One page READ (Fig. 5: post, park the faulting unithread, resume it
    from the CQE) and its recovery protocol, in one slot of the fetch
-   pool. A demand fetch has an owner, the faulting entry, parked until
-   the fetch settles; a prefetch has none ([nobody]) and no reposts, so
-   a lost one just gives its frame back. Three transitions drive it:
+   pool. A demand fetch has an owner, the faulting entry, waiting in
+   [await_page] until the fetch settles and wakes it; a prefetch has
+   none ([nobody]) and no reposts, so a lost one just gives its frame
+   back. Three transitions drive it:
    [post_fetch] posts the slot's current attempt with a fresh token,
    and that attempt's CQE ([fetch_cqe]) and timer ([fetch_timer]) act
    only while the token is the slot's [live] one. A completion the
@@ -328,57 +310,52 @@ let yield_on_inflight t e page =
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 
-(* Double the pool. The new slots' hooks are made here, once. *)
+(* Double the pool. The free list threads through the new slots in
+   index order; every old slot is in use, since the list ran dry. *)
 let[@cold][@inline never] grow_fetches t =
-  let f = t.fetches in
-  let cap = Array.length f.page in
+  let p = t.fetches in
+  let cap = Array.length p.pool in
   let ncap = max 64 (2 * cap) in
   if ncap > slot_mask then invalid_arg "System: fetch pool exhausted";
-  let extend a fill =
-    Array.init ncap (fun s -> if s < cap then a.(s) else fill)
-  in
-  f.page <- extend f.page 0;
-  f.home <- extend f.home 0;
-  f.owner <- extend f.owner t.nobody;
-  f.budget <- extend f.budget 0;
-  f.live <- extend f.live (-1);
-  f.attempt <- extend f.attempt 0;
-  f.outcome <- extend f.outcome Pending;
-  f.wake <- extend f.wake ignore;
-  f.park <-
-    Array.init ncap (fun s ->
-        if s < cap then f.park.(s)
-        else fun resume -> t.fetches.wake.(s) <- resume);
-  f.free <- extend f.free 0;
-  for s = ncap - 1 downto cap do
-    f.free.(f.nfree) <- s;
-    f.nfree <- f.nfree + 1
-  done
+  p.pool <-
+    Array.init ncap (fun index ->
+        if index < cap then p.pool.(index)
+        else
+          {
+            index;
+            next_free = (if index + 1 < ncap then index + 1 else -1);
+            page = 0;
+            home = 0;
+            owner = t.nobody;
+            budget = 0;
+            live = -1;
+            attempt = 0;
+            outcome = Pending;
+          });
+  p.free <- cap
 
 let[@zero_alloc] acquire_fetch t ~page (w : worker) ~owner ~budget =
-  let f = t.fetches in
-  if f.nfree = 0 then grow_fetches t;
-  f.nfree <- f.nfree - 1;
-  let s = f.free.(f.nfree) in
-  f.page.(s) <- page;
-  f.home.(s) <- w.wid;
-  f.owner.(s) <- owner;
-  f.budget.(s) <- budget;
-  f.live.(s) <- -1;
-  f.attempt.(s) <- 0;
-  f.outcome.(s) <- Pending;
-  s
+  let p = t.fetches in
+  if p.free < 0 then grow_fetches t;
+  let f = p.pool.(p.free) in
+  p.free <- f.next_free;
+  f.page <- page;
+  f.home <- w.wid;
+  f.owner <- owner;
+  f.budget <- budget;
+  f.live <- -1;
+  f.attempt <- 0;
+  f.outcome <- Pending;
+  f
 
-let[@zero_alloc] release_fetch t s =
-  let f = t.fetches in
-  f.live.(s) <- -1;
-  f.owner.(s) <- t.nobody;
-  f.wake.(s) <- ignore;
-  f.free.(f.nfree) <- s;
-  f.nfree <- f.nfree + 1
+let[@zero_alloc] release_fetch t f =
+  f.live <- -1;
+  f.owner <- t.nobody;
+  f.next_free <- t.fetches.free;
+  t.fetches.free <- f.index
 
-let owner_id t s =
-  let e = t.fetches.owner.(s) in
+let owner_id t f =
+  let e = f.owner in
   if e == t.nobody then -1 else e.req.Request.id
 
 (* Coalesced faulters re-examine the page once its fetch settles. *)
@@ -398,52 +375,45 @@ let drop_prefetched t page =
     t.prefetch_stats.Prefetcher.wasted <- t.prefetch_stats.Prefetcher.wasted + 1
   end
 
-(* Only a live attempt settles a fetch, so this runs once per fetch. A
-   busy-waiting owner resumes its spin; a yielded one goes back on its
-   worker's ready queue; a prefetch frees its slot. *)
-let settle t s outcome =
-  let f = t.fetches in
-  f.outcome.(s) <- outcome;
-  let e = f.owner.(s) in
-  if e == t.nobody then release_fetch t s
-  else if is_busywait t.cfg then f.wake.(s) ()
-  else enqueue_ready t t.workers.(f.home.(s)) e
+(* Only a live attempt settles a fetch, so this runs once per fetch: it
+   wakes the owner, or frees a prefetch's slot. *)
+let settle t f outcome =
+  f.outcome <- outcome;
+  let e = f.owner in
+  if e == t.nobody then release_fetch t f else e.wake ()
 
 let[@zero_alloc] fetch_cqe t token =
-  let f = t.fetches in
-  let s = token land slot_mask in
-  if f.live.(s) = token then begin
-    f.live.(s) <- -1;
-    let page = f.page.(s) in
+  let f = t.fetches.pool.(token land slot_mask) in
+  if f.live = token then begin
+    f.live <- -1;
+    let page = f.page in
     Pager.complete_fetch t.pager page;
-    emit t Trace_event.Rdma_complete ~req:(owner_id t s) ~worker:f.home.(s)
-      ~page;
+    emit t Trace_event.Rdma_complete ~req:(owner_id t f) ~worker:f.home ~page;
     wake_waiters t page;
-    settle t s Fetched
+    settle t f Fetched
   end
 
-(* Post slot [s]'s current attempt; its trace events name request [req]
+(* Post slot [f]'s current attempt; its trace events name request [req]
    (a prefetch's names the request whose fault triggered it). A full QP
-   backs off and reposts: in place when [blocking] (the first attempt,
-   which runs on the worker), from a timer otherwise. The backoff and
+   backs off and reposts from a scheduled event, whoever posted. The
+   memory node counts the READ once the QP accepts it. The backoff and
    the arming of a fetch timer allocate closures; they run only when a
    QP is full or a completion can be lost (a faulty fabric or a crashing
    cluster), so they are cold. *)
-let[@zero_alloc] rec post_fetch t s ~req ~blocking =
-  let f = t.fetches in
-  let page = f.page.(s) and n = f.attempt.(s) and bytes = t.app.App.page_size in
-  let w = t.workers.(f.home.(s)) in
+let[@zero_alloc] rec post_fetch t f ~req =
+  let page = f.page and n = f.attempt and bytes = t.app.App.page_size in
+  let w = t.workers.(f.home) in
   (* re-route every attempt: a retry after a node death must land on a
      surviving replica, not repost into the dead NIC forever *)
   let node = Cluster.route_read t.cluster ~page in
-  if n > 0 then Memnode.record_read (node_memnode t node) ~bytes;
-  let token = (f.serial lsl slot_bits) lor s in
+  let token = (t.fetches.serial lsl slot_bits) lor f.index in
   if Nic.post w.qps.(node) ~opcode:Verbs.Read ~bytes ~cq:w.fetch_cq ~user:token
   then begin
-    f.serial <- f.serial + 1;
-    f.live.(s) <- token;
+    t.fetches.serial <- t.fetches.serial + 1;
+    f.live <- token;
+    Memnode.record_read (node_memnode t node) ~bytes;
     emit t Trace_event.Rdma_issue ~req ~worker:w.wid ~page;
-    let e = f.owner.(s) in
+    let e = f.owner in
     if e != t.nobody then begin
       if node <> Cluster.current_primary t.cluster ~page then begin
         Cluster.note_failover t.cluster;
@@ -460,21 +430,15 @@ let[@zero_alloc] rec post_fetch t s ~req ~blocking =
          at 64x) so a throttled fabric is not flooded *)
       arm_fetch_timer t token ~delay:(t.cfg.Config.fetch_timeout lsl min n 6)
   end
-  else fetch_backoff t s ~req ~blocking
+  else fetch_backoff t f ~req
 
-and[@cold][@inline never] fetch_backoff t s ~req ~blocking =
+and[@cold][@inline never] fetch_backoff t f ~req =
   bump t Counter.Qp_stalls;
-  ev t Trace_event.Stall_qp ~req ~worker:t.fetches.home.(s)
-    ~page:t.fetches.page.(s);
-  if blocking then begin
-    Proc.wait Params.qp_retry_cycles;
-    post_fetch t s ~req ~blocking
-  end
-  else
-    (* no attempt is live while this waits, so nothing can settle the
-       fetch meanwhile *)
-    Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
-        post_fetch t s ~req ~blocking:false)
+  emit t Trace_event.Stall_qp ~req ~worker:f.home ~page:f.page;
+  (* no attempt is live while this waits, so nothing can settle the
+     fetch meanwhile *)
+  Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
+      post_fetch t f ~req)
 
 and[@cold][@inline never] arm_fetch_timer t token ~delay =
   Sim.schedule t.sim ~delay (fun () -> fetch_timer t token)
@@ -487,19 +451,18 @@ and[@cold][@inline never] arm_fetch_timer t token ~delay =
    it, and perfbench's array-fault, which never fires a timer, ran 5.7%
    slower (8 of 8 pairs, 2-vCPU Xeon VM). *)
 and[@zero_alloc] fetch_timer t token =
-  let f = t.fetches in
-  let s = token land slot_mask in
-  if f.live.(s) = token then begin
-    f.live.(s) <- -1;
-    let req = owner_id t s and worker = f.home.(s) and page = f.page.(s) in
-    let n = f.attempt.(s) in
+  let f = t.fetches.pool.(token land slot_mask) in
+  if f.live = token then begin
+    f.live <- -1;
+    let req = owner_id t f and worker = f.home and page = f.page in
+    let n = f.attempt in
     bump t Counter.Fetch_timeouts;
     (emit [@inlined never]) t Trace_event.Fetch_timeout ~req ~worker ~page;
-    if n >= f.budget.(s) then begin
+    if n >= f.budget then begin
       Pager.abort_fetch t.pager page;
       wake_waiters t page;
       drop_prefetched t page;
-      settle t s Failed
+      settle t f Failed
     end
     else begin
       bump t Counter.Fetch_retries;
@@ -509,13 +472,32 @@ and[@zero_alloc] fetch_timer t token =
       (* a parked owner now waits out the repost; a busy-waiting one
          stays in [Busy_wait] through it, since its CPU never stops
          spinning *)
-      let e = f.owner.(s) in
+      let e = f.owner in
       if e != t.nobody && not (is_busywait t.cfg) then
         enter t e Phase.Retry_backoff;
-      f.attempt.(s) <- n + 1;
-      post_fetch t s ~req ~blocking:false
+      f.attempt <- n + 1;
+      post_fetch t f ~req
     end
   end
+
+(* Wait for [page]: the one place a faulting unithread decides how it
+   waits. A busy-wait system (DiLOS, Hermit) keeps its CPU and spins; a
+   yield system (Adios) hands the worker back to run other unithreads.
+   The wait's phase opens first, so what the post does (a failover's
+   phase, a full QP's backoff) falls inside it. Then the entry posts its
+   own fetch, slot [fetch], whose settle wakes it, or, with [fetch] =
+   -1, joins the waiters of the fetch already in flight. Either way
+   [e.wake] ends the wait. *)
+let await_page t e ~page ~fetch =
+  let busy = is_busywait t.cfg in
+  enter t e (if busy then Phase.Busy_wait else Phase.Fetch_wire);
+  if fetch < 0 then Pager.add_waiter t.pager page e.wake
+  else post_fetch t t.fetches.pool.(fetch) ~req:e.req.Request.id;
+  if busy then begin
+    Proc.suspend t.workers.(e.worker).park;
+    enter t e Phase.Pf_software
+  end
+  else Task.suspend ()
 
 (* Issue stride prefetches next to a demand fetch: detect the request's
    fault stride and pull the predicted pages without anyone waiting on
@@ -545,10 +527,9 @@ let maybe_prefetch t e (w : worker) page =
           && Nic.outstanding w.qps.(node) < t.cfg.Config.qp_depth - 2
         then begin
           Pager.start_fetch t.pager q;
-          Memnode.record_read (node_memnode t node) ~bytes:t.app.App.page_size;
           post_fetch t
             (acquire_fetch t ~page:q w ~owner:t.nobody ~budget:0)
-            ~req:e.req.Request.id ~blocking:true;
+            ~req:e.req.Request.id;
           incr issued;
           Bytes.set t.prefetched q '\001';
           t.prefetch_stats.Prefetcher.issued <-
@@ -573,11 +554,10 @@ let rec ensure_present t e page =
   | Pager.Inflight ->
     bump t Counter.Coalesced;
     let rid = e.req.Request.id and wid = e.worker in
-    ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
-    ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
-    if is_busywait t.cfg then spin_on_inflight t e page
-    else yield_on_inflight t e page;
-    ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
+    emit t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
+    emit t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
+    await_page t e ~page ~fetch:(-1);
+    emit t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
     ensure_present t e page
   | Pager.Remote -> fault t e page
 
@@ -596,7 +576,7 @@ and prepare_fault t e (w : worker) page =
     let node = Cluster.route_read t.cluster ~page in
     if Nic.outstanding w.qps.(node) >= t.cfg.Config.qp_depth then begin
       bump t Counter.Qp_stalls;
-      ev t Trace_event.Stall_qp ~req:e.req.Request.id ~worker:w.wid ~page;
+      emit t Trace_event.Stall_qp ~req:e.req.Request.id ~worker:w.wid ~page;
       enter t e Phase.Pf_software;
       Proc.wait Params.qp_retry_cycles;
       prepare_fault t e w page
@@ -608,7 +588,7 @@ and prepare_fault t e (w : worker) page =
 and fault t e page =
   bump t Counter.Faults;
   let rid = e.req.Request.id and wid = e.worker in
-  ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
+  emit t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
   let sw =
     Params.fault_sw_cycles
     +
@@ -621,45 +601,29 @@ and fault t e page =
   if not (prepare_fault t e w page) then begin
     (* the page moved on while we slept: this fault was absorbed by
        someone else's fetch (or it is already Present) *)
-    ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
-    ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
+    emit t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
+    emit t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
     ensure_present t e page
   end
   else begin
     Pager.start_fetch t.pager page;
-    Memnode.record_read
-      (node_memnode t (Cluster.route_read t.cluster ~page))
-      ~bytes:t.app.App.page_size;
     maybe_prefetch t e w page;
-    let s =
+    let f =
       acquire_fetch t ~page w ~owner:e ~budget:t.cfg.Config.fetch_retries
     in
-    if is_busywait t.cfg then begin
-      (* the spin covers the post (incl. QP backoff) and the CQE wait *)
-      enter t e Phase.Busy_wait;
-      post_fetch t s ~req:rid ~blocking:true;
-      if t.fetches.outcome.(s) = Pending then Proc.suspend t.fetches.park.(s);
-      enter t e Phase.Pf_software
-    end
-    else begin
-      (* Adios: issue and yield (Fig. 5 steps 4-5, 8-10). Wire time
-         opens before the post so a blocking QP backoff counts against
-         the fetch; the CQE's [enqueue_ready] closes it. *)
-      enter t e Phase.Fetch_wire;
-      post_fetch t s ~req:rid ~blocking:true;
-      if t.fetches.outcome.(s) = Pending then Task.suspend ()
-    end;
-    let outcome = t.fetches.outcome.(s) in
-    release_fetch t s;
+    (* post and wait until the fetch settles (Fig. 5 steps 4-5, 8-10) *)
+    await_page t e ~page ~fetch:f.index;
+    let outcome = f.outcome in
+    release_fetch t f;
     match outcome with
     | Failed ->
-      ev t Trace_event.Req_error ~req:rid ~worker:wid ~page;
-      ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
+      emit t Trace_event.Req_error ~req:rid ~worker:wid ~page;
+      emit t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
       raise (Fetch_failed page)
     | Fetched | Pending ->
       (* map the fetched page and return (Fig. 5 step 10) *)
       charge_pf t e Params.map_page_cycles;
-      ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page
+      emit t Trace_event.Fault_end ~req:rid ~worker:wid ~page
   end
 
 (* Touch every page of [addr, addr+len); hit, coalesce or fault. *)
@@ -688,7 +652,8 @@ let make_ctx t e =
         Sim.now t.sim - e.quantum_start >= Params.preempt_interval_cycles
       then begin
         bump t Counter.Preemptions;
-        ev t Trace_event.Preempt ~req:e.req.Request.id ~worker:e.worker;
+        emit t Trace_event.Preempt ~req:e.req.Request.id ~worker:e.worker
+          ~page:Trace_event.none;
         compute Params.preempt_fire_cycles;
         e.preempted <- true;
         Task.suspend ()
@@ -707,7 +672,7 @@ let make_ctx t e =
    departure by the CQE latency. The reply's buffer names its slot. *)
 let[@zero_alloc] reply_sent sim slots req =
   Sim.schedule sim ~delay:Params.tx_cqe_latency_cycles
-    slots.by_buffer.(req.Request.buffer).tx_cqe
+    slots.by_buffer.(req.Request.buffer).wake
 
 (* The CQE of slot [e]'s reply. *)
 let[@zero_alloc] tx_cqe t e =
@@ -730,6 +695,32 @@ let[@zero_alloc] tx_cqe t e =
        worker's critical path *)
     emit t Trace_event.Tx_complete ~req:rid ~worker:(-1) ~page:(-1);
     Buffer_pool.free t.buffers e.req.Request.buffer
+
+(* [e.wake]: the event [e]'s slot waits on has come; what it does
+   depends on where the unithread is. Blocked on its CPU in a page or
+   frame wait ([Proc.suspend], so its task is still running), it picks
+   up where it stopped. Yielded on a page wait, it goes back on its
+   worker's ready queue, and the worker is woken to switch it back in;
+   under the Steal system the ready queues are steal targets, so idle
+   siblings are woken too, and one of them may take the entry before
+   its (busy) worker gets to it. Finished, its reply's TX completion
+   has arrived. One callback serves both so that a slot makes one
+   closure: overloaded points make thousands of slots. *)
+let[@zero_alloc] wake t e =
+  match Task.state e.task with
+  | `Running -> t.workers.(e.worker).resume ()
+  | `Suspended ->
+    let w = t.workers.(e.worker) in
+    (* fetch wire time ends here; from the CQE until a worker (owner or
+       thief) polls the entry back in, the request waits in a ready
+       queue *)
+    enter t e Phase.Steal_wait;
+    (* lint: allow zero-alloc -- the ready queue's cell, one per resumed fault; Queue cells are the next allocation to go (ROADMAP item 3) *)
+    Queue.push e w.ready;
+    Gate.signal w.gate;
+    if t.cfg.Config.system = Config.Steal then wake_idle_siblings t w
+  | `Finished -> tx_cqe t e
+  | `Fresh -> invalid_arg "System.wake: the unithread has not run"
 
 (* --- unithread slots ------------------------------------------------------ *)
 
@@ -755,7 +746,7 @@ let[@cold][@inline never] make_slot t =
       worker = -1;
       quantum_start = 0;
       preempted = false;
-      tx_cqe = (fun () -> tx_cqe t e);
+      wake = (fun () -> wake t e);
     }
   in
   e.task <- Task.create t.sim (run_handler t (make_ctx t e) e);
@@ -936,7 +927,8 @@ and[@zero_alloc] reply_posted t w e =
   emit t Trace_event.Tx_submit ~req:req.Request.id ~worker:e.worker ~page:(-1);
   match t.cfg.Config.tx_mode with
   | Config.Tx_delegated | Config.Tx_deferred ->
-    (* the worker moves on; the slot's [tx_cqe] recycles the buffer *)
+    (* the worker moves on; the slot's TX completion recycles the
+       buffer *)
     Raw_eth.send t.reply_channel ~bytes req;
     run_end t w e
   | Config.Tx_sync_spin ->
@@ -1134,19 +1126,23 @@ let receive t ~rx_at req =
   req.Request.rx_at <- rx_at;
   if Queue.length t.pending >= t.cfg.Config.central_queue_capacity then begin
     bump t Counter.Drops_queue;
-    ev t Trace_event.Req_drop_queue ~req:req.Request.id
+    emit t Trace_event.Req_drop_queue ~req:req.Request.id
+      ~worker:Trace_event.none ~page:Trace_event.none
   end
   else
     let buffer = Buffer_pool.alloc t.buffers in
     if buffer < 0 then begin
       bump t Counter.Drops_buffer;
-      ev t Trace_event.Stall_buffer ~req:req.Request.id;
-      ev t Trace_event.Req_drop_buffer ~req:req.Request.id
+      emit t Trace_event.Stall_buffer ~req:req.Request.id
+        ~worker:Trace_event.none ~page:Trace_event.none;
+      emit t Trace_event.Req_drop_buffer ~req:req.Request.id
+        ~worker:Trace_event.none ~page:Trace_event.none
     end
     else begin
       req.Request.buffer <- buffer;
       bump t Counter.Admitted;
-      ev t Trace_event.Req_enqueue ~req:req.Request.id;
+      emit t Trace_event.Req_enqueue ~req:req.Request.id
+        ~worker:Trace_event.none ~page:Trace_event.none;
       (* profiled ⟺ admitted: drops never open attribution state *)
       (match t.prof with
       | Some p ->
@@ -1196,12 +1192,12 @@ let rec post_writeback t ~node ~page k =
     Nic.post t.reclaim_qps.(node) ~opcode:Verbs.Write
       ~bytes:t.app.App.page_size ~cq:t.reclaim_cq ~user:page
   then begin
-    ev t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page;
+    emit t Trace_event.Rdma_issue ~req:actor ~worker:actor ~page;
     k ()
   end
   else begin
     bump t Counter.Writeback_stalls;
-    ev t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
+    emit t Trace_event.Stall_qp ~req:actor ~worker:actor ~page;
     Sim.schedule t.sim ~delay:Params.qp_retry_cycles (fun () ->
         post_writeback t ~node ~page k)
   end
@@ -1280,7 +1276,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       worker = -1;
       quantum_start = 0;
       preempted = false;
-      tx_cqe = ignore;
+      wake = ignore;
     }
   in
   let slots = { by_buffer = [||] } in
@@ -1305,21 +1301,26 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
             (fun nd -> Nic.create_qp nd.Cluster.nic ~depth:cfg.Config.qp_depth)
             cluster_nodes
         in
-        {
-          wid;
-          qps;
-          fetch_cq = Verbs.Cq.create ();
-          gate = Gate.create sim;
-          ready = Queue.create ();
-          local = Queue.create ();
-          assigned = nobody;
-          idle = false;
-          at = Idle;
-          current = nobody;
-          victim = 0;
-          step = ignore;
-          returned = ignore;
-        })
+        let rec w =
+          {
+            wid;
+            qps;
+            fetch_cq = Verbs.Cq.create ();
+            gate = Gate.create sim;
+            ready = Queue.create ();
+            local = Queue.create ();
+            assigned = nobody;
+            idle = false;
+            at = Idle;
+            current = nobody;
+            victim = 0;
+            step = ignore;
+            returned = ignore;
+            park = (fun resume -> w.resume <- resume);
+            resume = ignore;
+          }
+        in
+        w)
   in
   let reclaim_qps =
     Array.map
@@ -1372,21 +1373,7 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
       rr_cursor = 0;
       load = Array.make cfg.Config.workers 0;
       order = Array.make cfg.Config.workers 0;
-      fetches =
-        {
-          page = [||];
-          home = [||];
-          owner = [||];
-          budget = [||];
-          live = [||];
-          attempt = [||];
-          outcome = [||];
-          wake = [||];
-          park = [||];
-          free = [||];
-          nfree = 0;
-          serial = 0;
-        };
+      fetches = { pool = [||]; free = -1; serial = 0 };
       nobody;
       rng;
       reclaimer;
@@ -1412,7 +1399,8 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~arena ~on_reply =
     workers;
   let on_writeback (c : int Verbs.completion) =
     let actor = Trace_event.reclaimer_actor in
-    ev t Trace_event.Rdma_complete ~req:actor ~worker:actor ~page:c.Verbs.user
+    emit t Trace_event.Rdma_complete ~req:actor ~worker:actor
+      ~page:c.Verbs.user
   in
   Verbs.Cq.set_notify reclaim_cq (fun () ->
       Verbs.Cq.drain reclaim_cq on_writeback);

@@ -10,10 +10,3 @@ let of_sec t = int_of_float (Float.round (t *. float_of_int cycles_per_sec))
 let to_us c = float_of_int c /. float_of_int cycles_per_us
 let to_ns c = 1000. *. float_of_int c /. float_of_int cycles_per_us
 let to_sec c = float_of_int c /. float_of_int cycles_per_sec
-
-let pp ppf c =
-  let us = to_us c in
-  if us < 1. then Format.fprintf ppf "%dcy" c
-  else if us < 1000. then Format.fprintf ppf "%.2fus" us
-  else if us < 1_000_000. then Format.fprintf ppf "%.2fms" (us /. 1000.)
-  else Format.fprintf ppf "%.3fs" (us /. 1_000_000.)

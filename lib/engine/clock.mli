@@ -30,6 +30,3 @@ val to_ns : cycles -> float
 
 val to_sec : cycles -> float
 (** [to_sec c] converts a cycle count to seconds. *)
-
-val pp : Format.formatter -> cycles -> unit
-(** Pretty-print a duration with an adaptive unit (cy, us, ms, s). *)

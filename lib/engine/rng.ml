@@ -41,8 +41,6 @@ let[@inline] uniform g =
 
 let float g x = uniform g *. x
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
-
 let exponential g ~mean =
   let u = 1. -. uniform g in
   -.mean *. log u

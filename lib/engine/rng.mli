@@ -25,9 +25,6 @@ val uniform : t -> float
 val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample; inter-arrival times of the
     open-loop Poisson load generator. *)

@@ -78,8 +78,6 @@ let[@zero_alloc] switch t ~cpu state =
     c.entered_at <- now
   end
 
-let current t ~cpu = t.slots.(cpu).state
-
 (* Closed episodes plus the one still open. *)
 let cycles_in t (c : cpu) st =
   let open_span =

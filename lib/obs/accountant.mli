@@ -59,8 +59,6 @@ val switch : t -> cpu:int -> state -> unit
     episode of that state. Switching to the current state is a no-op
     (episodes are not split). *)
 
-val current : t -> cpu:int -> state
-
 (** Plain-data view of the accountant: marshals across the forked sweep
     workers and survives the simulation it was taken from. *)
 type snapshot = {

@@ -36,7 +36,6 @@ type req = {
 type sample = { sid : int; e2e : int; scycles : int array }
 
 type t = {
-  mutable attached : int;
   mutable finalized : int;
   mutable errored : int;
   mutable sum_violations : int;
@@ -51,7 +50,6 @@ let none : sample = { sid = -1; e2e = 0; scycles = [||] }
 
 let create () =
   {
-    attached = 0;
     finalized = 0;
     errored = 0;
     sum_violations = 0;
@@ -60,8 +58,7 @@ let create () =
     len = 0;
   }
 
-let attach t ~id ~tx_at ~now =
-  t.attached <- t.attached + 1;
+let attach _ ~id ~tx_at ~now =
   let r =
     {
       id;
@@ -112,10 +109,6 @@ let finalize t r ~done_at ~errored ~measured =
     if measured && not errored then
       push t { sid = r.id; e2e = done_at - r.tx_at; scycles = r.cycles }
   end
-
-let attached t = t.attached
-let finalized t = t.finalized
-let sum_violations t = t.sum_violations
 
 (* --- band aggregation --------------------------------------------------- *)
 

@@ -8,7 +8,7 @@
     end-to-end latency (reply RX − client TX). The probes guarantee it
     by telescoping — each switch closes the current segment at the
     switch instant — and {!finalize} re-checks it per request, counting
-    failures into {!sum_violations}.
+    failures into the summary's [violations].
 
     Probes are perturbation-free (they read [Sim.now] and mutate
     arrays; no events, no RNG): enabling profiling cannot change a
@@ -26,7 +26,7 @@ val create : unit -> t
 val attach : t -> id:int -> tx_at:int -> now:int -> req
 (** Open attribution for an admitted request: the [tx_at, now) wire+RX
     segment is charged to [Req_wire] and the request enters [Queue].
-    Called once per admission, so attached = admitted. *)
+    Called once per admission. *)
 
 val switch : req -> now:int -> Phase.t -> unit
 (** Close the current segment at [now] and enter the given phase.
@@ -40,13 +40,6 @@ val finalize :
     population; every request feeds the live metric counters. Probes
     arriving after finalization are no-ops (under [Tx_sync_spin] the
     reply can land while the worker still spins on the TX CQE). *)
-
-val attached : t -> int
-val finalized : t -> int
-
-val sum_violations : t -> int
-(** Requests whose phase cycles failed to sum to end-to-end latency;
-    0 unless the probe placement itself is broken (CI gates on it). *)
 
 (** {1 Aggregation} *)
 
@@ -71,6 +64,9 @@ type summary = {
   measured : int;  (** post-warmup non-errored: the banded population *)
   errored : int;
   violations : int;
+      (** requests whose phase cycles failed to sum to end-to-end
+          latency; 0 unless the probe placement itself is broken (CI
+          gates on it) *)
   bands : band_stats array;  (** length {!band_count} *)
   slowest : slow array;  (** top-K requests by e2e, descending *)
 }

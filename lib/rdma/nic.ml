@@ -58,7 +58,6 @@ and 'a t = {
   trace_on : bool; (* cached [Sink.enabled trace] for the per-WR path *)
 }
 
-let qp_id qp = qp.qp_id
 let outstanding qp = qp.next_seq - qp.deliver_seq
 
 let direction_of = function Verbs.Read -> Rx | Verbs.Write | Verbs.Send -> Tx

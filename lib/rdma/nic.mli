@@ -57,9 +57,6 @@ val create_qp : 'a t -> depth:int -> 'a qp
 (** New QP accepting at most [depth] outstanding work requests, with
     its ring and the ring slots' delivery events. *)
 
-val qp_id : 'a qp -> int
-(** Stable identifier (creation order). *)
-
 val outstanding : 'a qp -> int
 (** Work requests posted but not yet completed — the congestion signal
     read by PF-aware dispatching. *)

@@ -64,7 +64,3 @@ let kind_name = function
   | Node_failed -> "node_failed"
   | Failover -> "failover"
   | Rereplicated -> "rereplicated"
-
-let pp ppf e =
-  Format.fprintf ppf "%d %s req=%d w=%d page=%d" e.ts (kind_name e.kind) e.req
-    e.worker e.page

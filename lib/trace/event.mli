@@ -64,4 +64,3 @@ val reclaimer_actor : int
 (** Pseudo-id used in [req]/[worker] for reclaimer-initiated events. *)
 
 val kind_name : kind -> string
-val pp : Format.formatter -> t -> unit

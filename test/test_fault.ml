@@ -458,6 +458,70 @@ let test_retry_exhaustion_surfaces_errors () =
   check_int "trace sees the same error count" r.Runner.errored
     report.Checker.errored
 
+(* A memory node counts a READ once, when the worker's QP accepts it.
+   Pin (c)'s fabric and QP depth on two nodes, with no crash and so no
+   re-replication, make timer reposts meet full QPs and retry; the
+   nodes' READ counters must still sum to the worker-side [rdma_issue]
+   events (the reclaimer's write-backs carry [reclaimer_actor]). Only a
+   yield system keeps enough fetches in flight per worker to fill a
+   QP this way. *)
+let test_reads_counted_once () =
+  List.iter
+    (fun sys ->
+      let name = Config.system_name sys in
+      let cfg =
+        {
+          (faulty_cfg sys) with
+          Config.qp_depth = 4;
+          local_ratio = 0.05;
+          cluster = { Adios_cluster.Cluster.default with nodes = 2 };
+        }
+      in
+      let trace = Sink.create ~capacity:2_000_000 in
+      let metrics = Adios_obs.Registry.create () in
+      ignore
+        (Runner.run cfg (small_array ()) ~offered_krps:2500. ~requests:3000
+           ~trace ~metrics ());
+      check_int (name ^ " trace ring held the whole run") 0
+        (Sink.dropped trace);
+      let events = Sink.to_list trace in
+      let kind_at k (e : Adios_trace.Event.t) = e.Adios_trace.Event.kind = k in
+      let issued =
+        List.length
+          (List.filter
+             (fun (e : Adios_trace.Event.t) ->
+               kind_at Adios_trace.Event.Rdma_issue e
+               && e.worker <> Adios_trace.Event.reclaimer_actor)
+             events)
+      in
+      (* a timer's repost that meets a full QP stalls in the same cycle,
+         on the same page, as its retry *)
+      let rec refused_reposts n = function
+        | (r : Adios_trace.Event.t) :: ((s : Adios_trace.Event.t) :: _ as rest)
+          ->
+          let hit =
+            kind_at Adios_trace.Event.Fetch_retry r
+            && kind_at Adios_trace.Event.Stall_qp s
+            && r.ts = s.ts && r.page = s.page
+          in
+          refused_reposts (if hit then n + 1 else n) rest
+        | [ _ ] | [] -> n
+      in
+      check_bool (name ^ " timer reposts met full QPs") true
+        (refused_reposts 0 events > 0);
+      let prefix = "adios_cluster_node_reads_total{" in
+      let reads =
+        List.fold_left
+          (fun acc (series, read) ->
+            if String.starts_with ~prefix series then
+              acc + int_of_float (read ())
+            else acc)
+          0
+          (Adios_obs.Registry.scalar_series metrics)
+      in
+      check_int (name ^ " node READs = worker rdma_issue events") issued reads)
+    [ Config.Adios; Config.Steal ]
+
 (* --- properties ------------------------------------------------------- *)
 
 let qcheck_cases =
@@ -544,6 +608,8 @@ let () =
             test_recovery_no_wedge_all_systems;
           Alcotest.test_case "retry exhaustion surfaces errors" `Quick
             test_retry_exhaustion_surfaces_errors;
+          Alcotest.test_case "a READ counts once, when posted" `Quick
+            test_reads_counted_once;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

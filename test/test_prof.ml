@@ -72,6 +72,27 @@ let clustered cfg =
 
 let tweaks = [ ("clean", clean); ("faulty", faulty); ("cluster", clustered) ]
 
+(* test_fault's pin (d): stride prefetching on a scan workload over a
+   lossy fabric. A prefetch's issue cost is the one wait between a
+   fault's QP check and its post, so a timer's repost can fill the QP
+   meanwhile and the post backs off. *)
+let prefetch_scan system =
+  {
+    (Config.default system) with
+    Config.prefetch = Config.Stride 8;
+    fault =
+      {
+        Injector.none with
+        Injector.drop = 0.05;
+        spike = 0.02;
+        stall = 0.01;
+        stall_cycles = Clock.of_us 20.;
+        seed = 11;
+      };
+    fetch_timeout = Clock.of_us 50.;
+    fetch_retries = 3;
+  }
+
 (* No replica to fail over to: the crash surfaces errored requests,
    which the bands drop but both sides of the CPU identity count. *)
 let unreplicated cfg =
@@ -166,7 +187,19 @@ let test_invariant_matrix () =
       in
       assert_invariants name r;
       assert_cpu_identity name r metrics)
-    (matrix @ [ (Config.Dilos, ("unreplicated", unreplicated)) ])
+    (matrix @ [ (Config.Dilos, ("unreplicated", unreplicated)) ]);
+  List.iter
+    (fun system ->
+      let name = Config.system_name system ^ "/prefetch-scan" in
+      let metrics = Registry.create () in
+      let r =
+        Runner.run (prefetch_scan system)
+          (Adios_apps.Rocksdb.app ~scan_fraction:0.2 ())
+          ~offered_krps:100. ~requests:2000 ~metrics ~profile:true ()
+      in
+      assert_invariants name r;
+      assert_cpu_identity name r metrics)
+    all_systems
 
 (* qcheck widens the matrix over seeds and loads: any (system, fabric,
    seed, load) draw must preserve the invariant — the per-request
